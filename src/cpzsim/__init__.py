@@ -31,14 +31,13 @@ from .propagation import (
     snr_rho,
 )
 from .schemes import (
+    Region,
     SchemeKind,
     SchemeReport,
     energy_efficiency,
     evaluate_scheme,
     per_ue_rates,
-    power_always_max,
-    power_cpz,
-    power_zooming,
+    powered_regions,
 )
 from .sim import (
     ArcCluster,

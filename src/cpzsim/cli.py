@@ -24,6 +24,7 @@ from .sim import (
     FixedPlacement,
     ScenarioConfig,
     UniformDisk,
+    _aggregate,
     comparison_records,
     run_comparison,
     sweep_distance,
@@ -59,9 +60,12 @@ def _typed(doc: dict, key: str, types, path: str, default):
     if key not in doc:
         return default
     value = doc[key]
+    where = f"{path}.{key}" if path else key
     if isinstance(value, bool) or not isinstance(value, types):
-        where = f"{path}.{key}" if path else key
         raise ConfigError(f"config key '{where}' has invalid type {type(value).__name__}")
+    # json.load accepts NaN and Infinity; no config number may be either.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key '{where}' must be finite, got {value!r}")
     return value
 
 
@@ -288,30 +292,16 @@ def _scenario_from_args(args) -> ScenarioConfig:
     return config
 
 
-def _summarize(records) -> list[str]:
-    by_scheme: dict = {}
-    for rec in records:
-        by_scheme.setdefault(rec.report.scheme, []).append(rec.report)
-    lines = []
-    for scheme, reports in by_scheme.items():
-        mean_p = math.fsum(r.total_power for r in reports) / len(reports)
-        defined = [r.ee for r in reports if r.ee is not None]
-        mean_ee = math.fsum(defined) / len(defined) if defined else None
-        ee_text = f"{mean_ee:.6e} bit/J" if mean_ee is not None else "undefined"
-        lines.append(f"{scheme.value:>10}: mean power {mean_p:.6e} W, mean EE {ee_text} "
-                     f"({len(defined)}/{len(reports)} trials with defined EE)")
-    return lines
-
-
 def _cmd_simulate(args) -> int:
     config = _scenario_from_args(args)
-    reports = run_comparison(config, n_workers=args.workers)
-    records = comparison_records(reports)
+    records = comparison_records(run_comparison(config))
     if args.out is not None:
         write_records_csv(args.out, records)
     print(f"simulated {config.n_trials} trials, seed {config.seed}")
-    for line in _summarize(records):
-        print(line)
+    for row in _aggregate("trial", records).rows:
+        ee_text = f"{row.mean_ee:.6e} bit/J" if row.mean_ee is not None else "undefined"
+        print(f"{row.scheme.value:>10}: mean power {row.mean_total_power:.6e} W, mean EE {ee_text} "
+              f"({row.n_trials_defined}/{config.n_trials} trials with defined EE)")
     return EXIT_OK
 
 
@@ -332,9 +322,9 @@ def _cmd_sweep(args) -> int:
     values = _parse_values(args.variable, args.values)
     try:
         if args.variable == "distance":
-            run = sweep_distance(config, values, n_workers=args.workers)
+            run = sweep_distance(config, values)
         else:
-            run = sweep_sectors(config, values, n_workers=args.workers)
+            run = sweep_sectors(config, values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.out is not None:
@@ -351,6 +341,20 @@ def _cmd_sweep(args) -> int:
 def _json_sidecar(out_path: str) -> str:
     root, ext = os.path.splitext(out_path)
     return (root if ext else out_path) + ".json"
+
+
+def _worker_count(raw: str) -> int:
+    try:
+        count = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+WORKERS_HELP = ("accepted for compatibility (at least 1); trials run in one thread "
+                "and outputs never depend on this value")
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--trials", type=int, default=None)
     p_sim.add_argument("--out", default=None, help="per-trial CSV output path")
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=_worker_count, default=1, help=WORKERS_HELP)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="sweep edge distance or sector count")
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--trials", type=int, default=None)
     p_sweep.add_argument("--out", default=None, help="per-trial CSV output path")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_worker_count, default=1, help=WORKERS_HELP)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -166,7 +166,12 @@ def sum_rate_closed_form(k_users: int, m_antennas: int, rho: float, bandwidth: f
 
 
 def wishart_trace_expectation(k_users: int, m_antennas: int) -> float:
-    """Large-array limit K / (M - K) of the expected inverse Gram trace."""
+    """Expected inverse Gram trace E[tr((H H^H)^-1)] = K / (M - K).
+
+    Exact for any M > K when H has i.i.d. CN(0, 1) entries: the mean of the
+    complex inverse Wishart matrix (Tague & Caldwell 1994), not only the
+    large-array limit.
+    """
     if k_users < 1:
         raise ValueError("k_users must be positive")
     if m_antennas <= k_users:

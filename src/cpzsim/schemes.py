@@ -1,10 +1,11 @@
 """The three power-allocation schemes and their energy-efficiency reports.
 
-always_max radiates enough to serve the cell edge whether anyone is there
-or not. zooming shrinks the full-circle coverage radius to the farthest
-active user (sleeping when the cell is empty). cpz additionally powers
-only the occupied sectors, each zoomed to its own farthest occupant and
-charged the angular fraction of the corresponding full-circle power.
+All three follow one rule: power a set of regions, each a run of whole
+sectors with a zoom distance, charged its angular fraction of the
+full-circle power that serves that distance. always_max powers one full-circle region
+out to the cell edge whether anyone is there or not. zooming powers one
+full-circle region out to the farthest active user, or nothing when the
+cell is empty. cpz powers one single-sector region per occupied sector.
 
 A user in a powered region sees the link of a full-circle transmission at
 that region's dimensioning power, so per-user rates follow from the SNR at
@@ -15,7 +16,7 @@ everyone closer gets more.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, NamedTuple
 
 from .mimo import RateModelParams, per_ue_rate
 from .partition import CpzState
@@ -43,39 +44,6 @@ class SchemeReport:
     n_active_sectors: int
 
 
-def power_always_max(budget: LinkBudget, rate_target: float, k_users: int,
-                     m_antennas: int) -> float:
-    """Edge-dimensioned power, independent of occupancy."""
-    return required_bs_power(budget.cell_radius_r, rate_target, k_users, m_antennas, budget)
-
-
-def power_zooming(state: CpzState, budget: LinkBudget, rate_target: float,
-                  k_users: int, m_antennas: int) -> float:
-    """Full-circle power zoomed to the farthest active user; 0 when the cell is empty."""
-    d_global = state.max_zoom()
-    if d_global is None:
-        return 0.0
-    return required_bs_power(d_global, rate_target, k_users, m_antennas, budget)
-
-
-def power_cpz(state: CpzState, budget: LinkBudget, rate_target: float,
-              k_users: int, m_antennas: int) -> float:
-    """Sum over occupied sectors of the angular fraction of each sector's zoom power."""
-    coverage = state.coverage_requirements()
-    if not coverage:
-        return 0.0
-    d_global = max(c.zoom_distance for c in coverage)
-    full = required_bs_power(d_global, rate_target, k_users, m_antennas, budget)
-    # Accumulate fractions of the zooming power (each <= 1) and divide once:
-    # rounding then cannot lift the total above the zooming power, keeping the
-    # scheme ordering exact without tolerances.
-    fractions = math.fsum(
-        required_bs_power(c.zoom_distance, rate_target, k_users, m_antennas, budget) / full
-        for c in coverage
-    )
-    return full * (fractions / state.grid.n_sectors)
-
-
 def energy_efficiency(sum_rate: float, total_power: float) -> float | None:
     """Delivered bits per joule, or None for the zero-power sleep state."""
     if sum_rate < 0:
@@ -87,32 +55,60 @@ def energy_efficiency(sum_rate: float, total_power: float) -> float | None:
     return sum_rate / total_power
 
 
-def ue_effective_powers(kind: SchemeKind, state: CpzState, budget: LinkBudget,
-                        rate_target: float, k_users: int,
-                        m_antennas: int) -> dict[Hashable, float]:
-    """Full-circle-equivalent power dimensioning each user's region.
+class Region(NamedTuple):
+    """A powered region: `wedges` adjacent sectors zoomed to `zoom`, serving `members`.
 
-    This is the power that enters each user's SNR: the whole-cell power for
-    always_max, the zoomed power for zooming, and the per-sector zoom power
-    for cpz (a sector spends only its angular fraction of that amount).
+    Its angular fraction is wedges / grid.n_sectors, and it is charged that
+    fraction of the full-circle power P(zoom).
     """
+
+    wedges: int
+    zoom: float
+    members: tuple[Hashable, ...]
+
+
+def powered_regions(kind: SchemeKind, state: CpzState) -> list[Region]:
+    """The regions a scheme powers on a scenario snapshot; empty means the cell sleeps.
+
+    always_max powers the full circle out to the cell edge, zooming the full
+    circle out to the farthest occupied annulus, and cpz one region per
+    occupied sector at that sector's zoom. Members keep join order.
+    """
+    grid = state.grid
+    members = tuple(state.ue_positions())
     if kind is SchemeKind.ALWAYS_MAX:
-        p = power_always_max(budget, rate_target, k_users, m_antennas)
-        return {ue_id: p for ue_id in state.ue_positions()}
+        return [Region(grid.n_sectors, grid.cell_radius, members)]
     if kind is SchemeKind.ZOOMING:
-        d_global = state.max_zoom()
-        if d_global is None:
-            return {}
-        p = required_bs_power(d_global, rate_target, k_users, m_antennas, budget)
-        return {ue_id: p for ue_id in state.ue_positions()}
+        zoom = state.max_zoom()
+        return [] if zoom is None else [Region(grid.n_sectors, zoom, members)]
     if kind is SchemeKind.CPZ:
-        sector_power = {
-            c.sector: required_bs_power(c.zoom_distance, rate_target, k_users, m_antennas, budget)
-            for c in state.coverage_requirements()
-        }
-        return {ue_id: sector_power[state.sector_of(ue_id)]
-                for ue_id in state.ue_positions()}
+        by_sector: dict[int, list[Hashable]] = {}
+        for ue_id in members:
+            by_sector.setdefault(state.sector_of(ue_id), []).append(ue_id)
+        return [Region(1, c.zoom_distance, tuple(by_sector[c.sector]))
+                for c in state.coverage_requirements()]
     raise ValueError(f"unknown scheme {kind!r}")
+
+
+def _sized_regions(kind: SchemeKind, state: CpzState, budget: LinkBudget, rate_target: float,
+                   k_users: int, m_antennas: int) -> list[tuple[Region, float]]:
+    """Each powered region with the full-circle power P(zoom) that dimensions it."""
+    return [(region, required_bs_power(region.zoom, rate_target, k_users, m_antennas, budget))
+            for region in powered_regions(kind, state)]
+
+
+def _region_rates(sized: list[tuple[Region, float]], state: CpzState, budget: LinkBudget,
+                  k_users: int, m_antennas: int,
+                  psi: Mapping[Hashable, float] | None) -> dict[Hashable, float]:
+    positions = state.ue_positions()
+    rates: dict[Hashable, float] = {}
+    for region, power in sized:
+        for ue_id in region.members:
+            fading = 1.0 if psi is None else psi[ue_id]
+            rho = snr_rho(power, k_users, positions[ue_id].r, budget, fading)
+            params = RateModelParams(bandwidth_b_ccs=budget.bandwidth, rho=rho)
+            rates[ue_id] = per_ue_rate(params, rho * (m_antennas - k_users))
+    return rates
 
 
 def per_ue_rates(kind: SchemeKind, state: CpzState, budget: LinkBudget,
@@ -123,33 +119,8 @@ def per_ue_rates(kind: SchemeKind, state: CpzState, budget: LinkBudget,
     psi maps ue_id to a slow-fading factor; omit it for the deterministic
     unit-shadowing mode in which every rate is at least the target.
     """
-    effective = ue_effective_powers(kind, state, budget, rate_target, k_users, m_antennas)
-    rates: dict[Hashable, float] = {}
-    for ue_id, pos in state.ue_positions().items():
-        fading = 1.0 if psi is None else psi[ue_id]
-        rho = snr_rho(effective[ue_id], k_users, pos.r, budget, fading)
-        params = RateModelParams(bandwidth_b_ccs=budget.bandwidth, rho=rho)
-        rates[ue_id] = per_ue_rate(params, rho * (m_antennas - k_users))
-    return rates
-
-
-def _total_power(kind: SchemeKind, state: CpzState, budget: LinkBudget,
-                 rate_target: float, k_users: int, m_antennas: int) -> float:
-    if kind is SchemeKind.ALWAYS_MAX:
-        return power_always_max(budget, rate_target, k_users, m_antennas)
-    if kind is SchemeKind.ZOOMING:
-        return power_zooming(state, budget, rate_target, k_users, m_antennas)
-    if kind is SchemeKind.CPZ:
-        return power_cpz(state, budget, rate_target, k_users, m_antennas)
-    raise ValueError(f"unknown scheme {kind!r}")
-
-
-def _active_sectors(kind: SchemeKind, state: CpzState) -> int:
-    if kind is SchemeKind.ALWAYS_MAX:
-        return state.grid.n_sectors
-    if kind is SchemeKind.ZOOMING:
-        return state.grid.n_sectors if len(state) else 0
-    return len(state.per_sector_zoom)
+    sized = _sized_regions(kind, state, budget, rate_target, k_users, m_antennas)
+    return _region_rates(sized, state, budget, k_users, m_antennas, psi)
 
 
 def evaluate_scheme(kind: SchemeKind, state: CpzState, budget: LinkBudget,
@@ -162,16 +133,24 @@ def evaluate_scheme(kind: SchemeKind, state: CpzState, budget: LinkBudget,
     total can never exceed the always-max budget; that bound is re-checked
     here as a guard against regressions in the power construction.
     """
-    total = _total_power(kind, state, budget, rate_target, k_users, m_antennas)
-    p_max = power_always_max(budget, rate_target, k_users, m_antennas)
-    if total > p_max:
+    sized = _sized_regions(kind, state, budget, rate_target, k_users, m_antennas)
+    total = 0.0
+    if sized:
+        # Accumulate fractions of the largest region power (each <= 1) and
+        # divide once: rounding then cannot lift the total above that power,
+        # keeping the scheme ordering exact without tolerances.
+        full = max(power for _, power in sized)
+        fractions = math.fsum(region.wedges * (power / full) for region, power in sized)
+        total = full * (fractions / state.grid.n_sectors)
+    p_max = required_bs_power(budget.cell_radius_r, rate_target, k_users, m_antennas, budget)
+    if not total <= p_max:
         raise RuntimeError(f"{kind.value} power {total} exceeds the always-max budget {p_max}")
-    rates = per_ue_rates(kind, state, budget, rate_target, k_users, m_antennas, psi)
+    rates = _region_rates(sized, state, budget, k_users, m_antennas, psi)
     sum_rate = math.fsum(rates.values())
     return SchemeReport(
         scheme=kind,
         total_power=total,
         sum_rate=sum_rate,
         ee=energy_efficiency(sum_rate, total),
-        n_active_sectors=_active_sectors(kind, state),
+        n_active_sectors=sum(region.wedges for region, _ in sized),
     )

@@ -3,17 +3,16 @@
 A scenario places users in the cell, feeds them through the partition
 state, and evaluates the three power-allocation schemes. Trial i draws
 everything from stream (seed, i), so results are reproducible bit for bit
-and independent of how trials are scheduled across workers. Sweeps pin a
-single edge user at each distance, or re-partition a fixed user cluster
-under different sector counts, and aggregate per-trial reports into mean
-power and mean energy efficiency per scheme.
+and independent of the order trials run in. Sweeps pin a single edge user
+at each distance, or re-partition a fixed user cluster under different
+sector counts, and aggregate per-trial reports into mean power and mean
+energy efficiency per scheme.
 """
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .partition import CpzState, PartitionGrid, UePosition
 from .propagation import DeterministicUnitShadowing, LinkBudget, ShadowingMode
@@ -170,21 +169,10 @@ def _evaluate_all(config: ScenarioConfig, grid: PartitionGrid,
     )
 
 
-def _map_trials(fn, tasks, n_workers: int):
-    if n_workers <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def run_comparison(config: ScenarioConfig, n_workers: int = 1) -> list[tuple[SchemeReport, ...]]:
+def run_comparison(config: ScenarioConfig) -> list[tuple[SchemeReport, ...]]:
     """Per-trial reports for all three schemes, in scheme order, trial order preserved."""
-
-    def one_trial(i: int) -> tuple[SchemeReport, ...]:
-        positions = place_ues(config, i)
-        return _evaluate_all(config, config.grid, positions, i)
-
-    return _map_trials(one_trial, range(config.n_trials), n_workers)
+    return [_evaluate_all(config, config.grid, place_ues(config, i), i)
+            for i in range(config.n_trials)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +229,19 @@ def _aggregate(variable: str, records: Iterable[TrialRecord]) -> SweepResult:
     return SweepResult(variable=variable, rows=tuple(rows))
 
 
-def sweep_distance(config: ScenarioConfig, d_values: Iterable[float],
-                   n_workers: int = 1) -> SweepRun:
+def _sweep(config: ScenarioConfig, variable: str, values: list,
+           scenario: Callable[..., tuple[PartitionGrid, list[UePosition]]]) -> SweepRun:
+    """Every trial at every sweep value; scenario(value, trial) gives (grid, positions)."""
+    records = tuple(
+        TrialRecord(value, trial, rep)
+        for value in values
+        for trial in range(config.n_trials)
+        for rep in _evaluate_all(config, *scenario(value, trial), trial)
+    )
+    return SweepRun(result=_aggregate(variable, records), records=records)
+
+
+def sweep_distance(config: ScenarioConfig, d_values: Iterable[float]) -> SweepRun:
     """Scheme comparison with a single user pinned at each distance in turn."""
     values = sorted(float(d) for d in d_values)
     if not values:
@@ -253,17 +252,8 @@ def sweep_distance(config: ScenarioConfig, d_values: Iterable[float],
                 f"sweep distance {d} m outside "
                 f"[{config.budget.r0}, {config.budget.cell_radius_r}] m"
             )
-
-    tasks = [(d, trial) for d in values for trial in range(config.n_trials)]
-
-    def one_task(task):
-        d, trial = task
-        positions = [UePosition(0, d, 0.0)]
-        return [TrialRecord(d, trial, rep)
-                for rep in _evaluate_all(config, config.grid, positions, trial)]
-
-    records = tuple(rec for batch in _map_trials(one_task, tasks, n_workers) for rec in batch)
-    return SweepRun(result=_aggregate("distance", records), records=records)
+    return _sweep(config, "distance", values,
+                  lambda d, trial: (config.grid, [UePosition(0, d, 0.0)]))
 
 
 def _cluster_positions(config: ScenarioConfig, finest_sectors: int,
@@ -279,8 +269,7 @@ def _cluster_positions(config: ScenarioConfig, finest_sectors: int,
     return place_ues(finest, trial_index)
 
 
-def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int],
-                  n_workers: int = 1) -> SweepRun:
+def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> SweepRun:
     """Scheme comparison of one fixed clustered user set under varying sector counts."""
     counts = sorted(int(c) for c in sector_counts)
     if not counts:
@@ -288,18 +277,9 @@ def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int],
     if counts[0] < 1:
         raise ValueError("sector counts must be at least 1")
     finest = counts[-1]
-
-    tasks = [(count, trial) for count in counts for trial in range(config.n_trials)]
-
-    def one_task(task):
-        count, trial = task
-        positions = _cluster_positions(config, finest, trial)
-        grid = replace(config.grid, n_sectors=count)
-        return [TrialRecord(count, trial, rep)
-                for rep in _evaluate_all(config, grid, positions, trial)]
-
-    records = tuple(rec for batch in _map_trials(one_task, tasks, n_workers) for rec in batch)
-    return SweepRun(result=_aggregate("sectors", records), records=records)
+    return _sweep(config, "sectors", counts,
+                  lambda count, trial: (replace(config.grid, n_sectors=count),
+                                        _cluster_positions(config, finest, trial)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,6 @@ from cpzsim.schemes import (
     SchemeKind,
     evaluate_scheme,
     per_ue_rates,
-    power_always_max,
-    power_cpz,
-    power_zooming,
 )
 from cpzsim.sim import (
     ArcCluster,
@@ -89,13 +86,12 @@ def test_c3_closed_form_rate_vs_monte_carlo():
 
 def test_c4_scheme_ordering_without_violations():
     with criterion(4, "P_cpz <= P_zoom <= P_max in 1000 uniform-disk scenarios, exactly"):
-        p_max = power_always_max(BUDGET, TARGET, K, M)
         config = ScenarioConfig(seed=404, n_trials=1000)
         violations = 0
         for trial in range(config.n_trials):
             state = build_state(GRID, place_ues(config, trial))
-            p_zoom = power_zooming(state, BUDGET, TARGET, K, M)
-            p_cpz = power_cpz(state, BUDGET, TARGET, K, M)
+            p_max, p_zoom, p_cpz = (evaluate_scheme(kind, state, BUDGET, TARGET, K, M).total_power
+                                    for kind in SCHEME_ORDER)
             if not (p_cpz <= p_zoom <= p_max):
                 violations += 1
         assert violations == 0

@@ -121,6 +121,27 @@ def test_simulate_usage_error_exits_2(capsys):
     assert run_cli(["simulate", "--workers"]) == 2
 
 
+def test_simulate_workers_below_one_exits_2(capsys):
+    assert run_cli(["simulate", "--trials", "1", "--workers", "0"]) == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"rate_target": float("nan")}, "rate_target"),
+    ({"grid": {"cell_radius": float("inf")}}, "grid.cell_radius"),
+    ({"budget": {"noise_n0": float("inf")}}, "budget.noise_n0"),
+    ({"budget": {"alpha": float("-inf")}}, "budget.alpha"),
+    ({"shadowing": {"kind": "lognormal", "sigma_db": float("nan")}}, "shadowing.sigma_db"),
+    ({"placement": {"kind": "fixed", "positions": [{"r": float("nan"), "phi": 0.0}]}},
+     "placement.positions[0].r"),
+])
+def test_simulate_non_finite_config_number_exits_2(tmp_path, capsys, doc, where):
+    config = write_config(tmp_path, doc)
+    assert run_cli(["simulate", "--config", config, "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"'{where}' must be finite" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

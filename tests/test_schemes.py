@@ -10,19 +10,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpzsim.partition import CpzState, PartitionGrid, UePosition
-from cpzsim.propagation import LinkBudget
+from cpzsim.partition import CpzState, PartitionGrid, UePosition, locate
+from cpzsim.propagation import LinkBudget, required_bs_power
 from cpzsim.schemes import (
     SCHEME_ORDER,
+    Region,
     SchemeKind,
     energy_efficiency,
     evaluate_scheme,
     per_ue_rates,
-    power_always_max,
-    power_cpz,
-    power_zooming,
-    ue_effective_powers,
+    powered_regions,
 )
 
 GRID = PartitionGrid(3, 18, 1000.0)
@@ -44,6 +44,10 @@ def state_with(positions):
     return state
 
 
+def total_power(kind, state):
+    return evaluate_scheme(kind, state, BUDGET, TARGET, K, M).total_power
+
+
 def random_state(rng, n_ues, grid=GRID):
     state = CpzState(grid)
     for i in range(n_ues):
@@ -57,7 +61,7 @@ def random_state(rng, n_ues, grid=GRID):
 
 
 def test_always_max_analytic_value():
-    p = power_always_max(BUDGET, TARGET, K, M)
+    p = total_power(SchemeKind.ALWAYS_MAX, state_with([]))
     assert p == pytest.approx(analytic_power(1000.0), rel=1e-12)
     assert p == pytest.approx(7.91e-11, rel=1e-3)
 
@@ -70,55 +74,55 @@ def test_always_max_ignores_occupancy():
 
 
 def test_zooming_empty_cell_sleeps():
-    assert power_zooming(state_with([]), BUDGET, TARGET, K, M) == 0.0
+    assert total_power(SchemeKind.ZOOMING, state_with([])) == 0.0
 
 
 def test_zooming_middle_annulus():
     state = state_with([UePosition(0, 550.0, 0.1)])
-    p = power_zooming(state, BUDGET, TARGET, K, M)
+    p = total_power(SchemeKind.ZOOMING, state)
     assert p == pytest.approx(analytic_power(2000.0 / 3), rel=1e-12)
 
 
 def test_zooming_attains_always_max_with_outer_ue():
     state = state_with([UePosition(0, 980.0, 0.1)])
-    assert power_zooming(state, BUDGET, TARGET, K, M) == power_always_max(BUDGET, TARGET, K, M)
+    assert total_power(SchemeKind.ZOOMING, state) == total_power(SchemeKind.ALWAYS_MAX, state)
 
 
 def test_zooming_never_exceeds_always_max():
     rng = random.Random(5)
-    p_max = power_always_max(BUDGET, TARGET, K, M)
+    p_max = total_power(SchemeKind.ALWAYS_MAX, state_with([]))
     for _ in range(200):
         state = random_state(rng, rng.randint(1, 25))
-        assert power_zooming(state, BUDGET, TARGET, K, M) <= p_max
+        assert total_power(SchemeKind.ZOOMING, state) <= p_max
 
 
 def test_cpz_empty_cell_sleeps():
-    assert power_cpz(state_with([]), BUDGET, TARGET, K, M) == 0.0
+    assert total_power(SchemeKind.CPZ, state_with([])) == 0.0
 
 
 def test_cpz_single_ue_is_one_sector_fraction():
     state = state_with([UePosition(0, 550.0, 0.1)])
-    p_zoom = power_zooming(state, BUDGET, TARGET, K, M)
-    p_cpz = power_cpz(state, BUDGET, TARGET, K, M)
+    p_zoom = total_power(SchemeKind.ZOOMING, state)
+    p_cpz = total_power(SchemeKind.CPZ, state)
     assert p_cpz == pytest.approx(p_zoom / 18, rel=1e-12)
 
 
 def test_cpz_full_outer_ring_degenerates_to_zooming():
     width = TWO_PI / 18
     state = state_with([UePosition(s, 900.0, (s + 0.5) * width) for s in range(18)])
-    p_cpz = power_cpz(state, BUDGET, TARGET, K, M)
+    p_cpz = total_power(SchemeKind.CPZ, state)
     # Full coverage: bit-for-bit equal to the zooming and always-max powers.
-    assert p_cpz == power_zooming(state, BUDGET, TARGET, K, M)
-    assert p_cpz == power_always_max(BUDGET, TARGET, K, M)
+    assert p_cpz == total_power(SchemeKind.ZOOMING, state)
+    assert p_cpz == total_power(SchemeKind.ALWAYS_MAX, state_with([]))
 
 
 def test_scheme_ordering_exact_on_random_scenarios():
     rng = random.Random(11)
-    p_max = power_always_max(BUDGET, TARGET, K, M)
+    p_max = total_power(SchemeKind.ALWAYS_MAX, state_with([]))
     for _ in range(100):
         state = random_state(rng, rng.randint(1, 30))
-        p_zoom = power_zooming(state, BUDGET, TARGET, K, M)
-        p_cpz = power_cpz(state, BUDGET, TARGET, K, M)
+        p_zoom = total_power(SchemeKind.ZOOMING, state)
+        p_cpz = total_power(SchemeKind.CPZ, state)
         assert p_cpz <= p_zoom <= p_max
 
 
@@ -129,7 +133,7 @@ def test_cpz_additive_over_sectors():
         UePosition(1, 900.0, 1.5 * TWO_PI / 18),  # sector 1, zoom 1000
     ])
     expected = (analytic_power(2000.0 / 3) + analytic_power(1000.0)) / 18
-    assert power_cpz(state, BUDGET, TARGET, K, M) == pytest.approx(expected, rel=1e-12)
+    assert total_power(SchemeKind.CPZ, state) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cpz_sector_refinement_never_costs_more():
@@ -145,8 +149,8 @@ def test_cpz_sector_refinement_never_costs_more():
         for pos in positions:
             coarse.join(pos)
             fine.join(pos)
-        p_coarse = power_cpz(coarse, BUDGET, TARGET, K, M)
-        p_fine = power_cpz(fine, BUDGET, TARGET, K, M)
+        p_coarse = total_power(SchemeKind.CPZ, coarse)
+        p_fine = total_power(SchemeKind.CPZ, fine)
         assert p_fine <= p_coarse
 
 
@@ -253,12 +257,17 @@ def test_effective_power_is_sector_zoom_power():
         UePosition("inner", 200.0, 0.05),         # sector 0, zoom 1000/3
         UePosition("outer", 900.0, 1.5 * TWO_PI / 18),  # sector 1, zoom 1000
     ])
-    eff = ue_effective_powers(SchemeKind.CPZ, state, BUDGET, TARGET, K, M)
+    regions = powered_regions(SchemeKind.CPZ, state)
+    assert regions == [Region(1, 1000.0 / 3, ("inner",)), Region(1, 1000.0, ("outer",))]
+    eff = {ue_id: required_bs_power(region.zoom, TARGET, K, M, BUDGET)
+           for region in regions for ue_id in region.members}
     assert eff["inner"] == pytest.approx(analytic_power(1000.0 / 3), rel=1e-12)
     assert eff["outer"] == pytest.approx(analytic_power(1000.0), rel=1e-12)
     # Zooming backs everyone with the global zoom power.
-    eff_zoom = ue_effective_powers(SchemeKind.ZOOMING, state, BUDGET, TARGET, K, M)
-    assert eff_zoom["inner"] == eff_zoom["outer"] == pytest.approx(analytic_power(1000.0), rel=1e-12)
+    (zoom_region,) = powered_regions(SchemeKind.ZOOMING, state)
+    assert zoom_region == Region(18, 1000.0, ("inner", "outer"))
+    assert required_bs_power(zoom_region.zoom, TARGET, K, M, BUDGET) == \
+        pytest.approx(analytic_power(1000.0), rel=1e-12)
 
 
 def test_shadowing_factor_moves_rates():
@@ -267,3 +276,59 @@ def test_shadowing_factor_moves_rates():
     faded = per_ue_rates(SchemeKind.ZOOMING, state, BUDGET, TARGET, K, M, psi={0: 0.1})
     boosted = per_ue_rates(SchemeKind.ZOOMING, state, BUDGET, TARGET, K, M, psi={0: 10.0})
     assert faded[0] < base[0] < boosted[0]
+
+
+def test_guard_rejects_nan_power():
+    # NaN power compares false both ways; the budget guard must still trip.
+    budget = LinkBudget(noise_n0=float("nan"))
+    with pytest.raises(RuntimeError, match="exceeds the always-max budget"):
+        evaluate_scheme(SchemeKind.CPZ, state_with([UePosition(0, 550.0, 0.1)]),
+                        budget, TARGET, K, M)
+
+
+# ---------------------------------------------------------------------------
+# Region rule
+
+
+@st.composite
+def scenarios(draw):
+    radius = draw(st.floats(200.0, 5000.0))
+    grid = PartitionGrid(draw(st.integers(1, 6)), draw(st.integers(1, 40)), radius)
+    budget = LinkBudget(cell_radius_r=radius)
+    points = draw(st.lists(st.tuples(st.floats(budget.r0, radius), st.floats(0.0, TWO_PI)),
+                           max_size=25))
+    state = CpzState(grid)
+    for i, (r, phi) in enumerate(points):
+        state.join(UePosition(i, r, phi))
+    return state, budget
+
+
+@given(scenarios())
+@settings(max_examples=150, deadline=None)
+def test_region_rule_properties(scenario):
+    state, budget = scenario
+    grid = state.grid
+    positions = state.ue_positions()
+    totals = {}
+    for kind in SCHEME_ORDER:
+        regions = powered_regions(kind, state)
+        members = [ue_id for region in regions for ue_id in region.members]
+        # Disjoint, and every user is served (the sleeping cell has no users).
+        assert sorted(members) == sorted(positions)
+        for region in regions:
+            for ue_id in region.members:
+                annulus = locate(positions[ue_id], grid).annulus
+                assert grid.annulus_outer_radius(annulus) <= region.zoom
+        report = evaluate_scheme(kind, state, budget, TARGET, K, M)
+        assert sum(region.wedges for region in regions) == report.n_active_sectors
+        totals[kind] = report.total_power
+        if kind is SchemeKind.CPZ:
+            sectors = []
+            for region in regions:
+                (sector,) = {state.sector_of(ue_id) for ue_id in region.members}
+                assert region.wedges == 1
+                assert region.zoom == state.per_sector_zoom[sector]
+                sectors.append(sector)
+            assert sorted(sectors) == sorted(state.per_sector_zoom)
+    assert 0.0 <= totals[SchemeKind.CPZ] <= totals[SchemeKind.ZOOMING] \
+        <= totals[SchemeKind.ALWAYS_MAX]

@@ -153,11 +153,6 @@ def test_run_comparison_single_sector_cluster_fraction():
         assert cpz.total_power == pytest.approx(zoom.total_power / 18, rel=1e-12)
 
 
-def test_run_comparison_worker_pool_identical():
-    config = make_config(n_trials=16, seed=14)
-    assert run_comparison(config, n_workers=1) == run_comparison(config, n_workers=8)
-
-
 def test_run_comparison_lognormal_shadowing_changes_rates_not_power():
     base = make_config(n_trials=4, seed=6)
     shadowed = make_config(n_trials=4, seed=6,
