@@ -2,26 +2,31 @@
 
 Exit codes are stable: 0 on success, 1 on a failed verification check,
 2 on configuration or usage errors, 3 on I/O failures. Scenario configs
-are JSON files mirroring ScenarioConfig; flags override file values, the
-CPZ_SIM_SEED environment variable is the fallback seed.
+are JSON files read straight from the ScenarioConfig dataclass tree: the
+keys, types and defaults are its fields, a union field is an object with
+a "kind" tag, and fixed placement's positions may be left out. Flags
+override file values, the CPZ_SIM_SEED environment variable is the
+fallback seed.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import replace
+from typing import Hashable
 
 import numpy as np
 
 from . import mimo
-from .partition import PartitionGrid, UePosition
-from .propagation import DeterministicUnitShadowing, LinkBudget, LognormalShadowing
+from .partition import UePosition
+from .propagation import DeterministicUnitShadowing, LognormalShadowing, ShadowingMode
 from .rng import substream
 from .sim import (
     ArcCluster,
     FixedPlacement,
+    Placement,
     ScenarioConfig,
     UniformDisk,
     _aggregate,
@@ -48,139 +53,81 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # Config file parsing
 
+# JSON types accepted for each scalar field type; bool is never a number.
+_SCALARS = {int: int, float: (int, float), str: str, Hashable: (str, int)}
 
-def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key '{where}'")
-
-
-def _typed(doc: dict, key: str, types, path: str, default):
-    if key not in doc:
-        return default
-    value = doc[key]
-    where = f"{path}.{key}" if path else key
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(f"config key '{where}' has invalid type {type(value).__name__}")
-    # json.load accepts NaN and Infinity; no config number may be either.
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"config key '{where}' must be finite, got {value!r}")
-    return value
+# Each config union by its "kind" tag; the first kind is the default.
+_KINDS = {
+    Placement: {"uniform_disk": UniformDisk, "arc_cluster": ArcCluster, "fixed": FixedPlacement},
+    ShadowingMode: {"deterministic_unit": DeterministicUnitShadowing,
+                    "lognormal": LognormalShadowing},
+}
 
 
-def _parse_grid(doc, path: str) -> PartitionGrid:
-    _reject_unknown(doc, {"n_annuli", "n_sectors", "cell_radius"}, path)
-    try:
-        return PartitionGrid(
-            n_annuli=int(_typed(doc, "n_annuli", int, path, 3)),
-            n_sectors=int(_typed(doc, "n_sectors", int, path, 18)),
-            cell_radius=float(_typed(doc, "cell_radius", (int, float), path, 1000.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from exc
+def _key(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _parse_budget(doc, path: str) -> LinkBudget:
-    defaults = LinkBudget()
-    fields = ("path_gain_g", "r0", "alpha", "shadow_sigma_db",
-              "noise_n0", "bandwidth", "cell_radius_r")
-    _reject_unknown(doc, set(fields), path)
-    kwargs = {
-        name: float(_typed(doc, name, (int, float), path, getattr(defaults, name)))
-        for name in fields
-    }
-    try:
-        return LinkBudget(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from exc
-
-
-def _parse_placement(doc, path: str):
-    kind = _typed(doc, "kind", str, path, "uniform_disk")
-    if kind == "uniform_disk":
-        _reject_unknown(doc, {"kind"}, path)
-        return UniformDisk()
-    if kind == "arc_cluster":
-        _reject_unknown(doc, {"kind", "sector_count_occupied", "annulus"}, path)
-        if "sector_count_occupied" not in doc or "annulus" not in doc:
-            raise ConfigError(f"'{path}' of kind arc_cluster needs sector_count_occupied and annulus")
-        return ArcCluster(
-            sector_count_occupied=int(_typed(doc, "sector_count_occupied", int, path, 1)),
-            annulus=int(_typed(doc, "annulus", int, path, 0)),
-        )
-    if kind == "fixed":
-        _reject_unknown(doc, {"kind", "positions"}, path)
-        raw = doc.get("positions", [])
-        if not isinstance(raw, list):
-            raise ConfigError(f"config key '{path}.positions' must be a list")
-        positions = []
-        for i, entry in enumerate(raw):
-            entry_path = f"{path}.positions[{i}]"
-            if not isinstance(entry, dict):
-                raise ConfigError(f"config key '{entry_path}' must be an object")
-            _reject_unknown(entry, {"ue_id", "r", "phi"}, entry_path)
-            if "r" not in entry or "phi" not in entry:
-                raise ConfigError(f"'{entry_path}' needs r and phi")
-            if "ue_id" in entry and not isinstance(entry["ue_id"], (str, int)):
-                raise ConfigError(f"config key '{entry_path}.ue_id' must be a string or integer")
-            try:
-                positions.append(UePosition(
-                    ue_id=entry.get("ue_id", i),
-                    r=float(_typed(entry, "r", (int, float), entry_path, 0.0)),
-                    phi=float(_typed(entry, "phi", (int, float), entry_path, 0.0)),
-                ))
-            except ValueError as exc:
-                raise ConfigError(f"invalid '{entry_path}': {exc}") from exc
-        return FixedPlacement(positions=tuple(positions))
-    raise ConfigError(f"config key '{path}.kind' has unknown value '{kind}'")
-
-
-def _parse_shadowing(doc, path: str):
-    kind = _typed(doc, "kind", str, path, "deterministic_unit")
-    if kind == "deterministic_unit":
-        _reject_unknown(doc, {"kind"}, path)
-        return DeterministicUnitShadowing()
-    if kind == "lognormal":
-        _reject_unknown(doc, {"kind", "sigma_db", "seed"}, path)
+def _value(tp, value, path: str):
+    """`value` checked and converted against the field type `tp`."""
+    if tp in _SCALARS:
+        if isinstance(value, bool) or not isinstance(value, _SCALARS[tp]):
+            raise ConfigError(f"config key '{path}' has invalid type {type(value).__name__}")
+        if tp is not float:
+            return value
         try:
-            return LognormalShadowing(
-                sigma_db=float(_typed(doc, "sigma_db", (int, float), path, 8.0)),
-                seed=int(_typed(doc, "seed", int, path, 0)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid '{path}': {exc}") from exc
-    raise ConfigError(f"config key '{path}.kind' has unknown value '{kind}'")
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"config key '{path}' is too large for a float") from None
+        # json.load accepts NaN and Infinity; no config number may be either.
+        if not math.isfinite(value):
+            raise ConfigError(f"config key '{path}' must be finite, got {value!r}")
+        return value
+    if tp == tuple[UePosition, ...]:
+        if not isinstance(value, list):
+            raise ConfigError(f"config key '{path}' must be a list")
+        return tuple(_build(UePosition, entry, f"{path}[{i}]", ue_id=i)
+                     for i, entry in enumerate(value))
+    if tp in _KINDS:
+        kinds = _KINDS[tp]
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key '{path}' must be an object")
+        kind = _value(str, value.get("kind", next(iter(kinds))), f"{path}.kind")
+        if kind not in kinds:
+            raise ConfigError(f"config key '{path}.kind' has unknown value '{kind}'")
+        return _build(kinds[kind], {k: v for k, v in value.items() if k != "kind"}, path)
+    return _build(tp, value, path)
+
+
+def _build(cls, doc, path: str, **defaults):
+    """Dataclass `cls` from a JSON object whose keys are its field names.
+
+    A key left out takes `defaults`, else the field's own default.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config key '{path}' must be an object" if path
+                          else "config document must be a JSON object")
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in doc:
+        if key not in names:
+            raise ConfigError(f"unknown config key '{_key(path, key)}'")
+    missing = [f.name for f in fields
+               if f.name not in doc and f.name not in defaults
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"'{path}' needs {' and '.join(missing)}")
+    kwargs = defaults | {f.name: _value(f.type, doc[f.name], _key(path, f.name))
+                         for f in fields if f.name in doc}
+    try:
+        return cls(**kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid '{path}': {exc}" if path else f"invalid config: {exc}") from exc
 
 
 def build_config(doc: dict, default_seed: int = 0) -> ScenarioConfig:
     """ScenarioConfig from a parsed JSON document; unknown keys are rejected."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    allowed = {"grid", "budget", "k_users", "m_antennas", "rate_target",
-               "placement", "shadowing", "seed", "n_trials"}
-    _reject_unknown(doc, allowed, "")
-    for key in ("grid", "budget", "placement", "shadowing"):
-        if key in doc and not isinstance(doc[key], dict):
-            raise ConfigError(f"config key '{key}' must be an object")
-    grid = _parse_grid(doc.get("grid", {}), "grid")
-    budget = _parse_budget(doc.get("budget", {}), "budget")
-    try:
-        return ScenarioConfig(
-            grid=grid,
-            budget=budget,
-            k_users=int(_typed(doc, "k_users", int, "", 10)),
-            m_antennas=int(_typed(doc, "m_antennas", int, "", 200)),
-            rate_target=float(_typed(doc, "rate_target", (int, float), "", 20e6)),
-            placement=_parse_placement(doc.get("placement", {}), "placement"),
-            shadowing=_parse_shadowing(doc.get("shadowing", {}), "shadowing"),
-            seed=int(_typed(doc, "seed", int, "", default_seed)),
-            n_trials=int(_typed(doc, "n_trials", int, "", 100)),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    return _build(ScenarioConfig, doc, "", seed=default_seed)
 
 
 def load_config(path: str | None, default_seed: int = 0) -> ScenarioConfig:
@@ -286,9 +233,9 @@ def _cmd_verify(args) -> int:
 def _scenario_from_args(args) -> ScenarioConfig:
     config = load_config(args.config, default_seed=_env_seed())
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = dataclasses.replace(config, seed=args.seed)
     if args.trials is not None:
-        config = replace(config, n_trials=args.trials)
+        config = dataclasses.replace(config, n_trials=args.trials)
     return config
 
 
@@ -343,14 +290,17 @@ def _json_sidecar(out_path: str) -> str:
     return (root if ext else out_path) + ".json"
 
 
-def _worker_count(raw: str) -> int:
-    try:
-        count = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
+def _positive(kind):
+    """argparse type: a finite `kind` number above zero."""
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {raw!r}") from None
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw}")
+        return value
+    return parse
 
 
 WORKERS_HELP = ("accepted for compatibility (at least 1); trials run in one thread "
@@ -371,17 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the core-model invariant checks")
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=10_000,
+    p_verify.add_argument("--trials", type=_positive(int), default=10_000,
                           help="Monte Carlo trials for the trace-convergence check")
-    p_verify.add_argument("--zf-tol", type=float, default=1e-9, dest="zf_tol")
+    p_verify.add_argument("--zf-tol", type=_positive(float), default=1e-9, dest="zf_tol")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="run per-trial scheme comparisons")
     p_sim.add_argument("--config", default=None, help="JSON scenario config")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--trials", type=int, default=None)
+    p_sim.add_argument("--trials", type=_positive(int), default=None)
     p_sim.add_argument("--out", default=None, help="per-trial CSV output path")
-    p_sim.add_argument("--workers", type=_worker_count, default=1, help=WORKERS_HELP)
+    p_sim.add_argument("--workers", type=_positive(int), default=1, help=WORKERS_HELP)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="sweep edge distance or sector count")
@@ -389,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--variable", choices=("distance", "sectors"), required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated sweep values")
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--trials", type=int, default=None)
+    p_sweep.add_argument("--trials", type=_positive(int), default=None)
     p_sweep.add_argument("--out", default=None, help="per-trial CSV output path")
-    p_sweep.add_argument("--workers", type=_worker_count, default=1, help=WORKERS_HELP)
+    p_sweep.add_argument("--workers", type=_positive(int), default=1, help=WORKERS_HELP)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -39,7 +39,7 @@ class ArcCluster:
 class FixedPlacement:
     """Placement that returns the given positions verbatim on every trial."""
 
-    positions: tuple[UePosition, ...]
+    positions: tuple[UePosition, ...] = ()
 
 
 Placement = UniformDisk | ArcCluster | FixedPlacement
@@ -232,6 +232,8 @@ def _aggregate(variable: str, records: Iterable[TrialRecord]) -> SweepResult:
 def _sweep(config: ScenarioConfig, variable: str, values: list,
            scenario: Callable[..., tuple[PartitionGrid, list[UePosition]]]) -> SweepRun:
     """Every trial at every sweep value; scenario(value, trial) gives (grid, positions)."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"{variable} sweep values must be distinct, got {values}")
     records = tuple(
         TrialRecord(value, trial, rep)
         for value in values

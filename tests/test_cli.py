@@ -1,11 +1,24 @@
 """End-to-end command-line tests, run in-process against cli.main."""
 
+import dataclasses
 import json
+import math
 import re
+from typing import Hashable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpzsim import cli
+from cpzsim.partition import PartitionGrid, UePosition
+from cpzsim.propagation import (
+    DeterministicUnitShadowing,
+    LinkBudget,
+    LognormalShadowing,
+    ShadowingMode,
+)
+from cpzsim.sim import ArcCluster, FixedPlacement, Placement, ScenarioConfig, UniformDisk
 
 
 def run_cli(args):
@@ -44,15 +57,31 @@ def test_verify_impossible_tolerance_fails(capsys):
     assert "[FAIL] zf_identity" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--zf-tol", "nan"],
+    ["verify", "--zf-tol", "inf"],
+    ["verify", "--zf-tol", "-1"],
+    ["verify", "--zf-tol", "0"],
+    ["verify", "--trials", "0"],
+    ["verify", "--trials", "-5"],
+    ["simulate", "--trials", "0"],
+    ["sweep", "--variable", "sectors", "--values", "1", "--trials", "-1"],
+], ids=" ".join)
+def test_non_positive_or_non_finite_flag_exits_2(capsys, argv):
+    assert run_cli(argv) == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def test_simulate_empty_cell(tmp_path, capsys):
-    config = write_config(tmp_path, {
-        "placement": {"kind": "fixed", "positions": []},
-        "n_trials": 2,
-    })
+@pytest.mark.parametrize("placement", [
+    {"kind": "fixed", "positions": []},
+    {"kind": "fixed"},
+], ids=["empty-positions", "no-positions"])
+def test_simulate_empty_cell(tmp_path, capsys, placement):
+    config = write_config(tmp_path, {"placement": placement, "n_trials": 2})
     out = tmp_path / "empty.csv"
     assert run_cli(["simulate", "--config", config, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
@@ -142,6 +171,100 @@ def test_simulate_non_finite_config_number_exits_2(tmp_path, capsys, doc, where)
     assert f"'{where}' must be finite" in err
 
 
+def fixed(*positions):
+    return {"placement": {"kind": "fixed", "positions": list(positions)}}
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"k_users": 10.5}, "'k_users'"),
+    ({"grid": {"n_sectors": True}}, "'grid.n_sectors'"),
+    ({"grid": 3}, "'grid'"),
+    ({"placement": {"kind": 3}}, "'placement.kind'"),
+    ({"shadowing": {"kind": "rayleigh"}}, "'shadowing.kind'"),
+    ({"placement": {"kind": "arc_cluster", "sector_count_occupied": 1}}, "'placement'"),
+    ({"placement": {"kind": "fixed", "positions": {"r": 500.0, "phi": 0.0}}},
+     "'placement.positions'"),
+    (fixed(3), "'placement.positions[0]'"),
+    (fixed({"r": 500.0}), "'placement.positions[0]'"),
+    (fixed({"ue_id": 1.5, "r": 500.0, "phi": 0.0}), "'placement.positions[0].ue_id'"),
+    (fixed({"ue_id": True, "r": 500.0, "phi": 0.0}), "'placement.positions[0].ue_id'"),
+    (fixed({"ue_id": 1, "r": 500.0, "phi": 0.0}, {"ue_id": 1, "r": 600.0, "phi": 1.0}),
+     "repeats ue_id 1"),
+    ({"rate_target": 10**400}, "'rate_target'"),
+    (fixed({"r": 500.0, "phi": 10**400}), "'placement.positions[0].phi'"),
+    ({"grid": {"n_annuli": 10**400},
+      "placement": {"kind": "arc_cluster", "sector_count_occupied": 1, "annulus": 0}},
+     "invalid config"),
+])
+def test_simulate_malformed_config_exits_2_with_path(tmp_path, capsys, doc, where):
+    config = write_config(tmp_path, doc)
+    assert run_cli(["simulate", "--config", config, "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert where in err, err
+
+
+def test_empty_config_is_dataclass_default():
+    assert cli.build_config({}) == ScenarioConfig()
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+                | st.sampled_from([10**400, -10**400]))
+junk = st.recursive(json_scalars,
+                    lambda inner: (st.lists(inner, max_size=2)
+                                   | st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+                    max_leaves=4)
+
+
+def shaped(cls):
+    """JSON objects with some fields of dataclass `cls`, each value mostly well typed."""
+    return st.fixed_dictionaries({}, optional={
+        f.name: st.one_of(WELL_TYPED[f.type], WELL_TYPED[f.type], junk)
+        for f in dataclasses.fields(cls)
+    })
+
+
+def tagged(**kinds):
+    return st.one_of([shaped(cls).map(lambda doc, kind=kind: {"kind": kind, **doc})
+                      for kind, cls in kinds.items()])
+
+
+WELL_TYPED = {
+    int: st.integers(-1, 40) | st.just(10**400),
+    float: st.integers(-1, 2000) | st.floats(-1.0, 2000.0) | st.sampled_from([10**400, 2e-14]),
+    Hashable: st.integers(0, 2) | st.text(max_size=1),
+    PartitionGrid: st.deferred(lambda: shaped(PartitionGrid)),
+    LinkBudget: st.deferred(lambda: shaped(LinkBudget)),
+    Placement: st.deferred(lambda: tagged(uniform_disk=UniformDisk, arc_cluster=ArcCluster,
+                                          fixed=FixedPlacement)),
+    ShadowingMode: st.deferred(lambda: tagged(deterministic_unit=DeterministicUnitShadowing,
+                                              lognormal=LognormalShadowing)),
+    tuple[UePosition, ...]: st.deferred(lambda: st.lists(shaped(UePosition), max_size=3)),
+}
+json_docs = st.one_of(shaped(ScenarioConfig), shaped(ScenarioConfig), junk)
+
+
+def config_numbers(obj):
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from config_numbers(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from config_numbers(item)
+    elif isinstance(obj, float):
+        yield obj
+
+
+@given(json_docs)
+@settings(max_examples=200, deadline=None)
+def test_build_config_returns_config_or_config_error(doc):
+    try:
+        config = cli.build_config(doc)
+    except cli.ConfigError:
+        return
+    assert isinstance(config, ScenarioConfig)
+    assert all(math.isfinite(x) for x in config_numbers(config))
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -176,6 +299,8 @@ def test_sweep_distance_out_of_range_exits_2(capsys):
 def test_sweep_bad_values_exit_2(capsys):
     assert run_cli(["sweep", "--variable", "sectors", "--values", "1,two"]) == 2
     assert run_cli(["sweep", "--variable", "sectors", "--values", ","]) == 2
+    assert run_cli(["sweep", "--variable", "sectors", "--values", "6,6", "--trials", "3"]) == 2
+    assert "distinct" in capsys.readouterr().err
 
 
 def test_sweep_requires_variable(capsys):

@@ -256,6 +256,14 @@ def test_sweep_sectors_rejects_bad_counts():
         sweep_sectors(config, [])
 
 
+def test_sweeps_reject_duplicate_values():
+    config = make_config(n_trials=3)
+    with pytest.raises(ValueError, match="distinct"):
+        sweep_sectors(config, [6, 6])
+    with pytest.raises(ValueError, match="distinct"):
+        sweep_distance(config, [300, 700.0, 300.0])
+
+
 # ---------------------------------------------------------------------------
 # Emission
 
