@@ -76,11 +76,7 @@ def test_non_positive_or_non_finite_flag_exits_2(capsys, argv):
 # simulate
 
 
-@pytest.mark.parametrize("placement", [
-    {"kind": "fixed", "positions": []},
-    {"kind": "fixed"},
-], ids=["empty-positions", "no-positions"])
-def test_simulate_empty_cell(tmp_path, capsys, placement):
+def check_empty_cell_run(tmp_path, placement):
     config = write_config(tmp_path, {"placement": placement, "n_trials": 2})
     out = tmp_path / "empty.csv"
     assert run_cli(["simulate", "--config", config, "--out", str(out)]) == 0
@@ -92,6 +88,14 @@ def test_simulate_empty_cell(tmp_path, capsys, placement):
         if fields[1] in ("zooming", "cpz"):
             assert fields[3] == "0.0"
             assert fields[5] == ""
+
+
+def test_simulate_empty_cell(tmp_path):
+    check_empty_cell_run(tmp_path, {"kind": "fixed", "positions": []})
+
+
+def test_simulate_fixed_placement_without_positions_is_empty_cell(tmp_path):
+    check_empty_cell_run(tmp_path, {"kind": "fixed"})
 
 
 def test_simulate_repeat_is_byte_identical(tmp_path):
