@@ -8,9 +8,7 @@ grid), under a zero-forcing rate model and a path-loss link budget.
 from .mimo import (
     BeamformingMatrix,
     ChannelMatrix,
-    RateModelParams,
     monte_carlo_trace,
-    normalization_factor,
     per_ue_rate,
     sample_channel,
     sinr_per_ue,

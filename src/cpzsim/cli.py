@@ -122,7 +122,7 @@ def _build(cls, doc, path: str, **defaults):
     try:
         return cls(**kwargs)
     except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid '{path}': {exc}" if path else f"invalid config: {exc}") from exc
+        raise ConfigError(f"invalid config '{path}': {exc}" if path else f"invalid config: {exc}") from exc
 
 
 def build_config(doc: dict, default_seed: int = 0) -> ScenarioConfig:
@@ -140,6 +140,8 @@ def load_config(path: str | None, default_seed: int = 0) -> ScenarioConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config file {path} nests too deeply") from None
     return build_config(doc, default_seed)
 
 

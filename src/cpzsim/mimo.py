@@ -54,20 +54,6 @@ class BeamformingMatrix:
     gamma: float
 
 
-@dataclass(frozen=True)
-class RateModelParams:
-    """Bandwidth per component carrier and the linear per-user SNR."""
-
-    bandwidth_b_ccs: float
-    rho: float
-
-    def __post_init__(self):
-        if self.bandwidth_b_ccs <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-
-
 def _draw_entries(k_users: int, m_antennas: int, rng: np.random.Generator) -> np.ndarray:
     re = rng.standard_normal((k_users, m_antennas))
     im = rng.standard_normal((k_users, m_antennas))
@@ -107,13 +93,6 @@ def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
     return BeamformingMatrix(entries=w, gamma=gamma)
 
 
-def normalization_factor(w: BeamformingMatrix, k_users: int) -> float:
-    """Squared Frobenius norm of the precoder divided by the user count."""
-    if k_users < 1:
-        raise ValueError("k_users must be positive")
-    return float(np.vdot(w.entries, w.entries).real) / k_users
-
-
 def gram_inverse_trace(h: ChannelMatrix) -> float:
     """tr((H H^H)^-1), the quantity controlling the common ZF SINR."""
     gram = _gram(h)
@@ -145,11 +124,13 @@ def sinr_per_ue(rho: float, h: ChannelMatrix) -> np.ndarray:
     return rho * signal / (rho * interference + 1.0)
 
 
-def per_ue_rate(params: RateModelParams, sinr: float) -> float:
-    """Shannon rate of one user in bit/s; zero iff the SINR is zero."""
+def per_ue_rate(bandwidth: float, sinr: float) -> float:
+    """Shannon rate of one user in bit/s over `bandwidth` Hz; zero iff the SINR is zero."""
+    if not bandwidth > 0:
+        raise ValueError("bandwidth must be positive")
     if sinr < 0:
         raise ValueError("sinr must be nonnegative")
-    return params.bandwidth_b_ccs * math.log2(1.0 + sinr)
+    return bandwidth * math.log2(1.0 + sinr)
 
 
 def sum_rate_closed_form(k_users: int, m_antennas: int, rho: float, bandwidth: float) -> float:

@@ -1,9 +1,9 @@
 """Polar partition of the cell disk and the occupancy state behind partition zooming.
 
 The disk is cut into n_annuli equal-width rings and n_sectors equal wedges.
-CpzState tracks which cells hold users and, per sector, how far coverage
-must reach: the outer radius of the highest occupied ring in that sector.
-Sectors with no users need no power at all.
+CpzState holds each user's position and cell; how far coverage must reach
+in a sector, the outer radius of the highest occupied ring there, is read
+off those cells. Sectors with no users need no power at all.
 """
 
 import math
@@ -11,6 +11,9 @@ from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
 TWO_PI = 2.0 * math.pi
+
+# Largest integer a float holds exactly; grid and scenario counts stay at or below it.
+MAX_COUNT = 2**53
 
 
 @dataclass(frozen=True)
@@ -22,10 +25,10 @@ class PartitionGrid:
     cell_radius: float = 1000.0
 
     def __post_init__(self):
-        if self.n_annuli < 1:
-            raise ValueError("n_annuli must be at least 1")
-        if self.n_sectors < 1:
-            raise ValueError("n_sectors must be at least 1")
+        if not 1 <= self.n_annuli <= MAX_COUNT:
+            raise ValueError("n_annuli must be in [1, 2**53]")
+        if not 1 <= self.n_sectors <= MAX_COUNT:
+            raise ValueError("n_sectors must be in [1, 2**53]")
         if self.cell_radius <= 0:
             raise ValueError("cell_radius must be positive")
 
@@ -85,59 +88,46 @@ def locate(pos: UePosition, grid: PartitionGrid) -> CellIndex:
 class CpzState:
     """Occupancy bookkeeping for partition zooming.
 
-    Tracks the users in each grid cell and, per active sector, the zoom
-    distance: the outer radius of the highest occupied annulus. Joins only
-    ever extend a sector's zoom; departures recompute it from the remaining
-    occupants, so coverage can shrink again. Single writer per scenario;
-    reads are safe to share.
+    Holds each user's position and partition cell in join order. A
+    sector's zoom distance, the outer radius of its highest occupied
+    annulus, is derived from those cells on every read, so a departure
+    shrinks coverage again and an emptied sector drops out. Single writer
+    per scenario; reads are safe to share.
     """
 
     def __init__(self, grid: PartitionGrid):
         self.grid = grid
-        self.occupants: dict[CellIndex, set[Hashable]] = {}
-        self.per_sector_zoom: dict[int, float] = {}
-        self._cells: dict[Hashable, CellIndex] = {}
-        self._positions: dict[Hashable, UePosition] = {}
+        self._ues: dict[Hashable, tuple[UePosition, CellIndex]] = {}
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return len(self._ues)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CpzState):
             return NotImplemented
-        return (self.grid == other.grid
-                and self.occupants == other.occupants
-                and self.per_sector_zoom == other.per_sector_zoom
-                and self._positions == other._positions)
+        return self.grid == other.grid and self._ues == other._ues
 
     def join(self, pos: UePosition) -> None:
-        """Insert a user; the sector's zoom grows to its annulus boundary if needed."""
-        if pos.ue_id in self._cells:
+        """Insert a user; rejects a repeated ue_id and a position outside the cell."""
+        if pos.ue_id in self._ues:
             raise ValueError(f"ue_id {pos.ue_id!r} already present")
-        cell = locate(pos, self.grid)
-        self.occupants.setdefault(cell, set()).add(pos.ue_id)
-        self._cells[pos.ue_id] = cell
-        self._positions[pos.ue_id] = pos
-        zoom = self.grid.annulus_outer_radius(cell.annulus)
-        current = self.per_sector_zoom.get(cell.sector)
-        if current is None or zoom > current:
-            self.per_sector_zoom[cell.sector] = zoom
+        self._ues[pos.ue_id] = (pos, locate(pos, self.grid))
 
     def leave(self, ue_id: Hashable) -> None:
-        """Remove a user and shrink or drop its sector's zoom accordingly."""
-        if ue_id not in self._cells:
+        """Remove a user; its sector's zoom shrinks to the remaining occupants."""
+        if ue_id not in self._ues:
             raise KeyError(f"ue_id {ue_id!r} not present")
-        cell = self._cells.pop(ue_id)
-        del self._positions[ue_id]
-        members = self.occupants[cell]
-        members.discard(ue_id)
-        if not members:
-            del self.occupants[cell]
-        remaining = [c.annulus for c in self.occupants if c.sector == cell.sector]
-        if remaining:
-            self.per_sector_zoom[cell.sector] = self.grid.annulus_outer_radius(max(remaining))
-        else:
-            del self.per_sector_zoom[cell.sector]
+        del self._ues[ue_id]
+
+    @property
+    def per_sector_zoom(self) -> dict[int, float]:
+        """Zoom distance of each occupied sector, in sector order."""
+        top: dict[int, int] = {}
+        for _, (annulus, sector) in self._ues.values():
+            if annulus >= top.get(sector, 0):
+                top[sector] = annulus
+        outer = self.grid.annulus_outer_radius
+        return {sector: outer(top[sector]) for sector in sorted(top)}
 
     def coverage_requirements(self) -> list[SectorCoverage]:
         """Per active sector: its index, angular width, and zoom distance.
@@ -147,17 +137,15 @@ class CpzState:
         """
         theta = self.grid.sector_width()
         return [SectorCoverage(sector, theta, zoom)
-                for sector, zoom in sorted(self.per_sector_zoom.items())]
+                for sector, zoom in self.per_sector_zoom.items()]
 
     def max_zoom(self) -> float | None:
         """Largest per-sector zoom distance, or None when the cell is empty."""
-        if not self.per_sector_zoom:
-            return None
-        return max(self.per_sector_zoom.values())
+        return max(self.per_sector_zoom.values(), default=None)
 
     def sector_of(self, ue_id: Hashable) -> int:
-        return self._cells[ue_id].sector
+        return self._ues[ue_id][1].sector
 
     def ue_positions(self) -> dict[Hashable, UePosition]:
         """Snapshot of all tracked users keyed by ue_id (join order preserved)."""
-        return dict(self._positions)
+        return {ue_id: pos for ue_id, (pos, _) in self._ues.items()}

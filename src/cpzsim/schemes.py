@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Mapping, NamedTuple
 
-from .mimo import RateModelParams, per_ue_rate
+from .mimo import per_ue_rate
 from .partition import CpzState
 from .propagation import LinkBudget, required_bs_power, snr_rho
 
@@ -106,8 +106,7 @@ def _region_rates(sized: list[tuple[Region, float]], state: CpzState, budget: Li
         for ue_id in region.members:
             fading = 1.0 if psi is None else psi[ue_id]
             rho = snr_rho(power, k_users, positions[ue_id].r, budget, fading)
-            params = RateModelParams(bandwidth_b_ccs=budget.bandwidth, rho=rho)
-            rates[ue_id] = per_ue_rate(params, rho * (m_antennas - k_users))
+            rates[ue_id] = per_ue_rate(budget.bandwidth, rho * (m_antennas - k_users))
     return rates
 
 

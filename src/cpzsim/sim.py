@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
-from .partition import CpzState, PartitionGrid, UePosition
+from .partition import MAX_COUNT, CpzState, PartitionGrid, UePosition
 from .propagation import DeterministicUnitShadowing, LinkBudget, ShadowingMode
 from .rng import substream
 from .schemes import SCHEME_ORDER, SchemeKind, SchemeReport, evaluate_scheme
@@ -66,6 +66,8 @@ class ScenarioConfig:
             raise ValueError(
                 f"need more antennas than users, got K={self.k_users}, M={self.m_antennas}"
             )
+        if self.m_antennas > MAX_COUNT:
+            raise ValueError("m_antennas must be at most 2**53")
         if self.rate_target <= 0:
             raise ValueError("rate_target must be positive")
         if self.seed < 0:
@@ -258,30 +260,25 @@ def sweep_distance(config: ScenarioConfig, d_values: Iterable[float]) -> SweepRu
                   lambda d, trial: (config.grid, [UePosition(0, d, 0.0)]))
 
 
-def _cluster_positions(config: ScenarioConfig, finest_sectors: int,
-                       trial_index: int) -> list[UePosition]:
-    """User set reused across sector counts; confined to sector 0 of the finest grid."""
-    if isinstance(config.placement, FixedPlacement):
-        return list(config.placement.positions)
-    if isinstance(config.placement, ArcCluster):
-        arc = config.placement
-    else:
-        arc = ArcCluster(sector_count_occupied=1, annulus=config.grid.n_annuli - 1)
-    finest = replace(config, grid=replace(config.grid, n_sectors=finest_sectors), placement=arc)
-    return place_ues(finest, trial_index)
-
-
 def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> SweepRun:
-    """Scheme comparison of one fixed clustered user set under varying sector counts."""
+    """Scheme comparison of one fixed clustered user set under varying sector counts.
+
+    Trial i places its users on the finest grid at every count, so all
+    counts see one user set: confined to sector 0 of that grid unless the
+    config fixes or clusters them.
+    """
     counts = sorted(int(c) for c in sector_counts)
     if not counts:
         raise ValueError("sector_counts must not be empty")
     if counts[0] < 1:
         raise ValueError("sector counts must be at least 1")
-    finest = counts[-1]
+    placement = config.placement
+    if isinstance(placement, UniformDisk):
+        placement = ArcCluster(sector_count_occupied=1, annulus=config.grid.n_annuli - 1)
+    cluster = replace(config, grid=replace(config.grid, n_sectors=counts[-1]), placement=placement)
     return _sweep(config, "sectors", counts,
                   lambda count, trial: (replace(config.grid, n_sectors=count),
-                                        _cluster_positions(config, finest, trial)))
+                                        place_ues(cluster, trial)))
 
 
 # ---------------------------------------------------------------------------

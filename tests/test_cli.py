@@ -199,12 +199,28 @@ def fixed(*positions):
     ({"grid": {"n_annuli": 10**400},
       "placement": {"kind": "arc_cluster", "sector_count_occupied": 1, "annulus": 0}},
      "invalid config"),
+    ({"grid": {"n_sectors": 10**400}}, "'grid': n_sectors"),
+    ({"grid": {"n_annuli": 10**400}}, "'grid': n_annuli"),
+    ({"m_antennas": 10**400}, "invalid config: m_antennas"),
 ])
 def test_simulate_malformed_config_exits_2_with_path(tmp_path, capsys, doc, where):
     config = write_config(tmp_path, doc)
     assert run_cli(["simulate", "--config", config, "--trials", "1"]) == 2
     err = capsys.readouterr().err
     assert where in err, err
+
+
+def test_simulate_deeply_nested_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    assert run_cli(["simulate", "--config", str(path), "--trials", "1"]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
+
+
+def test_simulate_huge_seed_runs(tmp_path, capsys):
+    config = write_config(tmp_path, {"seed": 10**400})
+    assert run_cli(["simulate", "--config", config, "--trials", "1"]) == 0
+    assert f"seed {10**400}" in capsys.readouterr().out
 
 
 def test_empty_config_is_dataclass_default():

@@ -73,7 +73,7 @@ def test_sample_channel_moments():
 
 
 # ---------------------------------------------------------------------------
-# zf_beamformer / normalization_factor
+# zf_beamformer and its normalization factor gamma
 
 
 def test_zf_identity_channel():
@@ -88,7 +88,7 @@ def test_zf_scalar_inversion():
     w = mimo.zf_beamformer(h)
     assert w.entries[0, 0] == pytest.approx(0.5)
     assert (h.entries @ w.entries)[0, 0] == pytest.approx(1.0)
-    assert mimo.normalization_factor(w, 1) == pytest.approx(0.25)
+    assert w.gamma == pytest.approx(0.25)
 
 
 def test_zf_random_channel_zero_forces():
@@ -112,7 +112,7 @@ def test_zf_rejects_singular_channel():
 
 def test_normalization_factor_identity():
     w = mimo.zf_beamformer(mimo.ChannelMatrix(np.eye(2, dtype=complex)))
-    assert mimo.normalization_factor(w, 2) == pytest.approx(1.0)
+    assert w.gamma == pytest.approx(1.0)
 
 
 def test_normalization_factor_matches_elementwise_sum():
@@ -120,7 +120,6 @@ def test_normalization_factor_matches_elementwise_sum():
     oracle = sum(abs(w.entries[i, j]) ** 2
                  for i in range(w.entries.shape[0])
                  for j in range(w.entries.shape[1])) / 5
-    assert mimo.normalization_factor(w, 5) == pytest.approx(oracle, rel=1e-12)
     assert w.gamma == pytest.approx(oracle, rel=1e-12)
 
 
@@ -192,25 +191,27 @@ def test_sinr_equals_rho_over_gamma():
 
 
 def test_per_ue_rate_zero_sinr():
-    params = mimo.RateModelParams(bandwidth_b_ccs=5e6, rho=0.0)
-    assert mimo.per_ue_rate(params, 0.0) == 0.0
+    assert mimo.per_ue_rate(5e6, 0.0) == 0.0
 
 
 def test_per_ue_rate_log2_point():
-    params = mimo.RateModelParams(bandwidth_b_ccs=5e6, rho=1.0)
-    assert mimo.per_ue_rate(params, 1.0) == pytest.approx(5e6)
+    assert mimo.per_ue_rate(5e6, 1.0) == pytest.approx(5e6)
 
 
 def test_per_ue_rate_peak_point():
     # sinr 15 over 5 MHz: log2(16) = 4 -> 20 Mb/s.
-    params = mimo.RateModelParams(bandwidth_b_ccs=5e6, rho=15.0)
-    assert mimo.per_ue_rate(params, 15.0) == pytest.approx(20e6)
+    assert mimo.per_ue_rate(5e6, 15.0) == pytest.approx(20e6)
 
 
 def test_per_ue_rate_rejects_negative_sinr():
-    params = mimo.RateModelParams(bandwidth_b_ccs=5e6, rho=1.0)
     with pytest.raises(ValueError):
-        mimo.per_ue_rate(params, -1e-9)
+        mimo.per_ue_rate(5e6, -1e-9)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan])
+def test_per_ue_rate_rejects_non_positive_bandwidth(bandwidth):
+    with pytest.raises(ValueError, match="bandwidth"):
+        mimo.per_ue_rate(bandwidth, 1.0)
 
 
 def test_sum_rate_zero_rho():

@@ -1,8 +1,9 @@
 """Polar-grid location and occupancy-state tests.
 
-locate is checked against a boundary-comparison oracle; the incremental
-zoom bookkeeping is checked against a from-scratch recomputation after
-every join/leave, including random interleavings and shuffled join orders.
+locate is checked against a boundary-comparison oracle. After every
+join/leave, CpzState must hold exactly the live users, and the zooms it
+derives from their cells must equal a from-scratch recomputation over the
+oracle's cells, including random interleavings and shuffled join orders.
 """
 
 import math
@@ -34,16 +35,14 @@ def oracle_locate(pos, grid):
     return CellIndex(annulus, sector)
 
 
-def recompute_state(grid, positions):
-    """Fresh occupancy maps built directly from a list of positions."""
-    occupants = {}
+def recompute_zooms(grid, positions):
+    """Per-sector zoom map built directly from a list of positions."""
     zooms = {}
     for pos in positions:
         cell = oracle_locate(pos, grid)
-        occupants.setdefault(cell, set()).add(pos.ue_id)
         boundary = grid.annulus_outer_radius(cell.annulus)
         zooms[cell.sector] = max(zooms.get(cell.sector, 0.0), boundary)
-    return occupants, zooms
+    return zooms
 
 
 def random_positions(rng, n, grid, start_id=0):
@@ -154,6 +153,12 @@ def test_join_closer_ue_keeps_sector_zoom():
     assert state.per_sector_zoom == {0: 1000.0}
 
 
+def test_per_sector_zoom_is_read_only():
+    state = CpzState(GRID)
+    with pytest.raises(AttributeError):
+        state.per_sector_zoom = {0: 1000.0}
+
+
 def test_join_duplicate_rejected():
     state = CpzState(GRID)
     state.join(UePosition("a", 550.0, 0.1))
@@ -167,9 +172,8 @@ def test_join_prefixes_match_recomputation():
     state = CpzState(GRID)
     for i, pos in enumerate(positions):
         state.join(pos)
-        occupants, zooms = recompute_state(GRID, positions[: i + 1])
-        assert state.occupants == occupants
-        assert state.per_sector_zoom == zooms
+        assert state.ue_positions() == {pos.ue_id: pos for pos in positions[: i + 1]}
+        assert state.per_sector_zoom == recompute_zooms(GRID, positions[: i + 1])
 
 
 def test_leave_restores_empty_state():
@@ -210,9 +214,8 @@ def test_random_interleavings_match_recomputation():
             next_id += 1
             alive.append(pos)
             state.join(pos)
-        occupants, zooms = recompute_state(GRID, alive)
-        assert state.occupants == occupants
-        assert state.per_sector_zoom == zooms
+        assert state.ue_positions() == {pos.ue_id: pos for pos in alive}
+        assert state.per_sector_zoom == recompute_zooms(GRID, alive)
 
 
 def test_join_order_does_not_matter():

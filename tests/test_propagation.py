@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpzsim import propagation as prop
-from cpzsim.mimo import RateModelParams, per_ue_rate
+from cpzsim.mimo import per_ue_rate
 
 
 BUDGET = prop.LinkBudget()  # G=1, r0=100 m, alpha=3.7, N0=2e-14 W, B=5 MHz, R=1000 m
@@ -137,7 +137,7 @@ def test_round_trip_power_to_rate():
         target = float(rng.uniform(1e6, 60e6))
         p = prop.required_bs_power(d, target, 10, 200, BUDGET)
         rho = prop.snr_rho(p, 10, d, BUDGET)
-        rate = per_ue_rate(RateModelParams(BUDGET.bandwidth, rho), rho * (200 - 10))
+        rate = per_ue_rate(BUDGET.bandwidth, rho * (200 - 10))
         assert rate == pytest.approx(target, rel=1e-9)
 
 

@@ -248,6 +248,26 @@ def test_sweep_sectors_uses_fixed_placement_verbatim():
     assert cpz[18] == pytest.approx(cpz[1] / 18, rel=1e-12)
 
 
+def test_sweep_sectors_reuses_users_and_shadowing_per_trial():
+    config = ScenarioConfig(
+        placement=ArcCluster(sector_count_occupied=2, annulus=1),
+        shadowing=LognormalShadowing(sigma_db=8.0, seed=3), seed=5, n_trials=4)
+    counts = [2, 3, 9, 18]
+    run = sweep_sectors(config, counts)
+    always_max = {}
+    for rec in run.records:
+        if rec.report.scheme is SchemeKind.ALWAYS_MAX:
+            rep = rec.report
+            assert rep.n_active_sectors == rec.sweep_var
+            always_max.setdefault(rec.trial, []).append((rep.total_power, rep.sum_rate, rep.ee))
+    assert len(always_max) == config.n_trials
+    for reports in always_max.values():
+        assert len(reports) == len(counts)
+        assert reports == [reports[0]] * len(counts)
+    # Shadowing does vary the rates from trial to trial.
+    assert len({reports[0] for reports in always_max.values()}) == config.n_trials
+
+
 def test_sweep_sectors_rejects_bad_counts():
     config = make_config(n_trials=1)
     with pytest.raises(ValueError):
