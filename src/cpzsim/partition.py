@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 # Largest integer a float holds exactly; grid and scenario counts stay at or below it.
@@ -80,9 +82,18 @@ def locate(pos: UePosition, grid: PartitionGrid) -> CellIndex:
     """
     if pos.r > grid.cell_radius:
         raise ValueError(f"position at r={pos.r} m lies outside the cell radius {grid.cell_radius} m")
-    annulus = min(math.floor(pos.r * grid.n_annuli / grid.cell_radius), grid.n_annuli - 1)
-    sector = min(math.floor(pos.phi * grid.n_sectors / TWO_PI), grid.n_sectors - 1)
-    return CellIndex(annulus, sector)
+    annulus, sector = cell_indices(grid, pos.r, pos.phi)
+    return CellIndex(int(annulus), int(sector))
+
+
+def cell_indices(grid: PartitionGrid, r, phi):
+    """Annulus and sector indices, as floats, of in-cell radii and normalized angles.
+
+    Takes scalars or arrays alike; `locate` is the checked single-position form.
+    """
+    annulus = np.minimum(np.floor(r * grid.n_annuli / grid.cell_radius), grid.n_annuli - 1)
+    sector = np.minimum(np.floor(phi * grid.n_sectors / TWO_PI), grid.n_sectors - 1)
+    return annulus, sector
 
 
 class CpzState:

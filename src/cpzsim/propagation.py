@@ -7,6 +7,7 @@ for a target per-user rate at a given coverage edge, which is what the
 power-allocation schemes spend.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,8 @@ def received_power(p_bs: float, k_users: int, r: float, budget: LinkBudget,
         raise ValueError("power is split over at least one user")
     if p_bs < 0:
         raise ValueError("radiated power must be nonnegative")
-    if psi <= 0:
-        raise ValueError("shadowing factor must be positive")
+    if not 0 < psi < math.inf:
+        raise ValueError(f"shadowing factor must be positive and finite, got {psi}")
     if r < budget.r0:
         raise ValueError(f"distance {r} m is inside the reference distance {budget.r0} m")
     attenuation = budget.path_gain_g * (r / budget.r0) ** (-budget.alpha)

@@ -1,12 +1,15 @@
 """Scenario generation, seeded Monte Carlo comparisons, and parameter sweeps.
 
-A scenario places users in the cell, feeds them through the partition
-state, and evaluates the three power-allocation schemes. Trial i draws
-everything from stream (seed, i), so results are reproducible bit for bit
-and independent of the order trials run in. Sweeps pin a single edge user
-at each distance, or re-partition a fixed user cluster under different
-sector counts, and aggregate per-trial reports into mean power and mean
-energy efficiency per scheme.
+A scenario places users in the cell and evaluates the three
+power-allocation schemes on them. Trial i draws everything from stream
+(seed, i), so results are reproducible bit for bit and independent of the
+order trials run in. Runs and sweeps draw every trial's users and
+shadowing up front as (trials, users) arrays and hand them to the batch
+kernel `schemes._evaluate_trials`; `place_ues` and `build_state` are the
+per-trial scalar form, which gives the same positions and reports. Sweeps
+pin a single edge user at each distance, or re-partition one clustered user
+set per trial under different sector counts, and aggregate per-trial
+reports into mean power and mean energy efficiency per scheme.
 """
 
 import json
@@ -14,10 +17,12 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
-from .partition import MAX_COUNT, CpzState, PartitionGrid, UePosition
+import numpy as np
+
+from .partition import MAX_COUNT, TWO_PI, CpzState, PartitionGrid, UePosition
 from .propagation import DeterministicUnitShadowing, LinkBudget, ShadowingMode
 from .rng import substream
-from .schemes import SCHEME_ORDER, SchemeKind, SchemeReport, evaluate_scheme
+from .schemes import SCHEME_ORDER, SchemeKind, SchemeReport, _evaluate_trials
 
 CSV_HEADER = "sweep_var,scheme,trial,total_power_w,sum_rate_bps,ee_bit_per_joule,n_active_sectors"
 
@@ -118,19 +123,15 @@ def _area_uniform_radii(rng, n: int, r_lo: float, r_hi: float):
     return (r_lo * r_lo + u * (r_hi * r_hi - r_lo * r_lo)) ** 0.5
 
 
-def place_ues(config: ScenarioConfig, trial_index: int) -> list[UePosition]:
-    """User positions for one trial, deterministic in (config.seed, trial_index)."""
+def _draw_users(config: ScenarioConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and angles of one trial's randomly placed users, from stream (seed, trial)."""
     placement = config.placement
-    if isinstance(placement, FixedPlacement):
-        return list(placement.positions)
-
     rng = substream(config.seed, trial_index)
     k = config.k_users
     grid = config.grid
     if isinstance(placement, UniformDisk):
         radii = _area_uniform_radii(rng, k, config.budget.r0, grid.cell_radius)
-        angles = rng.random(k) * (2.0 * math.pi)
-        return [UePosition(i, float(radii[i]), float(angles[i])) for i in range(k)]
+        return radii, rng.random(k) * (2.0 * math.pi)
 
     if isinstance(placement, ArcCluster):
         r_lo = max(placement.annulus * grid.cell_radius / grid.n_annuli, config.budget.r0)
@@ -138,12 +139,20 @@ def place_ues(config: ScenarioConfig, trial_index: int) -> list[UePosition]:
         radii = _area_uniform_radii(rng, k, r_lo, r_hi)
         if placement.annulus < grid.n_annuli - 1:
             # Keep rounding from spilling a draw into the next ring.
-            radii = [min(r, math.nextafter(r_hi, 0.0)) for r in radii]
+            radii = np.minimum(radii, math.nextafter(r_hi, 0.0))
         arc_end = placement.sector_count_occupied * grid.sector_width()
-        angles = [min(u * arc_end, math.nextafter(arc_end, 0.0)) for u in rng.random(k)]
-        return [UePosition(i, float(radii[i]), float(angles[i])) for i in range(k)]
+        return radii, np.minimum(rng.random(k) * arc_end, math.nextafter(arc_end, 0.0))
 
     raise TypeError(f"unknown placement {placement!r}")
+
+
+def place_ues(config: ScenarioConfig, trial_index: int) -> list[UePosition]:
+    """User positions for one trial, deterministic in (config.seed, trial_index)."""
+    if isinstance(config.placement, FixedPlacement):
+        return list(config.placement.positions)
+    radii, angles = _draw_users(config, trial_index)
+    return [UePosition(i, r, phi)
+            for i, (r, phi) in enumerate(zip(radii.tolist(), angles.tolist()))]
 
 
 def build_state(grid: PartitionGrid, positions: Iterable[UePosition]) -> CpzState:
@@ -153,28 +162,42 @@ def build_state(grid: PartitionGrid, positions: Iterable[UePosition]) -> CpzStat
     return state
 
 
-def _psi_map(shadowing: ShadowingMode, positions: list[UePosition], trial_index: int):
+def _trial_users(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(trials, users) radii and angles: row i holds place_ues(config, i)."""
+    placement = config.placement
+    if isinstance(placement, FixedPlacement):
+        every_trial = (config.n_trials, 1)
+        return (np.tile([pos.r for pos in placement.positions], every_trial),
+                np.tile([pos.phi for pos in placement.positions], every_trial))
+    radii = np.empty((config.n_trials, config.k_users))
+    angles = np.empty_like(radii)
+    for i in range(config.n_trials):
+        radii[i], angles[i] = _draw_users(config, i)
+    # Angles normalized once, the way UePosition does it.
+    return radii, np.remainder(angles, TWO_PI)
+
+
+def _trial_psi(config: ScenarioConfig, n_users: int) -> np.ndarray | None:
+    """(trials, users) slow-fading factors, or None under unit shadowing."""
+    shadowing = config.shadowing
     if isinstance(shadowing, DeterministicUnitShadowing):
         return None
-    draws = shadowing.psi(len(positions), trial_index)
-    return {pos.ue_id: float(d) for pos, d in zip(positions, draws)}
+    psi = np.empty((config.n_trials, n_users))
+    for i in range(config.n_trials):
+        psi[i] = shadowing.psi(n_users, i)
+    return psi
 
 
-def _evaluate_all(config: ScenarioConfig, grid: PartitionGrid,
-                  positions: list[UePosition], trial_index: int) -> tuple[SchemeReport, ...]:
-    state = build_state(grid, positions)
-    psi = _psi_map(config.shadowing, positions, trial_index)
-    return tuple(
-        evaluate_scheme(kind, state, config.budget, config.rate_target,
-                        config.k_users, config.m_antennas, psi=psi)
-        for kind in SCHEME_ORDER
-    )
+def _reports(config: ScenarioConfig, grid: PartitionGrid, radii: np.ndarray,
+             angles: np.ndarray, psi: np.ndarray | None) -> list[tuple[SchemeReport, ...]]:
+    return _evaluate_trials(grid, config.budget, config.rate_target, config.k_users,
+                            config.m_antennas, radii, angles, psi)
 
 
 def run_comparison(config: ScenarioConfig) -> list[tuple[SchemeReport, ...]]:
     """Per-trial reports for all three schemes, in scheme order, trial order preserved."""
-    return [_evaluate_all(config, config.grid, place_ues(config, i), i)
-            for i in range(config.n_trials)]
+    radii, angles = _trial_users(config)
+    return _reports(config, config.grid, radii, angles, _trial_psi(config, radii.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +254,20 @@ def _aggregate(variable: str, records: Iterable[TrialRecord]) -> SweepResult:
     return SweepResult(variable=variable, rows=tuple(rows))
 
 
-def _sweep(config: ScenarioConfig, variable: str, values: list,
-           scenario: Callable[..., tuple[PartitionGrid, list[UePosition]]]) -> SweepRun:
-    """Every trial at every sweep value; scenario(value, trial) gives (grid, positions)."""
+def _sweep(config: ScenarioConfig, variable: str, values: list, n_users: int,
+           scenario: Callable[..., tuple[PartitionGrid, np.ndarray, np.ndarray]]) -> SweepRun:
+    """Every trial at every sweep value; scenario(value) gives (grid, radii, angles).
+
+    Each trial's shadowing is drawn once and shared by all values.
+    """
     if len(set(values)) < len(values):
         raise ValueError(f"{variable} sweep values must be distinct, got {values}")
+    psi = _trial_psi(config, n_users)
     records = tuple(
         TrialRecord(value, trial, rep)
         for value in values
-        for trial in range(config.n_trials)
-        for rep in _evaluate_all(config, *scenario(value, trial), trial)
+        for trial, reports in enumerate(_reports(config, *scenario(value), psi))
+        for rep in reports
     )
     return SweepRun(result=_aggregate(variable, records), records=records)
 
@@ -256,16 +283,17 @@ def sweep_distance(config: ScenarioConfig, d_values: Iterable[float]) -> SweepRu
                 f"sweep distance {d} m outside "
                 f"[{config.budget.r0}, {config.budget.cell_radius_r}] m"
             )
-    return _sweep(config, "distance", values,
-                  lambda d, trial: (config.grid, [UePosition(0, d, 0.0)]))
+    angles = np.zeros((config.n_trials, 1))
+    return _sweep(config, "distance", values, 1,
+                  lambda d: (config.grid, np.full((config.n_trials, 1), d), angles))
 
 
 def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> SweepRun:
     """Scheme comparison of one fixed clustered user set under varying sector counts.
 
-    Trial i places its users on the finest grid at every count, so all
-    counts see one user set: confined to sector 0 of that grid unless the
-    config fixes or clusters them.
+    Trial i places its users once, on the finest grid, and every count
+    evaluates that one user set: confined to sector 0 of the finest grid
+    unless the config fixes or clusters them.
     """
     counts = sorted(int(c) for c in sector_counts)
     if not counts:
@@ -276,9 +304,9 @@ def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> Sweep
     if isinstance(placement, UniformDisk):
         placement = ArcCluster(sector_count_occupied=1, annulus=config.grid.n_annuli - 1)
     cluster = replace(config, grid=replace(config.grid, n_sectors=counts[-1]), placement=placement)
-    return _sweep(config, "sectors", counts,
-                  lambda count, trial: (replace(config.grid, n_sectors=count),
-                                        place_ues(cluster, trial)))
+    radii, angles = _trial_users(cluster)
+    return _sweep(config, "sectors", counts, radii.shape[1],
+                  lambda count: (replace(config.grid, n_sectors=count), radii, angles))
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,16 @@ def test_simulate_non_finite_config_number_exits_2(tmp_path, capsys, doc, where)
     assert f"'{where}' must be finite" in err
 
 
+def test_simulate_overflowing_shadowing_exits_2(tmp_path, capsys):
+    # sigma 1000 dB overflows some factors to inf: no row may carry an infinite rate.
+    config = write_config(tmp_path, {"shadowing": {"kind": "lognormal", "sigma_db": 1000,
+                                                   "seed": 3}})
+    out = tmp_path / "out.csv"
+    assert run_cli(["simulate", "--config", config, "--trials", "20", "--out", str(out)]) == 2
+    assert "shadowing factor must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def fixed(*positions):
     return {"placement": {"kind": "fixed", "positions": list(positions)}}
 

@@ -178,3 +178,9 @@ def test_shadowing_factor_scales_snr():
     assert shadowed == pytest.approx(base / 4)
     with pytest.raises(ValueError):
         prop.snr_rho(1.0, 10, 500.0, BUDGET, psi=0.0)
+
+
+@pytest.mark.parametrize("psi", [0.0, -1.0, float("inf"), float("nan")])
+def test_received_power_rejects_non_positive_or_non_finite_psi(psi):
+    with pytest.raises(ValueError, match="positive and finite"):
+        prop.received_power(1.0, 10, 500.0, BUDGET, psi=psi)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from cpzsim import propagation, sim
 from cpzsim.partition import PartitionGrid, UePosition, locate
 from cpzsim.propagation import LognormalShadowing
 from cpzsim.schemes import SchemeKind
@@ -266,6 +267,23 @@ def test_sweep_sectors_reuses_users_and_shadowing_per_trial():
         assert reports == [reports[0]] * len(counts)
     # Shadowing does vary the rates from trial to trial.
     assert len({reports[0] for reports in always_max.values()}) == config.n_trials
+
+
+def test_sweep_sectors_draws_users_and_shadowing_once_per_trial(monkeypatch):
+    calls = []
+
+    def counting(substream):
+        def wrapped(*key):
+            calls.append(key)
+            return substream(*key)
+        return wrapped
+
+    monkeypatch.setattr(sim, "substream", counting(sim.substream))
+    monkeypatch.setattr(propagation, "substream", counting(propagation.substream))
+    config = make_config(shadowing=LognormalShadowing(sigma_db=8.0, seed=3), n_trials=6)
+    sweep_sectors(config, [1, 2, 3, 6, 9, 18, 36])
+    # One placement stream and one shadowing stream per trial, whatever the count.
+    assert len(calls) == 2 * config.n_trials
 
 
 def test_sweep_sectors_rejects_bad_counts():
