@@ -269,13 +269,8 @@ def _parse_values(variable: str, raw: str):
 def _cmd_sweep(args) -> int:
     config = _scenario_from_args(args)
     values = _parse_values(args.variable, args.values)
-    try:
-        if args.variable == "distance":
-            run = sweep_distance(config, values)
-        else:
-            run = sweep_sectors(config, values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sweep = sweep_distance if args.variable == "distance" else sweep_sectors
+    run = sweep(config, values)
     if args.out is not None:
         write_records_csv(args.out, run.records)
         write_sweep_json(_json_sidecar(args.out), run.result)

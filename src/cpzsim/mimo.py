@@ -128,8 +128,8 @@ def per_ue_rate(bandwidth: float, sinr: float) -> float:
     """Shannon rate of one user in bit/s over `bandwidth` Hz; zero iff the SINR is zero."""
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    if sinr < 0:
-        raise ValueError("sinr must be nonnegative")
+    if not 0 <= sinr < math.inf:
+        raise ValueError(f"sinr must be nonnegative and finite, got {sinr}")
     return bandwidth * math.log2(1.0 + sinr)
 
 
@@ -163,10 +163,10 @@ def wishart_trace_expectation(k_users: int, m_antennas: int) -> float:
 def monte_carlo_trace(k_users: int, m_antennas: int, n_trials: int, seed: int) -> float:
     """Sample mean of tr((H H^H)^-1) over independent seeded channel draws.
 
-    Each trial evaluates the trace as the squared Frobenius norm of the ZF
-    precoder, so the estimate exercises the beamforming path end to end.
-    Trial i draws from stream (seed, i); the mean is invariant to n_trials
-    for any fixed prefix of trials.
+    Each trial takes the trace from its Gram matrix with gram_inverse_trace,
+    under the same singularity check as the ZF precoder, whose squared
+    Frobenius norm equals it. Trial i draws from stream (seed, i); the mean
+    is invariant to n_trials for any fixed prefix of trials.
     """
     if m_antennas <= k_users:
         raise ValueError(f"estimate needs M > K, got K={k_users}, M={m_antennas}")
@@ -175,6 +175,5 @@ def monte_carlo_trace(k_users: int, m_antennas: int, n_trials: int, seed: int) -
     total = 0.0
     for i in range(n_trials):
         h = ChannelMatrix(_draw_entries(k_users, m_antennas, substream(seed, i)))
-        w = zf_beamformer(h)
-        total += float(np.vdot(w.entries, w.entries).real)
+        total += gram_inverse_trace(h)
     return total / n_trials

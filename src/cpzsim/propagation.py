@@ -71,7 +71,9 @@ class LognormalShadowing:
 
     def psi(self, n_draws: int, trial_index: int = 0) -> np.ndarray:
         rng = substream(self.seed, trial_index)
-        return 10.0 ** (rng.normal(0.0, self.sigma_db, size=n_draws) / 10.0)
+        # An overflow gives inf, which received_power and the batch kernel reject.
+        with np.errstate(over="ignore"):
+            return 10.0 ** (rng.normal(0.0, self.sigma_db, size=n_draws) / 10.0)
 
 
 ShadowingMode = DeterministicUnitShadowing | LognormalShadowing

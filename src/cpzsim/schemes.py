@@ -187,8 +187,8 @@ def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float
     None means unit shadowing. Row t gives the same reports, float for float,
     as evaluate_scheme on the build_state of row t's users, and the same
     errors: a distance outside [r0, R] or a factor that is not positive and
-    finite raises ValueError, a total above the always-max budget
-    RuntimeError.
+    finite, or an SINR that is not finite, raises ValueError, a total above
+    the always-max budget RuntimeError.
     """
     def size(d: float) -> float:
         return required_bs_power(d, rate_target, k_users, m_antennas, budget)
@@ -219,11 +219,11 @@ def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float
         # differ from them in the last bit.
         gain = np.array([budget.path_gain_g * x ** -budget.alpha
                          for x in (rb / budget.r0).ravel().tolist()]).reshape(n, n_users)
+        fading = 1.0
         if psi is not None:
             fading = psi[start:start + _BLOCK]
             if not ((0 < fading) & (fading < math.inf)).all():
                 raise ValueError("shadowing factor must be positive and finite")
-            gain = gain * fading
 
         # top[t, j]: the highest annulus occupied in the j-th of the sectors
         # that hold users somewhere in the block, -1 if none in trial t.
@@ -252,8 +252,11 @@ def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float
             power = powers[np.searchsorted(rings, region_ring)]
             if np.any(power < 0):
                 raise ValueError("radiated power must be nonnegative")
-            # The order of operations of snr_rho and per_ue_rate.
-            sinr = gain * power / k_users / budget.noise_n0 * (m_antennas - k_users)
+            # The order of operations and the finite check of snr_rho and per_ue_rate.
+            with np.errstate(over="ignore", invalid="ignore"):
+                sinr = gain * fading * power / k_users / budget.noise_n0 * (m_antennas - k_users)
+            if not np.isfinite(sinr).all():
+                raise ValueError("sinr must be nonnegative and finite")
             rate = budget.bandwidth * np.array([math.log2(x)
                                                 for x in (1.0 + sinr).ravel().tolist()])
             sums.append([math.fsum(row) for row in rate.reshape(n, n_users).tolist()])

@@ -1,15 +1,16 @@
 """Scenario generation, seeded Monte Carlo comparisons, and parameter sweeps.
 
-A scenario places users in the cell and evaluates the three
-power-allocation schemes on them. Trial i draws everything from stream
-(seed, i), so results are reproducible bit for bit and independent of the
-order trials run in. Runs and sweeps draw every trial's users and
-shadowing up front as (trials, users) arrays and hand them to the batch
-kernel `schemes._evaluate_trials`; `place_ues` and `build_state` are the
-per-trial scalar form, which gives the same positions and reports. Sweeps
-pin a single edge user at each distance, or re-partition one clustered user
-set per trial under different sector counts, and aggregate per-trial
-reports into mean power and mean energy efficiency per scheme.
+A scenario places users in the cell and evaluates the three power-allocation
+schemes on them. Trial i places its users from stream (config.seed, i) and
+draws their shadowing from stream (shadowing.seed, i); both seeds default to 0,
+so by default the two share a stream. Results are reproducible bit for bit and
+independent of the order trials run in. Runs and sweeps draw every trial's
+users and shadowing up front as (trials, users) arrays and hand them to the
+batch kernel `schemes._evaluate_trials`; `place_ues` and `build_state` are the
+per-trial scalar form, which gives the same positions and reports. Sweeps pin a
+single edge user at each distance, or re-partition one clustered user set per
+trial under different sector counts, and aggregate per-trial reports into mean
+power and mean energy efficiency per scheme.
 """
 
 import json

@@ -185,6 +185,18 @@ def test_simulate_overflowing_shadowing_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("budget", [{}, {"path_gain_g": 1e300}])
+def test_simulate_overflowing_sinr_exits_2(tmp_path, capsys, budget):
+    # A finite factor of 1.69e308 in trial 2 overflows the SINR (with a large
+    # path gain, already the gain times the factor): exit 2, not an infinite EE.
+    config = write_config(tmp_path, {"budget": budget, "shadowing": {
+        "kind": "lognormal", "sigma_db": 1000, "seed": 195}})
+    out = tmp_path / "out.csv"
+    assert run_cli(["simulate", "--config", config, "--trials", "5", "--out", str(out)]) == 2
+    assert "sinr must be nonnegative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def fixed(*positions):
     return {"placement": {"kind": "fixed", "positions": list(positions)}}
 

@@ -116,6 +116,8 @@ ON_BOUNDARIES = FixedPlacement(tuple(
                boundary_radii(EDGES, LinkBudget()), [1, 20, 40]), block=1)
 @example(case=(ScenarioConfig(shadowing=LognormalShadowing(), n_trials=300),
                [100.0, 550.0, 1000.0], [1, 2, 3, 6, 9, 18, 36]), block=64)
+@example(case=(ScenarioConfig(shadowing=LognormalShadowing(1000.0, 195), n_trials=5),
+               [1000.0], [1]), block=2)
 def test_kernel_matches_scalar_oracle(case, block):
     # The 300-trial example is there for last-bit faults, such as numpy's
     # vector pow in place of Python's, which show in about 1% of reports.

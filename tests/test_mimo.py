@@ -208,6 +208,12 @@ def test_per_ue_rate_rejects_negative_sinr():
         mimo.per_ue_rate(5e6, -1e-9)
 
 
+@pytest.mark.parametrize("sinr", [math.inf, math.nan])
+def test_per_ue_rate_rejects_non_finite_sinr(sinr):
+    with pytest.raises(ValueError, match="sinr"):
+        mimo.per_ue_rate(5e6, sinr)
+
+
 @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan])
 def test_per_ue_rate_rejects_non_positive_bandwidth(bandwidth):
     with pytest.raises(ValueError, match="bandwidth"):
