@@ -41,10 +41,8 @@ from .sim import (
     ArcCluster,
     FixedPlacement,
     ScenarioConfig,
-    SweepResult,
     SweepRow,
     SweepRun,
-    TrialRecord,
     UniformDisk,
     place_ues,
     run_comparison,

@@ -30,7 +30,6 @@ from .sim import (
     ScenarioConfig,
     UniformDisk,
     _aggregate,
-    comparison_records,
     run_comparison,
     sweep_distance,
     sweep_sectors,
@@ -243,11 +242,11 @@ def _scenario_from_args(args) -> ScenarioConfig:
 
 def _cmd_simulate(args) -> int:
     config = _scenario_from_args(args)
-    records = comparison_records(run_comparison(config))
+    reports = {None: run_comparison(config)}
     if args.out is not None:
-        write_records_csv(args.out, records)
+        write_records_csv(args.out, reports)
     print(f"simulated {config.n_trials} trials, seed {config.seed}")
-    for row in _aggregate("trial", records).rows:
+    for row in _aggregate(reports):
         ee_text = f"{row.mean_ee:.6e} bit/J" if row.mean_ee is not None else "undefined"
         print(f"{row.scheme.value:>10}: mean power {row.mean_total_power:.6e} W, mean EE {ee_text} "
               f"({row.n_trials_defined}/{config.n_trials} trials with defined EE)")
@@ -272,10 +271,10 @@ def _cmd_sweep(args) -> int:
     sweep = sweep_distance if args.variable == "distance" else sweep_sectors
     run = sweep(config, values)
     if args.out is not None:
-        write_records_csv(args.out, run.records)
-        write_sweep_json(_json_sidecar(args.out), run.result)
+        write_records_csv(args.out, run.reports)
+        write_sweep_json(_json_sidecar(args.out), run)
     print(f"swept {args.variable} over {values}, seed {config.seed}")
-    for row in run.result.rows:
+    for row in run.rows:
         ee_text = f"{row.mean_ee:.6e}" if row.mean_ee is not None else "undefined"
         print(f"{args.variable}={row.sweep_var} {row.scheme.value:>10}: "
               f"mean power {row.mean_total_power:.6e} W, mean EE {ee_text}")

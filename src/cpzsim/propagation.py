@@ -106,14 +106,20 @@ def snr_rho(p_bs: float, k_users: int, r: float, budget: LinkBudget,
 
 def required_snr(target_rate_per_ue: float, bandwidth: float, k_users: int,
                  m_antennas: int) -> float:
-    """Per-user SNR at which the ergodic ZF rate equals the target."""
+    """Per-user SNR at which the ergodic ZF rate equals the target; positive and finite."""
     if target_rate_per_ue <= 0:
         raise ValueError("target rate must be positive")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     if m_antennas <= k_users:
         raise ValueError(f"rate model needs M > K, got K={k_users}, M={m_antennas}")
-    return (2.0 ** (target_rate_per_ue / bandwidth) - 1.0) / (m_antennas - k_users)
+    try:
+        rho = (2.0 ** (target_rate_per_ue / bandwidth) - 1.0) / (m_antennas - k_users)
+    except OverflowError:
+        rho = math.inf
+    if not 0 < rho < math.inf:
+        raise ValueError(f"target rate {target_rate_per_ue} b/s needs a per-user SNR of {rho}")
+    return rho
 
 
 def required_bs_power(d: float, target_rate_per_ue: float, k_users: int,

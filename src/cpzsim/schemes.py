@@ -58,14 +58,17 @@ class SchemeReport:
 
 
 def energy_efficiency(sum_rate: float, total_power: float) -> float | None:
-    """Delivered bits per joule, or None for the zero-power sleep state."""
+    """Delivered bits per joule, or None for the zero-power sleep state; never infinite."""
     if sum_rate < 0:
         raise ValueError("sum_rate must be nonnegative")
     if total_power < 0:
         raise ValueError("total_power must be nonnegative")
     if total_power == 0:
         return None
-    return sum_rate / total_power
+    ee = sum_rate / total_power
+    if ee == math.inf:
+        raise ValueError(f"energy efficiency of {sum_rate} b/s over {total_power} W overflows")
+    return ee
 
 
 class Region(NamedTuple):

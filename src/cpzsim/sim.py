@@ -9,21 +9,23 @@ users and shadowing up front as (trials, users) arrays and hand them to the
 batch kernel `schemes._evaluate_trials`; `place_ues` and `build_state` are the
 per-trial scalar form, which gives the same positions and reports. Sweeps pin a
 single edge user at each distance, or re-partition one clustered user set per
-trial under different sector counts, and aggregate per-trial reports into mean
-power and mean energy efficiency per scheme.
+trial under different sector counts. The kernel's per-trial report tuples,
+keyed by sweep value (None for a plain comparison), are the only row type:
+the CSV writer emits them and `_aggregate` reduces them to mean power and
+mean energy efficiency per value and scheme.
 """
 
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .partition import MAX_COUNT, TWO_PI, CpzState, PartitionGrid, UePosition
 from .propagation import DeterministicUnitShadowing, LinkBudget, ShadowingMode
 from .rng import substream
-from .schemes import SCHEME_ORDER, SchemeKind, SchemeReport, _evaluate_trials
+from .schemes import SchemeKind, SchemeReport, _evaluate_trials
 
 CSV_HEADER = "sweep_var,scheme,trial,total_power_w,sum_rate_bps,ee_bit_per_joule,n_active_sectors"
 
@@ -204,19 +206,13 @@ def run_comparison(config: ScenarioConfig) -> list[tuple[SchemeReport, ...]]:
 # ---------------------------------------------------------------------------
 # Sweeps
 
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One emitted row: a scheme report tagged with its sweep value and trial."""
-
-    sweep_var: float | int | None
-    trial: int
-    report: SchemeReport
+# Per-trial report tuples by sweep value, None for a plain comparison.
+ReportsByValue = Mapping[float | int | None, list[tuple[SchemeReport, ...]]]
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    sweep_var: float | int
+    sweep_var: float | int | None
     scheme: SchemeKind
     mean_total_power: float
     mean_ee: float | None
@@ -224,35 +220,32 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepRun:
+    """A sweep's aggregated rows and the per-trial reports behind them.
+
+    reports maps each sweep value, in sorted order, to its per-trial report
+    tuples, the shape run_comparison returns.
+    """
+
     variable: str
     rows: tuple[SweepRow, ...]
+    reports: ReportsByValue
 
 
-@dataclass(frozen=True)
-class SweepRun:
-    """Aggregated sweep result plus the per-trial records behind it."""
-
-    result: SweepResult
-    records: tuple[TrialRecord, ...]
-
-
-def _aggregate(variable: str, records: Iterable[TrialRecord]) -> SweepResult:
-    groups: dict[tuple, list[SchemeReport]] = {}
-    for rec in records:
-        groups.setdefault((rec.sweep_var, rec.report.scheme), []).append(rec.report)
+def _aggregate(reports: ReportsByValue) -> tuple[SweepRow, ...]:
+    """Mean power and mean defined EE per sweep value and scheme, in scheme order."""
     rows = []
-    order = {kind: i for i, kind in enumerate(SCHEME_ORDER)}
-    for (value, scheme), reports in sorted(groups.items(), key=lambda kv: (kv[0][0], order[kv[0][1]])):
-        defined = [r.ee for r in reports if r.ee is not None]
-        rows.append(SweepRow(
-            sweep_var=value,
-            scheme=scheme,
-            mean_total_power=math.fsum(r.total_power for r in reports) / len(reports),
-            mean_ee=math.fsum(defined) / len(defined) if defined else None,
-            n_trials_defined=len(defined),
-        ))
-    return SweepResult(variable=variable, rows=tuple(rows))
+    for value, trials in reports.items():
+        for column in zip(*trials):
+            defined = [r.ee for r in column if r.ee is not None]
+            rows.append(SweepRow(
+                sweep_var=value,
+                scheme=column[0].scheme,
+                mean_total_power=math.fsum(r.total_power for r in column) / len(column),
+                mean_ee=math.fsum(defined) / len(defined) if defined else None,
+                n_trials_defined=len(defined),
+            ))
+    return tuple(rows)
 
 
 def _sweep(config: ScenarioConfig, variable: str, values: list, n_users: int,
@@ -264,13 +257,8 @@ def _sweep(config: ScenarioConfig, variable: str, values: list, n_users: int,
     if len(set(values)) < len(values):
         raise ValueError(f"{variable} sweep values must be distinct, got {values}")
     psi = _trial_psi(config, n_users)
-    records = tuple(
-        TrialRecord(value, trial, rep)
-        for value in values
-        for trial, reports in enumerate(_reports(config, *scenario(value), psi))
-        for rep in reports
-    )
-    return SweepRun(result=_aggregate(variable, records), records=records)
+    reports = {value: _reports(config, *scenario(value), psi) for value in values}
+    return SweepRun(variable, _aggregate(reports), reports)
 
 
 def sweep_distance(config: ScenarioConfig, d_values: Iterable[float]) -> SweepRun:
@@ -314,41 +302,27 @@ def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> Sweep
 # Emission
 
 
-def _csv_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        raise TypeError("bool is not a CSV field")
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
-def format_records_csv(records: Iterable[TrialRecord]) -> str:
-    """Locale-independent CSV of per-trial reports, with a trailing newline."""
+def format_records_csv(reports: ReportsByValue) -> str:
+    """Locale-independent CSV of the reports, rows in value, trial, scheme order."""
     lines = [CSV_HEADER]
-    for rec in records:
-        rep = rec.report
-        lines.append(",".join([
-            _csv_value(rec.sweep_var),
-            rep.scheme.value,
-            str(rec.trial),
-            _csv_value(rep.total_power),
-            _csv_value(rep.sum_rate),
-            _csv_value(rep.ee),
-            str(rep.n_active_sectors),
-        ]))
+    for value, trials in reports.items():
+        sweep_var = "" if value is None else repr(value)
+        for trial, trial_reports in enumerate(trials):
+            for rep in trial_reports:
+                ee = "" if rep.ee is None else repr(rep.ee)
+                lines.append(f"{sweep_var},{rep.scheme.value},{trial},{rep.total_power!r},"
+                             f"{rep.sum_rate!r},{ee},{rep.n_active_sectors}")
     return "\n".join(lines) + "\n"
 
 
-def write_records_csv(path, records: Iterable[TrialRecord]) -> None:
+def write_records_csv(path, reports: ReportsByValue) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(format_records_csv(records))
+        fh.write(format_records_csv(reports))
 
 
-def sweep_result_to_doc(result: SweepResult) -> dict:
-    return {
-        "variable": result.variable,
+def write_sweep_json(path, run: SweepRun) -> None:
+    doc = {
+        "variable": run.variable,
         "rows": [
             {
                 "sweep_var": row.sweep_var,
@@ -357,21 +331,9 @@ def sweep_result_to_doc(result: SweepResult) -> dict:
                 "mean_ee_bit_per_joule": row.mean_ee,
                 "n_trials_defined": row.n_trials_defined,
             }
-            for row in result.rows
+            for row in run.rows
         ],
     }
-
-
-def write_sweep_json(path, result: SweepResult) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
-        json.dump(sweep_result_to_doc(result), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def comparison_records(reports_per_trial: Iterable[tuple[SchemeReport, ...]]) -> tuple[TrialRecord, ...]:
-    """Flatten run_comparison output into CSV records (sweep_var left empty)."""
-    return tuple(
-        TrialRecord(None, trial, rep)
-        for trial, reports in enumerate(reports_per_trial)
-        for rep in reports
-    )

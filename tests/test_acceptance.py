@@ -23,7 +23,6 @@ from cpzsim.sim import (
     FixedPlacement,
     ScenarioConfig,
     build_state,
-    comparison_records,
     format_records_csv,
     place_ues,
     run_comparison,
@@ -121,8 +120,7 @@ def test_c6_sleep_mode():
             assert report.total_power == 0.0
             assert report.ee is None
         config = ScenarioConfig(placement=FixedPlacement(()), n_trials=1)
-        records = comparison_records(run_comparison(config))
-        for line in format_records_csv(records).splitlines()[1:]:
+        for line in format_records_csv({None: run_comparison(config)}).splitlines()[1:]:
             fields = line.split(",")
             if fields[1] in ("zooming", "cpz"):
                 assert fields[3] == "0.0" and fields[5] == ""
@@ -156,7 +154,7 @@ def test_c8_ee_monotone_in_sector_count():
     with criterion(8, "EE nondecreasing over sector counts {1,2,6,9,18} for a one-sector cluster"):
         config = ScenarioConfig(seed=88, n_trials=5)
         run = sweep_sectors(config, [1, 2, 6, 9, 18])
-        ees = [row.mean_ee for row in run.result.rows if row.scheme is SchemeKind.CPZ]
+        ees = [row.mean_ee for row in run.rows if row.scheme is SchemeKind.CPZ]
         assert len(ees) == 5
         assert all(ee is not None for ee in ees)
         assert all(a <= b for a, b in zip(ees, ees[1:]))

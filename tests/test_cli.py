@@ -197,6 +197,22 @@ def test_simulate_overflowing_sinr_exits_2(tmp_path, capsys, budget):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"rate_target": 1e12}, "per-user SNR of inf"),
+    ({"rate_target": 1e-300}, "per-user SNR of 0.0"),
+    ({"budget": {"path_gain_g": 1e300}}, "energy efficiency"),
+])
+def test_simulate_unsizable_target_or_infinite_ee_exits_2(tmp_path, capsys, doc, message):
+    # The SNR a target needs overflows or rounds to zero, or about 7.9e-311 W
+    # serves the cell and the EE overflows: exit 2, not a traceback or inf.
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    assert run_cli(["simulate", "--config", config, "--trials", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 def fixed(*positions):
     return {"placement": {"kind": "fixed", "positions": list(positions)}}
 
@@ -358,6 +374,146 @@ def test_sweep_worker_pool_byte_identical(tmp_path):
     assert run_cli(base + ["--workers", "8", "--out", str(out8)]) == 0
     assert out1.read_bytes() == out8.read_bytes()
     assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w8.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# emitted bytes
+
+# Two users at fixed positions under unit shadowing: no random stream feeds
+# these runs, so the expected text holds whatever the stream layout.
+PINNED_CONFIG = {"placement": {"kind": "fixed", "positions": [{"r": 300.0, "phi": 0.1},
+                                                               {"r": 850.0, "phi": 2.0}]},
+                 "n_trials": 2}
+
+PINNED_SIMULATE_CSV = """\
+sweep_var,scheme,trial,total_power_w,sum_rate_bps,ee_bit_per_joule,n_active_sectors
+,always_max,0,7.913482636220093e-11,75804837.5790554,9.579200595208974e+17,18
+,zooming,0,7.913482636220093e-11,75804837.5790554,9.579200595208974e+17,18
+,cpz,0,4.471844403914342e-12,46795956.557145625,1.0464576208461926e+19,2
+,always_max,1,7.913482636220093e-11,75804837.5790554,9.579200595208974e+17,18
+,zooming,1,7.913482636220093e-11,75804837.5790554,9.579200595208974e+17,18
+,cpz,1,4.471844403914342e-12,46795956.557145625,1.0464576208461926e+19,2
+"""
+
+PINNED_DISTANCE_CSV = """\
+sweep_var,scheme,trial,total_power_w,sum_rate_bps,ee_bit_per_joule,n_active_sectors
+400.0,always_max,0,7.913482636220093e-11,44006310.53456203,5.56092842526054e+17,18
+400.0,zooming,0,1.765346639803693e-11,33240599.30277435,1.8829502689891384e+18,18
+400.0,cpz,0,9.807481332242737e-13,33240599.30277435,3.3893104841804497e+19,1
+1000.0,always_max,0,7.913482636220093e-11,20000000.0,2.527332265627246e+17,18
+1000.0,zooming,0,7.913482636220093e-11,20000000.0,2.527332265627246e+17,18
+1000.0,cpz,0,4.396379242344496e-12,20000000.0,4.549198078129043e+18,1
+"""
+
+PINNED_DISTANCE_JSON = """\
+{
+  "variable": "distance",
+  "rows": [
+    {
+      "sweep_var": 400.0,
+      "scheme": "always_max",
+      "mean_total_power_w": 7.913482636220093e-11,
+      "mean_ee_bit_per_joule": 5.56092842526054e+17,
+      "n_trials_defined": 1
+    },
+    {
+      "sweep_var": 400.0,
+      "scheme": "zooming",
+      "mean_total_power_w": 1.765346639803693e-11,
+      "mean_ee_bit_per_joule": 1.8829502689891384e+18,
+      "n_trials_defined": 1
+    },
+    {
+      "sweep_var": 400.0,
+      "scheme": "cpz",
+      "mean_total_power_w": 9.807481332242737e-13,
+      "mean_ee_bit_per_joule": 3.3893104841804497e+19,
+      "n_trials_defined": 1
+    },
+    {
+      "sweep_var": 1000.0,
+      "scheme": "always_max",
+      "mean_total_power_w": 7.913482636220093e-11,
+      "mean_ee_bit_per_joule": 2.527332265627246e+17,
+      "n_trials_defined": 1
+    },
+    {
+      "sweep_var": 1000.0,
+      "scheme": "zooming",
+      "mean_total_power_w": 7.913482636220093e-11,
+      "mean_ee_bit_per_joule": 2.527332265627246e+17,
+      "n_trials_defined": 1
+    },
+    {
+      "sweep_var": 1000.0,
+      "scheme": "cpz",
+      "mean_total_power_w": 4.396379242344496e-12,
+      "mean_ee_bit_per_joule": 4.549198078129043e+18,
+      "n_trials_defined": 1
+    }
+  ]
+}
+"""
+
+PINNED_SECTORS_CSV = """\
+sweep_var,scheme,trial,total_power_w,sum_rate_bps,ee_bit_per_joule,n_active_sectors
+18,always_max,0,7.913482636220093e-11,75804837.5790554,9.579200595208974e+17,18
+18,zooming,0,7.913482636220093e-11,75804837.5790554,9.579200595208974e+17,18
+18,cpz,0,4.471844403914342e-12,46795956.557145625,1.0464576208461926e+19,2
+"""
+
+PINNED_SECTORS_JSON = """\
+{
+  "variable": "sectors",
+  "rows": [
+    {
+      "sweep_var": 18,
+      "scheme": "always_max",
+      "mean_total_power_w": 7.913482636220093e-11,
+      "mean_ee_bit_per_joule": 9.579200595208974e+17,
+      "n_trials_defined": 1
+    },
+    {
+      "sweep_var": 18,
+      "scheme": "zooming",
+      "mean_total_power_w": 7.913482636220093e-11,
+      "mean_ee_bit_per_joule": 9.579200595208974e+17,
+      "n_trials_defined": 1
+    },
+    {
+      "sweep_var": 18,
+      "scheme": "cpz",
+      "mean_total_power_w": 4.471844403914342e-12,
+      "mean_ee_bit_per_joule": 1.0464576208461926e+19,
+      "n_trials_defined": 1
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("argv, csv_text, json_text", [
+    (["simulate"], PINNED_SIMULATE_CSV, None),
+    (["sweep", "--variable", "distance", "--values", "1000,400", "--trials", "1"],
+     PINNED_DISTANCE_CSV, PINNED_DISTANCE_JSON),
+    (["sweep", "--variable", "sectors", "--values", "18", "--trials", "1"],
+     PINNED_SECTORS_CSV, PINNED_SECTORS_JSON),
+], ids=["simulate", "distance", "sectors"])
+def test_emitted_bytes_on_fixed_placement(tmp_path, argv, csv_text, json_text):
+    config = write_config(tmp_path, PINNED_CONFIG)
+    out = tmp_path / "out.csv"
+    assert run_cli(argv + ["--config", config, "--out", str(out)]) == 0
+    assert out.read_bytes() == csv_text.encode("ascii")
+    sidecar = tmp_path / "out.json"
+    if json_text is None:
+        assert not sidecar.exists()
+    else:
+        assert sidecar.read_bytes() == json_text.encode("ascii")
+    # Every float field round-trips through repr: no digits lost or padded.
+    for line in csv_text.splitlines()[1:]:
+        fields = line.split(",")
+        for x in fields[3:6] + (fields[:1] if "." in fields[0] else []):
+            assert repr(float(x)) == x
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 `run_comparison`, `sweep_distance` and `sweep_sectors` evaluate whole
 batches of trials with `schemes._evaluate_trials`. The oracle here rebuilds
 every trial from the public scalar API (`place_ues` or fixed positions,
-`LognormalShadowing.psi`, `build_state`, `evaluate_scheme`) and the records
+`LognormalShadowing.psi`, `build_state`, `evaluate_scheme`) and the reports
 must match it with `==` on every field, no tolerance, or both must raise
 the same exception type.
 """
@@ -24,7 +24,6 @@ from cpzsim.sim import (
     ArcCluster,
     FixedPlacement,
     ScenarioConfig,
-    TrialRecord,
     UniformDisk,
     build_state,
     place_ues,
@@ -48,11 +47,10 @@ def oracle_trial(config, grid, positions, trial):
 
 
 def oracle_records(config, values, scenario):
-    """Sweep records from the oracle; scenario(value, trial) gives (grid, positions)."""
-    return tuple(TrialRecord(value, trial, rep)
-                 for value in values
-                 for trial in range(config.n_trials)
-                 for rep in oracle_trial(config, *scenario(value, trial), trial))
+    """Sweep reports from the oracle; scenario(value, trial) gives (grid, positions)."""
+    return {value: [oracle_trial(config, *scenario(value, trial), trial)
+                    for trial in range(config.n_trials)]
+            for value in values}
 
 
 def outcome(run):
@@ -139,8 +137,8 @@ def test_kernel_matches_scalar_oracle(case, block):
     expected_sectors = outcome(sector_oracle)
     with mock.patch.object(schemes, "_BLOCK", block):
         assert outcome(lambda: run_comparison(config)) == expected_run
-        assert outcome(lambda: sweep_distance(config, distances).records) == expected_distance
-        assert outcome(lambda: sweep_sectors(config, counts).records) == expected_sectors
+        assert outcome(lambda: sweep_distance(config, distances).reports) == expected_distance
+        assert outcome(lambda: sweep_sectors(config, counts).reports) == expected_sectors
 
 
 def test_kernel_guard_rejects_nan_power(monkeypatch):

@@ -99,6 +99,13 @@ def test_required_snr_peak_rate():
     assert prop.required_snr(20e6, 5e6, 10, 200) == pytest.approx(15.0 / 190.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("rate, rho", [(1e12, "inf"), (1e-300, "0.0")])
+def test_required_snr_rejects_unsizable_target(rate, rho):
+    # 2**(rate / B) overflows, or rounds to exactly 1.
+    with pytest.raises(ValueError, match=f"per-user SNR of {rho}"):
+        prop.required_snr(rate, 5e6, 10, 200)
+
+
 def test_required_power_at_reference_distance():
     p = prop.required_bs_power(100.0, 20e6, 10, 200, BUDGET)
     assert p == pytest.approx((15.0 / 190.0) * 10 * 2.0e-14, rel=1e-12)

@@ -178,6 +178,13 @@ def test_ee_rejects_negative_inputs():
         energy_efficiency(1.0, -1.0)
 
 
+def test_ee_rejects_overflow_to_infinity():
+    # About what 1e300 path gain sizes for 20 Mb/s per user.
+    with pytest.raises(ValueError, match="overflows"):
+        energy_efficiency(3.3e8, 7.9e-311)
+    assert energy_efficiency(1.0, 1e-308) == 1e308
+
+
 # ---------------------------------------------------------------------------
 # evaluate_scheme
 

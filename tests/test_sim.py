@@ -14,7 +14,6 @@ from cpzsim.sim import (
     FixedPlacement,
     ScenarioConfig,
     UniformDisk,
-    comparison_records,
     format_records_csv,
     place_ues,
     run_comparison,
@@ -171,16 +170,16 @@ def test_run_comparison_lognormal_shadowing_changes_rates_not_power():
 def test_sweep_distance_shape_and_order():
     config = make_config(n_trials=2)
     run = sweep_distance(config, [600.0, 200.0, 1000.0])
-    values = [row.sweep_var for row in run.result.rows]
+    values = [row.sweep_var for row in run.rows]
     assert values == sorted(values)
-    assert len(run.result.rows) == 3 * 3
-    assert len(run.records) == 3 * 3 * 2
+    assert len(run.rows) == 3 * 3
+    assert sum(len(reports) for trials in run.reports.values() for reports in trials) == 3 * 3 * 2
 
 
 def test_sweep_distance_edge_row_matches_always_max():
     config = make_config(n_trials=1)
     run = sweep_distance(config, [1000.0])
-    by_scheme = {row.scheme: row for row in run.result.rows}
+    by_scheme = {row.scheme: row for row in run.rows}
     assert by_scheme[SchemeKind.ZOOMING].mean_total_power == \
         by_scheme[SchemeKind.ALWAYS_MAX].mean_total_power
 
@@ -189,16 +188,16 @@ def test_sweep_distance_power_monotone():
     config = make_config(n_trials=1)
     run = sweep_distance(config, [150.0, 300.0, 450.0, 600.0, 750.0, 900.0, 1000.0])
     for kind in (SchemeKind.ZOOMING, SchemeKind.CPZ):
-        powers = [row.mean_total_power for row in run.result.rows if row.scheme is kind]
+        powers = [row.mean_total_power for row in run.rows if row.scheme is kind]
         assert all(a <= b for a, b in zip(powers, powers[1:]))
 
 
 def test_sweep_distance_cpz_is_sector_fraction_everywhere():
     config = make_config(n_trials=1)
     run = sweep_distance(config, [200.0, 400.0, 600.0, 800.0, 1000.0])
-    zoom = {row.sweep_var: row.mean_total_power for row in run.result.rows
+    zoom = {row.sweep_var: row.mean_total_power for row in run.rows
             if row.scheme is SchemeKind.ZOOMING}
-    cpz = {row.sweep_var: row.mean_total_power for row in run.result.rows
+    cpz = {row.sweep_var: row.mean_total_power for row in run.rows
            if row.scheme is SchemeKind.CPZ}
     for d in zoom:
         assert cpz[d] == pytest.approx(zoom[d] / 18, rel=1e-12)
@@ -219,7 +218,7 @@ def test_sweep_distance_rejects_out_of_range():
 def test_sweep_sectors_single_sector_equals_zooming():
     config = make_config(n_trials=1, seed=2)
     run = sweep_sectors(config, [1])
-    by_scheme = {row.scheme: row for row in run.result.rows}
+    by_scheme = {row.scheme: row for row in run.rows}
     assert by_scheme[SchemeKind.CPZ].mean_total_power == \
         by_scheme[SchemeKind.ZOOMING].mean_total_power
 
@@ -227,7 +226,7 @@ def test_sweep_sectors_single_sector_equals_zooming():
 def test_sweep_sectors_power_halves_from_9_to_18():
     config = make_config(n_trials=1, seed=2)
     run = sweep_sectors(config, [9, 18])
-    cpz = {row.sweep_var: row.mean_total_power for row in run.result.rows
+    cpz = {row.sweep_var: row.mean_total_power for row in run.rows
            if row.scheme is SchemeKind.CPZ}
     assert cpz[18] == pytest.approx(cpz[9] / 2, rel=1e-12)
 
@@ -235,7 +234,7 @@ def test_sweep_sectors_power_halves_from_9_to_18():
 def test_sweep_sectors_ee_nondecreasing():
     config = make_config(n_trials=3, seed=2)
     run = sweep_sectors(config, [1, 2, 6, 9, 18])
-    ees = [row.mean_ee for row in run.result.rows if row.scheme is SchemeKind.CPZ]
+    ees = [row.mean_ee for row in run.rows if row.scheme is SchemeKind.CPZ]
     assert all(ee is not None for ee in ees)
     assert all(a <= b for a, b in zip(ees, ees[1:]))
 
@@ -244,7 +243,7 @@ def test_sweep_sectors_uses_fixed_placement_verbatim():
     positions = (UePosition(0, 980.0, 0.05), UePosition(1, 960.0, 0.08))
     config = make_config(placement=FixedPlacement(positions), n_trials=1)
     run = sweep_sectors(config, [1, 18])
-    cpz = {row.sweep_var: row.mean_total_power for row in run.result.rows
+    cpz = {row.sweep_var: row.mean_total_power for row in run.rows
            if row.scheme is SchemeKind.CPZ}
     assert cpz[18] == pytest.approx(cpz[1] / 18, rel=1e-12)
 
@@ -256,11 +255,12 @@ def test_sweep_sectors_reuses_users_and_shadowing_per_trial():
     counts = [2, 3, 9, 18]
     run = sweep_sectors(config, counts)
     always_max = {}
-    for rec in run.records:
-        if rec.report.scheme is SchemeKind.ALWAYS_MAX:
-            rep = rec.report
-            assert rep.n_active_sectors == rec.sweep_var
-            always_max.setdefault(rec.trial, []).append((rep.total_power, rep.sum_rate, rep.ee))
+    for count, trials in run.reports.items():
+        for trial, reports in enumerate(trials):
+            rep = reports[0]
+            assert rep.scheme is SchemeKind.ALWAYS_MAX
+            assert rep.n_active_sectors == count
+            always_max.setdefault(trial, []).append((rep.total_power, rep.sum_rate, rep.ee))
     assert len(always_max) == config.n_trials
     for reports in always_max.values():
         assert len(reports) == len(counts)
@@ -308,21 +308,20 @@ def test_sweeps_reject_duplicate_values():
 
 def test_csv_header_and_shape(tmp_path):
     config = make_config(n_trials=2, seed=4)
-    records = comparison_records(run_comparison(config))
-    text = format_records_csv(records)
+    reports = {None: run_comparison(config)}
+    text = format_records_csv(reports)
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 2 * 3
     assert text.endswith("\n")
     out = tmp_path / "reports.csv"
-    write_records_csv(out, records)
+    write_records_csv(out, reports)
     assert out.read_text() == text
 
 
 def test_csv_empty_cell_has_blank_ee(tmp_path):
     config = make_config(placement=FixedPlacement(()), n_trials=1)
-    records = comparison_records(run_comparison(config))
-    lines = format_records_csv(records).splitlines()
+    lines = format_records_csv({None: run_comparison(config)}).splitlines()
     rows = {line.split(",")[1]: line.split(",") for line in lines[1:]}
     assert rows["zooming"][3] == "0.0"  # total_power_w
     assert rows["zooming"][5] == ""     # ee empty, not 0
@@ -332,8 +331,8 @@ def test_csv_empty_cell_has_blank_ee(tmp_path):
 
 def test_csv_deterministic_bytes(tmp_path):
     config = make_config(n_trials=5, seed=123)
-    a = format_records_csv(comparison_records(run_comparison(config)))
-    b = format_records_csv(comparison_records(run_comparison(config)))
+    a = format_records_csv({None: run_comparison(config)})
+    b = format_records_csv({None: run_comparison(config)})
     assert a == b
 
 
@@ -341,14 +340,14 @@ def test_sweep_json_mirrors_result(tmp_path):
     config = make_config(n_trials=2, seed=4)
     run = sweep_distance(config, [400.0, 800.0])
     out = tmp_path / "sweep.json"
-    write_sweep_json(out, run.result)
+    write_sweep_json(out, run)
     doc = json.loads(out.read_text())
     assert doc["variable"] == "distance"
-    assert len(doc["rows"]) == len(run.result.rows)
+    assert len(doc["rows"]) == len(run.rows)
     first = doc["rows"][0]
     assert set(first) == {"sweep_var", "scheme", "mean_total_power_w",
                           "mean_ee_bit_per_joule", "n_trials_defined"}
-    for row, emitted in zip(run.result.rows, doc["rows"]):
+    for row, emitted in zip(run.rows, doc["rows"]):
         assert emitted["scheme"] == row.scheme.value
         assert emitted["mean_total_power_w"] == row.mean_total_power
 
@@ -359,7 +358,7 @@ def test_sweep_json_null_for_undefined_ee(tmp_path):
     run = sweep_sectors(config, [1, 18])
     doc_rows = []
     out = tmp_path / "s.json"
-    write_sweep_json(out, run.result)
+    write_sweep_json(out, run)
     doc_rows = json.loads(out.read_text())["rows"]
     zoom_rows = [r for r in doc_rows if r["scheme"] == "zooming"]
     assert all(r["mean_ee_bit_per_joule"] is None for r in zoom_rows)
