@@ -127,12 +127,15 @@ def required_bs_power(d: float, target_rate_per_ue: float, k_users: int,
     """Radiated power in watts so a user at distance d reaches the target rate.
 
     Inverts the SNR budget with the deterministic unit shadowing factor;
-    monotonically increasing in both d and the target rate.
+    monotonically increasing in both d and the target; raises on 0 or inf.
     """
     if not budget.r0 <= d <= budget.cell_radius_r:
         raise ValueError(
             f"edge distance {d} m outside [{budget.r0}, {budget.cell_radius_r}] m"
         )
     rho_req = required_snr(target_rate_per_ue, budget.bandwidth, k_users, m_antennas)
-    return (rho_req * k_users * budget.noise_n0
-            * (d / budget.r0) ** budget.alpha / budget.path_gain_g)
+    power = (rho_req * k_users * budget.noise_n0
+             * (d / budget.r0) ** budget.alpha / budget.path_gain_g)
+    if power in (0.0, math.inf):  # a NaN budget is left to the schemes' budget guard
+        raise ValueError(f"target rate {target_rate_per_ue} b/s at {d} m needs a power of {power} W")
+    return power

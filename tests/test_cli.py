@@ -45,6 +45,18 @@ def test_verify_passes_and_reports_wishart_error(capsys):
     assert float(match.group(1)) < 0.02
 
 
+def test_verify_stdout_is_pinned(capsys):
+    # 300 trials span several stacked blocks plus a remainder; the Monte Carlo
+    # mean, hence the text, must not depend on how the trials are grouped.
+    assert run_cli(["verify", "--trials", "300", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "[PASS] zf_identity: max |HW - I| = 1.114e-15 (tol 1e-09)\n"
+        "[PASS] wishart_trace: relative error = 0.0015 (tol 0.02, 300 trials)\n"
+        "[PASS] sinr_uniformity: max relative spread = 2.615e-15, "
+        "max deviation from common value = 1.904e-15 (tol 1e-09)\n"
+    )
+
+
 def test_verify_single_trial_skips_wishart(capsys):
     assert run_cli(["verify", "--trials", "1"]) == 0
     out = capsys.readouterr().out
@@ -201,10 +213,13 @@ def test_simulate_overflowing_sinr_exits_2(tmp_path, capsys, budget):
     ({"rate_target": 1e12}, "per-user SNR of inf"),
     ({"rate_target": 1e-300}, "per-user SNR of 0.0"),
     ({"budget": {"path_gain_g": 1e300}}, "energy efficiency"),
+    ({"rate_target": 1e-9, "budget": {"path_gain_g": 1e300}}, "power of 0.0 W"),
+    ({"rate_target": 1e9, "budget": {"path_gain_g": 1e-300}}, "power of inf W"),
 ])
 def test_simulate_unsizable_target_or_infinite_ee_exits_2(tmp_path, capsys, doc, message):
-    # The SNR a target needs overflows or rounds to zero, or about 7.9e-311 W
-    # serves the cell and the EE overflows: exit 2, not a traceback or inf.
+    # The SNR a target needs overflows or rounds to zero, the sized power
+    # underflows to 0 or overflows to inf, or about 7.9e-311 W serves the
+    # cell and the EE overflows: exit 2, not a traceback or inf.
     config = write_config(tmp_path, doc)
     out = tmp_path / "out.csv"
     assert run_cli(["simulate", "--config", config, "--trials", "20", "--out", str(out)]) == 2

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpzsim import mimo
+from cpzsim.rng import substream
 
 
 def oracle_per_ue_sinr(rho, h_entries):
@@ -303,3 +304,77 @@ def test_monte_carlo_trace_validation():
         mimo.monte_carlo_trace(10, 10, n_trials=10, seed=0)
     with pytest.raises(ValueError):
         mimo.monte_carlo_trace(2, 8, n_trials=0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Stacked blocks of monte_carlo_trace against the per-trial computation
+
+BLOCK = mimo._TRACE_BLOCK
+
+
+def oracle_draw(k, m, rng):
+    """One trial's channel as two separate K x M draws, real then imaginary."""
+    re = rng.standard_normal((k, m))
+    im = rng.standard_normal((k, m))
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def oracle_monte_carlo_trace(k, m, n_trials, seed):
+    """Per-trial traces from gram_inverse_trace, summed in trial order."""
+    total = 0.0
+    for i in range(n_trials):
+        total += mimo.gram_inverse_trace(mimo.ChannelMatrix(oracle_draw(k, m, substream(seed, i))))
+    return total / n_trials
+
+
+def oracle_conds(k, m, n_trials, seed):
+    conds = []
+    for i in range(n_trials):
+        h = oracle_draw(k, m, substream(seed, i))
+        conds.append(float(np.linalg.cond(h @ h.conj().T)))
+    return conds
+
+
+@pytest.mark.parametrize("n_trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("m, seed", [(6, 11), (12, 2**40)])
+def test_monte_carlo_trace_equals_per_trial_oracle(n_trials, m, seed):
+    for k in range(1, m):
+        assert (mimo.monte_carlo_trace(k, m, n_trials, seed)
+                == oracle_monte_carlo_trace(k, m, n_trials, seed))
+
+
+def test_block_draw_is_sample_channel(monkeypatch):
+    # Key stream (seed, i) as seed + i: trial i then draws from the generator
+    # that sample_channel(k, m, seed + i) uses.
+    monkeypatch.setattr(mimo, "substream", lambda *key: substream(sum(key)))
+    stacks = []
+    inverse_gram_traces = mimo._inverse_gram_traces
+
+    def spy(h):
+        stacks.append(h.copy())
+        return inverse_gram_traces(h)
+
+    monkeypatch.setattr(mimo, "_inverse_gram_traces", spy)
+    k, m, seed = 3, 7, 40
+    mimo.monte_carlo_trace(k, m, BLOCK + 2, seed)
+    assert [len(stack) for stack in stacks] == [BLOCK, 2]
+    for i, draw in enumerate(np.concatenate(stacks)):
+        assert draw.tobytes() == mimo.sample_channel(k, m, seed + i).entries.tobytes()
+        assert draw.tobytes() == oracle_draw(k, m, substream(seed + i)).tobytes()
+
+
+def test_monte_carlo_trace_singular_trial_in_first_block(monkeypatch):
+    monkeypatch.setattr(mimo, "SINGULAR_COND_LIMIT", 0.5)  # every condition number is >= 1
+    with pytest.raises(ValueError, match="numerically singular"):
+        mimo.monte_carlo_trace(4, 8, 2 * BLOCK + 3, seed=0)
+
+
+def test_monte_carlo_trace_singular_trial_in_later_block(monkeypatch):
+    k, m, n_trials, seed = 5, 6, 2 * BLOCK + 3, 0
+    conds = oracle_conds(k, m, n_trials, seed)
+    limit = max(conds[:BLOCK])
+    assert max(conds[BLOCK:]) > limit  # some trial after the first block is over the limit
+    monkeypatch.setattr(mimo, "SINGULAR_COND_LIMIT", limit)
+    assert mimo.monte_carlo_trace(k, m, BLOCK, seed) == oracle_monte_carlo_trace(k, m, BLOCK, seed)
+    with pytest.raises(ValueError, match="numerically singular"):
+        mimo.monte_carlo_trace(k, m, n_trials, seed)

@@ -135,6 +135,14 @@ def test_required_power_range_error(d):
         prop.required_bs_power(d, 20e6, 10, 200, BUDGET)
 
 
+@pytest.mark.parametrize("target, gain, power", [(1e-9, 1e300, "0.0"), (1e9, 1e-300, "inf")])
+def test_required_power_rejects_zero_or_infinite_power(target, gain, power):
+    # Each number is valid, but the sized power underflows to 0 or overflows.
+    budget = prop.LinkBudget(path_gain_g=gain)
+    with pytest.raises(ValueError, match=f"needs a power of {power} W"):
+        prop.required_bs_power(1000.0, target, 10, 200, budget)
+
+
 def test_round_trip_power_to_rate():
     # Sizing power for distance d and rate R_t, then pushing the resulting SNR
     # back through the rate model, must reproduce R_t.
