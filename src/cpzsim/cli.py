@@ -22,7 +22,7 @@ import numpy as np
 from . import mimo
 from .partition import UePosition
 from .propagation import DeterministicUnitShadowing, LognormalShadowing, ShadowingMode
-from .rng import substream
+from .rng import SINR_CHECK, ZF_CHECK, substream
 from .sim import (
     ArcCluster,
     FixedPlacement,
@@ -161,19 +161,19 @@ def _env_seed() -> int:
 # verify
 
 
-def _sub_seeds(seed: int, label: int, count: int) -> list[int]:
-    rng = substream(seed, label)
-    return [int(s) for s in rng.integers(2**63, size=count)]
+# |z| gate of the Wishart check: the Monte Carlo mean against K / (M - K) in
+# units of its standard error, from the traces' own sample spread.
+WISHART_Z_GATE = 5.0
 
 
 def _check_zf_identity(seed: int, tol: float):
     dims = [(k, m) for k in (2, 8, 32) for m in (16, 64, 200) if k < m]
     per_pair = max(1, math.ceil(100 / len(dims)))
-    seeds = iter(_sub_seeds(seed, 0, per_pair * len(dims)))
+    rng = substream(seed, ZF_CHECK)
     worst = 0.0
     for k, m in dims:
         for _ in range(per_pair):
-            h = mimo.sample_channel(k, m, next(seeds))
+            h = mimo.draw_channel(rng, k, m)
             w = mimo.zf_beamformer(h)
             dev = np.max(np.abs(h.entries @ w.entries - np.eye(k)))
             worst = max(worst, float(dev))
@@ -184,16 +184,19 @@ def _check_wishart(seed: int, trials: int, min_trials: int = 100):
     if trials < min_trials:
         return None, f"{trials} trials below minimum {min_trials}"
     expected = mimo.wishart_trace_expectation(10, 200)
-    estimate = mimo.monte_carlo_trace(10, 200, trials, seed)
-    rel = abs(estimate - expected) / expected
-    return rel < 0.02, f"relative error = {rel:.4f} (tol 0.02, {trials} trials)"
+    mean, std = mimo.monte_carlo_trace(10, 200, trials, seed)
+    rel = abs(mean - expected) / expected
+    z = (mean - expected) / (std / math.sqrt(trials))
+    return abs(z) < WISHART_Z_GATE, (f"relative error = {rel:.4f}, z = {z:+.2f} "
+                                     f"(tol |z| < {WISHART_Z_GATE:g}, {trials} trials)")
 
 
 def _check_sinr_uniformity(seed: int, tol: float = 1e-9):
     worst_spread = 0.0
     worst_dev = 0.0
-    for sub in _sub_seeds(seed, 1, 20):
-        h = mimo.sample_channel(10, 200, sub)
+    rng = substream(seed, SINR_CHECK)
+    for _ in range(20):
+        h = mimo.draw_channel(rng, 10, 200)
         per_ue = mimo.sinr_per_ue(1.0, h)
         common = mimo.sinr_zf(1.0, h)
         worst_spread = max(worst_spread, float(np.ptp(per_ue) / per_ue.mean()))

@@ -5,7 +5,8 @@ Gaussian entries (K users, M base-station antennas, K << M in the massive
 regime). Zero-forcing precoding inverts the channel so every user sees an
 interference-free link whose SINR is governed by the inverse Gram trace;
 for large arrays that trace concentrates around K/(M-K), which yields the
-ergodic sum-rate closed form used throughout the simulator.
+ergodic sum-rate closed form used throughout the simulator. Seeded channels
+are the successive draws of stream (seed, CHANNEL).
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import substream
+from .rng import CHANNEL, substream
 
 # Gram condition estimate beyond which the channel is treated as singular.
 SINGULAR_COND_LIMIT = 1e12
@@ -64,11 +65,16 @@ def _complex_entries(normals: np.ndarray, out: np.ndarray | None = None) -> np.n
     return np.divide(np.add(normals[..., 0, :, :], out, out=out), np.sqrt(2.0), out=out)
 
 
-def sample_channel(k_users: int, m_antennas: int, seed: int) -> ChannelMatrix:
-    """Draw a K x M channel with i.i.d. CN(0, 1) entries, deterministic in the seed."""
+def draw_channel(rng: np.random.Generator, k_users: int, m_antennas: int) -> ChannelMatrix:
+    """The next K x M channel with i.i.d. CN(0, 1) entries from `rng`."""
     if k_users < 1 or m_antennas < 1:
         raise ValueError(f"channel dimensions must be positive, got K={k_users}, M={m_antennas}")
-    return ChannelMatrix(_complex_entries(substream(seed).standard_normal((2, k_users, m_antennas))))
+    return ChannelMatrix(_complex_entries(rng.standard_normal((2, k_users, m_antennas))))
+
+
+def sample_channel(k_users: int, m_antennas: int, seed: int) -> ChannelMatrix:
+    """The first channel of stream (seed, CHANNEL): monte_carlo_trace's trial 0."""
+    return draw_channel(substream(seed, CHANNEL), k_users, m_antennas)
 
 
 def _gram(h: np.ndarray) -> np.ndarray:
@@ -168,25 +174,32 @@ def wishart_trace_expectation(k_users: int, m_antennas: int) -> float:
     return k_users / (m_antennas - k_users)
 
 
-def monte_carlo_trace(k_users: int, m_antennas: int, n_trials: int, seed: int) -> float:
-    """Sample mean of tr((H H^H)^-1) over independent seeded channel draws.
+def monte_carlo_trace(k_users: int, m_antennas: int, n_trials: int,
+                      seed: int) -> tuple[float, float]:
+    """Sample mean and standard deviation of tr((H H^H)^-1) over seeded channel draws.
 
-    Trial i draws sample_channel's channel from stream (seed, i). Blocks of
-    _TRACE_BLOCK trials share one stacked Gram, singularity check and solve;
-    the traces are summed in trial order, so the mean equals the per-trial
-    sum of gram_inverse_trace exactly, for any fixed prefix of trials.
+    The trials are the successive channels of stream (seed, CHANNEL), drawn
+    as draw_channel draws them; trial 0 is sample_channel(K, M, seed).
+    Blocks of _TRACE_BLOCK trials share one stacked draw, Gram, singularity
+    check and solve; the traces and their squares are summed in trial order,
+    so both results are the same for any block size and any fixed prefix of
+    trials is the same whatever n_trials is. The standard deviation (n - 1
+    in the denominator) is nan for a single trial.
     """
     if not 0 < k_users < m_antennas:
         raise ValueError(f"estimate needs 0 < K < M, got K={k_users}, M={m_antennas}")
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
+    rng = substream(seed, CHANNEL)
     normals = np.empty((min(n_trials, _TRACE_BLOCK), 2, k_users, m_antennas))
     entries = np.empty((len(normals), k_users, m_antennas), dtype=np.complex128)
-    total = 0.0
+    total = total_sq = 0.0
     for start in range(0, n_trials, _TRACE_BLOCK):
-        block = normals[:n_trials - start]
-        for i, draw in enumerate(block, start):
-            substream(seed, i).standard_normal(out=draw)
+        block = rng.standard_normal(out=normals[:n_trials - start])
         for trace in _inverse_gram_traces(_complex_entries(block, entries[:len(block)])).tolist():
             total += trace
-    return total / n_trials
+            total_sq += trace * trace
+    mean = total / n_trials
+    if n_trials == 1:
+        return mean, math.nan
+    return mean, math.sqrt(max(total_sq - total * mean, 0.0) / (n_trials - 1))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import substream
+from .rng import SHADOWING, uniform_rows
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,19 @@ class LognormalShadowing:
             raise ValueError("sigma_db must be nonnegative")
 
     def psi(self, n_draws: int, trial_index: int = 0) -> np.ndarray:
-        rng = substream(self.seed, trial_index)
+        return self.psi_rows(n_draws, trial_index, trial_index + 1)[0]
+
+    def psi_rows(self, n_draws: int, start: int, stop: int) -> np.ndarray:
+        """(stop - start, n_draws) factors of trials [start, stop) from stream (seed, SHADOWING).
+
+        Box-Muller on 2 * n_draws uniforms per trial, so trial i's factors
+        are the same whatever range they are drawn in.
+        """
+        u = uniform_rows(self.seed, SHADOWING, start, stop, 2 * n_draws)
+        gauss = np.sqrt(-2.0 * np.log1p(-u[:, :n_draws])) * np.cos(2.0 * math.pi * u[:, n_draws:])
         # An overflow gives inf, which received_power and the batch kernel reject.
         with np.errstate(over="ignore"):
-            return 10.0 ** (rng.normal(0.0, self.sigma_db, size=n_draws) / 10.0)
+            return 10.0 ** (self.sigma_db / 10.0 * gauss)
 
 
 ShadowingMode = DeterministicUnitShadowing | LognormalShadowing
@@ -134,8 +143,11 @@ def required_bs_power(d: float, target_rate_per_ue: float, k_users: int,
             f"edge distance {d} m outside [{budget.r0}, {budget.cell_radius_r}] m"
         )
     rho_req = required_snr(target_rate_per_ue, budget.bandwidth, k_users, m_antennas)
-    power = (rho_req * k_users * budget.noise_n0
-             * (d / budget.r0) ** budget.alpha / budget.path_gain_g)
+    try:
+        path_loss = (d / budget.r0) ** budget.alpha
+    except OverflowError:
+        path_loss = math.inf
+    power = rho_req * k_users * budget.noise_n0 * path_loss / budget.path_gain_g
     if power in (0.0, math.inf):  # a NaN budget is left to the schemes' budget guard
         raise ValueError(f"target rate {target_rate_per_ue} b/s at {d} m needs a power of {power} W")
     return power

@@ -1,18 +1,20 @@
 """Scenario generation, seeded Monte Carlo comparisons, and parameter sweeps.
 
 A scenario places users in the cell and evaluates the three power-allocation
-schemes on them. Trial i places its users from stream (config.seed, i) and
-draws their shadowing from stream (shadowing.seed, i); both seeds default to 0,
-so by default the two share a stream. Results are reproducible bit for bit and
-independent of the order trials run in. Runs and sweeps draw every trial's
-users and shadowing up front as (trials, users) arrays and hand them to the
-batch kernel `schemes._evaluate_trials`; `place_ues` and `build_state` are the
-per-trial scalar form, which gives the same positions and reports. Sweeps pin a
-single edge user at each distance, or re-partition one clustered user set per
-trial under different sector counts. The kernel's per-trial report tuples,
-keyed by sweep value (None for a plain comparison), are the only row type:
-the CSV writer emits them and `_aggregate` reduces them to mean power and
-mean energy efficiency per value and scheme.
+schemes on them. Trial i places its users from row i of stream
+(config.seed, PLACEMENT) and draws their shadowing from row i of stream
+(shadowing.seed, SHADOWING); the purpose tags keep the two independent even
+though both seeds default to 0. Results are reproducible bit for bit, and a
+trial's draws do not depend on how many trials run. Runs and sweeps draw every
+trial's users and shadowing up front as (trials, users) arrays, one stream
+each, and hand them to the batch kernel `schemes._evaluate_trials`;
+`place_ues` and `build_state` are the per-trial scalar form, which gives the
+same positions and reports. Sweeps pin a single edge user at each distance,
+or re-partition one clustered user set per trial under different sector
+counts. The kernel's per-trial report tuples, keyed by sweep value (None for
+a plain comparison), are the only row type: the CSV writer emits them and
+`_aggregate` reduces them to mean power and mean energy efficiency per value
+and scheme.
 """
 
 import json
@@ -24,7 +26,7 @@ import numpy as np
 
 from .partition import MAX_COUNT, TWO_PI, CpzState, PartitionGrid, UePosition
 from .propagation import DeterministicUnitShadowing, LinkBudget, ShadowingMode
-from .rng import substream
+from .rng import PLACEMENT, uniform_rows
 from .schemes import SchemeKind, SchemeReport, _evaluate_trials
 
 CSV_HEADER = "sweep_var,scheme,trial,total_power_w,sum_rate_bps,ee_bit_per_joule,n_active_sectors"
@@ -120,42 +122,46 @@ def _check_fixed_placement(placement: FixedPlacement, grid: PartitionGrid,
             )
 
 
-def _area_uniform_radii(rng, n: int, r_lo: float, r_hi: float):
-    # Density proportional to r (uniform over the ring area).
-    u = rng.random(n)
-    return (r_lo * r_lo + u * (r_hi * r_hi - r_lo * r_lo)) ** 0.5
+def _draw_users(config: ScenarioConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(trials, users) radii and angles of trials [start, stop) of a random placement.
 
-
-def _draw_users(config: ScenarioConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radii and angles of one trial's randomly placed users, from stream (seed, trial)."""
+    Trial i takes row i of 2k uniforms from stream (config.seed, PLACEMENT):
+    the first k give the radii, the last k the angles. Both are computed in
+    place, as views of the one uniforms array.
+    """
     placement = config.placement
-    rng = substream(config.seed, trial_index)
     k = config.k_users
     grid = config.grid
+    u = uniform_rows(config.seed, PLACEMENT, start, stop, 2 * k)
+    radii, angles = u[:, :k], u[:, k:]
     if isinstance(placement, UniformDisk):
-        radii = _area_uniform_radii(rng, k, config.budget.r0, grid.cell_radius)
-        return radii, rng.random(k) * (2.0 * math.pi)
-
-    if isinstance(placement, ArcCluster):
+        r_lo, r_hi, arc_end = config.budget.r0, grid.cell_radius, 2.0 * math.pi
+    elif isinstance(placement, ArcCluster):
         r_lo = max(placement.annulus * grid.cell_radius / grid.n_annuli, config.budget.r0)
         r_hi = grid.annulus_outer_radius(placement.annulus)
-        radii = _area_uniform_radii(rng, k, r_lo, r_hi)
+        arc_end = placement.sector_count_occupied * grid.sector_width()
+    else:
+        raise TypeError(f"unknown placement {placement!r}")
+    # Density proportional to r (uniform over the ring area).
+    radii *= r_hi * r_hi - r_lo * r_lo
+    radii += r_lo * r_lo
+    np.sqrt(radii, out=radii)
+    angles *= arc_end
+    if isinstance(placement, ArcCluster):
         if placement.annulus < grid.n_annuli - 1:
             # Keep rounding from spilling a draw into the next ring.
-            radii = np.minimum(radii, math.nextafter(r_hi, 0.0))
-        arc_end = placement.sector_count_occupied * grid.sector_width()
-        return radii, np.minimum(rng.random(k) * arc_end, math.nextafter(arc_end, 0.0))
-
-    raise TypeError(f"unknown placement {placement!r}")
+            np.minimum(radii, math.nextafter(r_hi, 0.0), out=radii)
+        np.minimum(angles, math.nextafter(arc_end, 0.0), out=angles)
+    return radii, angles
 
 
 def place_ues(config: ScenarioConfig, trial_index: int) -> list[UePosition]:
     """User positions for one trial, deterministic in (config.seed, trial_index)."""
     if isinstance(config.placement, FixedPlacement):
         return list(config.placement.positions)
-    radii, angles = _draw_users(config, trial_index)
+    radii, angles = _draw_users(config, trial_index, trial_index + 1)
     return [UePosition(i, r, phi)
-            for i, (r, phi) in enumerate(zip(radii.tolist(), angles.tolist()))]
+            for i, (r, phi) in enumerate(zip(radii[0].tolist(), angles[0].tolist()))]
 
 
 def build_state(grid: PartitionGrid, positions: Iterable[UePosition]) -> CpzState:
@@ -172,12 +178,9 @@ def _trial_users(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
         every_trial = (config.n_trials, 1)
         return (np.tile([pos.r for pos in placement.positions], every_trial),
                 np.tile([pos.phi for pos in placement.positions], every_trial))
-    radii = np.empty((config.n_trials, config.k_users))
-    angles = np.empty_like(radii)
-    for i in range(config.n_trials):
-        radii[i], angles[i] = _draw_users(config, i)
+    radii, angles = _draw_users(config, 0, config.n_trials)
     # Angles normalized once, the way UePosition does it.
-    return radii, np.remainder(angles, TWO_PI)
+    return radii, np.remainder(angles, TWO_PI, out=angles)
 
 
 def _trial_psi(config: ScenarioConfig, n_users: int) -> np.ndarray | None:
@@ -185,10 +188,7 @@ def _trial_psi(config: ScenarioConfig, n_users: int) -> np.ndarray | None:
     shadowing = config.shadowing
     if isinstance(shadowing, DeterministicUnitShadowing):
         return None
-    psi = np.empty((config.n_trials, n_users))
-    for i in range(config.n_trials):
-        psi[i] = shadowing.psi(n_users, i)
-    return psi
+    return shadowing.psi_rows(n_users, 0, config.n_trials)
 
 
 def _reports(config: ScenarioConfig, grid: PartitionGrid, radii: np.ndarray,

@@ -48,10 +48,10 @@ def criterion(number, title):
 
 
 def test_c1_wishart_trace_convergence():
-    with criterion(1, "inverse-Gram trace converges to K/(M-K) within 2% at 1e4 trials"):
+    with criterion(1, "inverse-Gram trace mean within 5 standard errors of K/(M-K) at 1e4 trials"):
         expected = mimo.wishart_trace_expectation(K, M)
-        estimate = mimo.monte_carlo_trace(K, M, n_trials=10_000, seed=0)
-        assert abs(estimate - expected) / expected < 0.02
+        mean, std = mimo.monte_carlo_trace(K, M, n_trials=10_000, seed=0)
+        assert abs(mean - expected) < 5.0 * std / math.sqrt(10_000)
 
 
 def test_c2_zero_forcing_identity():

@@ -6,12 +6,14 @@ import math
 import re
 from typing import Hashable
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpzsim import cli
+from cpzsim import cli, mimo, rng
 from cpzsim.partition import PartitionGrid, UePosition
+from cpzsim.rng import substream
 from cpzsim.propagation import (
     DeterministicUnitShadowing,
     LinkBudget,
@@ -50,11 +52,50 @@ def test_verify_stdout_is_pinned(capsys):
     # mean, hence the text, must not depend on how the trials are grouped.
     assert run_cli(["verify", "--trials", "300", "--seed", "3"]) == 0
     assert capsys.readouterr().out == (
-        "[PASS] zf_identity: max |HW - I| = 1.114e-15 (tol 1e-09)\n"
-        "[PASS] wishart_trace: relative error = 0.0015 (tol 0.02, 300 trials)\n"
-        "[PASS] sinr_uniformity: max relative spread = 2.615e-15, "
-        "max deviation from common value = 1.904e-15 (tol 1e-09)\n"
+        "[PASS] zf_identity: max |HW - I| = 1.332e-15 (tol 1e-09)\n"
+        "[PASS] wishart_trace: relative error = 0.0004, z = -0.28 (tol |z| < 5, 300 trials)\n"
+        "[PASS] sinr_uniformity: max relative spread = 3.255e-15, "
+        "max deviation from common value = 2.071e-15 (tol 1e-09)\n"
     )
+
+
+def test_verify_wishart_gate_catches_a_one_percent_model_error(monkeypatch, capsys):
+    # The per-trial traces spread by about 2.4%, so at 2000 trials a 1% error
+    # in K / (M - K) is about 19 standard errors: far outside |z| < 5.
+    expectation = mimo.wishart_trace_expectation
+    monkeypatch.setattr(mimo, "wishart_trace_expectation", lambda k, m: 1.01 * expectation(k, m))
+    assert run_cli(["verify", "--trials", "2000", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    match = re.search(r"\[FAIL\] wishart_trace: relative error = ([0-9.]+), z = ([0-9.+-]+) ", out)
+    assert match, out
+    # Inside the old fixed 2% relative gate, yet far outside the z gate.
+    assert float(match.group(1)) < 0.02 and float(match.group(2)) < -15
+
+
+def test_verify_checks_draw_from_their_own_streams(monkeypatch):
+    # Each check keys one stream by (seed, its own purpose) and draws all its channels from it.
+    keys = []
+
+    def recording(seed, purpose):
+        keys.append((seed, purpose))
+        return substream(seed, purpose)
+
+    monkeypatch.setattr(cli, "substream", recording)
+    monkeypatch.setattr(mimo, "substream", recording)
+    seed = 8
+    checks = {rng.ZF_CHECK: lambda: cli._check_zf_identity(seed, 1e-9),
+              rng.CHANNEL: lambda: cli._check_wishart(seed, 100),
+              rng.SINR_CHECK: lambda: cli._check_sinr_uniformity(seed)}
+    assert len(set(checks)) == 3
+    for purpose, check in checks.items():
+        keys.clear()
+        assert check()[0]
+        assert keys == [(seed, purpose)]
+    # Neither check's first channel is the Monte Carlo trial 0, nor each other's.
+    firsts = [mimo.sample_channel(10, 200, seed).entries,
+              mimo.draw_channel(substream(seed, rng.ZF_CHECK), 10, 200).entries,
+              mimo.draw_channel(substream(seed, rng.SINR_CHECK), 10, 200).entries]
+    assert not any(np.array_equal(a, b) for i, a in enumerate(firsts) for b in firsts[i + 1:])
 
 
 def test_verify_single_trial_skips_wishart(capsys):
@@ -189,8 +230,9 @@ def test_simulate_non_finite_config_number_exits_2(tmp_path, capsys, doc, where)
 
 def test_simulate_overflowing_shadowing_exits_2(tmp_path, capsys):
     # sigma 1000 dB overflows some factors to inf: no row may carry an infinite rate.
+    assert np.isinf(LognormalShadowing(1000.0, 6).psi_rows(10, 0, 20)).any()
     config = write_config(tmp_path, {"shadowing": {"kind": "lognormal", "sigma_db": 1000,
-                                                   "seed": 3}})
+                                                   "seed": 6}})
     out = tmp_path / "out.csv"
     assert run_cli(["simulate", "--config", config, "--trials", "20", "--out", str(out)]) == 2
     assert "shadowing factor must be positive and finite" in capsys.readouterr().err
@@ -199,10 +241,12 @@ def test_simulate_overflowing_shadowing_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("budget", [{}, {"path_gain_g": 1e300}])
 def test_simulate_overflowing_sinr_exits_2(tmp_path, capsys, budget):
-    # A finite factor of 1.69e308 in trial 2 overflows the SINR (with a large
+    # A finite factor of 1.52e308 in trial 1 overflows the SINR (with a large
     # path gain, already the gain times the factor): exit 2, not an infinite EE.
+    psi = LognormalShadowing(1000.0, 323).psi_rows(10, 0, 5)
+    assert np.isfinite(psi).all() and psi[1].max() > 1e300
     config = write_config(tmp_path, {"budget": budget, "shadowing": {
-        "kind": "lognormal", "sigma_db": 1000, "seed": 195}})
+        "kind": "lognormal", "sigma_db": 1000, "seed": 323}})
     out = tmp_path / "out.csv"
     assert run_cli(["simulate", "--config", config, "--trials", "5", "--out", str(out)]) == 2
     assert "sinr must be nonnegative and finite" in capsys.readouterr().err
@@ -215,16 +259,28 @@ def test_simulate_overflowing_sinr_exits_2(tmp_path, capsys, budget):
     ({"budget": {"path_gain_g": 1e300}}, "energy efficiency"),
     ({"rate_target": 1e-9, "budget": {"path_gain_g": 1e300}}, "power of 0.0 W"),
     ({"rate_target": 1e9, "budget": {"path_gain_g": 1e-300}}, "power of inf W"),
+    ({"budget": {"alpha": 400}}, "power of inf W"),
 ])
 def test_simulate_unsizable_target_or_infinite_ee_exits_2(tmp_path, capsys, doc, message):
     # The SNR a target needs overflows or rounds to zero, the sized power
-    # underflows to 0 or overflows to inf, or about 7.9e-311 W serves the
-    # cell and the EE overflows: exit 2, not a traceback or inf.
+    # underflows to 0 or overflows to inf (also through a path loss (d/r0)**400
+    # beyond a float), or about 7.9e-311 W serves the cell and the EE
+    # overflows: exit 2, not a traceback or inf.
     config = write_config(tmp_path, doc)
     out = tmp_path / "out.csv"
     assert run_cli(["simulate", "--config", config, "--trials", "20", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+def test_sweep_distance_overflowing_path_loss_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, {"budget": {"alpha": 400}})
+    out = tmp_path / "out.csv"
+    assert run_cli(["sweep", "--config", config, "--variable", "distance",
+                    "--values", "200,1000", "--trials", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "power of inf W" in err
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -114,7 +115,7 @@ ON_BOUNDARIES = FixedPlacement(tuple(
                boundary_radii(EDGES, LinkBudget()), [1, 20, 40]), block=1)
 @example(case=(ScenarioConfig(shadowing=LognormalShadowing(), n_trials=300),
                [100.0, 550.0, 1000.0], [1, 2, 3, 6, 9, 18, 36]), block=64)
-@example(case=(ScenarioConfig(shadowing=LognormalShadowing(1000.0, 195), n_trials=5),
+@example(case=(ScenarioConfig(shadowing=LognormalShadowing(1000.0, 323), n_trials=5),
                [1000.0], [1]), block=2)
 def test_kernel_matches_scalar_oracle(case, block):
     # The 300-trial example is there for last-bit faults, such as numpy's
@@ -146,3 +147,12 @@ def test_kernel_guard_rejects_nan_power(monkeypatch):
     monkeypatch.setattr(schemes, "required_bs_power", lambda *args: float("nan"))
     with pytest.raises(RuntimeError, match="exceeds the always-max budget"):
         run_comparison(ScenarioConfig(n_trials=3))
+
+
+def test_overflow_example_trips_the_sinr_guard():
+    # The seed-323 example above: a finite factor above 1e300 overflows the SINR.
+    config = ScenarioConfig(shadowing=LognormalShadowing(1000.0, 323), n_trials=5)
+    psi = config.shadowing.psi_rows(config.k_users, 0, config.n_trials)
+    assert np.isfinite(psi).all() and psi.max() > 1e300
+    with pytest.raises(ValueError, match="sinr must be nonnegative and finite"):
+        run_comparison(config)

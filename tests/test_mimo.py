@@ -7,6 +7,7 @@ the ergodic rate, and elementwise summation for norms.
 """
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpzsim import mimo
-from cpzsim.rng import substream
+from cpzsim.rng import CHANNEL, substream
 
 
 def oracle_per_ue_sinr(rho, h_entries):
@@ -280,18 +281,19 @@ def test_wishart_expectation_rejects_m_not_greater():
 
 
 def test_monte_carlo_trace_small_case_converges():
-    est = mimo.monte_carlo_trace(1, 2, n_trials=10_000, seed=0)
+    est, _ = mimo.monte_carlo_trace(1, 2, n_trials=10_000, seed=0)
     assert abs(est - 1.0) < 0.05
 
 
 def test_monte_carlo_trace_single_trial_reproducible():
-    a = mimo.monte_carlo_trace(10, 200, n_trials=1, seed=77)
-    b = mimo.monte_carlo_trace(10, 200, n_trials=1, seed=77)
+    a, std = mimo.monte_carlo_trace(10, 200, n_trials=1, seed=77)
+    b, _ = mimo.monte_carlo_trace(10, 200, n_trials=1, seed=77)
     assert a == b
+    assert math.isnan(std)  # no spread from one trial
 
 
 def test_monte_carlo_trace_prefix_stable():
-    # Trial i draws from its own stream, so extending the run keeps the prefix.
+    # Trials are successive draws of one stream, so extending the run keeps the prefix.
     short = mimo.monte_carlo_trace(4, 32, n_trials=10, seed=5)
     long = mimo.monte_carlo_trace(4, 32, n_trials=20, seed=5)
     rerun = mimo.monte_carlo_trace(4, 32, n_trials=10, seed=5)
@@ -319,18 +321,26 @@ def oracle_draw(k, m, rng):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
+def oracle_traces(k, m, n_trials, seed):
+    """Per-trial gram_inverse_trace of the successive channels of stream (seed, CHANNEL)."""
+    rng = substream(seed, CHANNEL)
+    return [mimo.gram_inverse_trace(mimo.ChannelMatrix(oracle_draw(k, m, rng)))
+            for _ in range(n_trials)]
+
+
 def oracle_monte_carlo_trace(k, m, n_trials, seed):
-    """Per-trial traces from gram_inverse_trace, summed in trial order."""
+    """The traces summed in trial order."""
     total = 0.0
-    for i in range(n_trials):
-        total += mimo.gram_inverse_trace(mimo.ChannelMatrix(oracle_draw(k, m, substream(seed, i))))
+    for trace in oracle_traces(k, m, n_trials, seed):
+        total += trace
     return total / n_trials
 
 
 def oracle_conds(k, m, n_trials, seed):
+    rng = substream(seed, CHANNEL)
     conds = []
-    for i in range(n_trials):
-        h = oracle_draw(k, m, substream(seed, i))
+    for _ in range(n_trials):
+        h = oracle_draw(k, m, rng)
         conds.append(float(np.linalg.cond(h @ h.conj().T)))
     return conds
 
@@ -339,14 +349,26 @@ def oracle_conds(k, m, n_trials, seed):
 @pytest.mark.parametrize("m, seed", [(6, 11), (12, 2**40)])
 def test_monte_carlo_trace_equals_per_trial_oracle(n_trials, m, seed):
     for k in range(1, m):
-        assert (mimo.monte_carlo_trace(k, m, n_trials, seed)
-                == oracle_monte_carlo_trace(k, m, n_trials, seed))
+        mean, std = mimo.monte_carlo_trace(k, m, n_trials, seed)
+        assert mean == oracle_monte_carlo_trace(k, m, n_trials, seed)
+        if n_trials == 1:
+            assert math.isnan(std)
+        else:
+            # The running sum of squares cancels about 3 digits at these spreads.
+            assert std == pytest.approx(statistics.stdev(oracle_traces(k, m, n_trials, seed)),
+                                        rel=1e-9)
+
+
+@pytest.mark.parametrize("block", [1, 16, 17])
+def test_monte_carlo_trace_is_independent_of_block_size(monkeypatch, block):
+    expected = mimo.monte_carlo_trace(4, 9, 40, 3)
+    monkeypatch.setattr(mimo, "_TRACE_BLOCK", block)
+    assert mimo.monte_carlo_trace(4, 9, 40, 3) == expected
 
 
 def test_block_draw_is_sample_channel(monkeypatch):
-    # Key stream (seed, i) as seed + i: trial i then draws from the generator
-    # that sample_channel(k, m, seed + i) uses.
-    monkeypatch.setattr(mimo, "substream", lambda *key: substream(sum(key)))
+    # Trial 0 is sample_channel's channel; every trial is the next draw_channel
+    # draw of stream (seed, CHANNEL).
     stacks = []
     inverse_gram_traces = mimo._inverse_gram_traces
 
@@ -358,9 +380,12 @@ def test_block_draw_is_sample_channel(monkeypatch):
     k, m, seed = 3, 7, 40
     mimo.monte_carlo_trace(k, m, BLOCK + 2, seed)
     assert [len(stack) for stack in stacks] == [BLOCK, 2]
-    for i, draw in enumerate(np.concatenate(stacks)):
-        assert draw.tobytes() == mimo.sample_channel(k, m, seed + i).entries.tobytes()
-        assert draw.tobytes() == oracle_draw(k, m, substream(seed + i)).tobytes()
+    draws = np.concatenate(stacks)
+    assert draws[0].tobytes() == mimo.sample_channel(k, m, seed).entries.tobytes()
+    rng, oracle_rng = substream(seed, CHANNEL), substream(seed, CHANNEL)
+    for draw in draws:
+        assert draw.tobytes() == mimo.draw_channel(rng, k, m).entries.tobytes()
+        assert draw.tobytes() == oracle_draw(k, m, oracle_rng).tobytes()
 
 
 def test_monte_carlo_trace_singular_trial_in_first_block(monkeypatch):
@@ -375,6 +400,7 @@ def test_monte_carlo_trace_singular_trial_in_later_block(monkeypatch):
     limit = max(conds[:BLOCK])
     assert max(conds[BLOCK:]) > limit  # some trial after the first block is over the limit
     monkeypatch.setattr(mimo, "SINGULAR_COND_LIMIT", limit)
-    assert mimo.monte_carlo_trace(k, m, BLOCK, seed) == oracle_monte_carlo_trace(k, m, BLOCK, seed)
+    mean, _ = mimo.monte_carlo_trace(k, m, BLOCK, seed)
+    assert mean == oracle_monte_carlo_trace(k, m, BLOCK, seed)
     with pytest.raises(ValueError, match="numerically singular"):
         mimo.monte_carlo_trace(k, m, n_trials, seed)

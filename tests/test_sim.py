@@ -2,10 +2,13 @@
 
 import json
 import math
+import statistics
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from cpzsim import propagation, sim
+from cpzsim import rng, sim
 from cpzsim.partition import PartitionGrid, UePosition, locate
 from cpzsim.propagation import LognormalShadowing
 from cpzsim.schemes import SchemeKind
@@ -83,6 +86,47 @@ def test_placement_independent_of_n_trials():
     a = place_ues(make_config(seed=9, n_trials=5), 2)
     b = place_ues(make_config(seed=9, n_trials=50), 2)
     assert a == b
+
+
+@pytest.mark.parametrize("placement", [UniformDisk(), ArcCluster(3, 1)])
+def test_scalar_draws_are_rows_of_the_batch_draw(placement):
+    # Trial i's users and shadowing are row i of the batch, whatever n_trials is.
+    config = make_config(placement=placement, k_users=7, seed=12,
+                         shadowing=LognormalShadowing(sigma_db=8.0, seed=5))
+    n = 13
+    for n_trials in (n, 2 * n):
+        batch = replace(config, n_trials=n_trials)
+        radii, angles = sim._trial_users(batch)
+        psi = sim._trial_psi(batch, config.k_users)
+        assert radii.shape == angles.shape == psi.shape == (n_trials, config.k_users)
+        for i in range(n):
+            positions = place_ues(config, i)
+            assert [p.r for p in positions] == radii[i].tolist()
+            assert [p.phi for p in positions] == angles[i].tolist()
+            assert config.shadowing.psi(config.k_users, i).tolist() == psi[i].tolist()
+
+
+def test_reports_of_a_prefix_of_trials_do_not_depend_on_n_trials():
+    config = make_config(seed=4, n_trials=9, shadowing=LognormalShadowing(sigma_db=8.0, seed=2))
+    assert run_comparison(replace(config, n_trials=5)) == run_comparison(config)[:5]
+
+
+def test_placement_and_shadowing_independent_under_default_seeds():
+    # Both seeds default to 0. Each user's placement uniforms (radius through
+    # its ring-area CDF, and angle) and its shadowing draw (through the normal
+    # CDF) must fill a 10 x 10 grid of equal-probability cells evenly: a
+    # chi-square of 180.8 on 99 degrees of freedom has p = 1e-6.
+    config = make_config(n_trials=20_000, shadowing=LognormalShadowing())
+    radii, angles = sim._trial_users(config)
+    gauss = 10.0 * np.log10(sim._trial_psi(config, config.k_users)) / config.shadowing.sigma_db
+    deciles = [statistics.NormalDist().inv_cdf(q / 10) for q in range(1, 10)]
+    shadow_bin = np.digitize(gauss, deciles).ravel()
+    r0, big_r = config.budget.r0, config.grid.cell_radius
+    for u in ((radii**2 - r0**2) / (big_r**2 - r0**2), angles / TWO_PI):
+        place_bin = np.minimum((u * 10).astype(int), 9).ravel()
+        counts = np.bincount(place_bin * 10 + shadow_bin, minlength=100)
+        expected = u.size / 100
+        assert ((counts - expected) ** 2 / expected).sum() < 180.8
 
 
 def test_uniform_disk_area_fraction():
@@ -278,12 +322,12 @@ def test_sweep_sectors_draws_users_and_shadowing_once_per_trial(monkeypatch):
             return substream(*key)
         return wrapped
 
-    monkeypatch.setattr(sim, "substream", counting(sim.substream))
-    monkeypatch.setattr(propagation, "substream", counting(propagation.substream))
+    monkeypatch.setattr(rng, "substream", counting(rng.substream))
     config = make_config(shadowing=LognormalShadowing(sigma_db=8.0, seed=3), n_trials=6)
     sweep_sectors(config, [1, 2, 3, 6, 9, 18, 36])
-    # One placement stream and one shadowing stream per trial, whatever the count.
-    assert len(calls) == 2 * config.n_trials
+    # One placement stream and one shadowing stream per sweep, whatever the
+    # count or the number of trials: each trial's row is drawn once.
+    assert calls == [(0, rng.PLACEMENT), (3, rng.SHADOWING)]
 
 
 def test_sweep_sectors_rejects_bad_counts():
