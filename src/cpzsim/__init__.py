@@ -30,6 +30,7 @@ from .propagation import (
 )
 from .schemes import (
     Region,
+    SchemeColumns,
     SchemeKind,
     SchemeReport,
     energy_efficiency,

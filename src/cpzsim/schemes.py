@@ -16,8 +16,11 @@ Two forms compute the same reports. `powered_regions`, `per_ue_rates` and
 `evaluate_scheme` work on one `CpzState` snapshot: the public scalar API,
 and the oracle the batch form is tested against. `_evaluate_trials`
 evaluates all three schemes on a whole batch of trials held as
-(trials, users) arrays; Monte Carlo runs and sweeps go through it. Both give
-the same floats bit for bit.
+(trials, users) arrays and returns one `SchemeColumns` per scheme, a list
+per report field, whose `report(t)` is trial t's `SchemeReport`; Monte Carlo
+runs and sweeps go through it. It computes always-max's per-user rates once
+and reuses them for every zooming or cpz user whose region reaches the edge
+ring. Both forms give the same floats bit for bit.
 """
 
 import functools
@@ -170,28 +173,38 @@ def evaluate_scheme(kind: SchemeKind, state: CpzState, budget: LinkBudget,
                          state.grid.n_sectors)
     p_max = required_bs_power(budget.cell_radius_r, rate_target, k_users, m_antennas, budget)
     _check_budget(kind, total, p_max)
-    rates = _region_rates(sized, state, budget, k_users, m_antennas, psi)
-    return _report(kind, total, math.fsum(rates.values()),
-                   sum(region.wedges for region, _ in sized))
+    sum_rate = math.fsum(_region_rates(sized, state, budget, k_users, m_antennas, psi).values())
+    return SchemeReport(kind, total, sum_rate, energy_efficiency(sum_rate, total),
+                        sum(region.wedges for region, _ in sized))
 
 
-def _report(kind: SchemeKind, total: float, sum_rate: float,
-            n_active_sectors: int) -> SchemeReport:
-    return SchemeReport(kind, total, sum_rate, energy_efficiency(sum_rate, total), n_active_sectors)
+class SchemeColumns(NamedTuple):
+    """One scheme's outcomes on a batch of trials: trial t is index t of each list."""
+
+    scheme: SchemeKind
+    total_power: list[float]
+    sum_rate: list[float]
+    ee: list[float | None]
+    n_active_sectors: list[int]
+
+    def report(self, t: int) -> SchemeReport:
+        """Trial t as the SchemeReport evaluate_scheme gives for it."""
+        return SchemeReport(self.scheme, self.total_power[t], self.sum_rate[t], self.ee[t],
+                            self.n_active_sectors[t])
 
 
 def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float,
                      k_users: int, m_antennas: int, r: np.ndarray, phi: np.ndarray,
-                     psi: np.ndarray | None = None) -> list[tuple[SchemeReport, ...]]:
-    """The reports of all three schemes, in SCHEME_ORDER, on every trial of a batch.
+                     psi: np.ndarray | None = None) -> tuple[SchemeColumns, ...]:
+    """The columns of all three schemes, in SCHEME_ORDER, on every trial of a batch.
 
     r, phi and psi are (trials, users) arrays of each trial's user distances,
     angles (normalized as UePosition holds them) and slow-fading factors; psi
-    None means unit shadowing. Row t gives the same reports, float for float,
-    as evaluate_scheme on the build_state of row t's users, and the same
-    errors: a distance outside [r0, R] or a factor that is not positive and
-    finite, or an SINR that is not finite, raises ValueError, a total above
-    the always-max budget RuntimeError.
+    None means unit shadowing. Trial t of the columns holds the same reports,
+    float for float, as evaluate_scheme on the build_state of row t's users,
+    and the same errors: a distance outside [r0, R] or a factor that is not
+    positive and finite, or an SINR that is not finite, raises ValueError, a
+    total above the always-max budget RuntimeError.
     """
     def size(d: float) -> float:
         return required_bs_power(d, rate_target, k_users, m_antennas, budget)
@@ -209,8 +222,18 @@ def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float
         # A trial's power: one `wedges`-sector region per annulus in tops.
         return _total_power([(wedges, ring_power[a]) for a in tops if a >= 0], n_sectors)
 
+    def rates(faded: np.ndarray, power) -> np.ndarray:
+        # The order of operations and the finite check of snr_rho and per_ue_rate;
+        # log2 runs on Python floats, since numpy's can differ in the last bit.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sinr = faded * power / k_users / budget.noise_n0 * (m_antennas - k_users)
+        if not np.isfinite(sinr).all():
+            raise ValueError("sinr must be nonnegative and finite")
+        flat = (1.0 + sinr).ravel().tolist()
+        return budget.bandwidth * np.fromiter(map(math.log2, flat), float, len(flat))
+
     full_total = total(n_sectors, (edge,))
-    reports = []
+    columns = tuple(SchemeColumns(kind, [], [], [], []) for kind in SCHEME_ORDER)
     for start in range(0, len(r), _BLOCK):
         rb = r[start:start + _BLOCK]
         n, n_users = rb.shape
@@ -218,15 +241,15 @@ def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float
         if outside.any():
             raise ValueError(f"user distance {rb[outside][0]} m outside "
                              f"[{budget.r0}, {grid.cell_radius}] m")
-        # pow and log2 run on Python floats: numpy's vector versions can
-        # differ from them in the last bit.
-        gain = np.array([budget.path_gain_g * x ** -budget.alpha
-                         for x in (rb / budget.r0).ravel().tolist()]).reshape(n, n_users)
-        fading = 1.0
+        # pow runs on Python floats, as log2 does.
+        faded = np.array([budget.path_gain_g * x ** -budget.alpha
+                          for x in (rb / budget.r0).ravel().tolist()]).reshape(n, n_users)
         if psi is not None:
             fading = psi[start:start + _BLOCK]
             if not ((0 < fading) & (fading < math.inf)).all():
                 raise ValueError("shadowing factor must be positive and finite")
+            with np.errstate(over="ignore"):
+                faded = faded * fading
 
         # top[t, j]: the highest annulus occupied in the j-th of the sectors
         # that hold users somewhere in the block, -1 if none in trial t.
@@ -243,32 +266,39 @@ def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float
         powers = np.array([ring_power[a] for a in rings.tolist()])
         farthest = top.max(axis=1, initial=-1)
 
-        totals = np.array([(full_total, total(n_sectors, (a,)), total(1, tuple(tops)))
-                           for a, tops in zip(farthest.tolist(), np.sort(top, axis=1).tolist())])
+        totals = np.array([[full_total] * n,
+                           [total(n_sectors, (a,)) for a in farthest.tolist()],
+                           [total(1, tuple(tops)) for tops in np.sort(top, axis=1).tolist()]])
         over = ~(totals <= p_max)
         if over.any():
-            t, k = np.argwhere(over)[0]
-            _check_budget(SCHEME_ORDER[k], totals[t, k].item(), p_max)
+            t, k = np.argwhere(over.T)[0]
+            _check_budget(SCHEME_ORDER[k], totals[k, t].item(), p_max)
+        if np.any(powers < 0):
+            raise ValueError("radiated power must be nonnegative")
 
-        sums = []
-        for region_ring in (edge, farthest[:, None], top[rows, column]):
-            power = powers[np.searchsorted(rings, region_ring)]
-            if np.any(power < 0):
-                raise ValueError("radiated power must be nonnegative")
-            # The order of operations and the finite check of snr_rho and per_ue_rate.
-            with np.errstate(over="ignore", invalid="ignore"):
-                sinr = gain * fading * power / k_users / budget.noise_n0 * (m_antennas - k_users)
-            if not np.isfinite(sinr).all():
-                raise ValueError("sinr must be nonnegative and finite")
-            rate = budget.bandwidth * np.array([math.log2(x)
-                                                for x in (1.0 + sinr).ravel().tolist()])
-            sums.append([math.fsum(row) for row in rate.reshape(n, n_users).tolist()])
+        # Always-max serves everyone from the edge ring. A zooming or cpz user
+        # whose region also reaches the edge ring gets the same power, hence
+        # the same rate: only the others are evaluated again.
+        full_rates = rates(faded, ring_power[edge]).reshape(n, n_users)
+        full_sums = [math.fsum(row) for row in full_rates.tolist()]
+        sums = [full_sums]
+        for region_ring in (np.broadcast_to(farthest[:, None], (n, n_users)), top[rows, column]):
+            inner = region_ring != edge
+            scheme_rates = full_rates.copy()
+            scheme_rates[inner] = rates(faded[inner],
+                                        powers[np.searchsorted(rings, region_ring[inner])])
+            scheme_sums = full_sums.copy()
+            mixed = np.flatnonzero(inner.any(axis=1))
+            for t, row in zip(mixed.tolist(), scheme_rates[mixed].tolist()):
+                scheme_sums[t] = math.fsum(row)
+            sums.append(scheme_sums)
 
         active = (top >= 0).sum(axis=1).tolist()
-        for (p_full, p_zoom, p_cpz), s_full, s_zoom, s_cpz, n_active in zip(
-                totals.tolist(), *sums, active):
-            reports.append((_report(SchemeKind.ALWAYS_MAX, p_full, s_full, n_sectors),
-                            _report(SchemeKind.ZOOMING, p_zoom, s_zoom,
-                                    n_sectors if n_active else 0),
-                            _report(SchemeKind.CPZ, p_cpz, s_cpz, n_active)))
-    return reports
+        for cols, power, sum_rate, n_active in zip(
+                columns, totals.tolist(), sums,
+                ([n_sectors] * n, [n_sectors if a else 0 for a in active], active)):
+            cols.total_power.extend(power)
+            cols.sum_rate.extend(sum_rate)
+            cols.ee.extend(map(energy_efficiency, sum_rate, power))
+            cols.n_active_sectors.extend(n_active)
+    return columns

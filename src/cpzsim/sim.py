@@ -11,23 +11,24 @@ each, and hand them to the batch kernel `schemes._evaluate_trials`;
 `place_ues` and `build_state` are the per-trial scalar form, which gives the
 same positions and reports. Sweeps pin a single edge user at each distance,
 or re-partition one clustered user set per trial under different sector
-counts. The kernel's per-trial report tuples, keyed by sweep value (None for
-a plain comparison), are the only row type: the CSV writer emits them and
-`_aggregate` reduces them to mean power and mean energy efficiency per value
-and scheme.
+counts. The kernel's per-scheme columns (`schemes.SchemeColumns`, one list
+per report field), keyed by sweep value (None for a plain comparison), are the
+only result type: the CSV writer streams them a chunk of trials at a time,
+formatting each distinct float once per chunk, and `_aggregate` reduces them
+to mean power and mean energy efficiency per value and scheme.
 """
 
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .partition import MAX_COUNT, TWO_PI, CpzState, PartitionGrid, UePosition
 from .propagation import DeterministicUnitShadowing, LinkBudget, ShadowingMode
 from .rng import PLACEMENT, uniform_rows
-from .schemes import SchemeKind, SchemeReport, _evaluate_trials
+from .schemes import SchemeColumns, SchemeKind, _evaluate_trials
 
 CSV_HEADER = "sweep_var,scheme,trial,total_power_w,sum_rate_bps,ee_bit_per_joule,n_active_sectors"
 
@@ -92,7 +93,7 @@ class ScenarioConfig:
         if isinstance(self.placement, ArcCluster):
             _check_arc_cluster(self.placement, self.grid, self.budget)
         if isinstance(self.placement, FixedPlacement):
-            _check_fixed_placement(self.placement, self.grid, self.budget)
+            _check_fixed_placement(self.placement, self.k_users, self.grid, self.budget)
 
 
 def _check_arc_cluster(arc: ArcCluster, grid: PartitionGrid, budget: LinkBudget) -> None:
@@ -108,8 +109,13 @@ def _check_arc_cluster(arc: ArcCluster, grid: PartitionGrid, budget: LinkBudget)
         )
 
 
-def _check_fixed_placement(placement: FixedPlacement, grid: PartitionGrid,
+def _check_fixed_placement(placement: FixedPlacement, k_users: int, grid: PartitionGrid,
                            budget: LinkBudget) -> None:
+    # Each served user gets a 1/k_users share of the sized power, so more
+    # users than k_users would be served beyond the budget.
+    if len(placement.positions) > k_users:
+        raise ValueError(f"fixed placement lists {len(placement.positions)} positions, "
+                         f"more than k_users = {k_users}")
     seen = set()
     for pos in placement.positions:
         if pos.ue_id in seen:
@@ -192,13 +198,16 @@ def _trial_psi(config: ScenarioConfig, n_users: int) -> np.ndarray | None:
 
 
 def _reports(config: ScenarioConfig, grid: PartitionGrid, radii: np.ndarray,
-             angles: np.ndarray, psi: np.ndarray | None) -> list[tuple[SchemeReport, ...]]:
+             angles: np.ndarray, psi: np.ndarray | None) -> tuple[SchemeColumns, ...]:
     return _evaluate_trials(grid, config.budget, config.rate_target, config.k_users,
                             config.m_antennas, radii, angles, psi)
 
 
-def run_comparison(config: ScenarioConfig) -> list[tuple[SchemeReport, ...]]:
-    """Per-trial reports for all three schemes, in scheme order, trial order preserved."""
+def run_comparison(config: ScenarioConfig) -> tuple[SchemeColumns, ...]:
+    """The columns of all three schemes, in scheme order; trial t is index t of each.
+
+    `columns[k].report(t)` is scheme k's SchemeReport on trial t.
+    """
     radii, angles = _trial_users(config)
     return _reports(config, config.grid, radii, angles, _trial_psi(config, radii.shape[1]))
 
@@ -206,8 +215,8 @@ def run_comparison(config: ScenarioConfig) -> list[tuple[SchemeReport, ...]]:
 # ---------------------------------------------------------------------------
 # Sweeps
 
-# Per-trial report tuples by sweep value, None for a plain comparison.
-ReportsByValue = Mapping[float | int | None, list[tuple[SchemeReport, ...]]]
+# The scheme columns by sweep value, None for a plain comparison.
+ReportsByValue = Mapping[float | int | None, tuple[SchemeColumns, ...]]
 
 
 @dataclass(frozen=True)
@@ -221,10 +230,10 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepRun:
-    """A sweep's aggregated rows and the per-trial reports behind them.
+    """A sweep's aggregated rows and the per-trial results behind them.
 
-    reports maps each sweep value, in sorted order, to its per-trial report
-    tuples, the shape run_comparison returns.
+    reports maps each sweep value, in sorted order, to its scheme columns,
+    the shape run_comparison returns.
     """
 
     variable: str
@@ -235,13 +244,13 @@ class SweepRun:
 def _aggregate(reports: ReportsByValue) -> tuple[SweepRow, ...]:
     """Mean power and mean defined EE per sweep value and scheme, in scheme order."""
     rows = []
-    for value, trials in reports.items():
-        for column in zip(*trials):
-            defined = [r.ee for r in column if r.ee is not None]
+    for value, columns in reports.items():
+        for column in columns:
+            defined = [ee for ee in column.ee if ee is not None]
             rows.append(SweepRow(
                 sweep_var=value,
-                scheme=column[0].scheme,
-                mean_total_power=math.fsum(r.total_power for r in column) / len(column),
+                scheme=column.scheme,
+                mean_total_power=math.fsum(column.total_power) / len(column.total_power),
                 mean_ee=math.fsum(defined) / len(defined) if defined else None,
                 n_trials_defined=len(defined),
             ))
@@ -302,22 +311,58 @@ def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> Sweep
 # Emission
 
 
+class _Reprs(dict):
+    """repr of each float looked up, computed once per distinct value; None gives ''.
+
+    Zeros are never stored, since -0.0 == 0.0 would share one entry.
+    """
+
+    def __init__(self):
+        super().__init__({None: ""})
+
+    def __missing__(self, x: float) -> str:
+        text = repr(x)
+        if x:
+            self[x] = text
+        return text
+
+
+# Trials per CSV chunk; bounds the text and the repr cache held at once.
+_CSV_CHUNK = 2048
+
+
+def _csv_chunks(reports: ReportsByValue) -> Iterator[str]:
+    """The CSV text in pieces: the header line, then whole rows of up to _CSV_CHUNK trials."""
+    yield CSV_HEADER + "\n"
+    for value, columns in reports.items():
+        sweep_var = "" if value is None else repr(value)
+        n_trials = len(columns[0].total_power)
+        for start in range(0, n_trials, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, n_trials)
+            text = _Reprs().__getitem__
+            lines = [""] * (len(columns) * (stop - start))
+            for k, col in enumerate(columns):
+                prefix = f"{sweep_var},{col.scheme.value},"
+                lines[k::len(columns)] = [
+                    f"{prefix}{trial},{power},{sum_rate},{ee},{n_active}"
+                    for trial, power, sum_rate, ee, n_active in zip(
+                        range(start, stop),
+                        map(text, col.total_power[start:stop]),
+                        map(text, col.sum_rate[start:stop]),
+                        map(text, col.ee[start:stop]),
+                        col.n_active_sectors[start:stop])]
+            yield "\n".join(lines) + "\n"
+
+
 def format_records_csv(reports: ReportsByValue) -> str:
     """Locale-independent CSV of the reports, rows in value, trial, scheme order."""
-    lines = [CSV_HEADER]
-    for value, trials in reports.items():
-        sweep_var = "" if value is None else repr(value)
-        for trial, trial_reports in enumerate(trials):
-            for rep in trial_reports:
-                ee = "" if rep.ee is None else repr(rep.ee)
-                lines.append(f"{sweep_var},{rep.scheme.value},{trial},{rep.total_power!r},"
-                             f"{rep.sum_rate!r},{ee},{rep.n_active_sectors}")
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(reports))
 
 
 def write_records_csv(path, reports: ReportsByValue) -> None:
+    """Write format_records_csv(reports) to path, a chunk at a time."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(format_records_csv(reports))
+        fh.writelines(_csv_chunks(reports))
 
 
 def write_sweep_json(path, run: SweepRun) -> None:

@@ -72,11 +72,13 @@ def test_c2_zero_forcing_identity():
 
 def test_c3_closed_form_rate_vs_monte_carlo():
     with criterion(3, "closed-form sum rate within 5% of 2000-draw Monte Carlo at rho in {0.01,0.1,1}"):
+        traces = []
+        for i in range(2000):
+            h = mimo.sample_channel(K, M, seed=500_000 + i)
+            traces.append(float(np.trace(np.linalg.inv(h.entries @ h.entries.conj().T)).real))
         for rho in (0.01, 0.1, 1.0):
             total = 0.0
-            for i in range(2000):
-                h = mimo.sample_channel(K, M, seed=500_000 + i)
-                trace = float(np.trace(np.linalg.inv(h.entries @ h.entries.conj().T)).real)
+            for trace in traces:
                 total += K * BUDGET.bandwidth * math.log2(1.0 + rho * K / trace)
             mc = total / 2000
             closed = mimo.sum_rate_closed_form(K, M, rho, BUDGET.bandwidth)

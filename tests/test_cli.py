@@ -197,6 +197,35 @@ def test_simulate_fixed_position_outside_cell_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def fixed_ring(n_users):
+    return [{"r": 500.0, "phi": i * 2.0 * math.pi / n_users} for i in range(n_users)]
+
+
+@pytest.mark.parametrize("n_users", [11, 30])
+def test_simulate_more_fixed_positions_than_k_users_exits_2(tmp_path, capsys, n_users):
+    # Each user's power share is sized for k_users = 10; more users used to
+    # run with exit 0 and an inflated sum rate.
+    config = write_config(tmp_path, {
+        "k_users": 10, "placement": {"kind": "fixed", "positions": fixed_ring(n_users)},
+    })
+    out = tmp_path / "out.csv"
+    assert run_cli(["simulate", "--config", config, "--trials", "2", "--out", str(out)]) == 2
+    assert f"{n_users} positions, more than k_users = 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_exactly_k_fixed_positions_runs(tmp_path):
+    config = write_config(tmp_path, {
+        "k_users": 10, "placement": {"kind": "fixed", "positions": fixed_ring(10)},
+    })
+    out = tmp_path / "out.csv"
+    assert run_cli(["simulate", "--config", config, "--trials", "2", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 2 * 3
+    # Every user sits in ring 1 of its own sector: cpz powers ten sectors.
+    assert [line.split(",")[-1] for line in lines[1:4]] == ["18", "18", "10"]
+
+
 def test_simulate_out_dir_missing_exits_3(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_cli(["simulate", "--trials", "1", "--out", str(out)]) == 3

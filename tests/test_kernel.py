@@ -3,9 +3,10 @@
 `run_comparison`, `sweep_distance` and `sweep_sectors` evaluate whole
 batches of trials with `schemes._evaluate_trials`. The oracle here rebuilds
 every trial from the public scalar API (`place_ues` or fixed positions,
-`LognormalShadowing.psi`, `build_state`, `evaluate_scheme`) and the reports
-must match it with `==` on every field, no tolerance, or both must raise
-the same exception type.
+`LognormalShadowing.psi`, `build_state`, `evaluate_scheme`) and each trial's
+reports, read from the scheme columns with `report(t)`, must match it with
+`==` on every field, no tolerance, or both must raise the same exception
+type.
 """
 
 import math
@@ -54,6 +55,18 @@ def oracle_records(config, values, scenario):
             for value in values}
 
 
+def trial_reports(columns):
+    """Per-trial (always_max, zooming, cpz) report tuples of scheme columns."""
+    assert tuple(col.scheme for col in columns) == SCHEME_ORDER
+    n_trials = len(columns[0].total_power)
+    assert all(len(field) == n_trials for col in columns for field in col[1:])
+    return [tuple(col.report(t) for col in columns) for t in range(n_trials)]
+
+
+def by_value(reports):
+    return {value: trial_reports(columns) for value, columns in reports.items()}
+
+
 def outcome(run):
     try:
         return run()
@@ -81,7 +94,7 @@ def scenarios(draw):
     angles = st.one_of(st.sampled_from(wedges), st.floats(-10.0, 10.0))
     reaches = [a for a in range(grid.n_annuli) if grid.annulus_outer_radius(a) > budget.r0]
     placements = [st.just(UniformDisk()),
-                  st.lists(st.tuples(radii, angles), max_size=8).map(
+                  st.lists(st.tuples(radii, angles), max_size=min(k_users, 8)).map(
                       lambda points: FixedPlacement(tuple(
                           UePosition(i, r, phi) for i, (r, phi) in enumerate(points))))]
     if reaches:
@@ -137,9 +150,11 @@ def test_kernel_matches_scalar_oracle(case, block):
 
     expected_sectors = outcome(sector_oracle)
     with mock.patch.object(schemes, "_BLOCK", block):
-        assert outcome(lambda: run_comparison(config)) == expected_run
-        assert outcome(lambda: sweep_distance(config, distances).reports) == expected_distance
-        assert outcome(lambda: sweep_sectors(config, counts).reports) == expected_sectors
+        assert outcome(lambda: trial_reports(run_comparison(config))) == expected_run
+        assert outcome(lambda: by_value(sweep_distance(config, distances).reports)) == \
+            expected_distance
+        assert outcome(lambda: by_value(sweep_sectors(config, counts).reports)) == \
+            expected_sectors
 
 
 def test_kernel_guard_rejects_nan_power(monkeypatch):

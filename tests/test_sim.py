@@ -11,7 +11,7 @@ import pytest
 from cpzsim import rng, sim
 from cpzsim.partition import PartitionGrid, UePosition, locate
 from cpzsim.propagation import LognormalShadowing
-from cpzsim.schemes import SchemeKind
+from cpzsim.schemes import SCHEME_ORDER, SchemeColumns, SchemeKind
 from cpzsim.sim import (
     ArcCluster,
     FixedPlacement,
@@ -34,6 +34,11 @@ def make_config(**overrides):
     return ScenarioConfig(**overrides)
 
 
+def trial_reports(columns):
+    """Per-trial (always_max, zooming, cpz) report tuples of scheme columns."""
+    return [tuple(col.report(t) for col in columns) for t in range(len(columns[0].total_power))]
+
+
 # ---------------------------------------------------------------------------
 # ScenarioConfig validation
 
@@ -53,6 +58,13 @@ def test_config_rejects_arc_cluster_outside_grid():
         make_config(placement=ArcCluster(sector_count_occupied=19, annulus=0))
     with pytest.raises(ValueError):
         make_config(placement=ArcCluster(sector_count_occupied=1, annulus=3))
+
+
+def test_config_rejects_more_fixed_positions_than_k_users():
+    positions = tuple(UePosition(i, 500.0, 0.1 * i) for i in range(4))
+    with pytest.raises(ValueError, match="4 positions, more than k_users = 3"):
+        make_config(k_users=3, placement=FixedPlacement(positions))
+    assert make_config(k_users=4, placement=FixedPlacement(positions)).k_users == 4
 
 
 def test_config_rejects_bad_fixed_positions():
@@ -108,7 +120,8 @@ def test_scalar_draws_are_rows_of_the_batch_draw(placement):
 
 def test_reports_of_a_prefix_of_trials_do_not_depend_on_n_trials():
     config = make_config(seed=4, n_trials=9, shadowing=LognormalShadowing(sigma_db=8.0, seed=2))
-    assert run_comparison(replace(config, n_trials=5)) == run_comparison(config)[:5]
+    assert trial_reports(run_comparison(replace(config, n_trials=5))) == \
+        trial_reports(run_comparison(config))[:5]
 
 
 def test_placement_and_shadowing_independent_under_default_seeds():
@@ -175,7 +188,7 @@ def test_arc_cluster_multiple_sectors():
 def test_run_comparison_single_fixed_ue():
     config = make_config(
         placement=FixedPlacement((UePosition(0, 550.0, 0.1),)), n_trials=1)
-    (reports,) = run_comparison(config)
+    (reports,) = trial_reports(run_comparison(config))
     assert [r.scheme for r in reports] == [SchemeKind.ALWAYS_MAX, SchemeKind.ZOOMING,
                                            SchemeKind.CPZ]
     p_max, p_zoom, p_cpz = (r.total_power for r in reports)
@@ -184,7 +197,7 @@ def test_run_comparison_single_fixed_ue():
 
 def test_run_comparison_ordering_holds_across_trials():
     config = make_config(n_trials=100, seed=3)
-    for reports in run_comparison(config):
+    for reports in trial_reports(run_comparison(config)):
         p_max, p_zoom, p_cpz = (r.total_power for r in reports)
         assert p_cpz <= p_zoom <= p_max
 
@@ -192,7 +205,7 @@ def test_run_comparison_ordering_holds_across_trials():
 def test_run_comparison_single_sector_cluster_fraction():
     config = make_config(placement=ArcCluster(sector_count_occupied=1, annulus=2),
                          n_trials=20, seed=21)
-    for reports in run_comparison(config):
+    for reports in trial_reports(run_comparison(config)):
         _, zoom, cpz = reports
         assert cpz.total_power == pytest.approx(zoom.total_power / 18, rel=1e-12)
 
@@ -201,7 +214,8 @@ def test_run_comparison_lognormal_shadowing_changes_rates_not_power():
     base = make_config(n_trials=4, seed=6)
     shadowed = make_config(n_trials=4, seed=6,
                            shadowing=LognormalShadowing(sigma_db=8.0, seed=1))
-    for plain, faded in zip(run_comparison(base), run_comparison(shadowed)):
+    for plain, faded in zip(trial_reports(run_comparison(base)),
+                            trial_reports(run_comparison(shadowed))):
         for a, b in zip(plain, faded):
             assert a.total_power == b.total_power
             assert a.sum_rate != b.sum_rate
@@ -217,7 +231,8 @@ def test_sweep_distance_shape_and_order():
     values = [row.sweep_var for row in run.rows]
     assert values == sorted(values)
     assert len(run.rows) == 3 * 3
-    assert sum(len(reports) for trials in run.reports.values() for reports in trials) == 3 * 3 * 2
+    assert sum(len(col.total_power) for columns in run.reports.values() for col in columns) \
+        == 3 * 3 * 2
 
 
 def test_sweep_distance_edge_row_matches_always_max():
@@ -299,8 +314,8 @@ def test_sweep_sectors_reuses_users_and_shadowing_per_trial():
     counts = [2, 3, 9, 18]
     run = sweep_sectors(config, counts)
     always_max = {}
-    for count, trials in run.reports.items():
-        for trial, reports in enumerate(trials):
+    for count, columns in run.reports.items():
+        for trial, reports in enumerate(trial_reports(columns)):
             rep = reports[0]
             assert rep.scheme is SchemeKind.ALWAYS_MAX
             assert rep.n_active_sectors == count
@@ -348,6 +363,66 @@ def test_sweeps_reject_duplicate_values():
 
 # ---------------------------------------------------------------------------
 # Emission
+
+
+def oracle_csv(reports):
+    """The CSV as one f-string per (value, trial, scheme) row, repr per float."""
+    lines = [CSV_HEADER]
+    for value, columns in reports.items():
+        sweep_var = "" if value is None else repr(value)
+        for trial in range(len(columns[0].total_power)):
+            for rep in (col.report(trial) for col in columns):
+                ee = "" if rep.ee is None else repr(rep.ee)
+                lines.append(f"{sweep_var},{rep.scheme.value},{trial},{rep.total_power!r},"
+                             f"{rep.sum_rate!r},{ee},{rep.n_active_sectors}")
+    return "\n".join(lines) + "\n"
+
+
+# Floats the writer must format exactly as repr does: both zeros, two NaN
+# objects, the extremes and an inexact sum.
+AWKWARD = [0.0, -0.0, math.nan, float("nan"), 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 2.5e-11]
+
+
+def synthetic_columns(n_trials):
+    """Scheme columns cycling through AWKWARD, so values repeat across schemes,
+    trials and chunks; zooming and cpz sleep (ee None) on every third trial."""
+    def cycle(k, step):
+        return [AWKWARD[(step * t + k) % len(AWKWARD)] for t in range(n_trials)]
+    return tuple(SchemeColumns(kind, cycle(k, 1), cycle(k, 3),
+                               [None if k and t % 3 == 0 else x for t, x in enumerate(cycle(k, 5))],
+                               [(t + k) % 19 for t in range(n_trials)])
+                 for k, kind in enumerate(SCHEME_ORDER))
+
+
+def check_csv(tmp_path, reports):
+    expected = oracle_csv(reports)
+    assert format_records_csv(reports) == expected
+    out = tmp_path / "records.csv"
+    write_records_csv(out, reports)
+    assert out.read_bytes() == expected.encode("ascii")
+    return expected
+
+
+def test_csv_matches_row_formula_on_awkward_floats(tmp_path):
+    text = check_csv(tmp_path, {None: synthetic_columns(3 * len(AWKWARD))})
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    powers = {row[3] for row in rows}
+    assert {"0.0", "-0.0", "nan", "5e-324", "1.7976931348623157e+308"} <= powers
+    assert any(row[5] == "" for row in rows if row[1] != "always_max")
+
+
+@pytest.mark.parametrize("values", [[1, 6, 18], [250.5, 1000.0]], ids=["int", "float"])
+def test_csv_matches_row_formula_on_sweep_values(tmp_path, values):
+    text = check_csv(tmp_path, {value: synthetic_columns(5) for value in values})
+    assert [line.split(",")[0] for line in text.splitlines()[1::15]] == [repr(v) for v in values]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_csv_matches_row_formula_at_chunk_boundaries(tmp_path, offset):
+    n_trials = sim._CSV_CHUNK + offset
+    check_csv(tmp_path, {None: synthetic_columns(n_trials), 7.5: synthetic_columns(n_trials)})
+    reports = {None: run_comparison(make_config(n_trials=n_trials, seed=2))}
+    assert len(check_csv(tmp_path, reports).splitlines()) == 1 + 3 * n_trials
 
 
 def test_csv_header_and_shape(tmp_path):
