@@ -269,6 +269,8 @@ def _parse_values(variable: str, raw: str):
 
 
 def _cmd_sweep(args) -> int:
+    if args.out is not None and _json_sidecar(args.out) == args.out:
+        raise ConfigError(f"--out {args.out} is its own JSON sidecar path; rename the CSV")
     config = _scenario_from_args(args)
     values = _parse_values(args.variable, args.values)
     sweep = sweep_distance if args.variable == "distance" else sweep_sectors
@@ -325,22 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--zf-tol", type=_positive(float), default=1e-9, dest="zf_tol")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_sim = sub.add_parser("simulate", help="run per-trial scheme comparisons")
-    p_sim.add_argument("--config", default=None, help="JSON scenario config")
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--trials", type=_positive(int), default=None)
-    p_sim.add_argument("--out", default=None, help="per-trial CSV output path")
-    p_sim.add_argument("--workers", type=_positive(int), default=1, help=WORKERS_HELP)
+    # The options simulate and sweep share.
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", default=None, help="JSON scenario config")
+    scenario.add_argument("--seed", type=int, default=None)
+    scenario.add_argument("--trials", type=_positive(int), default=None)
+    scenario.add_argument("--out", default=None, help="per-trial CSV output path")
+    scenario.add_argument("--workers", type=_positive(int), default=1, help=WORKERS_HELP)
+
+    p_sim = sub.add_parser("simulate", parents=[scenario], help="run per-trial scheme comparisons")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="sweep edge distance or sector count")
-    p_sweep.add_argument("--config", default=None)
+    p_sweep = sub.add_parser("sweep", parents=[scenario], help="sweep edge distance or sector count")
     p_sweep.add_argument("--variable", choices=("distance", "sectors"), required=True)
     p_sweep.add_argument("--values", required=True, help="comma-separated sweep values")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--trials", type=_positive(int), default=None)
-    p_sweep.add_argument("--out", default=None, help="per-trial CSV output path")
-    p_sweep.add_argument("--workers", type=_positive(int), default=1, help=WORKERS_HELP)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser

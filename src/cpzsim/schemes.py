@@ -18,9 +18,9 @@ and the oracle the batch form is tested against. `_evaluate_trials`
 evaluates all three schemes on a whole batch of trials held as
 (trials, users) arrays and returns one `SchemeColumns` per scheme, a list
 per report field, whose `report(t)` is trial t's `SchemeReport`; Monte Carlo
-runs and sweeps go through it. It computes always-max's per-user rates once
-and reuses them for every zooming or cpz user whose region reaches the edge
-ring. Both forms give the same floats bit for bit.
+runs and sweeps go through it, with each scheme one plan of regions (their
+width, the annulus each reaches, each user's region) run by one loop. Both
+forms give the same floats bit for bit.
 """
 
 import functools
@@ -200,27 +200,33 @@ def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float
 
     r, phi and psi are (trials, users) arrays of each trial's user distances,
     angles (normalized as UePosition holds them) and slow-fading factors; psi
-    None means unit shadowing. Trial t of the columns holds the same reports,
-    float for float, as evaluate_scheme on the build_state of row t's users,
-    and the same errors: a distance outside [r0, R] or a factor that is not
-    positive and finite, or an SINR that is not finite, raises ValueError, a
-    total above the always-max budget RuntimeError.
+    None means unit shadowing. A scheme's plan (wedges, regions, member) is
+    powered_regions on a block: region j of trial t spans `wedges` sectors out
+    to annulus regions[t, j] (-1: unpowered) and serves users u with
+    member[t, u] == j. Trial t of the columns holds the same reports, float for
+    float, as evaluate_scheme on the build_state of row t's users, and the same
+    errors: a distance outside [r0, R] or a factor that is not positive and
+    finite, or an SINR that is not finite, raises ValueError, a total above the
+    always-max budget RuntimeError.
     """
-    def size(d: float) -> float:
-        return required_bs_power(d, rate_target, k_users, m_antennas, budget)
-
     n_sectors = grid.n_sectors
     edge = grid.n_annuli - 1
-    p_max = size(budget.cell_radius_r)
-    # P(zoom) of each annulus a region reaches, sized when first met: only
-    # those, as in the scalar path, since rings inside r0 cannot be sized.
-    # -1 stands for an unpowered sector.
-    ring_power = {-1: 0.0, edge: size(grid.annulus_outer_radius(edge))}
+    p_max = required_bs_power(budget.cell_radius_r, rate_target, k_users, m_antennas, budget)
+
+    @functools.cache
+    def ring_power(a: int) -> float:
+        # P(zoom) of an annulus, sized when a region first reaches it: only
+        # those, as in the scalar path, since rings inside r0 cannot be sized.
+        power = required_bs_power(grid.annulus_outer_radius(a), rate_target, k_users,
+                                  m_antennas, budget)
+        if power < 0:
+            raise ValueError("radiated power must be nonnegative")
+        return power
 
     @functools.cache
     def total(wedges: int, tops: tuple[int, ...]) -> float:
         # A trial's power: one `wedges`-sector region per annulus in tops.
-        return _total_power([(wedges, ring_power[a]) for a in tops if a >= 0], n_sectors)
+        return _total_power([(wedges, ring_power(a)) for a in tops if a >= 0], n_sectors)
 
     def rates(faded: np.ndarray, power) -> np.ndarray:
         # The order of operations and the finite check of snr_rho and per_ue_rate;
@@ -232,7 +238,6 @@ def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float
         flat = (1.0 + sinr).ravel().tolist()
         return budget.bandwidth * np.fromiter(map(math.log2, flat), float, len(flat))
 
-    full_total = total(n_sectors, (edge,))
     columns = tuple(SchemeColumns(kind, [], [], [], []) for kind in SCHEME_ORDER)
     for start in range(0, len(r), _BLOCK):
         rb = r[start:start + _BLOCK]
@@ -259,46 +264,38 @@ def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float
         rows = np.arange(n)[:, None]
         top = np.full((n, len(sectors)), -1, dtype=np.int64)
         np.maximum.at(top, (rows, column), annulus.astype(np.int64))
-        for a in set(top.ravel().tolist()):
-            if a not in ring_power:
-                ring_power[a] = size(grid.annulus_outer_radius(a))
-        rings = np.array(sorted(ring_power))
-        powers = np.array([ring_power[a] for a in rings.tolist()])
-        farthest = top.max(axis=1, initial=-1)
+        plans = ((n_sectors, np.full((n, 1), edge), np.zeros_like(column)),
+                 (n_sectors, top.max(axis=1, initial=-1)[:, None], np.zeros_like(column)),
+                 (1, top, column))
 
-        totals = np.array([[full_total] * n,
-                           [total(n_sectors, (a,)) for a in farthest.tolist()],
-                           [total(1, tuple(tops)) for tops in np.sort(top, axis=1).tolist()]])
+        totals = np.array([[total(wedges, tuple(tops))
+                            for tops in np.sort(regions, axis=1).tolist()]
+                           for wedges, regions, _ in plans])
         over = ~(totals <= p_max)
         if over.any():
             t, k = np.argwhere(over.T)[0]
             _check_budget(SCHEME_ORDER[k], totals[k, t].item(), p_max)
-        if np.any(powers < 0):
-            raise ValueError("radiated power must be nonnegative")
 
-        # Always-max serves everyone from the edge ring. A zooming or cpz user
-        # whose region also reaches the edge ring gets the same power, hence
-        # the same rate: only the others are evaluated again.
-        full_rates = rates(faded, ring_power[edge]).reshape(n, n_users)
-        full_sums = [math.fsum(row) for row in full_rates.tolist()]
-        sums = [full_sums]
-        for region_ring in (np.broadcast_to(farthest[:, None], (n, n_users)), top[rows, column]):
-            inner = region_ring != edge
-            scheme_rates = full_rates.copy()
-            scheme_rates[inner] = rates(faded[inner],
-                                        powers[np.searchsorted(rings, region_ring[inner])])
-            scheme_sums = full_sums.copy()
-            mixed = np.flatnonzero(inner.any(axis=1))
-            for t, row in zip(mixed.tolist(), scheme_rates[mixed].tolist()):
-                scheme_sums[t] = math.fsum(row)
-            sums.append(scheme_sums)
-
-        active = (top >= 0).sum(axis=1).tolist()
-        for cols, power, sum_rate, n_active in zip(
-                columns, totals.tolist(), sums,
-                ([n_sectors] * n, [n_sectors if a else 0 for a in active], active)):
+        # Every user is rated at the edge ring first. A user whose region
+        # reaches the edge ring gets that power, hence that rate: only users of
+        # a powered region short of it are rated again, and their trials (mixed)
+        # summed again.
+        edge_rates = rates(faded, ring_power(edge)).reshape(n, n_users)
+        edge_sums = [math.fsum(row) for row in edge_rates.tolist()]
+        for cols, (wedges, regions, member), power in zip(columns, plans, totals.tolist()):
+            sum_rate = edge_sums.copy()
+            mixed = np.flatnonzero(((0 <= regions) & (regions < edge)).any(axis=1))
+            if len(mixed):
+                ring = regions[mixed[:, None], member[mixed]]
+                inner = ring != edge
+                rings, ring_of = np.unique(ring[inner], return_inverse=True)
+                scheme_rates = edge_rates[mixed]
+                scheme_rates[inner] = rates(faded[mixed][inner], np.array(
+                    [ring_power(a) for a in rings.tolist()])[ring_of])
+                for t, row in zip(mixed.tolist(), scheme_rates.tolist()):
+                    sum_rate[t] = math.fsum(row)
             cols.total_power.extend(power)
             cols.sum_rate.extend(sum_rate)
             cols.ee.extend(map(energy_efficiency, sum_rate, power))
-            cols.n_active_sectors.extend(n_active)
+            cols.n_active_sectors.extend((wedges * (regions >= 0).sum(axis=1)).tolist())
     return columns

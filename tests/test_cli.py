@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in-process against cli.main."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -465,6 +466,15 @@ def test_sweep_requires_variable(capsys):
     assert run_cli(["sweep", "--values", "1,2"]) == 2
 
 
+def test_sweep_out_that_is_its_own_sidecar_exits_2(tmp_path, capsys):
+    # The sidecar of X.json is X.json itself: writing it would replace the CSV.
+    code = run_cli(["sweep", "--variable", "distance", "--values", "200,1000",
+                    "--trials", "2", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "sidecar" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_worker_pool_byte_identical(tmp_path):
     base = ["sweep", "--variable", "distance", "--values", "300,700,1000",
             "--trials", "8", "--seed", "11"]
@@ -614,6 +624,40 @@ def test_emitted_bytes_on_fixed_placement(tmp_path, argv, csv_text, json_text):
         fields = line.split(",")
         for x in fields[3:6] + (fields[:1] if "." in fields[0] else []):
             assert repr(float(x)) == x
+
+
+# sha256 of the CSV, stdout and sidecar of seeded runs, taken before the batch
+# kernel ran every scheme from one plan. simulate at 2049 trials crosses both
+# the 2048-trial CSV chunk and the 256-trial kernel block; the sweep re-places
+# an arc cluster under lognormal shadowing. Never edit a digest to pass.
+SEEDED_DIGESTS = [
+    (["simulate", "--trials", "2049", "--seed", "0"], None,
+     "75efc08dc69916cae5b7e5b14b25d07e952c5610bc4e234ddbfe9ab0ca39632a",
+     "c07dc27d573c31033487adc30f5b23fd0d0c1bbce37dfbddc3a538bddd1198aa", None),
+    (["sweep", "--variable", "sectors", "--values", "1,2,3,6,9,18,36",
+      "--trials", "300", "--seed", "0"],
+     {"placement": {"kind": "arc_cluster", "sector_count_occupied": 1, "annulus": 2},
+      "shadowing": {"kind": "lognormal", "sigma_db": 8.0, "seed": 1}},
+     "fc77f7da8bb689ca5dcff48abe7401b4541622831e1ece0bb67741ebdd674676",
+     "f237d7ff6d1b2188c59e08aa4b1c0d334d51081360185cc9b0bf0bf35927066b",
+     "0500f4efdb94c8ef699b87eeebc85e43a55662dfd986223d590c795ec08408c2"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, csv_sha, stdout_sha, json_sha", SEEDED_DIGESTS,
+                         ids=["simulate", "sweep_sectors"])
+def test_seeded_output_digests(tmp_path, capsys, argv, doc, csv_sha, stdout_sha, json_sha):
+    config = [] if doc is None else ["--config", write_config(tmp_path, doc)]
+    out = tmp_path / "out.csv"
+    assert run_cli(argv + config + ["--out", str(out)]) == 0
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    assert sha(out.read_bytes()) == csv_sha
+    assert sha(capsys.readouterr().out.encode()) == stdout_sha
+    sidecar = tmp_path / "out.json"
+    assert (sha(sidecar.read_bytes()) if sidecar.exists() else None) == json_sha
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpzsim import schemes
-from cpzsim.partition import PartitionGrid, UePosition
+from cpzsim.partition import MAX_COUNT, PartitionGrid, UePosition
 from cpzsim.propagation import DeterministicUnitShadowing, LinkBudget, LognormalShadowing
 from cpzsim.schemes import SCHEME_ORDER, evaluate_scheme
 from cpzsim.sim import (
@@ -130,9 +130,13 @@ ON_BOUNDARIES = FixedPlacement(tuple(
                [100.0, 550.0, 1000.0], [1, 2, 3, 6, 9, 18, 36]), block=64)
 @example(case=(ScenarioConfig(shadowing=LognormalShadowing(1000.0, 323), n_trials=5),
                [1000.0], [1]), block=2)
+@example(case=(ScenarioConfig(grid=PartitionGrid(MAX_COUNT, MAX_COUNT, 1000.0),
+                              shadowing=LognormalShadowing(8.0, 2), n_trials=4),
+               [100.0, 1000.0], [1, MAX_COUNT]), block=2)
 def test_kernel_matches_scalar_oracle(case, block):
     # The 300-trial example is there for last-bit faults, such as numpy's
-    # vector pow in place of Python's, which show in about 1% of reports.
+    # vector pow in place of Python's, which show in about 1% of reports. The
+    # MAX_COUNT example needs rings sized only when reached and 2**53 active sectors.
     config, distances, counts = case
     expected_run = outcome(lambda: [oracle_trial(config, config.grid, place_ues(config, t), t)
                                     for t in range(config.n_trials)])
