@@ -7,6 +7,11 @@ interference-free link whose SINR is governed by the inverse Gram trace;
 for large arrays that trace concentrates around K/(M-K), which yields the
 ergodic sum-rate closed form used throughout the simulator. Seeded channels
 are the successive draws of stream (seed, CHANNEL).
+
+The Gram H H^H is Hermitian positive definite for a full-rank channel, so
+one eigvalsh gives both facts the inverse trace needs: its 2-norm condition
+number lambda_max / lambda_min, which decides whether the channel is
+numerically singular, and tr((H H^H)^-1) = sum of 1 / lambda.
 """
 
 import math
@@ -16,7 +21,8 @@ import numpy as np
 
 from .rng import CHANNEL, substream
 
-# Gram condition estimate beyond which the channel is treated as singular.
+# A Gram is numerically singular unless its 2-norm condition number, the ratio
+# of its extreme eigenvalues, is at most this. _eigenvalues states the rule.
 SINGULAR_COND_LIMIT = 1e12
 
 # Trials per stacked monte_carlo_trace block. Small for peak RSS: 256 trials at
@@ -36,6 +42,8 @@ class ChannelMatrix:
             raise ValueError(f"channel must be a 2-D matrix, got ndim={e.ndim}")
         if e.shape[0] < 1 or e.shape[1] < 1:
             raise ValueError(f"channel dimensions must be positive, got {e.shape}")
+        if not np.isfinite(e).all():
+            raise ValueError("channel entries must be finite")
         object.__setattr__(self, "entries", e)
 
     @property
@@ -59,17 +67,12 @@ class BeamformingMatrix:
     gamma: float
 
 
-def _complex_entries(normals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """CN(0, 1) entries (re + 1j * im) / sqrt(2) from a (..., 2, K, M) stack of normals."""
-    out = np.multiply(1j, normals[..., 1, :, :], out=out)
-    return np.divide(np.add(normals[..., 0, :, :], out, out=out), np.sqrt(2.0), out=out)
-
-
 def draw_channel(rng: np.random.Generator, k_users: int, m_antennas: int) -> ChannelMatrix:
-    """The next K x M channel with i.i.d. CN(0, 1) entries from `rng`."""
+    """The next K x M channel with i.i.d. CN(0, 1) entries (re + 1j * im) / sqrt(2) from `rng`."""
     if k_users < 1 or m_antennas < 1:
         raise ValueError(f"channel dimensions must be positive, got K={k_users}, M={m_antennas}")
-    return ChannelMatrix(_complex_entries(rng.standard_normal((2, k_users, m_antennas))))
+    re, im = rng.standard_normal((2, k_users, m_antennas))
+    return ChannelMatrix((re + 1j * im) / np.sqrt(2.0))
 
 
 def sample_channel(k_users: int, m_antennas: int, seed: int) -> ChannelMatrix:
@@ -78,22 +81,57 @@ def sample_channel(k_users: int, m_antennas: int, seed: int) -> ChannelMatrix:
 
 
 def _gram(h: np.ndarray) -> np.ndarray:
-    """Gram matrices of a (..., K, M) channel stack; raises if any is singular or K > M."""
+    """Gram matrices H H^H of a (..., K, M) channel stack; raises if K > M.
+
+    A Gram that overflows holds inf or nan, with no warning; _eigenvalues rejects it.
+    """
     k_users, m_antennas = h.shape[-2:]
     if k_users > m_antennas:
         raise ValueError(
             f"zero-forcing needs at least as many antennas as users (K={k_users}, M={m_antennas})"
         )
-    gram = h @ h.conj().swapaxes(-1, -2)
-    if (np.linalg.cond(gram) > SINGULAR_COND_LIMIT).any():
-        raise ValueError("channel Gram matrix is numerically singular")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return h @ h.conj().swapaxes(-1, -2)
+
+
+def _normals_gram(normals: np.ndarray) -> np.ndarray:
+    """Gram matrices H H^H of a (..., 2, K, M) stack of normals (A, B), H = (A + iB) / sqrt(2).
+
+    Formed from the real normals: with X = [A; B] and R = X X^T,
+    H H^H = ((R_AA + R_BB) + i (R_BA - R_AB)) / 2.
+    """
+    k_users, m_antennas = normals.shape[-2:]
+    x = normals.reshape(normals.shape[:-3] + (2 * k_users, m_antennas))
+    r = x @ x.swapaxes(-1, -2)
+    a, b = slice(None, k_users), slice(k_users, None)
+    gram = np.empty(r.shape[:-2] + (k_users, k_users), dtype=np.complex128)
+    np.add(r[..., a, a], r[..., b, b], out=gram.real)
+    np.subtract(r[..., b, a], r[..., a, b], out=gram.imag)
+    gram *= 0.5
     return gram
 
 
-def _inverse_gram_traces(h: np.ndarray) -> np.ndarray:
-    """tr((H H^H)^-1) of each matrix in a (..., K, M) channel stack."""
-    inv = np.linalg.solve(_gram(h), np.eye(h.shape[-2], dtype=np.complex128))
-    return np.trace(inv, axis1=-2, axis2=-1).real
+def _eigenvalues(gram: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (..., K, K) Gram stack; raises if any Gram is singular.
+
+    A Gram is numerically singular unless it is finite and
+    0 < lambda_max <= SINGULAR_COND_LIMIT * lambda_min: its 2-norm condition
+    number is within the limit. Written to fail on nan, on a zero Gram and on a
+    non-positive lambda_min as well.
+    """
+    # An overflowed Gram is singular too: eigvalsh would raise LinAlgError on it.
+    if np.isfinite(gram).all():
+        eig = np.linalg.eigvalsh(gram)
+        low, high = eig[..., 0], eig[..., -1]
+        with np.errstate(over="ignore"):
+            if ((0 < high) & (high <= SINGULAR_COND_LIMIT * low)).all():
+                return eig
+    raise ValueError("channel Gram matrix is numerically singular")
+
+
+def _inverse_gram_traces(gram: np.ndarray) -> np.ndarray:
+    """tr(G^-1) = sum of 1 / lambda of each Gram in a (..., K, K) stack."""
+    return np.reciprocal(_eigenvalues(gram)).sum(axis=-1)
 
 
 def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
@@ -103,6 +141,7 @@ def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
     The product of the channel with the result is the identity up to rounding.
     """
     gram = _gram(h.entries)
+    _eigenvalues(gram)  # raises if the Gram is numerically singular
     # gram is Hermitian, so solve(gram, H) equals W^H and W = H^H gram^{-1}.
     w = np.linalg.solve(gram, h.entries).conj().T
     gamma = float(np.vdot(w, w).real) / h.k_users
@@ -111,7 +150,7 @@ def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
 
 def gram_inverse_trace(h: ChannelMatrix) -> float:
     """tr((H H^H)^-1), the quantity controlling the common ZF SINR."""
-    return float(_inverse_gram_traces(h.entries))
+    return float(_inverse_gram_traces(_gram(h.entries)))
 
 
 def sinr_zf(rho: float, h: ChannelMatrix) -> float:
@@ -180,11 +219,12 @@ def monte_carlo_trace(k_users: int, m_antennas: int, n_trials: int,
 
     The trials are the successive channels of stream (seed, CHANNEL), drawn
     as draw_channel draws them; trial 0 is sample_channel(K, M, seed).
-    Blocks of _TRACE_BLOCK trials share one stacked draw, Gram, singularity
-    check and solve; the traces and their squares are summed in trial order,
-    so both results are the same for any block size and any fixed prefix of
-    trials is the same whatever n_trials is. The standard deviation (n - 1
-    in the denominator) is nan for a single trial.
+    Blocks of _TRACE_BLOCK trials share one stacked draw of normals, one Gram
+    formed from them without complex entries (_normals_gram) and one eigvalsh
+    for the singularity rule and the traces. The traces and their squares are
+    summed in trial order, so both results are the same for any block size
+    and any fixed prefix of trials is the same whatever n_trials is. The
+    standard deviation (n - 1 in the denominator) is nan for a single trial.
     """
     if not 0 < k_users < m_antennas:
         raise ValueError(f"estimate needs 0 < K < M, got K={k_users}, M={m_antennas}")
@@ -192,11 +232,10 @@ def monte_carlo_trace(k_users: int, m_antennas: int, n_trials: int,
         raise ValueError("n_trials must be positive")
     rng = substream(seed, CHANNEL)
     normals = np.empty((min(n_trials, _TRACE_BLOCK), 2, k_users, m_antennas))
-    entries = np.empty((len(normals), k_users, m_antennas), dtype=np.complex128)
     total = total_sq = 0.0
     for start in range(0, n_trials, _TRACE_BLOCK):
         block = rng.standard_normal(out=normals[:n_trials - start])
-        for trace in _inverse_gram_traces(_complex_entries(block, entries[:len(block)])).tolist():
+        for trace in _inverse_gram_traces(_normals_gram(block)).tolist():
             total += trace
             total_sq += trace * trace
     mean = total / n_trials

@@ -56,7 +56,18 @@ def test_verify_stdout_is_pinned(capsys):
         "[PASS] zf_identity: max |HW - I| = 1.332e-15 (tol 1e-09)\n"
         "[PASS] wishart_trace: relative error = 0.0004, z = -0.28 (tol |z| < 5, 300 trials)\n"
         "[PASS] sinr_uniformity: max relative spread = 3.255e-15, "
-        "max deviation from common value = 2.071e-15 (tol 1e-09)\n"
+        "max deviation from common value = 2.515e-15 (tol 1e-09)\n"
+    )
+
+
+def test_benchmarked_verify_stdout_is_pinned(capsys):
+    # The benchmark's verify workload, seed 0: its whole stdout, byte for byte.
+    assert run_cli(["verify", "--trials", "10000", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == (
+        "[PASS] zf_identity: max |HW - I| = 1.337e-15 (tol 1e-09)\n"
+        "[PASS] wishart_trace: relative error = 0.0000, z = +0.13 (tol |z| < 5, 10000 trials)\n"
+        "[PASS] sinr_uniformity: max relative spread = 2.989e-15, "
+        "max deviation from common value = 1.644e-15 (tol 1e-09)\n"
     )
 
 

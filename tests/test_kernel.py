@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 
 from cpzsim import schemes
 from cpzsim.partition import MAX_COUNT, PartitionGrid, UePosition
-from cpzsim.propagation import DeterministicUnitShadowing, LinkBudget, LognormalShadowing
+from cpzsim.propagation import (
+    DeterministicUnitShadowing,
+    LinkBudget,
+    LognormalShadowing,
+    required_bs_power,
+)
 from cpzsim.schemes import SCHEME_ORDER, evaluate_scheme
 from cpzsim.sim import (
     ArcCluster,
@@ -166,6 +171,24 @@ def test_kernel_guard_rejects_nan_power(monkeypatch):
     monkeypatch.setattr(schemes, "required_bs_power", lambda *args: float("nan"))
     with pytest.raises(RuntimeError, match="exceeds the always-max budget"):
         run_comparison(ScenarioConfig(n_trials=3))
+
+
+def test_kernel_guard_reports_first_trial_in_trial_major_order(monkeypatch):
+    # Two cells over budget: cpz on trial 0 and zooming on trial 1. The guard
+    # reports trial 0's, with the scheme name and total _check_budget gives it.
+    grid, budget, target, k, m = PartitionGrid(3, 18, 1000.0), LinkBudget(), 2e7, 10, 200
+    p_max = required_bs_power(grid.cell_radius, target, k, m, budget)
+    ring = [required_bs_power(grid.annulus_outer_radius(a), target, k, m, budget)
+            for a in range(grid.n_annuli)]
+    over = {((1, ring[0]),): 2 * p_max, ((grid.n_sectors, ring[1]),): 3 * p_max}
+    total_power = schemes._total_power
+    monkeypatch.setattr(schemes, "_total_power",
+                        lambda sized, n: over.get(tuple(sized), total_power(sized, n)))
+    # One user per trial, in annulus 0 on trial 0 and annulus 1 on trial 1.
+    r, phi = np.array([[200.0], [500.0]]), np.zeros((2, 1))
+    with pytest.raises(RuntimeError) as error:
+        schemes._evaluate_trials(grid, budget, target, k, m, r, phi)
+    assert str(error.value) == f"cpz power {2 * p_max} exceeds the always-max budget {p_max}"
 
 
 def test_overflow_example_trips_the_sinr_guard():

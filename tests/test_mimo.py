@@ -3,11 +3,14 @@
 Closed-form outputs are checked against independent routes: the SVD
 pseudo-inverse for zero forcing, explicit per-user signal/interference
 sums for the SINR, explicit Gram inversion plus Monte Carlo averaging for
-the ergodic rate, and elementwise summation for norms.
+the ergodic rate, and elementwise summation for norms. The eigenvalue
+trace and singularity rule are checked against trace(solve(G, I)) and
+np.linalg.cond.
 """
 
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -315,17 +318,31 @@ BLOCK = mimo._TRACE_BLOCK
 
 
 def oracle_draw(k, m, rng):
-    """One trial's channel as two separate K x M draws, real then imaginary."""
-    re = rng.standard_normal((k, m))
-    im = rng.standard_normal((k, m))
-    return (re + 1j * im) / np.sqrt(2.0)
+    """One trial's normals (A, B) as two separate K x M draws, real then imaginary."""
+    return rng.standard_normal((k, m)), rng.standard_normal((k, m))
+
+
+def oracle_channel(a, b):
+    return (a + 1j * b) / np.sqrt(2.0)
+
+
+def oracle_gram(a, b):
+    """H H^H of H = (A + iB) / sqrt(2) from the normals: R = X X^T with X = [A; B]."""
+    k = len(a)
+    x = np.vstack([a, b])
+    r = x @ x.T
+    return ((r[:k, :k] + r[k:, k:]) + 1j * (r[k:, :k] - r[:k, k:])) / 2
+
+
+def oracle_eigenvalues(k, m, n_trials, seed):
+    """Per-trial Gram eigenvalues of the successive channels of stream (seed, CHANNEL)."""
+    rng = substream(seed, CHANNEL)
+    return [np.linalg.eigvalsh(oracle_gram(*oracle_draw(k, m, rng))) for _ in range(n_trials)]
 
 
 def oracle_traces(k, m, n_trials, seed):
-    """Per-trial gram_inverse_trace of the successive channels of stream (seed, CHANNEL)."""
-    rng = substream(seed, CHANNEL)
-    return [mimo.gram_inverse_trace(mimo.ChannelMatrix(oracle_draw(k, m, rng)))
-            for _ in range(n_trials)]
+    """tr((H H^H)^-1) = sum of 1 / lambda, one trial at a time."""
+    return [float(np.sum(1.0 / eig)) for eig in oracle_eigenvalues(k, m, n_trials, seed)]
 
 
 def oracle_monte_carlo_trace(k, m, n_trials, seed):
@@ -337,12 +354,8 @@ def oracle_monte_carlo_trace(k, m, n_trials, seed):
 
 
 def oracle_conds(k, m, n_trials, seed):
-    rng = substream(seed, CHANNEL)
-    conds = []
-    for _ in range(n_trials):
-        h = oracle_draw(k, m, rng)
-        conds.append(float(np.linalg.cond(h @ h.conj().T)))
-    return conds
+    """Per-trial 2-norm condition numbers lambda_max / lambda_min of the Grams."""
+    return [float(eig[-1] / eig[0]) for eig in oracle_eigenvalues(k, m, n_trials, seed)]
 
 
 @pytest.mark.parametrize("n_trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
@@ -369,23 +382,34 @@ def test_monte_carlo_trace_is_independent_of_block_size(monkeypatch, block):
 def test_block_draw_is_sample_channel(monkeypatch):
     # Trial 0 is sample_channel's channel; every trial is the next draw_channel
     # draw of stream (seed, CHANNEL).
-    stacks = []
-    inverse_gram_traces = mimo._inverse_gram_traces
+    blocks = []
+    normals_gram = mimo._normals_gram
 
-    def spy(h):
-        stacks.append(h.copy())
-        return inverse_gram_traces(h)
+    def spy(normals):
+        blocks.append(normals.copy())
+        return normals_gram(normals)
 
-    monkeypatch.setattr(mimo, "_inverse_gram_traces", spy)
+    monkeypatch.setattr(mimo, "_normals_gram", spy)
     k, m, seed = 3, 7, 40
     mimo.monte_carlo_trace(k, m, BLOCK + 2, seed)
-    assert [len(stack) for stack in stacks] == [BLOCK, 2]
-    draws = np.concatenate(stacks)
-    assert draws[0].tobytes() == mimo.sample_channel(k, m, seed).entries.tobytes()
+    assert [len(block) for block in blocks] == [BLOCK, 2]
+    trials = np.concatenate(blocks)
+    assert oracle_channel(*trials[0]).tobytes() == \
+        mimo.sample_channel(k, m, seed).entries.tobytes()
     rng, oracle_rng = substream(seed, CHANNEL), substream(seed, CHANNEL)
-    for draw in draws:
-        assert draw.tobytes() == mimo.draw_channel(rng, k, m).entries.tobytes()
-        assert draw.tobytes() == oracle_draw(k, m, oracle_rng).tobytes()
+    for a, b in trials:
+        assert oracle_channel(a, b).tobytes() == mimo.draw_channel(rng, k, m).entries.tobytes()
+        expected_a, expected_b = oracle_draw(k, m, oracle_rng)
+        assert a.tobytes() == expected_a.tobytes() and b.tobytes() == expected_b.tobytes()
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (3, 7), (10, 200)])
+def test_normals_gram_is_channel_gram(k, m):
+    # The real-arithmetic Gram is H H^H of the channel the normals make.
+    normals = substream(5, CHANNEL).standard_normal((4, 2, k, m))
+    h = oracle_channel(normals[:, 0], normals[:, 1])
+    np.testing.assert_allclose(mimo._normals_gram(normals), h @ h.conj().swapaxes(-1, -2),
+                               rtol=1e-13, atol=1e-13 * m)
 
 
 def test_monte_carlo_trace_singular_trial_in_first_block(monkeypatch):
@@ -397,10 +421,95 @@ def test_monte_carlo_trace_singular_trial_in_first_block(monkeypatch):
 def test_monte_carlo_trace_singular_trial_in_later_block(monkeypatch):
     k, m, n_trials, seed = 5, 6, 2 * BLOCK + 3, 0
     conds = oracle_conds(k, m, n_trials, seed)
-    limit = max(conds[:BLOCK])
-    assert max(conds[BLOCK:]) > limit  # some trial after the first block is over the limit
+    first = max(conds[:BLOCK])
+    later = [cond for cond in conds[BLOCK:] if cond > first]
+    assert later  # some trial after the first block is over the limit
+    # Halfway between, so rounding in lambda_max <= limit * lambda_min cannot move a trial.
+    limit = (first + min(later)) / 2
     monkeypatch.setattr(mimo, "SINGULAR_COND_LIMIT", limit)
     mean, _ = mimo.monte_carlo_trace(k, m, BLOCK, seed)
     assert mean == oracle_monte_carlo_trace(k, m, BLOCK, seed)
     with pytest.raises(ValueError, match="numerically singular"):
         mimo.monte_carlo_trace(k, m, n_trials, seed)
+
+
+# ---------------------------------------------------------------------------
+# The eigenvalue trace and the singularity rule against solve and cond
+
+EPS = np.finfo(float).eps
+
+
+def channel_with_gram_cond(k, m, cond, seed):
+    """A K x M channel U S V^H whose Gram U S^2 U^H has eigenvalues from 1 down to 1 / cond."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
+    s = np.sqrt(np.geomspace(1.0, 1.0 / cond, k))
+    return mimo.ChannelMatrix((u * s) @ v.conj().T)
+
+
+def solve_trace(h):
+    gram = h.entries @ h.entries.conj().T
+    return float(np.trace(np.linalg.solve(gram, np.eye(h.k_users))).real)
+
+
+@given(st.integers(1, 12), st.integers(0, 200), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gram_inverse_trace_matches_solve_on_wishart_grams(k, extra_m, seed):
+    # M >= 2K keeps a Wishart Gram well conditioned; the next test bounds the rest.
+    h = mimo.sample_channel(k, 2 * k + extra_m, seed)
+    expected = solve_trace(h)
+    assert abs(mimo.gram_inverse_trace(h) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e6, 1e8, 1e10])
+@pytest.mark.parametrize("k, m, seed", [(2, 4, 1), (10, 200, 2), (16, 16, 3)])
+def test_gram_inverse_trace_matches_solve_on_ill_conditioned_grams(k, m, seed, cond):
+    # Both routes err by about eps * cond(G) relative, so the bound scales with it.
+    h = channel_with_gram_cond(k, m, cond, seed)
+    bound = 64 * EPS * np.linalg.cond(h.entries @ h.entries.conj().T)
+    expected = solve_trace(h)
+    assert abs(mimo.gram_inverse_trace(h) - expected) <= bound * expected
+
+
+@pytest.mark.parametrize("cond", [None, 1e3, 1e6])
+@pytest.mark.parametrize("k, m, seed", [(1, 3, 4), (4, 16, 5), (10, 200, 6)])
+def test_eigenvalue_ratio_is_two_norm_cond(k, m, seed, cond):
+    h = mimo.sample_channel(k, m, seed) if cond is None else channel_with_gram_cond(k, m, cond,
+                                                                                     seed)
+    gram = mimo._gram(h.entries)
+    eig = mimo._eigenvalues(gram)
+    assert eig[-1] / eig[0] == pytest.approx(np.linalg.cond(gram), rel=1e-6)
+
+
+@pytest.mark.parametrize("cond, singular", [(1e11, False), (1e13, True)])
+def test_singularity_rule_is_cond_limit(cond, singular):
+    # Either side of SINGULAR_COND_LIMIT = 1e12, through every public ZF entry point.
+    h = channel_with_gram_cond(4, 16, cond, 7)
+    calls = (mimo.zf_beamformer, mimo.gram_inverse_trace, lambda h: mimo.sinr_zf(1.0, h))
+    for call in calls:
+        if singular:
+            with pytest.raises(ValueError, match="numerically singular"):
+                call(h)
+        else:
+            call(h)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_channel_rejects_non_finite_entries(bad):
+    entries = np.ones((2, 4), dtype=complex)
+    entries[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mimo.ChannelMatrix(entries)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 0.0])
+def test_overflowing_or_zero_gram_is_singular_without_warning(scale):
+    # Entries near 1e155 and beyond overflow the Gram; a zero Gram has lambda_max = 0.
+    h = mimo.ChannelMatrix(mimo.sample_channel(4, 16, 8).entries * scale)
+    calls = (mimo.zf_beamformer, mimo.gram_inverse_trace, lambda h: mimo.sinr_zf(1.0, h))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="numerically singular"):
+                call(h)
