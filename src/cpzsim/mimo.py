@@ -114,17 +114,19 @@ def _normals_gram(normals: np.ndarray) -> np.ndarray:
 def _eigenvalues(gram: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a (..., K, K) Gram stack; raises if any Gram is singular.
 
-    A Gram is numerically singular unless it is finite and
-    0 < lambda_max <= SINGULAR_COND_LIMIT * lambda_min: its 2-norm condition
-    number is within the limit. Written to fail on nan, on a zero Gram and on a
-    non-positive lambda_min as well.
+    A Gram is numerically singular unless it is finite,
+    0 < lambda_max <= SINGULAR_COND_LIMIT * lambda_min (its 2-norm condition
+    number is within the limit) and its inverse trace, the sum of 1 / lambda,
+    is finite. Written to fail on nan, on a zero Gram, on a non-positive
+    lambda_min and on a subnormal Gram, whose 1 / lambda overflows, as well.
     """
     # An overflowed Gram is singular too: eigvalsh would raise LinAlgError on it.
     if np.isfinite(gram).all():
         eig = np.linalg.eigvalsh(gram)
         low, high = eig[..., 0], eig[..., -1]
         with np.errstate(over="ignore"):
-            if ((0 < high) & (high <= SINGULAR_COND_LIMIT * low)).all():
+            if ((0 < high) & (high <= SINGULAR_COND_LIMIT * low)).all() \
+                    and np.isfinite(np.reciprocal(eig).sum(axis=-1)).all():
                 return eig
     raise ValueError("channel Gram matrix is numerically singular")
 

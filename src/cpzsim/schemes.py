@@ -12,22 +12,19 @@ that region's dimensioning power, so per-user rates follow from the SNR at
 the user's own distance; the region edge gets exactly the target rate and
 everyone closer gets more.
 
-Two forms compute the same reports. `powered_regions`, `per_ue_rates` and
-`evaluate_scheme` work on one `CpzState` snapshot: the public scalar API,
-and the oracle the batch form is tested against. `_evaluate_trials`
-evaluates all three schemes on a whole batch of trials held as
-(trials, users) arrays and returns one `SchemeColumns` per scheme, a list
-per report field, whose `report(t)` is trial t's `SchemeReport`; Monte Carlo
-runs and sweeps go through it, with each scheme one plan of regions (their
-width, the annulus each reaches, each user's region) run by one loop. Both
-forms give the same floats bit for bit.
+Two forms compute the same reports, float for float. `powered_regions`,
+`per_ue_rates` and `evaluate_scheme` work on one `CpzState` snapshot: the
+public scalar API, and the batch form's oracle. `_evaluate_trials` runs
+(trials, users) arrays of Monte Carlo runs and sweeps, on one or more grids
+that differ in sector count, and returns per grid one `SchemeColumns` per
+scheme: an array per report field and a `sleeping` mask.
 """
 
 import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Mapping, NamedTuple
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +43,7 @@ class SchemeKind(Enum):
 SCHEME_ORDER = (SchemeKind.ALWAYS_MAX, SchemeKind.ZOOMING, SchemeKind.CPZ)
 
 # Trials _evaluate_trials works on at once; bounds its temporary arrays.
-_BLOCK = 256
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -179,37 +176,60 @@ def evaluate_scheme(kind: SchemeKind, state: CpzState, budget: LinkBudget,
 
 
 class SchemeColumns(NamedTuple):
-    """One scheme's outcomes on a batch of trials: trial t is index t of each list."""
+    """One scheme's outcomes on a batch of trials, trial t at index t of each array.
+
+    Float64 arrays, int64 n_active_sectors; ee is undefined where sleeping is set.
+    """
 
     scheme: SchemeKind
-    total_power: list[float]
-    sum_rate: list[float]
-    ee: list[float | None]
-    n_active_sectors: list[int]
+    total_power: np.ndarray
+    sum_rate: np.ndarray
+    ee: np.ndarray
+    n_active_sectors: np.ndarray
+    sleeping: np.ndarray
 
     def report(self, t: int) -> SchemeReport:
-        """Trial t as the SchemeReport evaluate_scheme gives for it."""
-        return SchemeReport(self.scheme, self.total_power[t], self.sum_rate[t], self.ee[t],
-                            self.n_active_sectors[t])
+        """Trial t, in Python scalars, as the SchemeReport evaluate_scheme gives for it."""
+        return SchemeReport(self.scheme, float(self.total_power[t]), float(self.sum_rate[t]),
+                            None if self.sleeping[t] else float(self.ee[t]),
+                            int(self.n_active_sectors[t]))
 
 
-def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float,
+def _link_gains(budget: LinkBudget, cell_radius: float, r: np.ndarray,
+                psi: np.ndarray | None) -> np.ndarray:
+    """The batch kernel's link stage: faded gains G (r / r0)^-alpha psi, psi None for 1."""
+    outside = ~((budget.r0 <= r) & (r <= cell_radius))
+    if outside.any():
+        raise ValueError(f"user distance {r[outside][0]} m outside "
+                         f"[{budget.r0}, {cell_radius}] m")
+    # pow runs on Python floats, as log2 does.
+    faded = np.array([budget.path_gain_g * x ** -budget.alpha
+                      for x in (r / budget.r0).ravel().tolist()]).reshape(r.shape)
+    if psi is not None and not ((0 < psi) & (psi < math.inf)).all():
+        raise ValueError("shadowing factor must be positive and finite")
+    with np.errstate(over="ignore"):
+        return faded if psi is None else faded * psi
+
+
+def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_target: float,
                      k_users: int, m_antennas: int, r: np.ndarray, phi: np.ndarray,
-                     psi: np.ndarray | None = None) -> tuple[SchemeColumns, ...]:
-    """The columns of all three schemes, in SCHEME_ORDER, on every trial of a batch.
+                     psi: np.ndarray | None = None) -> list[tuple[SchemeColumns, ...]]:
+    """Per grid, the columns of all three schemes, in SCHEME_ORDER, on every trial of a batch.
 
-    r, phi and psi are (trials, users) arrays of each trial's user distances,
-    angles (normalized as UePosition holds them) and slow-fading factors; psi
-    None means unit shadowing. A scheme's plan (wedges, regions, member) is
-    powered_regions on a block: region j of trial t spans `wedges` sectors out
-    to annulus regions[t, j] (-1: unpowered) and serves users u with
-    member[t, u] == j. Trial t of the columns holds the same reports, float for
-    float, as evaluate_scheme on the build_state of row t's users, and the same
-    errors: a distance outside [r0, R] or a factor that is not positive and
-    finite, or an SINR that is not finite, raises ValueError, a total above the
-    always-max budget RuntimeError.
+    The grids differ only in n_sectors. r, phi and psi are (trials, users)
+    arrays of user distances, angles (normalized as UePosition holds them) and
+    slow-fading factors, psi None for unit shadowing. A block of trials runs
+    the link stage once for all grids (faded gains, then rates and sums at the
+    edge ring), then each grid's plans: a plan (wedges, regions, ring) is
+    powered_regions on the block, trial t powering a `wedges`-sector region out
+    to each annulus regions[t, j] >= 0 and serving user u out to ring[t, u].
+    Trial t of a grid's columns holds the reports of evaluate_scheme on row
+    t's users on that grid, float for float, and the error raised is the first
+    it meets, grid by grid and trial by trial: ValueError for a distance outside
+    [r0, R], a factor that is not positive and finite, an SINR that is not
+    finite or an EE that overflows, RuntimeError for a total above the budget.
     """
-    n_sectors = grid.n_sectors
+    grid = grids[0]
     edge = grid.n_annuli - 1
     p_max = required_bs_power(budget.cell_radius_r, rate_target, k_users, m_antennas, budget)
 
@@ -224,7 +244,7 @@ def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float
         return power
 
     @functools.cache
-    def total(wedges: int, tops: tuple[int, ...]) -> float:
+    def total(n_sectors: int, wedges: int, tops: tuple[int, ...]) -> float:
         # A trial's power: one `wedges`-sector region per annulus in tops.
         return _total_power([(wedges, ring_power(a)) for a in tops if a >= 0], n_sectors)
 
@@ -238,64 +258,89 @@ def _evaluate_trials(grid: PartitionGrid, budget: LinkBudget, rate_target: float
         flat = (1.0 + sinr).ravel().tolist()
         return budget.bandwidth * np.fromiter(map(math.log2, flat), float, len(flat))
 
-    columns = tuple(SchemeColumns(kind, [], [], [], []) for kind in SCHEME_ORDER)
-    for start in range(0, len(r), _BLOCK):
-        rb = r[start:start + _BLOCK]
-        n, n_users = rb.shape
-        outside = ~((budget.r0 <= rb) & (rb <= grid.cell_radius))
-        if outside.any():
-            raise ValueError(f"user distance {rb[outside][0]} m outside "
-                             f"[{budget.r0}, {grid.cell_radius}] m")
-        # pow runs on Python floats, as log2 does.
-        faded = np.array([budget.path_gain_g * x ** -budget.alpha
-                          for x in (rb / budget.r0).ravel().tolist()]).reshape(n, n_users)
-        if psi is not None:
-            fading = psi[start:start + _BLOCK]
-            if not ((0 < fading) & (fading < math.inf)).all():
-                raise ValueError("shadowing factor must be positive and finite")
-            with np.errstate(over="ignore"):
-                faded = faded * fading
-
-        # top[t, j]: the highest annulus occupied in the j-th of the sectors
-        # that hold users somewhere in the block, -1 if none in trial t.
-        annulus, sector = cell_indices(grid, rb, phi[start:start + _BLOCK])
-        sectors, column = np.unique(sector, return_inverse=True)
-        column = column.reshape(n, n_users)
-        rows = np.arange(n)[:, None]
-        top = np.full((n, len(sectors)), -1, dtype=np.int64)
-        np.maximum.at(top, (rows, column), annulus.astype(np.int64))
-        plans = ((n_sectors, np.full((n, 1), edge), np.zeros_like(column)),
-                 (n_sectors, top.max(axis=1, initial=-1)[:, None], np.zeros_like(column)),
-                 (1, top, column))
-
-        totals = np.array([[total(wedges, tuple(tops))
-                            for tops in np.sort(regions, axis=1).tolist()]
-                           for wedges, regions, _ in plans])
-        over = ~(totals <= p_max)
+    def plan(n_sectors: int, annulus: np.ndarray, sector: np.ndarray):
+        # A grid's three plans and their budget-checked (3, trials) totals. In
+        # sector order, cpz's region of a sector sits at the sector's first user.
+        order = np.argsort(sector, axis=1)
+        by_sector = np.take_along_axis(sector, order, axis=1)
+        first = np.ones(sector.shape, dtype=bool)
+        first[:, 1:] = by_sector[:, 1:] != by_sector[:, :-1]
+        starts = np.flatnonzero(first)
+        tops = np.maximum.reduceat(np.take_along_axis(annulus, order, axis=1).ravel(), starts)
+        regions, ring = np.full(sector.shape, -1), np.empty(sector.shape, dtype=np.int64)
+        regions.flat[starts] = tops
+        np.put_along_axis(ring, order, tops[np.cumsum(first) - 1].reshape(ring.shape), axis=1)
+        zoom = regions.max(axis=1, initial=-1)[:, None]
+        full = np.full((1, 1), edge)  # always-max: one row for every trial, one total
+        plans = ((n_sectors, full, full), (n_sectors, zoom, zoom), (1, regions, ring))
+        power = np.empty((len(plans), len(sector)))
+        for out, (wedges, powered, _) in zip(power, plans):
+            # Sized once per distinct sorted row: sort the rows, compare neighbours.
+            rows = np.sort(powered, axis=1)
+            ranked = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))
+            rows, group = rows[ranked], np.empty(len(rows), dtype=np.int64)
+            new = np.ones(len(rows), dtype=bool)
+            new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            group[ranked] = np.cumsum(new) - 1
+            out[:] = np.array([total(n_sectors, wedges, tuple(row))
+                               for row in rows[new].tolist()])[group]
+        over = ~(power <= p_max)
         if over.any():
             t, k = np.argwhere(over.T)[0]
-            _check_budget(SCHEME_ORDER[k], totals[k, t].item(), p_max)
+            _check_budget(SCHEME_ORDER[k], power[k, t].item(), p_max)
+        return plans, power
 
-        # Every user is rated at the edge ring first. A user whose region
-        # reaches the edge ring gets that power, hence that rate: only users of
-        # a powered region short of it are rated again, and their trials (mixed)
-        # summed again.
-        edge_rates = rates(faded, ring_power(edge)).reshape(n, n_users)
-        edge_sums = [math.fsum(row) for row in edge_rates.tolist()]
-        for cols, (wedges, regions, member), power in zip(columns, plans, totals.tolist()):
+    def rate(columns, block, plans, powers, faded, edge_rates, edge_sums) -> None:
+        # A user served out to the edge ring has its edge rate: only the others
+        # are rated again, and their trials (mixed) summed again.
+        for cols, (wedges, regions, ring), power in zip(columns, plans, powers):
             sum_rate = edge_sums.copy()
-            mixed = np.flatnonzero(((0 <= regions) & (regions < edge)).any(axis=1))
+            ring = np.broadcast_to(ring, faded.shape)
+            mixed = np.flatnonzero((ring != edge).any(axis=1))
             if len(mixed):
-                ring = regions[mixed[:, None], member[mixed]]
-                inner = ring != edge
+                ring = ring[mixed]
+                inner, scheme_rates = ring != edge, edge_rates[mixed]
                 rings, ring_of = np.unique(ring[inner], return_inverse=True)
-                scheme_rates = edge_rates[mixed]
                 scheme_rates[inner] = rates(faded[mixed][inner], np.array(
                     [ring_power(a) for a in rings.tolist()])[ring_of])
-                for t, row in zip(mixed.tolist(), scheme_rates.tolist()):
-                    sum_rate[t] = math.fsum(row)
-            cols.total_power.extend(power)
-            cols.sum_rate.extend(sum_rate)
-            cols.ee.extend(map(energy_efficiency, sum_rate, power))
-            cols.n_active_sectors.extend((wedges * (regions >= 0).sum(axis=1)).tolist())
+                sum_rate[mixed] = [math.fsum(row) for row in scheme_rates.tolist()]
+            sleeping = power == 0
+            with np.errstate(over="ignore"):
+                ee = np.divide(sum_rate, power, out=cols.ee[block], where=~sleeping)
+            for t in np.flatnonzero(ee == math.inf)[:1].tolist():
+                energy_efficiency(sum_rate[t].item(), power[t].item())  # raises its message
+            cols.total_power[block], cols.sum_rate[block] = power, sum_rate
+            cols.n_active_sectors[block] = wedges * (regions >= 0).sum(axis=1)
+            cols.sleeping[block] = sleeping
+
+    failed: dict[int, Exception] = {}
+
+    def attempt(g: int, step, *args):
+        # Grid g > 0 stops at its first error, raised at the end unless an earlier
+        # grid fails: one call per grid would meet that grid's error first.
+        try:
+            return step(*args)
+        except (ValueError, RuntimeError) as exc:
+            if not g:
+                raise
+            failed[g] = exc
+
+    n = len(r)
+    columns = [tuple(SchemeColumns(kind, np.empty(n), np.empty(n), np.full(n, math.nan),
+                                   np.empty(n, dtype=np.int64), np.empty(n, dtype=bool))
+                     for kind in SCHEME_ORDER) for _ in grids]
+    for start in range(0, n, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        rb, phib = r[block], phi[block]
+        faded = _link_gains(budget, grid.cell_radius, rb, None if psi is None else psi[block])
+        annulus = cell_indices(grid, rb, phib)[0].astype(np.int64)
+        plans = {g: attempt(g, plan, each.n_sectors, annulus, cell_indices(each, rb, phib)[1])
+                 for g, each in enumerate(grids) if g not in failed}
+        edge_rates = rates(faded, ring_power(edge)).reshape(rb.shape)
+        edge_sums = np.array([math.fsum(row) for row in edge_rates.tolist()])
+        for g, planned in plans.items():
+            if g not in failed:
+                attempt(g, rate, columns[g], block, *planned, faded, edge_rates, edge_sums)
+    if failed:
+        raise failed[min(failed)]
     return columns

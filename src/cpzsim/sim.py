@@ -6,16 +6,15 @@ schemes on them. Trial i places its users from row i of stream
 (shadowing.seed, SHADOWING); the purpose tags keep the two independent even
 though both seeds default to 0. Results are reproducible bit for bit, and a
 trial's draws do not depend on how many trials run. Runs and sweeps draw every
-trial's users and shadowing up front as (trials, users) arrays, one stream
-each, and hand them to the batch kernel `schemes._evaluate_trials`;
-`place_ues` and `build_state` are the per-trial scalar form, which gives the
-same positions and reports. Sweeps pin a single edge user at each distance,
-or re-partition one clustered user set per trial under different sector
-counts. The kernel's per-scheme columns (`schemes.SchemeColumns`, one list
-per report field), keyed by sweep value (None for a plain comparison), are the
-only result type: the CSV writer streams them a chunk of trials at a time,
-formatting each distinct float once per chunk, and `_aggregate` reduces them
-to mean power and mean energy efficiency per value and scheme.
+trial's users and shadowing up front as (trials, users) arrays and hand them
+to the batch kernel `schemes._evaluate_trials`; `place_ues` and `build_state`
+are the per-trial scalar form. Sweeps pin a single edge user at each distance,
+or re-partition one clustered user set under every sector count in one kernel
+call. Results are the kernel's per-scheme columns (`schemes.SchemeColumns`,
+an array per report field and a `sleeping` mask) keyed by sweep value (None
+for a plain comparison): the CSV writer streams them a chunk of trials at a
+time, formatting each distinct float once per chunk, and `_aggregate` reduces
+them to mean power and mean energy efficiency per value and scheme.
 """
 
 import json
@@ -197,9 +196,9 @@ def _trial_psi(config: ScenarioConfig, n_users: int) -> np.ndarray | None:
     return shadowing.psi_rows(n_users, 0, config.n_trials)
 
 
-def _reports(config: ScenarioConfig, grid: PartitionGrid, radii: np.ndarray,
-             angles: np.ndarray, psi: np.ndarray | None) -> tuple[SchemeColumns, ...]:
-    return _evaluate_trials(grid, config.budget, config.rate_target, config.k_users,
+def _reports(config: ScenarioConfig, grids: list[PartitionGrid], radii: np.ndarray,
+             angles: np.ndarray, psi: np.ndarray | None) -> list[tuple[SchemeColumns, ...]]:
+    return _evaluate_trials(grids, config.budget, config.rate_target, config.k_users,
                             config.m_antennas, radii, angles, psi)
 
 
@@ -209,7 +208,7 @@ def run_comparison(config: ScenarioConfig) -> tuple[SchemeColumns, ...]:
     `columns[k].report(t)` is scheme k's SchemeReport on trial t.
     """
     radii, angles = _trial_users(config)
-    return _reports(config, config.grid, radii, angles, _trial_psi(config, radii.shape[1]))
+    return _reports(config, [config.grid], radii, angles, _trial_psi(config, radii.shape[1]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +245,11 @@ def _aggregate(reports: ReportsByValue) -> tuple[SweepRow, ...]:
     rows = []
     for value, columns in reports.items():
         for column in columns:
-            defined = [ee for ee in column.ee if ee is not None]
+            defined = column.ee[~column.sleeping].tolist()
             rows.append(SweepRow(
                 sweep_var=value,
                 scheme=column.scheme,
-                mean_total_power=math.fsum(column.total_power) / len(column.total_power),
+                mean_total_power=math.fsum(column.total_power.tolist()) / len(column.total_power),
                 mean_ee=math.fsum(defined) / len(defined) if defined else None,
                 n_trials_defined=len(defined),
             ))
@@ -258,15 +257,14 @@ def _aggregate(reports: ReportsByValue) -> tuple[SweepRow, ...]:
 
 
 def _sweep(config: ScenarioConfig, variable: str, values: list, n_users: int,
-           scenario: Callable[..., tuple[PartitionGrid, np.ndarray, np.ndarray]]) -> SweepRun:
-    """Every trial at every sweep value; scenario(value) gives (grid, radii, angles).
+           evaluate: Callable[[np.ndarray | None], list[tuple[SchemeColumns, ...]]]) -> SweepRun:
+    """Every trial at every sweep value; evaluate(psi) gives the columns of each value in turn.
 
     Each trial's shadowing is drawn once and shared by all values.
     """
     if len(set(values)) < len(values):
         raise ValueError(f"{variable} sweep values must be distinct, got {values}")
-    psi = _trial_psi(config, n_users)
-    reports = {value: _reports(config, *scenario(value), psi) for value in values}
+    reports = dict(zip(values, evaluate(_trial_psi(config, n_users))))
     return SweepRun(variable, _aggregate(reports), reports)
 
 
@@ -282,8 +280,9 @@ def sweep_distance(config: ScenarioConfig, d_values: Iterable[float]) -> SweepRu
                 f"[{config.budget.r0}, {config.budget.cell_radius_r}] m"
             )
     angles = np.zeros((config.n_trials, 1))
-    return _sweep(config, "distance", values, 1,
-                  lambda d: (config.grid, np.full((config.n_trials, 1), d), angles))
+    return _sweep(config, "distance", values, 1, lambda psi: [
+        _reports(config, [config.grid], np.full((config.n_trials, 1), d), angles, psi)[0]
+        for d in values])
 
 
 def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> SweepRun:
@@ -303,8 +302,9 @@ def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> Sweep
         placement = ArcCluster(sector_count_occupied=1, annulus=config.grid.n_annuli - 1)
     cluster = replace(config, grid=replace(config.grid, n_sectors=counts[-1]), placement=placement)
     radii, angles = _trial_users(cluster)
-    return _sweep(config, "sectors", counts, radii.shape[1],
-                  lambda count: (replace(config.grid, n_sectors=count), radii, angles))
+    # One kernel call for all counts: they share each trial's link stage.
+    return _sweep(config, "sectors", counts, radii.shape[1], lambda psi: _reports(
+        config, [replace(config.grid, n_sectors=count) for count in counts], radii, angles, psi))
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +343,17 @@ def _csv_chunks(reports: ReportsByValue) -> Iterator[str]:
             lines = [""] * (len(columns) * (stop - start))
             for k, col in enumerate(columns):
                 prefix = f"{sweep_var},{col.scheme.value},"
+                ees = col.ee[start:stop].tolist()
+                for t in np.flatnonzero(col.sleeping[start:stop]).tolist():
+                    ees[t] = None
                 lines[k::len(columns)] = [
                     f"{prefix}{trial},{power},{sum_rate},{ee},{n_active}"
                     for trial, power, sum_rate, ee, n_active in zip(
                         range(start, stop),
-                        map(text, col.total_power[start:stop]),
-                        map(text, col.sum_rate[start:stop]),
-                        map(text, col.ee[start:stop]),
-                        col.n_active_sectors[start:stop])]
+                        map(text, col.total_power[start:stop].tolist()),
+                        map(text, col.sum_rate[start:stop].tolist()),
+                        map(text, ees),
+                        col.n_active_sectors[start:stop].tolist())]
             yield "\n".join(lines) + "\n"
 
 

@@ -503,9 +503,11 @@ def test_channel_rejects_non_finite_entries(bad):
         mimo.ChannelMatrix(entries)
 
 
-@pytest.mark.parametrize("scale", [1e155, 1e200, 0.0])
+@pytest.mark.parametrize("scale", [1e155, 1e200, 0.0, 1e-160])
 def test_overflowing_or_zero_gram_is_singular_without_warning(scale):
-    # Entries near 1e155 and beyond overflow the Gram; a zero Gram has lambda_max = 0.
+    # Entries near 1e155 and beyond overflow the Gram; a zero Gram has lambda_max = 0;
+    # entries of 1e-160 give a subnormal Gram, whose eigenvalue ratio is within the
+    # limit but whose 1 / lambda, hence inverse trace, overflows.
     h = mimo.ChannelMatrix(mimo.sample_channel(4, 16, 8).entries * scale)
     calls = (mimo.zf_beamformer, mimo.gram_inverse_trace, lambda h: mimo.sinr_zf(1.0, h))
     with warnings.catch_warnings():

@@ -385,13 +385,24 @@ AWKWARD = [0.0, -0.0, math.nan, float("nan"), 5e-324, 1.7976931348623157e308, 0.
 
 def synthetic_columns(n_trials):
     """Scheme columns cycling through AWKWARD, so values repeat across schemes,
-    trials and chunks; zooming and cpz sleep (ee None) on every third trial."""
+    trials and chunks; zooming and cpz sleep on every third trial."""
     def cycle(k, step):
-        return [AWKWARD[(step * t + k) % len(AWKWARD)] for t in range(n_trials)]
-    return tuple(SchemeColumns(kind, cycle(k, 1), cycle(k, 3),
-                               [None if k and t % 3 == 0 else x for t, x in enumerate(cycle(k, 5))],
-                               [(t + k) % 19 for t in range(n_trials)])
+        return np.array([AWKWARD[(step * t + k) % len(AWKWARD)] for t in range(n_trials)])
+    return tuple(SchemeColumns(kind, cycle(k, 1), cycle(k, 3), cycle(k, 5),
+                               np.array([(t + k) % 19 for t in range(n_trials)]),
+                               np.array([bool(k) and t % 3 == 0 for t in range(n_trials)]))
                  for k, kind in enumerate(SCHEME_ORDER))
+
+
+def test_report_gives_python_scalars_and_none_exactly_where_sleeping():
+    for columns in (synthetic_columns(9), run_comparison(make_config(n_trials=3, seed=1)),
+                    run_comparison(make_config(placement=FixedPlacement(()), n_trials=2))):
+        for col in columns:
+            for t, sleeping in enumerate(col.sleeping.tolist()):
+                report = col.report(t)
+                assert type(report.total_power) is float and type(report.sum_rate) is float
+                assert type(report.n_active_sectors) is int
+                assert report.ee is None if sleeping else type(report.ee) is float
 
 
 def check_csv(tmp_path, reports):
