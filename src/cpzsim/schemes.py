@@ -21,6 +21,7 @@ scheme: an array per report field and a `sleeping` mask.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -202,13 +203,27 @@ def _link_gains(budget: LinkBudget, cell_radius: float, r: np.ndarray,
     if outside.any():
         raise ValueError(f"user distance {r[outside][0]} m outside "
                          f"[{budget.r0}, {cell_radius}] m")
-    # pow runs on Python floats, as log2 does.
-    faded = np.array([budget.path_gain_g * x ** -budget.alpha
-                      for x in (r / budget.r0).ravel().tolist()]).reshape(r.shape)
+    # pow runs on Python floats, as log2 does; products round alike in numpy and Python.
+    ratios = (r / budget.r0).ravel().tolist()
+    loss = np.fromiter(map(pow, ratios, itertools.repeat(-budget.alpha)), float, len(ratios))
     if psi is not None and not ((0 < psi) & (psi < math.inf)).all():
         raise ValueError("shadowing factor must be positive and finite")
     with np.errstate(over="ignore"):
+        faded = loss.reshape(r.shape) * budget.path_gain_g
         return faded if psi is None else faded * psi
+
+
+def _rates(budget: LinkBudget, k_users: int, m_antennas: int, faded: np.ndarray,
+           power) -> np.ndarray:
+    """The batch kernel's rate stage: per_ue_rate of users of faded gains at a power."""
+    # The order of operations and the finite check of snr_rho and per_ue_rate;
+    # log2 runs on Python floats, since numpy's can differ in the last bit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinr = faded * power / k_users / budget.noise_n0 * (m_antennas - k_users)
+    if not np.isfinite(sinr).all():
+        raise ValueError("sinr must be nonnegative and finite")
+    flat = (1.0 + sinr).ravel().tolist()
+    return budget.bandwidth * np.fromiter(map(math.log2, flat), float, len(flat))
 
 
 def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_target: float,
@@ -220,9 +235,11 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
     arrays of user distances, angles (normalized as UePosition holds them) and
     slow-fading factors, psi None for unit shadowing. A block of trials runs
     the link stage once for all grids (faded gains, then rates and sums at the
-    edge ring), then each grid's plans: a plan (wedges, regions, ring) is
-    powered_regions on the block, trial t powering a `wedges`-sector region out
-    to each annulus regions[t, j] >= 0 and serving user u out to ring[t, u].
+    edge ring). always_max and zooming power a full-circle region out to the
+    edge and to the trial's top annulus on any grid: sized and rated once per
+    block, their arrays are shared by all grids' columns but n_active_sectors.
+    Per grid, cpz powers trial t a one-sector region out to each annulus
+    regions[t, j] >= 0 and serves user u out to ring[t, u].
     Trial t of a grid's columns holds the reports of evaluate_scheme on row
     t's users on that grid, float for float, and the error raised is the first
     it meets, grid by grid and trial by trial: ValueError for a distance outside
@@ -243,24 +260,19 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
             raise ValueError("radiated power must be nonnegative")
         return power
 
+    def ring_powers(rings: np.ndarray) -> np.ndarray:
+        # ring_power of each annulus in a 1-d array, sized in ascending order; 0.0 for -1.
+        distinct, index = np.unique(rings, return_inverse=True)
+        return np.array([ring_power(a) if a >= 0 else 0.0 for a in distinct.tolist()])[index]
+
     @functools.cache
-    def total(n_sectors: int, wedges: int, tops: tuple[int, ...]) -> float:
-        # A trial's power: one `wedges`-sector region per annulus in tops.
-        return _total_power([(wedges, ring_power(a)) for a in tops if a >= 0], n_sectors)
+    def total(n_sectors: int, tops: tuple[int, ...]) -> float:
+        # cpz's power on a trial: one one-sector region per annulus in tops.
+        return _total_power([(1, ring_power(a)) for a in tops if a >= 0], n_sectors)
 
-    def rates(faded: np.ndarray, power) -> np.ndarray:
-        # The order of operations and the finite check of snr_rho and per_ue_rate;
-        # log2 runs on Python floats, since numpy's can differ in the last bit.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sinr = faded * power / k_users / budget.noise_n0 * (m_antennas - k_users)
-        if not np.isfinite(sinr).all():
-            raise ValueError("sinr must be nonnegative and finite")
-        flat = (1.0 + sinr).ravel().tolist()
-        return budget.bandwidth * np.fromiter(map(math.log2, flat), float, len(flat))
-
-    def plan(n_sectors: int, annulus: np.ndarray, sector: np.ndarray):
-        # A grid's three plans and their budget-checked (3, trials) totals. In
-        # sector order, cpz's region of a sector sits at the sector's first user.
+    def plan(n_sectors: int, annulus: np.ndarray, sector: np.ndarray, powers: np.ndarray):
+        # cpz's plan and power, after the budget guard on the grid's (3, trials)
+        # totals. In sector order, a sector's region sits at the sector's first user.
         order = np.argsort(sector, axis=1)
         by_sector = np.take_along_axis(sector, order, axis=1)
         first = np.ones(sector.shape, dtype=bool)
@@ -270,48 +282,40 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
         regions, ring = np.full(sector.shape, -1), np.empty(sector.shape, dtype=np.int64)
         regions.flat[starts] = tops
         np.put_along_axis(ring, order, tops[np.cumsum(first) - 1].reshape(ring.shape), axis=1)
-        zoom = regions.max(axis=1, initial=-1)[:, None]
-        full = np.full((1, 1), edge)  # always-max: one row for every trial, one total
-        plans = ((n_sectors, full, full), (n_sectors, zoom, zoom), (1, regions, ring))
-        power = np.empty((len(plans), len(sector)))
-        for out, (wedges, powered, _) in zip(power, plans):
-            # Sized once per distinct sorted row: sort the rows, compare neighbours.
-            rows = np.sort(powered, axis=1)
-            ranked = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))
-            rows, group = rows[ranked], np.empty(len(rows), dtype=np.int64)
-            new = np.ones(len(rows), dtype=bool)
-            new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-            group[ranked] = np.cumsum(new) - 1
-            out[:] = np.array([total(n_sectors, wedges, tuple(row))
-                               for row in rows[new].tolist()])[group]
+        # Sized once per distinct sorted row: sort the rows, compare neighbours.
+        rows = np.sort(regions, axis=1)
+        ranked = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))
+        rows, group = rows[ranked], np.empty(len(rows), dtype=np.int64)
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        group[ranked] = np.cumsum(new) - 1
+        power = np.vstack((powers, np.array([total(n_sectors, tuple(row))
+                                             for row in rows[new].tolist()])[group]))
         over = ~(power <= p_max)
         if over.any():
             t, k = np.argwhere(over.T)[0]
             _check_budget(SCHEME_ORDER[k], power[k, t].item(), p_max)
-        return plans, power
+        return power[-1], ring, (regions >= 0).sum(axis=1)
 
-    def rate(columns, block, plans, powers, faded, edge_rates, edge_sums) -> None:
+    def rate(cols, block, power, ring, n_regions, faded, edge_rates, edge_sums) -> None:
         # A user served out to the edge ring has its edge rate: only the others
         # are rated again, and their trials (mixed) summed again.
-        for cols, (wedges, regions, ring), power in zip(columns, plans, powers):
-            sum_rate = edge_sums.copy()
-            ring = np.broadcast_to(ring, faded.shape)
-            mixed = np.flatnonzero((ring != edge).any(axis=1))
-            if len(mixed):
-                ring = ring[mixed]
-                inner, scheme_rates = ring != edge, edge_rates[mixed]
-                rings, ring_of = np.unique(ring[inner], return_inverse=True)
-                scheme_rates[inner] = rates(faded[mixed][inner], np.array(
-                    [ring_power(a) for a in rings.tolist()])[ring_of])
-                sum_rate[mixed] = [math.fsum(row) for row in scheme_rates.tolist()]
-            sleeping = power == 0
-            with np.errstate(over="ignore"):
-                ee = np.divide(sum_rate, power, out=cols.ee[block], where=~sleeping)
-            for t in np.flatnonzero(ee == math.inf)[:1].tolist():
-                energy_efficiency(sum_rate[t].item(), power[t].item())  # raises its message
-            cols.total_power[block], cols.sum_rate[block] = power, sum_rate
-            cols.n_active_sectors[block] = wedges * (regions >= 0).sum(axis=1)
-            cols.sleeping[block] = sleeping
+        sum_rate = edge_sums.copy()
+        ring = np.broadcast_to(ring, faded.shape)
+        mixed = np.flatnonzero((ring != edge).any(axis=1))
+        if len(mixed):
+            ring = ring[mixed]
+            inner, scheme_rates = ring != edge, edge_rates[mixed]
+            scheme_rates[inner] = _rates(budget, k_users, m_antennas, faded[mixed][inner],
+                                         ring_powers(ring[inner]))
+            sum_rate[mixed] = list(map(math.fsum, scheme_rates.tolist()))
+        sleeping = power == 0
+        with np.errstate(over="ignore"):
+            ee = np.divide(sum_rate, power, out=cols.ee[block], where=~sleeping)
+        for t in np.flatnonzero(ee == math.inf)[:1].tolist():
+            energy_efficiency(sum_rate[t].item(), power[t].item())  # raises its message
+        cols.total_power[block], cols.sum_rate[block] = power, sum_rate
+        cols.n_active_sectors[block], cols.sleeping[block] = n_regions, sleeping
 
     failed: dict[int, Exception] = {}
 
@@ -326,21 +330,31 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
             failed[g] = exc
 
     n = len(r)
-    columns = [tuple(SchemeColumns(kind, np.empty(n), np.empty(n), np.full(n, math.nan),
-                                   np.empty(n, dtype=np.int64), np.empty(n, dtype=bool))
-                     for kind in SCHEME_ORDER) for _ in grids]
+    # always-max's and zooming's columns, then cpz's of each grid; n_active_sectors
+    # holds region counts until a grid's region width is known.
+    columns = [SchemeColumns(kind, np.empty(n), np.empty(n), np.full(n, math.nan),
+                             np.empty(n, dtype=np.int64), np.empty(n, dtype=bool))
+               for kind in SCHEME_ORDER[:2] + SCHEME_ORDER[2:] * len(grids)]
+    shared, cpz = columns[:2], columns[2:]
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
         rb, phib = r[block], phi[block]
         faded = _link_gains(budget, grid.cell_radius, rb, None if psi is None else psi[block])
         annulus = cell_indices(grid, rb, phib)[0].astype(np.int64)
-        plans = {g: attempt(g, plan, each.n_sectors, annulus, cell_indices(each, rb, phib)[1])
+        # _total_power([(n, P)], n) == P: always-max's and zooming's totals are ring powers.
+        tops = (np.full(len(rb), edge), annulus.max(axis=1, initial=-1))
+        powers = np.stack([ring_powers(top) for top in tops])
+        plans = {g: attempt(g, plan, each.n_sectors, annulus, cell_indices(each, rb, phib)[1],
+                            powers)
                  for g, each in enumerate(grids) if g not in failed}
-        edge_rates = rates(faded, ring_power(edge)).reshape(rb.shape)
-        edge_sums = np.array([math.fsum(row) for row in edge_rates.tolist()])
+        edge_rates = _rates(budget, k_users, m_antennas, faded, ring_power(edge)).reshape(rb.shape)
+        edge_sums = np.fromiter(map(math.fsum, edge_rates.tolist()), float, len(rb))
+        for cols, power, top in zip(shared, powers, tops):
+            rate(cols, block, power, top[:, None], top >= 0, faded, edge_rates, edge_sums)
         for g, planned in plans.items():
             if g not in failed:
-                attempt(g, rate, columns[g], block, *planned, faded, edge_rates, edge_sums)
+                attempt(g, rate, cpz[g], block, *planned, faded, edge_rates, edge_sums)
     if failed:
         raise failed[min(failed)]
-    return columns
+    return [(*(cols._replace(n_active_sectors=each.n_sectors * cols.n_active_sectors)
+               for cols in shared), cpz[g]) for g, each in enumerate(grids)]

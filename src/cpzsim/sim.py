@@ -13,8 +13,9 @@ or re-partition one clustered user set under every sector count in one kernel
 call. Results are the kernel's per-scheme columns (`schemes.SchemeColumns`,
 an array per report field and a `sleeping` mask) keyed by sweep value (None
 for a plain comparison): the CSV writer streams them a chunk of trials at a
-time, formatting each distinct float once per chunk, and `_aggregate` reduces
-them to mean power and mean energy efficiency per value and scheme.
+time, with one repr per distinct float bit pattern and one % format of the
+rows per chunk, and `_aggregate` reduces them to mean power and mean energy
+efficiency per value and scheme.
 """
 
 import json
@@ -311,24 +312,8 @@ def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> Sweep
 # Emission
 
 
-class _Reprs(dict):
-    """repr of each float looked up, computed once per distinct value; None gives ''.
-
-    Zeros are never stored, since -0.0 == 0.0 would share one entry.
-    """
-
-    def __init__(self):
-        super().__init__({None: ""})
-
-    def __missing__(self, x: float) -> str:
-        text = repr(x)
-        if x:
-            self[x] = text
-        return text
-
-
-# Trials per CSV chunk; bounds the text and the repr cache held at once.
-_CSV_CHUNK = 2048
+# Trials per CSV chunk; bounds the texts held at once.
+_CSV_CHUNK = 1024
 
 
 def _csv_chunks(reports: ReportsByValue) -> Iterator[str]:
@@ -336,25 +321,24 @@ def _csv_chunks(reports: ReportsByValue) -> Iterator[str]:
     yield CSV_HEADER + "\n"
     for value, columns in reports.items():
         sweep_var = "" if value is None else repr(value)
+        row_format = "".join(f"{sweep_var},{col.scheme.value},%s,%s,%s,%s,%s\n"
+                             for col in columns)
         n_trials = len(columns[0].total_power)
         for start in range(0, n_trials, _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, n_trials)
-            text = _Reprs().__getitem__
-            lines = [""] * (len(columns) * (stop - start))
-            for k, col in enumerate(columns):
-                prefix = f"{sweep_var},{col.scheme.value},"
-                ees = col.ee[start:stop].tolist()
-                for t in np.flatnonzero(col.sleeping[start:stop]).tolist():
-                    ees[t] = None
-                lines[k::len(columns)] = [
-                    f"{prefix}{trial},{power},{sum_rate},{ee},{n_active}"
-                    for trial, power, sum_rate, ee, n_active in zip(
-                        range(start, stop),
-                        map(text, col.total_power[start:stop].tolist()),
-                        map(text, col.sum_rate[start:stop].tolist()),
-                        map(text, ees),
-                        col.n_active_sectors[start:stop].tolist())]
-            yield "\n".join(lines) + "\n"
+            chunk = slice(start, min(start + _CSV_CHUNK, n_trials))
+            floats = np.stack([field[chunk] for col in columns
+                               for field in (col.total_power, col.sum_rate, col.ee)], axis=1)
+            # One repr per distinct bit pattern, so -0.0 keeps its sign.
+            patterns, index = np.unique(floats.view(np.int64), return_inverse=True)
+            texts = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
+            m = len(floats)
+            # (trial, scheme, field) cells as Python objects, in row order.
+            cells = np.empty((m, len(columns), 5), dtype=object)
+            cells[:, :, 0] = np.arange(start, chunk.stop)[:, None]
+            cells[:, :, 1:4] = texts[index].reshape(m, len(columns), 3)
+            cells[:, :, 4] = np.stack([col.n_active_sectors[chunk] for col in columns], axis=1)
+            cells[np.stack([col.sleeping[chunk] for col in columns], axis=1), 3] = ""
+            yield row_format * m % tuple(cells.ravel().tolist())
 
 
 def format_records_csv(reports: ReportsByValue) -> str:

@@ -638,9 +638,9 @@ def test_emitted_bytes_on_fixed_placement(tmp_path, argv, csv_text, json_text):
 
 
 # sha256 of the CSV, stdout and sidecar of seeded runs, taken before the batch
-# kernel ran every scheme from one plan. simulate at 2049 trials crosses both
-# the 2048-trial CSV chunk and the 256-trial kernel block; the sweep re-places
-# an arc cluster under lognormal shadowing. Never edit a digest to pass.
+# kernel ran every scheme from one plan. simulate at 2049 trials crosses the
+# 1024-trial kernel block and the 1024-trial CSV chunk twice each; the sweep
+# re-places an arc cluster under lognormal shadowing. Never edit a digest to pass.
 SEEDED_DIGESTS = [
     (["simulate", "--trials", "2049", "--seed", "0"], None,
      "75efc08dc69916cae5b7e5b14b25d07e952c5610bc4e234ddbfe9ab0ca39632a",

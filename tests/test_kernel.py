@@ -179,12 +179,14 @@ def test_kernel_guard_reports_first_trial_in_trial_major_order(monkeypatch):
     # reports trial 0's, with the scheme name and total _check_budget gives it.
     grid, budget, target, k, m = PartitionGrid(3, 18, 1000.0), LinkBudget(), 2e7, 10, 200
     p_max = required_bs_power(grid.cell_radius, target, k, m, budget)
-    ring = [required_bs_power(grid.annulus_outer_radius(a), target, k, m, budget)
-            for a in range(grid.n_annuli)]
-    over = {((1, ring[0]),): 2 * p_max, ((grid.n_sectors, ring[1]),): 3 * p_max}
+    ring0 = required_bs_power(grid.annulus_outer_radius(0), target, k, m, budget)
+    # Zooming's total is its ring's power, so annulus 1 is sized over budget;
+    # cpz's one sector of 18 there stays under it.
+    monkeypatch.setattr(schemes, "required_bs_power", lambda d, *args: 3 * p_max
+                        if d == grid.annulus_outer_radius(1) else required_bs_power(d, *args))
     total_power = schemes._total_power
-    monkeypatch.setattr(schemes, "_total_power",
-                        lambda sized, n: over.get(tuple(sized), total_power(sized, n)))
+    monkeypatch.setattr(schemes, "_total_power", lambda sized, n: 2 * p_max
+                        if sized == [(1, ring0)] else total_power(sized, n))
     # One user per trial, in annulus 0 on trial 0 and annulus 1 on trial 1.
     r, phi = np.array([[200.0], [500.0]]), np.zeros((2, 1))
     with pytest.raises(RuntimeError) as error:
@@ -228,6 +230,26 @@ def test_sector_sweep_runs_the_link_stage_once_per_trial(monkeypatch):
     sweep_sectors(ScenarioConfig(shadowing=LognormalShadowing(), n_trials=150),
                   [1, 2, 3, 6, 9, 18, 36])
     assert blocks == [64, 64, 22]
+
+
+def test_sector_sweep_rates_zooming_once_per_block(monkeypatch):
+    # A 12-user cluster in annulus 1: every block rates the edge ring, then
+    # zooming's and each count's cpz users short of it. always-max and zooming
+    # do not depend on the sector count, so zooming is rated once per block.
+    calls = []
+    rates = schemes._rates
+
+    def spy(budget, k_users, m_antennas, faded, power):
+        calls.append(faded.size)
+        return rates(budget, k_users, m_antennas, faded, power)
+
+    monkeypatch.setattr(schemes, "_rates", spy)
+    monkeypatch.setattr(schemes, "_BLOCK", 64)
+    counts = [1, 2, 3, 6, 9, 18, 36]
+    sweep_sectors(ScenarioConfig(k_users=12, placement=ArcCluster(1, 1), n_trials=150,
+                                 shadowing=LognormalShadowing()), counts)
+    # Per block: the edge ring, then zooming, then cpz on each count, all users each time.
+    assert calls == [users for block in (64, 64, 22) for users in [block * 12] * (2 + len(counts))]
 
 
 def test_kernel_memory_does_not_grow_with_the_sector_count():

@@ -3,6 +3,8 @@
 import json
 import math
 import statistics
+import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -379,8 +381,9 @@ def oracle_csv(reports):
 
 
 # Floats the writer must format exactly as repr does: both zeros, two NaN
-# objects, the extremes and an inexact sum.
-AWKWARD = [0.0, -0.0, math.nan, float("nan"), 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 2.5e-11]
+# objects and a NaN with its sign bit set, the extremes and an inexact sum.
+AWKWARD = [0.0, -0.0, math.nan, float("nan"), math.copysign(math.nan, -1), 5e-324,
+           1.7976931348623157e308, 0.1 + 0.2, 2.5e-11]
 
 
 def synthetic_columns(n_trials):
@@ -420,6 +423,59 @@ def test_csv_matches_row_formula_on_awkward_floats(tmp_path):
     powers = {row[3] for row in rows}
     assert {"0.0", "-0.0", "nan", "5e-324", "1.7976931348623157e+308"} <= powers
     assert any(row[5] == "" for row in rows if row[1] != "always_max")
+
+
+def test_csv_keeps_signed_zeros_apart_across_columns(tmp_path):
+    # 0.0 and -0.0 compare equal; in one chunk each column keeps its own text.
+    zeros, n_active, awake = np.array([0.0, -0.0]), np.zeros(2, dtype=np.int64), np.zeros(2, bool)
+    columns = tuple(SchemeColumns(kind, zeros, zeros[::-1].copy(), zeros, n_active, awake)
+                    for kind in SCHEME_ORDER)
+    rows = [line.split(",")[3:6] for line in check_csv(tmp_path, {None: columns}).splitlines()]
+    assert rows[1] == ["0.0", "-0.0", "0.0"] and rows[4] == ["-0.0", "0.0", "-0.0"]
+
+
+def chunk_bit_patterns(columns):
+    """Distinct float bit patterns of each _CSV_CHUNK-trial chunk of the columns."""
+    n_trials = len(columns[0].total_power)
+    return [len({struct.pack("<d", x) for col in columns
+                 for field in (col.total_power, col.sum_rate, col.ee)
+                 for x in field[start:start + sim._CSV_CHUNK].tolist()})
+            for start in range(0, n_trials, sim._CSV_CHUNK)]
+
+
+def test_csv_formats_each_distinct_bit_pattern_once_per_chunk(tmp_path, monkeypatch):
+    calls = []
+
+    def counted_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(sim, "repr", counted_repr, raising=False)
+    n_trials = 2 * sim._CSV_CHUNK + 3
+    for columns in (synthetic_columns(n_trials),
+                    run_comparison(make_config(n_trials=n_trials, seed=5))):
+        calls.clear()
+        check_csv(tmp_path, {None: columns})
+        # Once for format_records_csv and once for write_records_csv.
+        assert len(calls) == 2 * sum(chunk_bit_patterns(columns))
+
+
+def test_csv_writer_memory_does_not_grow_with_n_trials(tmp_path):
+    # About as many distinct floats per chunk as a default-scenario run has (4k):
+    # the peak is one chunk's texts and rows, whatever the number of chunks.
+    def peak(n_trials):
+        draws = np.random.default_rng(n_trials).integers(0, 4096, (9, n_trials)) / 7
+        columns = tuple(SchemeColumns(kind, *draws[3 * k:3 * k + 3],
+                                      np.arange(n_trials), np.zeros(n_trials, dtype=bool))
+                        for k, kind in enumerate(SCHEME_ORDER))
+        tracemalloc.start()
+        try:
+            write_records_csv(tmp_path / "records.csv", {None: columns})
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16 * sim._CSV_CHUNK) < 1.25 * peak(4 * sim._CSV_CHUNK)
 
 
 @pytest.mark.parametrize("values", [[1, 6, 18], [250.5, 1000.0]], ids=["int", "float"])
