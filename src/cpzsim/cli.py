@@ -1,12 +1,12 @@
 """Command-line front end: verify the core model, run comparisons, run sweeps.
 
 Exit codes are stable: 0 on success, 1 on a failed verification check,
-2 on configuration or usage errors, 3 on I/O failures. Scenario configs
-are JSON files read straight from the ScenarioConfig dataclass tree: the
-keys, types and defaults are its fields, a union field is an object with
-a "kind" tag, and fixed placement's positions may be left out. Flags
-override file values, the CPZ_SIM_SEED environment variable is the
-fallback seed.
+2 on configuration or usage errors, a run too large to allocate among
+them, 3 on I/O failures. Scenario configs are JSON files read straight
+from the ScenarioConfig dataclass tree: the keys, types and defaults are
+its fields, a union field is an object with a "kind" tag, and fixed
+placement's positions may be left out. Flags override file values, the
+CPZ_SIM_SEED environment variable is the fallback seed.
 """
 
 import argparse
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

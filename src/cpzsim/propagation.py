@@ -19,10 +19,11 @@ from .rng import SHADOWING, uniform_rows
 class LinkBudget:
     """Propagation and noise parameters of the cell (SI units).
 
-    Defaults are the outdoor-macro values used across the simulator:
-    1 km cell, 100 m reference distance, exponent 3.7, 8 dB shadowing,
-    5 MHz per component carrier. noise_n0 is the noise power over that
-    bandwidth (about -107 dBm).
+    Defaults are the outdoor-macro values used across the simulator: 1 km
+    cell, 100 m reference distance, exponent 3.7, 5 MHz per carrier, and
+    noise_n0 the noise power over it (about -107 dBm). shadow_sigma_db is
+    validated but read by nothing: LognormalShadowing.sigma_db sets the
+    shadowing. cell_radius_r must equal grid.cell_radius, as ScenarioConfig checks.
     """
 
     path_gain_g: float = 1.0

@@ -241,11 +241,30 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
     Per grid, cpz powers trial t a one-sector region out to each annulus
     regions[t, j] >= 0 and serves user u out to ring[t, u].
     Trial t of a grid's columns holds the reports of evaluate_scheme on row
-    t's users on that grid, float for float, and the error raised is the first
-    it meets, grid by grid and trial by trial: ValueError for a distance outside
-    [r0, R], a factor that is not positive and finite, an SINR that is not
-    finite or an EE that overflows, RuntimeError for a total above the budget.
+    t's users on that grid, float for float. The error raised is the one a call
+    per grid would raise first; on one grid, errors come block by block and,
+    within a block, stage by stage: link (ValueError for a distance outside
+    [r0, R] or a factor that is not positive and finite), ring sizing
+    (ValueError for a power of 0 or inf), the budget guard in trial-major
+    order (RuntimeError for a total above the budget), edge rates, then each
+    scheme's rates and EE (ValueError for an SINR that is not finite or an EE
+    that overflows).
     """
+    try:
+        return _evaluate_grids(grids, budget, rate_target, k_users, m_antennas, r, phi, psi)
+    except (ValueError, RuntimeError) as exc:
+        error = exc
+    # The first grid that fails on its own raises; if none before the last
+    # does, the pass's error is the last grid's.
+    for grid in grids[:-1]:
+        _evaluate_grids([grid], budget, rate_target, k_users, m_antennas, r, phi, psi)
+    raise error
+
+
+def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_target: float,
+                    k_users: int, m_antennas: int, r: np.ndarray, phi: np.ndarray,
+                    psi: np.ndarray | None) -> list[tuple[SchemeColumns, ...]]:
+    """_evaluate_trials in one pass over all grids, raising the first error it meets."""
     grid = grids[0]
     edge = grid.n_annuli - 1
     p_max = required_bs_power(budget.cell_radius_r, rate_target, k_users, m_antennas, budget)
@@ -270,9 +289,9 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
         # cpz's power on a trial: one one-sector region per annulus in tops.
         return _total_power([(1, ring_power(a)) for a in tops if a >= 0], n_sectors)
 
-    def plan(n_sectors: int, annulus: np.ndarray, sector: np.ndarray, powers: np.ndarray):
-        # cpz's plan and power, after the budget guard on the grid's (3, trials)
-        # totals. In sector order, a sector's region sits at the sector's first user.
+    def plan(n_sectors: int, annulus: np.ndarray, sector: np.ndarray):
+        # cpz's (power, ring, n_regions) on a grid. In sector order, a sector's
+        # region sits at the sector's first user.
         order = np.argsort(sector, axis=1)
         by_sector = np.take_along_axis(sector, order, axis=1)
         first = np.ones(sector.shape, dtype=bool)
@@ -289,45 +308,8 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
         new = np.ones(len(rows), dtype=bool)
         new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         group[ranked] = np.cumsum(new) - 1
-        power = np.vstack((powers, np.array([total(n_sectors, tuple(row))
-                                             for row in rows[new].tolist()])[group]))
-        over = ~(power <= p_max)
-        if over.any():
-            t, k = np.argwhere(over.T)[0]
-            _check_budget(SCHEME_ORDER[k], power[k, t].item(), p_max)
-        return power[-1], ring, (regions >= 0).sum(axis=1)
-
-    def rate(cols, block, power, ring, n_regions, faded, edge_rates, edge_sums) -> None:
-        # A user served out to the edge ring has its edge rate: only the others
-        # are rated again, and their trials (mixed) summed again.
-        sum_rate = edge_sums.copy()
-        ring = np.broadcast_to(ring, faded.shape)
-        mixed = np.flatnonzero((ring != edge).any(axis=1))
-        if len(mixed):
-            ring = ring[mixed]
-            inner, scheme_rates = ring != edge, edge_rates[mixed]
-            scheme_rates[inner] = _rates(budget, k_users, m_antennas, faded[mixed][inner],
-                                         ring_powers(ring[inner]))
-            sum_rate[mixed] = list(map(math.fsum, scheme_rates.tolist()))
-        sleeping = power == 0
-        with np.errstate(over="ignore"):
-            ee = np.divide(sum_rate, power, out=cols.ee[block], where=~sleeping)
-        for t in np.flatnonzero(ee == math.inf)[:1].tolist():
-            energy_efficiency(sum_rate[t].item(), power[t].item())  # raises its message
-        cols.total_power[block], cols.sum_rate[block] = power, sum_rate
-        cols.n_active_sectors[block], cols.sleeping[block] = n_regions, sleeping
-
-    failed: dict[int, Exception] = {}
-
-    def attempt(g: int, step, *args):
-        # Grid g > 0 stops at its first error, raised at the end unless an earlier
-        # grid fails: one call per grid would meet that grid's error first.
-        try:
-            return step(*args)
-        except (ValueError, RuntimeError) as exc:
-            if not g:
-                raise
-            failed[g] = exc
+        power = np.array([total(n_sectors, tuple(row)) for row in rows[new].tolist()])[group]
+        return power, ring, (regions >= 0).sum(axis=1)
 
     n = len(r)
     # always-max's and zooming's columns, then cpz's of each grid; n_active_sectors
@@ -335,26 +317,42 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
     columns = [SchemeColumns(kind, np.empty(n), np.empty(n), np.full(n, math.nan),
                              np.empty(n, dtype=np.int64), np.empty(n, dtype=bool))
                for kind in SCHEME_ORDER[:2] + SCHEME_ORDER[2:] * len(grids)]
-    shared, cpz = columns[:2], columns[2:]
     for start in range(0, n, _BLOCK):
         block = slice(start, start + _BLOCK)
         rb, phib = r[block], phi[block]
         faded = _link_gains(budget, grid.cell_radius, rb, None if psi is None else psi[block])
         annulus = cell_indices(grid, rb, phib)[0].astype(np.int64)
-        # _total_power([(n, P)], n) == P: always-max's and zooming's totals are ring powers.
+        # Plans in column order; _total_power([(n, P)], n) == P: always-max's and
+        # zooming's totals are ring powers.
         tops = (np.full(len(rb), edge), annulus.max(axis=1, initial=-1))
-        powers = np.stack([ring_powers(top) for top in tops])
-        plans = {g: attempt(g, plan, each.n_sectors, annulus, cell_indices(each, rb, phib)[1],
-                            powers)
-                 for g, each in enumerate(grids) if g not in failed}
+        plans = [(ring_powers(top), top[:, None], top >= 0) for top in tops]
+        plans += [plan(each.n_sectors, annulus, cell_indices(each, rb, phib)[1])
+                  for each in grids]
+        powers = np.stack([power for power, _, _ in plans])
+        over = ~(powers <= p_max)
+        if over.any():
+            t, k = np.argwhere(over.T)[0]
+            _check_budget(columns[k].scheme, powers[k, t].item(), p_max)
         edge_rates = _rates(budget, k_users, m_antennas, faded, ring_power(edge)).reshape(rb.shape)
         edge_sums = np.fromiter(map(math.fsum, edge_rates.tolist()), float, len(rb))
-        for cols, power, top in zip(shared, powers, tops):
-            rate(cols, block, power, top[:, None], top >= 0, faded, edge_rates, edge_sums)
-        for g, planned in plans.items():
-            if g not in failed:
-                attempt(g, rate, cpz[g], block, *planned, faded, edge_rates, edge_sums)
-    if failed:
-        raise failed[min(failed)]
+        for cols, (power, ring, n_regions) in zip(columns, plans):
+            # A user served out to the edge ring has its edge rate: only the
+            # others are rated again, and their trials (mixed) summed again.
+            sum_rate = edge_sums.copy()
+            ring = np.broadcast_to(ring, faded.shape)
+            mixed = np.flatnonzero((ring != edge).any(axis=1))
+            if len(mixed):
+                ring = ring[mixed]
+                inner, scheme_rates = ring != edge, edge_rates[mixed]
+                scheme_rates[inner] = _rates(budget, k_users, m_antennas, faded[mixed][inner],
+                                             ring_powers(ring[inner]))
+                sum_rate[mixed] = list(map(math.fsum, scheme_rates.tolist()))
+            sleeping = power == 0
+            with np.errstate(over="ignore"):
+                ee = np.divide(sum_rate, power, out=cols.ee[block], where=~sleeping)
+            for t in np.flatnonzero(ee == math.inf)[:1].tolist():
+                energy_efficiency(sum_rate[t].item(), power[t].item())  # raises its message
+            cols.total_power[block], cols.sum_rate[block] = power, sum_rate
+            cols.n_active_sectors[block], cols.sleeping[block] = n_regions, sleeping
     return [(*(cols._replace(n_active_sectors=each.n_sectors * cols.n_active_sectors)
-               for cols in shared), cpz[g]) for g, each in enumerate(grids)]
+               for cols in columns[:2]), columns[2 + g]) for g, each in enumerate(grids)]

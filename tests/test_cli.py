@@ -325,6 +325,18 @@ def test_sweep_distance_overflowing_path_loss_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--variable", "sectors",
+                                                  "--values", "1,6"]])
+def test_trial_count_too_large_to_allocate_exits_2(tmp_path, capsys, command):
+    # Placement asks for a (trials, 2k) float array of 1.6 PB, beyond any
+    # address space, so the allocation fails at once, before any work.
+    out = tmp_path / "out.csv"
+    assert run_cli([*command, "--trials", str(10**13), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def fixed(*positions):
     return {"placement": {"kind": "fixed", "positions": list(positions)}}
 

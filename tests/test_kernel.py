@@ -216,6 +216,46 @@ def test_kernel_reports_errors_grid_by_grid(monkeypatch):
         schemes._evaluate_trials(grids, budget, target, k, m, np.array([[200.0], [300.0]]), phi)
 
 
+def test_kernel_reports_errors_block_by_block_then_stage_by_stage(monkeypatch):
+    # cpz over budget on trial 0 and a user at 50 m on trial 1: in one block the
+    # link stage runs before the budget guard, so trial 1's error comes first.
+    grid, budget, target, k, m = PartitionGrid(3, 18, 1000.0), LinkBudget(), 2e7, 10, 200
+    p_max = required_bs_power(grid.cell_radius, target, k, m, budget)
+    ring0 = required_bs_power(grid.annulus_outer_radius(0), target, k, m, budget)
+    total_power = schemes._total_power
+    monkeypatch.setattr(schemes, "_total_power", lambda sized, n: 2 * p_max
+                        if sized == [(1, ring0)] else total_power(sized, n))
+    r, phi = np.array([[200.0], [50.0]]), np.zeros((2, 1))
+    with pytest.raises(ValueError, match="user distance 50.0 m outside"):
+        schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
+    monkeypatch.setattr(schemes, "_BLOCK", 1)
+    with pytest.raises(RuntimeError, match="cpz power"):
+        schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
+
+
+@pytest.mark.parametrize("n_grids, blocks", [(1, [64, 64]), (3, [64, 64, 64, 64])])
+def test_kernel_reruns_only_the_grids_before_a_failure(monkeypatch, n_grids, blocks):
+    # A user at 50 m on trial 100 fails block 1 on every grid. A one-grid call
+    # is not run again; a multi-grid call runs grid 0 alone up to its failing
+    # block, which raises, so no later block and no other grid runs again.
+    seen = []
+    link_gains = schemes._link_gains
+
+    def spy(budget, cell_radius, r, psi):
+        seen.append(len(r))
+        return link_gains(budget, cell_radius, r, psi)
+
+    monkeypatch.setattr(schemes, "_link_gains", spy)
+    monkeypatch.setattr(schemes, "_BLOCK", 64)
+    u = np.random.default_rng(0).random((150, 2))
+    r, phi = 100.0 + 900.0 * u[:, :1], TWO_PI * u[:, 1:]
+    r[100, 0] = 50.0
+    grids = [PartitionGrid(3, count) for count in (1, 6, 18)[:n_grids]]
+    with pytest.raises(ValueError, match="user distance 50.0 m outside"):
+        schemes._evaluate_trials(grids, LinkBudget(), 2e7, 10, 200, r, phi)
+    assert seen == blocks
+
+
 def test_sector_sweep_runs_the_link_stage_once_per_trial(monkeypatch):
     # All sector counts share each block's link stage: seven counts, one pass per trial.
     blocks = []
