@@ -4,24 +4,25 @@ A scenario places users in the cell and evaluates the three power-allocation
 schemes on them. Trial i places its users from row i of stream
 (config.seed, PLACEMENT) and draws their shadowing from row i of stream
 (shadowing.seed, SHADOWING); the purpose tags keep the two independent even
-though both seeds default to 0. Results are reproducible bit for bit, and a
-trial's draws do not depend on how many trials run. Runs and sweeps draw every
-trial's users and shadowing up front as (trials, users) arrays and hand them
-to the batch kernel `schemes._evaluate_trials`; `place_ues` and `build_state`
-are the per-trial scalar form. Sweeps pin a single edge user at each distance,
-or re-partition one clustered user set under every sector count in one kernel
-call. Results are the kernel's per-scheme columns (`schemes.SchemeColumns`,
-an array per report field and a `sleeping` mask) keyed by sweep value (None
-for a plain comparison): the CSV writer streams them a chunk of trials at a
-time, with one repr per distinct float bit pattern and one % format of the
-rows per chunk, and `_aggregate` reduces them to mean power and mean energy
-efficiency per value and scheme.
+though both seeds default to 0, and a trial's draws do not depend on how many
+trials run. Unit-shadowing results are the same bit for bit on any host with
+the same libm; lognormal ones also need the same numpy SIMD dispatch, which
+picks psi_rows' log1p, cos and power. `_evaluate` is the one way into the
+batch kernel `schemes._evaluate_trials`: it draws the config's users and
+shadowing as (trials, users) arrays and evaluates them on a list of grids.
+A distance sweep is run_comparison on one user pinned at each distance; a
+sector sweep evaluates one clustered user set on every count's grid at once.
+Results are the kernel's per-scheme columns (`schemes.SchemeColumns`, an
+array per report field and a `sleeping` mask) keyed by sweep value (None for
+a plain comparison): the CSV writer streams them a chunk of trials at a time,
+with one repr per distinct float bit pattern and one % format per chunk, and
+`_aggregate` reduces them to mean power and mean EE per value and scheme.
 """
 
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -197,10 +198,11 @@ def _trial_psi(config: ScenarioConfig, n_users: int) -> np.ndarray | None:
     return shadowing.psi_rows(n_users, 0, config.n_trials)
 
 
-def _reports(config: ScenarioConfig, grids: list[PartitionGrid], radii: np.ndarray,
-             angles: np.ndarray, psi: np.ndarray | None) -> list[tuple[SchemeColumns, ...]]:
+def _evaluate(config: ScenarioConfig, grids: list[PartitionGrid]) -> list[tuple[SchemeColumns, ...]]:
+    """Per grid, the columns of all three schemes on the config's users and shadowing."""
+    radii, angles = _trial_users(config)
     return _evaluate_trials(grids, config.budget, config.rate_target, config.k_users,
-                            config.m_antennas, radii, angles, psi)
+                            config.m_antennas, radii, angles, _trial_psi(config, radii.shape[1]))
 
 
 def run_comparison(config: ScenarioConfig) -> tuple[SchemeColumns, ...]:
@@ -208,8 +210,7 @@ def run_comparison(config: ScenarioConfig) -> tuple[SchemeColumns, ...]:
 
     `columns[k].report(t)` is scheme k's SchemeReport on trial t.
     """
-    radii, angles = _trial_users(config)
-    return _reports(config, [config.grid], radii, angles, _trial_psi(config, radii.shape[1]))[0]
+    return _evaluate(config, [config.grid])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +258,28 @@ def _aggregate(reports: ReportsByValue) -> tuple[SweepRow, ...]:
     return tuple(rows)
 
 
-def _sweep(config: ScenarioConfig, variable: str, values: list, n_users: int,
-           evaluate: Callable[[np.ndarray | None], list[tuple[SchemeColumns, ...]]]) -> SweepRun:
-    """Every trial at every sweep value; evaluate(psi) gives the columns of each value in turn.
-
-    Each trial's shadowing is drawn once and shared by all values.
-    """
+def _check_distinct(variable: str, values: list) -> None:
     if len(set(values)) < len(values):
         raise ValueError(f"{variable} sweep values must be distinct, got {values}")
-    reports = dict(zip(values, evaluate(_trial_psi(config, n_users))))
+
+
+def _sweep(variable: str, values: list, columns: list[tuple[SchemeColumns, ...]]) -> SweepRun:
+    reports = dict(zip(values, columns))
     return SweepRun(variable, _aggregate(reports), reports)
 
 
 def sweep_distance(config: ScenarioConfig, d_values: Iterable[float]) -> SweepRun:
-    """Scheme comparison with a single user pinned at each distance in turn."""
+    """run_comparison with a single user pinned at each distance in turn."""
     values = sorted(float(d) for d in d_values)
     if not values:
         raise ValueError("d_values must not be empty")
+    r0, radius = config.budget.r0, config.grid.cell_radius
     for d in values:
-        if not config.budget.r0 <= d <= config.budget.cell_radius_r:
-            raise ValueError(
-                f"sweep distance {d} m outside "
-                f"[{config.budget.r0}, {config.budget.cell_radius_r}] m"
-            )
-    angles = np.zeros((config.n_trials, 1))
-    return _sweep(config, "distance", values, 1, lambda psi: [
-        _reports(config, [config.grid], np.full((config.n_trials, 1), d), angles, psi)[0]
+        if not r0 <= d <= radius:
+            raise ValueError(f"sweep distance {d} m outside [{r0}, {radius}] m")
+    _check_distinct("distance", values)
+    return _sweep("distance", values, [
+        run_comparison(replace(config, placement=FixedPlacement((UePosition(0, d, 0.0),))))
         for d in values])
 
 
@@ -298,14 +295,14 @@ def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> Sweep
         raise ValueError("sector_counts must not be empty")
     if counts[0] < 1:
         raise ValueError("sector counts must be at least 1")
+    _check_distinct("sectors", counts)
     placement = config.placement
     if isinstance(placement, UniformDisk):
         placement = ArcCluster(sector_count_occupied=1, annulus=config.grid.n_annuli - 1)
     cluster = replace(config, grid=replace(config.grid, n_sectors=counts[-1]), placement=placement)
-    radii, angles = _trial_users(cluster)
     # One kernel call for all counts: they share each trial's link stage.
-    return _sweep(config, "sectors", counts, radii.shape[1], lambda psi: _reports(
-        config, [replace(config.grid, n_sectors=count) for count in counts], radii, angles, psi))
+    return _sweep("sectors", counts, _evaluate(
+        cluster, [replace(config.grid, n_sectors=count) for count in counts]))
 
 
 # ---------------------------------------------------------------------------

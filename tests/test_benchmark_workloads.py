@@ -1,0 +1,48 @@
+"""The benchmark's own workloads, run in-process on their exact inputs.
+
+benchmarks/run.py writes each workload's config file and runs its argv
+through the CLI; a sample fails on a non-zero exit or a failed output
+check. Every workload runs here at seed 0 the same way, so a change that
+drops a config key or a flag the benchmark sends fails tier-1, not only
+every benchmark run.
+"""
+
+import importlib
+import json
+import os
+
+import pytest
+
+from cpzsim import cli
+
+BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "benchmarks")
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """benchmarks/run.py and benchmarks/checks.py, imported as run.py imports checks."""
+    monkeypatch.syspath_prepend(BENCHMARKS)
+    return importlib.import_module("run"), importlib.import_module("checks")
+
+
+@pytest.mark.parametrize("workload", ["simulate_uniform", "sweep_sectors_lognormal", "verify"])
+def test_benchmark_workload_runs_and_passes_its_checks(tmp_path, capsys, monkeypatch, bench,
+                                                       workload):
+    run, checks = bench
+    assert sorted(run.WORKLOADS) == ["simulate_uniform", "sweep_sectors_lognormal", "verify"]
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    inputs = run.WORKLOADS[workload](0, str(tmp_path))
+    if inputs.config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(inputs.config), encoding="utf-8")
+    assert cli.main(inputs.argv) == 0
+    stdout = capsys.readouterr().out
+    csv_path, sidecar = str(tmp_path / "out.csv"), str(tmp_path / "out.json")
+    if workload == "simulate_uniform":
+        problems, _ = checks.check_simulate(inputs.config, csv_path)
+    elif workload == "sweep_sectors_lognormal":
+        problems, _ = checks.check_sweep_sectors(inputs.config, run.SWEEP_VALUES, csv_path,
+                                                 sidecar)
+    else:
+        problems, _ = checks.check_verify(stdout)
+    assert problems == []

@@ -651,8 +651,10 @@ def test_emitted_bytes_on_fixed_placement(tmp_path, argv, csv_text, json_text):
 
 # sha256 of the CSV, stdout and sidecar of seeded runs, taken before the batch
 # kernel ran every scheme from one plan. simulate at 2049 trials crosses the
-# 1024-trial kernel block and the 1024-trial CSV chunk twice each; the sweep
-# re-places an arc cluster under lognormal shadowing. Never edit a digest to pass.
+# 1024-trial kernel block and the 1024-trial CSV chunk twice each; the sector
+# sweep re-places an arc cluster under lognormal shadowing. The distance sweep's
+# digests were taken before it ran as run_comparison on one pinned user.
+# Never edit a digest to pass.
 SEEDED_DIGESTS = [
     (["simulate", "--trials", "2049", "--seed", "0"], None,
      "75efc08dc69916cae5b7e5b14b25d07e952c5610bc4e234ddbfe9ab0ca39632a",
@@ -664,11 +666,17 @@ SEEDED_DIGESTS = [
      "fc77f7da8bb689ca5dcff48abe7401b4541622831e1ece0bb67741ebdd674676",
      "f237d7ff6d1b2188c59e08aa4b1c0d334d51081360185cc9b0bf0bf35927066b",
      "0500f4efdb94c8ef699b87eeebc85e43a55662dfd986223d590c795ec08408c2"),
+    # Unit shadowing, so these bytes do not depend on numpy's SIMD dispatch.
+    (["sweep", "--variable", "distance", "--values", "100,250.5,550,1000",
+      "--trials", "2049", "--seed", "0"], None,
+     "4ca4beda2ded78434c91677243fa9acc0854cff64afb7997a5f79f9b6843e739",
+     "51b9ce248a00298de3c1b93b90bd5c814fe0a33725600531d1d831e46fe630ef",
+     "65140c549569db4f0b0684bdc46e2f62ac454920644c1baf9c2af3b391225f73"),
 ]
 
 
 @pytest.mark.parametrize("argv, doc, csv_sha, stdout_sha, json_sha", SEEDED_DIGESTS,
-                         ids=["simulate", "sweep_sectors"])
+                         ids=["simulate", "sweep_sectors", "sweep_distance"])
 def test_seeded_output_digests(tmp_path, capsys, argv, doc, csv_sha, stdout_sha, json_sha):
     config = [] if doc is None else ["--config", write_config(tmp_path, doc)]
     out = tmp_path / "out.csv"
