@@ -12,12 +12,15 @@ that region's dimensioning power, so per-user rates follow from the SNR at
 the user's own distance; the region edge gets exactly the target rate and
 everyone closer gets more.
 
-Two forms compute the same reports, float for float. `powered_regions`,
-`per_ue_rates` and `evaluate_scheme` work on one `CpzState` snapshot: the
-public scalar API, and the batch form's oracle. `_evaluate_trials` runs
-(trials, users) arrays of Monte Carlo runs and sweeps, on one or more grids
-that differ in sector count, and returns per grid one `SchemeColumns` per
-scheme: an array per report field and a `sleeping` mask.
+Two forms compute the same reports, float for float, under one rule: `pow`
+and `log2` run in libm on Python floats, and each trial's sum rate is
+`math.fsum`'s correctly rounded value (the batch form computes it with
+`_row_fsums`). `powered_regions`, `per_ue_rates` and `evaluate_scheme` work
+on one `CpzState` snapshot: the public scalar API, and the batch form's
+oracle. `_evaluate_trials` runs (trials, users) arrays of Monte Carlo runs
+and sweeps, on one or more grids that differ in sector count, and returns
+per grid one `SchemeColumns` per scheme: an array per report field and a
+`sleeping` mask.
 """
 
 import functools
@@ -156,6 +159,14 @@ def _check_budget(kind: SchemeKind, total: float, p_max: float) -> None:
         raise RuntimeError(f"{kind.value} power {total} exceeds the always-max budget {p_max}")
 
 
+def _sum_rate(rates) -> float:
+    """math.fsum of a trial's rates, raising ValueError if the sum leaves the float range."""
+    try:
+        return math.fsum(rates)
+    except OverflowError:
+        raise ValueError("sum rate overflows the float range") from None
+
+
 def evaluate_scheme(kind: SchemeKind, state: CpzState, budget: LinkBudget,
                     rate_target: float, k_users: int, m_antennas: int,
                     psi: Mapping[Hashable, float] | None = None) -> SchemeReport:
@@ -171,7 +182,7 @@ def evaluate_scheme(kind: SchemeKind, state: CpzState, budget: LinkBudget,
                          state.grid.n_sectors)
     p_max = required_bs_power(budget.cell_radius_r, rate_target, k_users, m_antennas, budget)
     _check_budget(kind, total, p_max)
-    sum_rate = math.fsum(_region_rates(sized, state, budget, k_users, m_antennas, psi).values())
+    sum_rate = _sum_rate(_region_rates(sized, state, budget, k_users, m_antennas, psi).values())
     return SchemeReport(kind, total, sum_rate, energy_efficiency(sum_rate, total),
                         sum(region.wedges for region, _ in sized))
 
@@ -203,9 +214,11 @@ def _link_gains(budget: LinkBudget, cell_radius: float, r: np.ndarray,
     if outside.any():
         raise ValueError(f"user distance {r[outside][0]} m outside "
                          f"[{budget.r0}, {cell_radius}] m")
-    # pow runs on Python floats, as log2 does; products round alike in numpy and Python.
-    ratios = (r / budget.r0).ravel().tolist()
-    loss = np.fromiter(map(pow, ratios, itertools.repeat(-budget.alpha)), float, len(ratios))
+    # pow and log2 run in libm on Python floats, since numpy's can differ in the
+    # last bit; products round alike in numpy and Python, and sums are fsum's.
+    ratios = (r / budget.r0).ravel()
+    loss = np.fromiter(map(pow, memoryview(ratios), itertools.repeat(-budget.alpha)), float,
+                       len(ratios))
     if psi is not None and not ((0 < psi) & (psi < math.inf)).all():
         raise ValueError("shadowing factor must be positive and finite")
     with np.errstate(over="ignore"):
@@ -217,13 +230,57 @@ def _rates(budget: LinkBudget, k_users: int, m_antennas: int, faded: np.ndarray,
            power) -> np.ndarray:
     """The batch kernel's rate stage: per_ue_rate of users of faded gains at a power."""
     # The order of operations and the finite check of snr_rho and per_ue_rate;
-    # log2 runs on Python floats, since numpy's can differ in the last bit.
+    # log2 runs in libm on Python floats, as pow does in _link_gains.
     with np.errstate(over="ignore", invalid="ignore"):
         sinr = faded * power / k_users / budget.noise_n0 * (m_antennas - k_users)
     if not np.isfinite(sinr).all():
         raise ValueError("sinr must be nonnegative and finite")
-    flat = (1.0 + sinr).ravel().tolist()
-    return budget.bandwidth * np.fromiter(map(math.log2, flat), float, len(flat))
+    flat = (1.0 + sinr).ravel()
+    with np.errstate(over="ignore"):
+        return budget.bandwidth * np.fromiter(map(math.log2, memoryview(flat)), float, len(flat))
+
+
+def _row_fsums(x: np.ndarray) -> np.ndarray:
+    """_sum_rate of each row of a (rows, k) float64 array, bit for bit, raising as it raises.
+
+    A TwoSum cascade (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26(6), 2005) runs
+    down the columns; a row keeps its result where that is certified to be the
+    exact sum rounded to nearest (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
+    31(2), 2008), and the other rows go to _sum_rate in row order.
+    """
+    n, k = x.shape
+    cols = np.ascontiguousarray(x.T) if k else np.zeros((1, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        absum = np.abs(cols).sum(axis=0)
+        s, e, a = cols[0], np.zeros(n), np.zeros(n)
+        for b in cols[1:]:
+            # Knuth's TwoSum, one ufunc per operation: s + b == t + q exactly.
+            t = s + b
+            z = t - s
+            q = (s - (t - z)) + (b - z)
+            s, e, a = t, e + q, a + np.abs(q)
+        r = s + e
+        z = r - s
+        rr = (s - (r - z)) + (e - z)
+        # A kept r is fsum's. With u = 2**-53 and no overflow, sum(row) == r + rr + d
+        # with d = sum(q) - e, |d| < 4 k u a for k < 2**50 (Higham, eq. 4.4), and
+        # bound >= |d| (twice that, and d is 0 or >= 2**-1074 where it underflows).
+        # (1) fl(|rr| + bound) < half: with g the smaller gap around r, the spacing of
+        # |r| (1 - u), half is g / 2, or 0 where g is 2**-1074 (r == 0 too), and
+        # rounding is monotone, so |sum(row) - r| < g / 2.
+        # (2) bound < the smallest spacing of the nonzero inputs, of which d is a
+        # multiple: d == 0, and r = fl(s + e) rounds ties (8% of rate sums) to even.
+        # absum < 2**1023 keeps every input finite and every partial sum, here and
+        # in fsum, in range; r == 0 leaves fsum its sign.
+        bound = k * 2.0**-50 * a
+        finite = absum < 2.0**1023
+        ok = (np.abs(rr) + bound < 0.5 * np.spacing(np.abs(r) * (1.0 - 2.0**-53))) & finite
+        rest = np.flatnonzero(~ok)
+        mags = np.abs(x[rest])
+        spacing = np.where(mags > 0, np.spacing(mags), math.inf).min(axis=1, initial=math.inf)
+        rest = rest[~((bound[rest] < spacing) & (r[rest] != 0) & finite[rest])]
+    r[rest] = np.fromiter(map(_sum_rate, x[rest].tolist()), float, len(rest))
+    return r
 
 
 def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_target: float,
@@ -246,9 +303,9 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
     within a block, stage by stage: link (ValueError for a distance outside
     [r0, R] or a factor that is not positive and finite), ring sizing
     (ValueError for a power of 0 or inf), the budget guard in trial-major
-    order (RuntimeError for a total above the budget), edge rates, then each
-    scheme's rates and EE (ValueError for an SINR that is not finite or an EE
-    that overflows).
+    order (RuntimeError for a total above the budget), edge rates and sums,
+    then each scheme's rates, sums and EE (ValueError for an SINR that is not
+    finite, a sum rate or an EE that overflows).
     """
     try:
         return _evaluate_grids(grids, budget, rate_target, k_users, m_antennas, r, phi, psi)
@@ -334,7 +391,7 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
             t, k = np.argwhere(over.T)[0]
             _check_budget(columns[k].scheme, powers[k, t].item(), p_max)
         edge_rates = _rates(budget, k_users, m_antennas, faded, ring_power(edge)).reshape(rb.shape)
-        edge_sums = np.fromiter(map(math.fsum, edge_rates.tolist()), float, len(rb))
+        edge_sums = _row_fsums(edge_rates)
         for cols, (power, ring, n_regions) in zip(columns, plans):
             # A user served out to the edge ring has its edge rate: only the
             # others are rated again, and their trials (mixed) summed again.
@@ -346,7 +403,7 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
                 inner, scheme_rates = ring != edge, edge_rates[mixed]
                 scheme_rates[inner] = _rates(budget, k_users, m_antennas, faded[mixed][inner],
                                              ring_powers(ring[inner]))
-                sum_rate[mixed] = list(map(math.fsum, scheme_rates.tolist()))
+                sum_rate[mixed] = _row_fsums(scheme_rates)
             sleeping = power == 0
             with np.errstate(over="ignore"):
                 ee = np.divide(sum_rate, power, out=cols.ee[block], where=~sleeping)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from typing import Hashable
 
 import numpy as np
@@ -312,6 +313,21 @@ def test_simulate_unsizable_target_or_infinite_ee_exits_2(tmp_path, capsys, doc,
     assert run_cli(["simulate", "--config", config, "--trials", "20", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+def test_simulate_overflowing_sum_rate_exits_2(tmp_path, capsys):
+    # At 5e307 b/s every rate is at least 5e307 and some overflow to inf, so a
+    # trial's sum rate leaves the float range: exit 2 with one error line, not
+    # an OverflowError traceback, and no overflow warning on the way.
+    config = write_config(tmp_path, {"budget": {"bandwidth": 5e307}, "rate_target": 5e307})
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["simulate", "--config", config, "--trials", "10",
+                        "--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: sum rate overflows the float range\n"
     assert not out.exists()
 
 

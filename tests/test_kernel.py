@@ -9,6 +9,7 @@ reports, read from the scheme columns with `report(t)`, must match it with
 type.
 """
 
+import collections
 import math
 import tracemalloc
 from dataclasses import replace
@@ -139,10 +140,14 @@ ON_BOUNDARIES = FixedPlacement(tuple(
 @example(case=(ScenarioConfig(grid=PartitionGrid(MAX_COUNT, MAX_COUNT, 1000.0),
                               shadowing=LognormalShadowing(8.0, 2), n_trials=4),
                [100.0, 1000.0], [1, MAX_COUNT]), block=2)
+@example(case=(ScenarioConfig(budget=LinkBudget(bandwidth=5e307), rate_target=5e307,
+                              n_trials=10), [100.0, 1000.0], [1, 18]), block=1024)
 def test_kernel_matches_scalar_oracle(case, block):
     # The 300-trial example is there for last-bit faults, such as numpy's
     # vector pow in place of Python's, which show in about 1% of reports. The
-    # MAX_COUNT example needs rings sized only when reached and 2**53 active sectors.
+    # MAX_COUNT example needs rings sized only when reached and 2**53 active
+    # sectors. In the 5e307 b/s example every rate is at least 5e307, so a sum
+    # of ten rates overflows, and a single user's can be inf: the EE overflows.
     config, distances, counts = case
     expected_run = outcome(lambda: [oracle_trial(config, config.grid, place_ues(config, t), t)
                                     for t in range(config.n_trials)])
@@ -316,3 +321,34 @@ def test_overflow_example_trips_the_sinr_guard():
     assert np.isfinite(psi).all() and psi.max() > 1e300
     with pytest.raises(ValueError, match="sinr must be nonnegative and finite"):
         run_comparison(config)
+
+
+def test_kernel_sums_rates_without_a_fsum_call_per_trial(monkeypatch):
+    # Every trial's sum rate comes from _row_fsums, and at most 5% of the rows
+    # it sums reach math.fsum (none do here: its certificate keeps exact ties
+    # too). The only other fsum calls are _total_power's, one per distinct cpz plan.
+    counts = collections.Counter()
+    fsum, row_fsums, total_power = math.fsum, schemes._row_fsums, schemes._total_power
+
+    def fsum_spy(values):
+        counts["fsum"] += 1
+        return fsum(values)
+
+    def row_fsums_spy(x):
+        counts["rows"] += len(x)
+        before = counts["fsum"]
+        sums = row_fsums(x)
+        counts["fallback"] += counts["fsum"] - before
+        return sums
+
+    def total_power_spy(sized, n_sectors):
+        counts["totals"] += 1
+        return total_power(sized, n_sectors)
+
+    monkeypatch.setattr(schemes.math, "fsum", fsum_spy)
+    monkeypatch.setattr(schemes, "_row_fsums", row_fsums_spy)
+    monkeypatch.setattr(schemes, "_total_power", total_power_spy)
+    run_comparison(ScenarioConfig(n_trials=2048))
+    assert counts["rows"] >= 2048
+    assert counts["fallback"] <= 0.05 * counts["rows"]
+    assert counts["fsum"] - counts["fallback"] <= counts["totals"]
