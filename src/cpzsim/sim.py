@@ -15,7 +15,7 @@ sector sweep evaluates one clustered user set on every count's grid at once.
 Results are the kernel's per-scheme columns (`schemes.SchemeColumns`, an
 array per report field and a `sleeping` mask) keyed by sweep value (None for
 a plain comparison): the CSV writer streams them a chunk of trials at a time,
-with one repr per distinct float bit pattern and one % format per chunk, and
+assembled in numpy from Ryu digits (`_float_text`) with repr's bytes, and
 `_aggregate` reduces them to mean power and mean EE per value and scheme.
 """
 
@@ -311,41 +311,53 @@ def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> Sweep
 
 # Trials per CSV chunk; bounds the texts held at once.
 _CSV_CHUNK = 1024
+_COMMA, _NEWLINE = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
 
 
-def _csv_chunks(reports: ReportsByValue) -> Iterator[str]:
-    """The CSV text in pieces: the header line, then whole rows of up to _CSV_CHUNK trials."""
-    yield CSV_HEADER + "\n"
+def _csv_chunks(reports: ReportsByValue) -> Iterator[bytes]:
+    """The CSV bytes in pieces: the header line, then whole rows of up to _CSV_CHUNK trials."""
+    # Imported here: run without cached bytecode, a top-level import would add
+    # this module's compile to the start-up of every command, verify's too.
+    from ._float_text import _float_texts, _int_texts
+
+    yield (CSV_HEADER + "\n").encode("ascii")
     for value, columns in reports.items():
-        sweep_var = "" if value is None else repr(value)
-        row_format = "".join(f"{sweep_var},{col.scheme.value},%s,%s,%s,%s,%s\n"
-                             for col in columns)
+        label = (b"" if value is None else str(value).encode("ascii") if isinstance(value, int)
+                 else _float_texts(np.array([value]))[0].tobytes().rstrip(b"\0"))
+        prefix = np.array([b"%s,%s," % (label, col.scheme.value.encode("ascii"))
+                           for col in columns])[:, None].view(np.uint8)
         n_trials = len(columns[0].total_power)
         for start in range(0, n_trials, _CSV_CHUNK):
             chunk = slice(start, min(start + _CSV_CHUNK, n_trials))
+            shape = (chunk.stop - start, len(columns))
             floats = np.stack([field[chunk] for col in columns
                                for field in (col.total_power, col.sum_rate, col.ee)], axis=1)
-            # One repr per distinct bit pattern, so -0.0 keeps its sign.
+            # One text per distinct bit pattern, so -0.0 keeps its sign, each
+            # after its comma; a last, empty text is a sleeping trial's EE.
             patterns, index = np.unique(floats.view(np.int64), return_inverse=True)
-            texts = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
-            m = len(floats)
-            # (trial, scheme, field) cells as Python objects, in row order.
-            cells = np.empty((m, len(columns), 5), dtype=object)
-            cells[:, :, 0] = np.arange(start, chunk.stop)[:, None]
-            cells[:, :, 1:4] = texts[index].reshape(m, len(columns), 3)
-            cells[:, :, 4] = np.stack([col.n_active_sectors[chunk] for col in columns], axis=1)
-            cells[np.stack([col.sleeping[chunk] for col in columns], axis=1), 3] = ""
-            yield row_format * m % tuple(cells.ravel().tolist())
+            texts = _float_texts(patterns.view(np.float64))
+            cells = np.zeros((len(texts) + 1, texts.shape[1] + 1), np.uint8)
+            cells[:, 0], cells[:-1, 1:] = ord(","), texts
+            index = index.reshape(shape + (3,))
+            index[np.stack([col.sleeping[chunk] for col in columns], axis=1), 2] = len(cells) - 1
+            counts = np.stack([col.n_active_sectors[chunk] for col in columns], axis=1)
+            trials = _int_texts(np.arange(start, chunk.stop))[:, None]
+            # Fixed-width blocks side by side; the row bytes are the non-NUL ones.
+            rows = np.concatenate([np.broadcast_to(block, shape + block.shape[-1:]) for block in (
+                prefix, trials, cells[index].reshape(shape + (-1,)), _COMMA,
+                _int_texts(counts.ravel()).reshape(shape + (-1,)), _NEWLINE)], axis=2)
+            rows = rows[rows != 0].tobytes()  # frees the blocks before the yield
+            yield rows
 
 
 def format_records_csv(reports: ReportsByValue) -> str:
     """Locale-independent CSV of the reports, rows in value, trial, scheme order."""
-    return "".join(_csv_chunks(reports))
+    return b"".join(_csv_chunks(reports)).decode("ascii")
 
 
 def write_records_csv(path, reports: ReportsByValue) -> None:
     """Write format_records_csv(reports) to path, a chunk at a time."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(_csv_chunks(reports))
 
 

@@ -2,16 +2,20 @@
 
 import json
 import math
+import os
 import statistics
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cpzsim import rng, sim
-from cpzsim.partition import PartitionGrid, UePosition, locate
+from cpzsim import _float_text, rng, sim
+from cpzsim._float_text import _float_texts as float_texts
+from cpzsim.partition import MAX_COUNT, PartitionGrid, UePosition, locate
 from cpzsim.propagation import LognormalShadowing
 from cpzsim.schemes import SCHEME_ORDER, SchemeColumns, SchemeKind
 from cpzsim.sim import (
@@ -381,9 +385,12 @@ def oracle_csv(reports):
 
 
 # Floats the writer must format exactly as repr does: both zeros, two NaN
-# objects and a NaN with its sign bit set, the extremes and an inexact sum.
+# objects and a NaN with its sign bit set, the extremes and an inexact sum,
+# each side of the positional/scientific switches, the smallest normal and a
+# negative value.
 AWKWARD = [0.0, -0.0, math.nan, float("nan"), math.copysign(math.nan, -1), 5e-324,
-           1.7976931348623157e308, 0.1 + 0.2, 2.5e-11]
+           1.7976931348623157e308, 0.1 + 0.2, 2.5e-11, 1e16, 9999999999999998.0, 1e-05,
+           0.0001, 1e22, 2.2250738585072014e-308, -1234.5]
 
 
 def synthetic_columns(n_trials):
@@ -444,20 +451,40 @@ def chunk_bit_patterns(columns):
 
 
 def test_csv_formats_each_distinct_bit_pattern_once_per_chunk(tmp_path, monkeypatch):
-    calls = []
+    sizes, float_reprs = [], []
+
+    def counted_texts(x):
+        sizes.append(len(x))
+        return float_texts(x)
 
     def counted_repr(x):
-        calls.append(x)
+        if isinstance(x, float):
+            float_reprs.append(x)
         return repr(x)
 
-    monkeypatch.setattr(sim, "repr", counted_repr, raising=False)
+    monkeypatch.setattr(_float_text, "_float_texts", counted_texts)
+    for module in (sim, _float_text):
+        monkeypatch.setattr(module, "repr", counted_repr, raising=False)
     n_trials = 2 * sim._CSV_CHUNK + 3
     for columns in (synthetic_columns(n_trials),
                     run_comparison(make_config(n_trials=n_trials, seed=5))):
-        calls.clear()
+        sizes.clear()
+        float_reprs.clear()
         check_csv(tmp_path, {None: columns})
         # Once for format_records_csv and once for write_records_csv.
-        assert len(calls) == 2 * sum(chunk_bit_patterns(columns))
+        assert sum(sizes) == 2 * sum(chunk_bit_patterns(columns))
+    # Only NaN and infinities go through repr, and a default run has neither.
+    assert float_reprs == []
+
+
+def test_cli_import_leaves_the_csv_formatter_unloaded():
+    # Loaded where the CSV is written, so no command compiles it at start-up.
+    src = os.path.dirname(os.path.dirname(sim.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cpzsim.cli; "
+            "print('cpzsim._float_text' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_csv_writer_memory_does_not_grow_with_n_trials(tmp_path):
@@ -490,6 +517,16 @@ def test_csv_matches_row_formula_at_chunk_boundaries(tmp_path, offset):
     check_csv(tmp_path, {None: synthetic_columns(n_trials), 7.5: synthetic_columns(n_trials)})
     reports = {None: run_comparison(make_config(n_trials=n_trials, seed=2))}
     assert len(check_csv(tmp_path, reports).splitlines()) == 1 + 3 * n_trials
+
+
+def test_csv_matches_row_formula_on_wide_integers(tmp_path):
+    # Trial indices past 1e5 and counts near MAX_COUNT fill the integer blocks.
+    n_trials = 100_003
+    counts = MAX_COUNT - np.arange(n_trials) % 11
+    columns = tuple(col._replace(n_active_sectors=counts - k)
+                    for k, col in enumerate(synthetic_columns(n_trials)))
+    lines = check_csv(tmp_path, {None: columns}).splitlines()
+    assert lines[-1].split(",")[2::4] == ["100002", str(MAX_COUNT - 2 - 100002 % 11)]
 
 
 def test_csv_header_and_shape(tmp_path):
