@@ -292,9 +292,11 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
     arrays of user distances, angles (normalized as UePosition holds them) and
     slow-fading factors, psi None for unit shadowing. A block of trials runs
     the link stage once for all grids (faded gains, then rates and sums at the
-    edge ring). always_max and zooming power a full-circle region out to the
-    edge and to the trial's top annulus on any grid: sized and rated once per
-    block, their arrays are shared by all grids' columns but n_active_sectors.
+    edge ring) and, after the faded gains, sorts each trial's users by angle:
+    sectors then ascend along a row on every grid, and rates and fsums do not
+    depend on the order. always_max and zooming power a full-circle region out
+    to the edge and to the trial's top annulus on any grid: sized and rated once
+    per block, their arrays are shared by all grids' columns but n_active_sectors.
     Per grid, cpz powers trial t a one-sector region out to each annulus
     regions[t, j] >= 0 and serves user u out to ring[t, u].
     Trial t of a grid's columns holds the reports of evaluate_scheme on row
@@ -347,17 +349,15 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         return _total_power([(1, ring_power(a)) for a in tops if a >= 0], n_sectors)
 
     def plan(n_sectors: int, annulus: np.ndarray, sector: np.ndarray):
-        # cpz's (power, ring, n_regions) on a grid. In sector order, a sector's
-        # region sits at the sector's first user.
-        order = np.argsort(sector, axis=1)
-        by_sector = np.take_along_axis(sector, order, axis=1)
+        # cpz's (power, ring, n_regions) on a grid. Users are in angle order, so
+        # each row's sectors ascend and a sector's region sits at its first user.
         first = np.ones(sector.shape, dtype=bool)
-        first[:, 1:] = by_sector[:, 1:] != by_sector[:, :-1]
+        first[:, 1:] = sector[:, 1:] != sector[:, :-1]
         starts = np.flatnonzero(first)
-        tops = np.maximum.reduceat(np.take_along_axis(annulus, order, axis=1).ravel(), starts)
-        regions, ring = np.full(sector.shape, -1), np.empty(sector.shape, dtype=np.int64)
+        tops = np.maximum.reduceat(annulus.ravel(), starts)
+        regions = np.full(sector.shape, -1)
         regions.flat[starts] = tops
-        np.put_along_axis(ring, order, tops[np.cumsum(first) - 1].reshape(ring.shape), axis=1)
+        ring = tops[np.cumsum(first) - 1].reshape(sector.shape)
         # Sized once per distinct sorted row: sort the rows, compare neighbours.
         rows = np.sort(regions, axis=1)
         ranked = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))
@@ -378,13 +378,17 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         block = slice(start, start + _BLOCK)
         rb, phib = r[block], phi[block]
         faded = _link_gains(budget, grid.cell_radius, rb, None if psi is None else psi[block])
-        annulus = cell_indices(grid, rb, phib)[0].astype(np.int64)
+        # Users in angle order from here on, so every grid's sectors ascend along a row.
+        order = np.argsort(phib, axis=1)
+        rb, phib, faded = (np.take_along_axis(x, order, axis=1) for x in (rb, phib, faded))
+        annulus, sector = cell_indices(grid, rb, phib)
+        annulus = annulus.astype(np.int64)
         # Plans in column order; _total_power([(n, P)], n) == P: always-max's and
         # zooming's totals are ring powers.
         tops = (np.full(len(rb), edge), annulus.max(axis=1, initial=-1))
         plans = [(ring_powers(top), top[:, None], top >= 0) for top in tops]
-        plans += [plan(each.n_sectors, annulus, cell_indices(each, rb, phib)[1])
-                  for each in grids]
+        plans += [plan(each.n_sectors, annulus, cell_indices(each, rb, phib)[1] if g else sector)
+                  for g, each in enumerate(grids)]
         powers = np.stack([power for power, _, _ in plans])
         over = ~(powers <= p_max)
         if over.any():

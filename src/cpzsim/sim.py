@@ -15,8 +15,10 @@ sector sweep evaluates one clustered user set on every count's grid at once.
 Results are the kernel's per-scheme columns (`schemes.SchemeColumns`, an
 array per report field and a `sleeping` mask) keyed by sweep value (None for
 a plain comparison): the CSV writer streams them a chunk of trials at a time,
-assembled in numpy from Ryu digits (`_float_text`) with repr's bytes, and
-`_aggregate` reduces them to mean power and mean EE per value and scheme.
+assembled in numpy from Ryu digits (`_float_text`) with repr's bytes and
+formatting only the floats the previous chunk lacks (a sector sweep's counts
+share always-max's and zooming's floats), and `_aggregate` reduces them to
+mean power and mean EE per value and scheme, each shared array set once.
 """
 
 import json
@@ -186,8 +188,10 @@ def _trial_users(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
         return (np.tile([pos.r for pos in placement.positions], every_trial),
                 np.tile([pos.phi for pos in placement.positions], every_trial))
     radii, angles = _draw_users(config, 0, config.n_trials)
-    # Angles normalized once, the way UePosition does it.
-    return radii, np.remainder(angles, TWO_PI, out=angles)
+    # Normalized as UePosition does: draws lie below an arc cluster's end, which
+    # can round past 2 pi, and x % TWO_PI is x - TWO_PI there, exact (Sterbenz).
+    angles[angles >= TWO_PI] -= TWO_PI
+    return radii, angles
 
 
 def _trial_psi(config: ScenarioConfig, n_users: int) -> np.ndarray | None:
@@ -242,19 +246,27 @@ class SweepRun:
     reports: ReportsByValue
 
 
+def _mean(x: np.ndarray) -> float:
+    """math.fsum(x) / len(x), summed at a power-of-two scale where fsum overflows a float."""
+    try:
+        return math.fsum(memoryview(x)) / len(x)
+    except OverflowError:
+        scale = len(x).bit_length() + 1
+        return math.ldexp(math.fsum(memoryview(np.ldexp(x, -scale))) / len(x), scale)
+
+
 def _aggregate(reports: ReportsByValue) -> tuple[SweepRow, ...]:
     """Mean power and mean defined EE per sweep value and scheme, in scheme order."""
-    rows = []
+    rows, means = [], {}
     for value, columns in reports.items():
         for column in columns:
-            defined = column.ee[~column.sleeping].tolist()
-            rows.append(SweepRow(
-                sweep_var=value,
-                scheme=column.scheme,
-                mean_total_power=math.fsum(column.total_power.tolist()) / len(column.total_power),
-                mean_ee=math.fsum(defined) / len(defined) if defined else None,
-                n_trials_defined=len(defined),
-            ))
+            # Sweep values share always-max's and zooming's arrays: reduced once.
+            key = (id(column.total_power), id(column.ee), id(column.sleeping))
+            if key not in means:
+                defined = column.ee[~column.sleeping]
+                means[key] = (_mean(column.total_power),
+                              _mean(defined) if len(defined) else None, len(defined))
+            rows.append(SweepRow(value, column.scheme, *means[key]))
     return tuple(rows)
 
 
@@ -321,6 +333,9 @@ def _csv_chunks(reports: ReportsByValue) -> Iterator[bytes]:
     from ._float_text import _float_texts, _int_texts
 
     yield (CSV_HEADER + "\n").encode("ascii")
+    # The previous chunk's sorted bit patterns and their cells, reused: a sector
+    # sweep's counts share always-max's and zooming's floats.
+    last_patterns, last_cells = np.empty(0, np.int64), np.empty((0, 1), np.uint8)
     for value, columns in reports.items():
         label = (b"" if value is None else str(value).encode("ascii") if isinstance(value, int)
                  else _float_texts(np.array([value]))[0].tobytes().rstrip(b"\0"))
@@ -335,9 +350,18 @@ def _csv_chunks(reports: ReportsByValue) -> Iterator[bytes]:
             # One text per distinct bit pattern, so -0.0 keeps its sign, each
             # after its comma; a last, empty text is a sleeping trial's EE.
             patterns, index = np.unique(floats.view(np.int64), return_inverse=True)
-            texts = _float_texts(patterns.view(np.float64))
-            cells = np.zeros((len(texts) + 1, texts.shape[1] + 1), np.uint8)
-            cells[:, 0], cells[:-1, 1:] = ord(","), texts
+            at = np.searchsorted(last_patterns, patterns)
+            kept = at < len(last_patterns)
+            kept[kept] = last_patterns[at[kept]] == patterns[kept]
+            old, new = np.flatnonzero(kept), np.flatnonzero(~kept)
+            texts = (_float_texts(patterns[new].view(np.float64)) if len(new)
+                     else np.zeros((0, 0), np.uint8))
+            cells = np.zeros((len(patterns) + 1, max(texts.shape[1] + 1, last_cells.shape[1])),
+                             np.uint8)
+            cells[:, 0] = ord(",")
+            cells[old, :last_cells.shape[1]] = last_cells[at[old]]
+            cells[new, 1:texts.shape[1] + 1] = texts
+            last_patterns, last_cells = patterns, cells[:-1]
             index = index.reshape(shape + (3,))
             index[np.stack([col.sleeping[chunk] for col in columns], axis=1), 2] = len(cells) - 1
             counts = np.stack([col.n_active_sectors[chunk] for col in columns], axis=1)

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from cpzsim import cli
+from cpzsim import _float_text, cli
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "benchmarks")
@@ -46,3 +46,24 @@ def test_benchmark_workload_runs_and_passes_its_checks(tmp_path, capsys, monkeyp
     else:
         problems, _ = checks.check_verify(stdout)
     assert problems == []
+
+
+def test_benchmark_sweep_formats_count_invariant_floats_once(tmp_path, monkeypatch, bench):
+    # Each count's 1000 trials are one CSV chunk, and always-max's and zooming's
+    # floats and cpz's sum rates are the same on every count: the formatter sees
+    # them on the first count only (8 007 values; 20 013 when every chunk
+    # formatted all of its distinct floats).
+    run, _ = bench
+    sizes = []
+    float_texts = _float_text._float_texts
+
+    def spy(x):
+        sizes.append(len(x))
+        return float_texts(x)
+
+    monkeypatch.setattr(_float_text, "_float_texts", spy)
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    inputs = run.WORKLOADS["sweep_sectors_lognormal"](1, str(tmp_path))
+    (tmp_path / "config.json").write_text(json.dumps(inputs.config), encoding="utf-8")
+    assert cli.main(inputs.argv) == 0
+    assert sum(sizes) == 8007

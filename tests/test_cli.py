@@ -5,7 +5,9 @@ import hashlib
 import json
 import math
 import re
+import sys
 import warnings
+from fractions import Fraction
 from typing import Hashable
 
 import numpy as np
@@ -339,6 +341,37 @@ def test_sweep_distance_overflowing_path_loss_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "power of inf W" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--variable", "sectors",
+                                                  "--values", "1,6"]])
+def test_mean_power_near_the_float_max_is_finite(tmp_path, capsys, command):
+    # About 7.9e305 W per trial: 1000 trials' power sum overflows a float, their
+    # mean does not. Exit 0 with finite means within two roundings of the exact
+    # mean of the CSV's values, not an OverflowError traceback from fsum.
+    config = write_config(tmp_path, {"budget": {"path_gain_g": 1e-316}})
+    out = tmp_path / "out.csv"
+    assert run_cli([*command, "--config", config, "--trials", "1000", "--out", str(out)]) == 0
+    columns = {}
+    for line in out.read_text().splitlines()[1:]:
+        value, scheme, _, power, _, ee, _ = line.split(",")
+        powers, ees = columns.setdefault((value, scheme), ([], []))
+        powers.append(Fraction(float(power)))
+        ees.append(Fraction(float(ee)))
+    assert sum(columns[("1" if command[0] == "sweep" else "", "always_max")][0]) > \
+        Fraction(sys.float_info.max)
+    stdout = capsys.readouterr().out
+    for (value, scheme), (powers, ees) in columns.items():
+        power, ee = (float(sum(x) / len(x)) for x in (powers, ees))
+        prefix = f"sectors={value} " if value else ""
+        assert f"{prefix}{scheme:>10}: mean power {power:.6e} W, mean EE {ee:.6e}" in stdout
+    if command[0] == "sweep":
+        for row in json.loads((tmp_path / "out.json").read_text())["rows"]:
+            exact = columns[(str(row["sweep_var"]), row["scheme"])]
+            for got, values in zip((row["mean_total_power_w"], row["mean_ee_bit_per_joule"]),
+                                   exact):
+                mean = sum(values) / len(values)
+                assert math.isfinite(got) and abs(Fraction(got) - mean) <= 2**-52 * mean
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--variable", "sectors",

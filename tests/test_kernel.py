@@ -125,6 +125,18 @@ ON_BOUNDARIES = FixedPlacement(tuple(
         [(100.0, 0.0), (1000.0, TWO_PI), (150.0, TWO_PI / 40), (950.0, 39 * TWO_PI / 40),
          (500.0, math.pi), (100.0, -TWO_PI / 40)])))
 
+# Users at one angle in different annuli, so a sort by angle has ties to break.
+SAME_ANGLES = FixedPlacement(tuple(
+    UePosition(i, r, phi) for i, (r, phi) in enumerate(
+        [(950.0, 1.0), (150.0, 1.0), (500.0, 1.0), (120.0, 4.0), (990.0, 4.0), (400.0, 0.5)])))
+# Users on sector boundaries of counts 7, 25 and 40 (0 is one of every count).
+SHARED_BOUNDARIES = FixedPlacement(tuple(
+    UePosition(i, r, phi) for i, (r, phi) in enumerate(
+        [(120.0, TWO_PI / 7), (480.0, TWO_PI / 7), (900.0, 3 * TWO_PI / 7),
+         (400.0, 6 * TWO_PI / 7), (300.0, TWO_PI / 25), (560.0, 13 * TWO_PI / 25),
+         (700.0, 24 * TWO_PI / 25), (200.0, 5 * TWO_PI / 40), (1000.0, 7 * TWO_PI / 40),
+         (850.0, 20 * TWO_PI / 40), (999.0, 39 * TWO_PI / 40), (650.0, 0.0)])))
+
 
 @settings(max_examples=150, deadline=None)
 @given(case=scenarios(), block=st.sampled_from([1, 2, 1024]))
@@ -142,6 +154,12 @@ ON_BOUNDARIES = FixedPlacement(tuple(
                [100.0, 1000.0], [1, MAX_COUNT]), block=2)
 @example(case=(ScenarioConfig(budget=LinkBudget(bandwidth=5e307), rate_target=5e307,
                               n_trials=10), [100.0, 1000.0], [1, 18]), block=1024)
+@example(case=(ScenarioConfig(placement=SAME_ANGLES, n_trials=2,
+                              shadowing=LognormalShadowing(8.0, 1)), [500.0], [1, 2, 3, 18]),
+         block=1)
+@example(case=(ScenarioConfig(grid=PartitionGrid(3, 40), k_users=12, placement=SHARED_BOUNDARIES,
+                              n_trials=2, shadowing=LognormalShadowing(8.0, 1)),
+               [1000.0], [1, 7, 25, 40]), block=2)
 def test_kernel_matches_scalar_oracle(case, block):
     # The 300-trial example is there for last-bit faults, such as numpy's
     # vector pow in place of Python's, which show in about 1% of reports. The
@@ -275,6 +293,22 @@ def test_sector_sweep_runs_the_link_stage_once_per_trial(monkeypatch):
     sweep_sectors(ScenarioConfig(shadowing=LognormalShadowing(), n_trials=150),
                   [1, 2, 3, 6, 9, 18, 36])
     assert blocks == [64, 64, 22]
+
+
+def test_sector_sweep_sorts_each_block_once(monkeypatch):
+    # Users are put in angle order once per block; no sector count sorts them again.
+    sorts = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        sorts.append(a.shape)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(schemes.np, "argsort", spy)
+    monkeypatch.setattr(schemes, "_BLOCK", 64)
+    sweep_sectors(ScenarioConfig(shadowing=LognormalShadowing(), n_trials=150),
+                  [1, 2, 3, 6, 9, 18, 36])
+    assert sorts == [(64, 10), (64, 10), (22, 10)]
 
 
 def test_sector_sweep_rates_zooming_once_per_block(monkeypatch):

@@ -124,6 +124,22 @@ def test_scalar_draws_are_rows_of_the_batch_draw(placement):
             assert config.shadowing.psi(config.k_users, i).tolist() == psi[i].tolist()
 
 
+def test_batch_angles_past_two_pi_normalize_as_ue_position_does(monkeypatch):
+    # 25 * (2 pi / 25) > 2 pi, so a 25-of-25 arc cluster's largest draws reach
+    # 2 pi, which UePosition's % TWO_PI folds to 0.0.
+    top = math.nextafter(1.0, 0.0)
+    u = np.array([top, math.nextafter(top, 0.0), 1 - 2**-40, 0.5, 0.0])
+    monkeypatch.setattr(sim, "uniform_rows", lambda seed, purpose, start, stop, width:
+                        np.tile(u, (stop - start, 2)))
+    config = make_config(grid=PartitionGrid(3, 25), placement=ArcCluster(25, 2), k_users=5,
+                         n_trials=2)
+    assert sim._draw_users(config, 0, 1)[1].max() == TWO_PI
+    angles = sim._trial_users(config)[1]
+    for i in range(config.n_trials):
+        assert [p.phi for p in place_ues(config, i)] == angles[i].tolist()
+    assert angles[0, 0] == 0.0
+
+
 def test_reports_of_a_prefix_of_trials_do_not_depend_on_n_trials():
     config = make_config(seed=4, n_trials=9, shadowing=LognormalShadowing(sigma_db=8.0, seed=2))
     assert trial_reports(run_comparison(replace(config, n_trials=5))) == \
@@ -441,20 +457,20 @@ def test_csv_keeps_signed_zeros_apart_across_columns(tmp_path):
     assert rows[1] == ["0.0", "-0.0", "0.0"] and rows[4] == ["-0.0", "0.0", "-0.0"]
 
 
-def chunk_bit_patterns(columns):
-    """Distinct float bit patterns of each _CSV_CHUNK-trial chunk of the columns."""
-    n_trials = len(columns[0].total_power)
-    return [len({struct.pack("<d", x) for col in columns
-                 for field in (col.total_power, col.sum_rate, col.ee)
-                 for x in field[start:start + sim._CSV_CHUNK].tolist()})
-            for start in range(0, n_trials, sim._CSV_CHUNK)]
+def chunk_bit_patterns(reports):
+    """Distinct float bit patterns of each _CSV_CHUNK-trial chunk, in CSV order."""
+    return [{struct.pack("<d", x) for col in columns
+             for field in (col.total_power, col.sum_rate, col.ee)
+             for x in field[start:start + sim._CSV_CHUNK].tolist()}
+            for columns in reports.values()
+            for start in range(0, len(columns[0].total_power), sim._CSV_CHUNK)]
 
 
 def test_csv_formats_each_distinct_bit_pattern_once_per_chunk(tmp_path, monkeypatch):
-    sizes, float_reprs = [], []
+    inputs, float_reprs = [], []
 
     def counted_texts(x):
-        sizes.append(len(x))
+        inputs.append({struct.pack("<d", v) for v in x.tolist()})
         return float_texts(x)
 
     def counted_repr(x):
@@ -466,14 +482,18 @@ def test_csv_formats_each_distinct_bit_pattern_once_per_chunk(tmp_path, monkeypa
     for module in (sim, _float_text):
         monkeypatch.setattr(module, "repr", counted_repr, raising=False)
     n_trials = 2 * sim._CSV_CHUNK + 3
-    for columns in (synthetic_columns(n_trials),
-                    run_comparison(make_config(n_trials=n_trials, seed=5))):
-        sizes.clear()
+    for reports in ({None: synthetic_columns(n_trials)},
+                    {None: run_comparison(make_config(n_trials=n_trials, seed=5))},
+                    sweep_sectors(make_config(n_trials=n_trials, seed=5), [1, 6]).reports):
+        inputs.clear()
         float_reprs.clear()
-        check_csv(tmp_path, {None: columns})
-        # Once for format_records_csv and once for write_records_csv.
-        assert sum(sizes) == 2 * sum(chunk_bit_patterns(columns))
-    # Only NaN and infinities go through repr, and a default run has neither.
+        check_csv(tmp_path, reports)
+        # Only the patterns the previous chunk lacks, once for format_records_csv
+        # and once for write_records_csv.
+        patterns = chunk_bit_patterns(reports)
+        missing = [now - before for before, now in zip([set()] + patterns, patterns)]
+        assert inputs == 2 * [new for new in missing if new]
+    # Only NaN and infinities go through repr, and default runs have neither.
     assert float_reprs == []
 
 
