@@ -80,13 +80,35 @@ class LognormalShadowing:
         are the same whatever range they are drawn in.
         """
         u = uniform_rows(self.seed, SHADOWING, start, stop, 2 * n_draws)
-        gauss = np.sqrt(-2.0 * np.log1p(-u[:, :n_draws])) * np.cos(2.0 * math.pi * u[:, n_draws:])
+        gauss = (np.sqrt(-2.0 * libm(math.log1p, -u[:, :n_draws]))
+                 * libm(math.cos, 2.0 * math.pi * u[:, n_draws:]))
         # An overflow gives inf, which received_power and the batch kernel reject.
-        with np.errstate(over="ignore"):
-            return 10.0 ** (self.sigma_db / 10.0 * gauss)
+        return libm(pow, 10.0, self.sigma_db / 10.0 * gauss)
 
 
 ShadowingMode = DeterministicUnitShadowing | LognormalShadowing
+
+
+def libm(fn, *args) -> np.ndarray:
+    """fn elementwise over args broadcast together, inf where fn overflows (numpy's value).
+
+    Every transcendental on a seeded path runs in the platform libm on Python
+    floats, since numpy's loops pick a SIMD code path by CPU and can move the last bit.
+    """
+    arrays = np.broadcast_arrays(*args)
+    columns = [memoryview(np.ravel(a)) for a in arrays]
+    try:
+        values = np.fromiter(map(fn, *columns), float, arrays[0].size)
+    except OverflowError:
+        values = np.array([_or_inf(fn, *xs) for xs in zip(*columns)])
+    return values.reshape(arrays[0].shape)
+
+
+def _or_inf(fn, *xs) -> float:
+    try:
+        return fn(*xs)
+    except OverflowError:
+        return math.inf
 
 
 def received_power(p_bs: float, k_users: int, r: float, budget: LinkBudget,

@@ -15,7 +15,7 @@ moves a seeded output bumps it.
 
 import numpy as np
 
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 # Purpose tags: the second half of every stream key.
 PLACEMENT = 0

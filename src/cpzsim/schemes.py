@@ -13,18 +13,17 @@ the user's own distance; the region edge gets exactly the target rate and
 everyone closer gets more.
 
 Two forms compute the same reports, float for float, under one rule: `pow`
-and `log2` run in libm on Python floats, and each trial's sum rate is
-`math.fsum`'s correctly rounded value (the batch form computes it with
-`_row_fsums`). `powered_regions`, `per_ue_rates` and `evaluate_scheme` work
-on one `CpzState` snapshot: the public scalar API, and the batch form's
-oracle. `_evaluate_trials` runs (trials, users) arrays of Monte Carlo runs
-and sweeps, on one or more grids that differ in sector count, and returns
-per grid one `SchemeColumns` per scheme: an array per report field and a
-`sleeping` mask.
+and `log2` run in libm on Python floats, and each trial's sum rate and cpz's
+sum of power fractions are `math.fsum`'s correctly rounded values (the batch
+form takes both from `_row_fsums`). `powered_regions`, `per_ue_rates` and
+`evaluate_scheme` work on one `CpzState` snapshot: the public scalar API, and
+the batch form's oracle. `_evaluate_trials` runs (trials, users) arrays of
+Monte Carlo runs and sweeps, on one or more grids that differ in sector
+count, and returns per grid one `SchemeColumns` per scheme: an array per
+report field and a `sleeping` mask.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +33,7 @@ import numpy as np
 
 from .mimo import per_ue_rate
 from .partition import CpzState, PartitionGrid, cell_indices
-from .propagation import LinkBudget, required_bs_power, snr_rho
+from .propagation import LinkBudget, libm, required_bs_power, snr_rho
 
 
 class SchemeKind(Enum):
@@ -153,6 +152,13 @@ def _total_power(sized: list[tuple[int, float]], n_sectors: int) -> float:
     return full * (math.fsum(wedges * (power / full) for wedges, power in sized) / n_sectors)
 
 
+def _total_powers(sized: np.ndarray, n_sectors: int) -> np.ndarray:
+    """_total_power of each row's one-sector regions, a region's P(zoom) at a column, else 0.0."""
+    sized = sized[:, sized.any(axis=0)]  # all-zero columns add nothing to an exact sum
+    full = np.where(sized.any(axis=1), sized.max(axis=1, initial=0.0), 1.0)  # 1.0: no region
+    return full * (_row_fsums(sized / full[:, None]) / n_sectors)
+
+
 def _check_budget(kind: SchemeKind, total: float, p_max: float) -> None:
     # Written to fail on NaN too.
     if not total <= p_max:
@@ -214,30 +220,25 @@ def _link_gains(budget: LinkBudget, cell_radius: float, r: np.ndarray,
     if outside.any():
         raise ValueError(f"user distance {r[outside][0]} m outside "
                          f"[{budget.r0}, {cell_radius}] m")
-    # pow and log2 run in libm on Python floats, since numpy's can differ in the
-    # last bit; products round alike in numpy and Python, and sums are fsum's.
-    ratios = (r / budget.r0).ravel()
-    loss = np.fromiter(map(pow, memoryview(ratios), itertools.repeat(-budget.alpha)), float,
-                       len(ratios))
+    # Products round alike in numpy and Python, and sums are fsum's.
+    loss = libm(pow, r / budget.r0, -budget.alpha)
     if psi is not None and not ((0 < psi) & (psi < math.inf)).all():
         raise ValueError("shadowing factor must be positive and finite")
     with np.errstate(over="ignore"):
-        faded = loss.reshape(r.shape) * budget.path_gain_g
+        faded = loss * budget.path_gain_g
         return faded if psi is None else faded * psi
 
 
 def _rates(budget: LinkBudget, k_users: int, m_antennas: int, faded: np.ndarray,
            power) -> np.ndarray:
     """The batch kernel's rate stage: per_ue_rate of users of faded gains at a power."""
-    # The order of operations and the finite check of snr_rho and per_ue_rate;
-    # log2 runs in libm on Python floats, as pow does in _link_gains.
+    # The order of operations and the finite check of snr_rho and per_ue_rate.
     with np.errstate(over="ignore", invalid="ignore"):
         sinr = faded * power / k_users / budget.noise_n0 * (m_antennas - k_users)
     if not np.isfinite(sinr).all():
         raise ValueError("sinr must be nonnegative and finite")
-    flat = (1.0 + sinr).ravel()
     with np.errstate(over="ignore"):
-        return budget.bandwidth * np.fromiter(map(math.log2, memoryview(flat)), float, len(flat))
+        return budget.bandwidth * libm(math.log2, 1.0 + sinr)
 
 
 def _row_fsums(x: np.ndarray) -> np.ndarray:
@@ -297,17 +298,19 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
     depend on the order. always_max and zooming power a full-circle region out
     to the edge and to the trial's top annulus on any grid: sized and rated once
     per block, their arrays are shared by all grids' columns but n_active_sectors.
-    Per grid, cpz powers trial t a one-sector region out to each annulus
-    regions[t, j] >= 0 and serves user u out to ring[t, u].
-    Trial t of a grid's columns holds the reports of evaluate_scheme on row
-    t's users on that grid, float for float. The error raised is the one a call
-    per grid would raise first; on one grid, errors come block by block and,
-    within a block, stage by stage: link (ValueError for a distance outside
-    [r0, R] or a factor that is not positive and finite), ring sizing
-    (ValueError for a power of 0 or inf), the budget guard in trial-major
-    order (RuntimeError for a total above the budget), edge rates and sums,
-    then each scheme's rates, sums and EE (ValueError for an SINR that is not
-    finite, a sum rate or an EE that overflows).
+    Per grid, cpz powers each sector at its first user's column, out to the
+    sector's top annulus, and serves user u out to ring[t, u]; its totals are
+    _total_powers' exact sums of power fractions (the kernel never calls the
+    oracle's _total_power). Trial t of a grid's columns holds the reports of
+    evaluate_scheme on row t's users on that grid, float for float. The error
+    raised is the one a call per grid would raise first; on one grid, errors
+    come block by block and, within a block, stage by stage: link (ValueError
+    for a distance outside [r0, R] or a factor that is not positive and
+    finite), ring sizing (ValueError for a power of 0 or inf; a grid's cpz
+    rings in ascending order), the budget guard in trial-major order (RuntimeError
+    for a total above the budget), edge rates and sums, then each scheme's
+    rates, sums and EE (ValueError for an SINR that is not finite, a sum rate
+    or an EE that overflows).
     """
     try:
         return _evaluate_grids(grids, budget, rate_target, k_users, m_antennas, r, phi, psi)
@@ -343,11 +346,6 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         distinct, index = np.unique(rings, return_inverse=True)
         return np.array([ring_power(a) if a >= 0 else 0.0 for a in distinct.tolist()])[index]
 
-    @functools.cache
-    def total(n_sectors: int, tops: tuple[int, ...]) -> float:
-        # cpz's power on a trial: one one-sector region per annulus in tops.
-        return _total_power([(1, ring_power(a)) for a in tops if a >= 0], n_sectors)
-
     def plan(n_sectors: int, annulus: np.ndarray, sector: np.ndarray):
         # cpz's (power, ring, n_regions) on a grid. Users are in angle order, so
         # each row's sectors ascend and a sector's region sits at its first user.
@@ -355,18 +353,10 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         first[:, 1:] = sector[:, 1:] != sector[:, :-1]
         starts = np.flatnonzero(first)
         tops = np.maximum.reduceat(annulus.ravel(), starts)
-        regions = np.full(sector.shape, -1)
-        regions.flat[starts] = tops
+        sized = np.zeros(sector.shape)
+        sized.flat[starts] = ring_powers(tops)
         ring = tops[np.cumsum(first) - 1].reshape(sector.shape)
-        # Sized once per distinct sorted row: sort the rows, compare neighbours.
-        rows = np.sort(regions, axis=1)
-        ranked = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))
-        rows, group = rows[ranked], np.empty(len(rows), dtype=np.int64)
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        group[ranked] = np.cumsum(new) - 1
-        power = np.array([total(n_sectors, tuple(row)) for row in rows[new].tolist()])[group]
-        return power, ring, (regions >= 0).sum(axis=1)
+        return _total_powers(sized, n_sectors), ring, first.sum(axis=1)
 
     n = len(r)
     # always-max's and zooming's columns, then cpz's of each grid; n_active_sectors
@@ -394,7 +384,7 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         if over.any():
             t, k = np.argwhere(over.T)[0]
             _check_budget(columns[k].scheme, powers[k, t].item(), p_max)
-        edge_rates = _rates(budget, k_users, m_antennas, faded, ring_power(edge)).reshape(rb.shape)
+        edge_rates = _rates(budget, k_users, m_antennas, faded, ring_power(edge))
         edge_sums = _row_fsums(edge_rates)
         for cols, (power, ring, n_regions) in zip(columns, plans):
             # A user served out to the edge ring has its edge rate: only the

@@ -5,11 +5,10 @@ schemes on them. Trial i places its users from row i of stream
 (config.seed, PLACEMENT) and draws their shadowing from row i of stream
 (shadowing.seed, SHADOWING); the purpose tags keep the two independent even
 though both seeds default to 0, and a trial's draws do not depend on how many
-trials run. Unit-shadowing results are the same bit for bit on any host with
-the same libm; lognormal ones also need the same numpy SIMD dispatch, which
-picks psi_rows' log1p, cos and power. `_evaluate` is the one way into the
-batch kernel `schemes._evaluate_trials`: it draws the config's users and
-shadowing as (trials, users) arrays and evaluates them on a list of grids.
+trials run. Results are the same bit for bit on any host with the same libm
+(`propagation.libm`). `_evaluate` is the one way into the batch kernel
+`schemes._evaluate_trials`: it draws the config's users and shadowing as
+(trials, users) arrays and evaluates them on a list of grids.
 A distance sweep is run_comparison on one user pinned at each distance; a
 sector sweep evaluates one clustered user set on every count's grid at once.
 Results are the kernel's per-scheme columns (`schemes.SchemeColumns`, an
@@ -337,8 +336,7 @@ def _csv_chunks(reports: ReportsByValue) -> Iterator[bytes]:
     # sweep's counts share always-max's and zooming's floats.
     last_patterns, last_cells = np.empty(0, np.int64), np.empty((0, 1), np.uint8)
     for value, columns in reports.items():
-        label = (b"" if value is None else str(value).encode("ascii") if isinstance(value, int)
-                 else _float_texts(np.array([value]))[0].tobytes().rstrip(b"\0"))
+        label = b"" if value is None else repr(value).encode("ascii")
         prefix = np.array([b"%s,%s," % (label, col.scheme.value.encode("ascii"))
                            for col in columns])[:, None].view(np.uint8)
         n_trials = len(columns[0].total_power)

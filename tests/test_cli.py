@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
@@ -712,10 +714,9 @@ SEEDED_DIGESTS = [
       "--trials", "300", "--seed", "0"],
      {"placement": {"kind": "arc_cluster", "sector_count_occupied": 1, "annulus": 2},
       "shadowing": {"kind": "lognormal", "sigma_db": 8.0, "seed": 1}},
-     "fc77f7da8bb689ca5dcff48abe7401b4541622831e1ece0bb67741ebdd674676",
+     "7fa1128f3614e630cb5b8aa1cda7145f54f62a8b52d7836a588e0d1021f733b6",
      "f237d7ff6d1b2188c59e08aa4b1c0d334d51081360185cc9b0bf0bf35927066b",
      "0500f4efdb94c8ef699b87eeebc85e43a55662dfd986223d590c795ec08408c2"),
-    # Unit shadowing, so these bytes do not depend on numpy's SIMD dispatch.
     (["sweep", "--variable", "distance", "--values", "100,250.5,550,1000",
       "--trials", "2049", "--seed", "0"], None,
      "4ca4beda2ded78434c91677243fa9acc0854cff64afb7997a5f79f9b6843e739",
@@ -738,6 +739,41 @@ def test_seeded_output_digests(tmp_path, capsys, argv, doc, csv_sha, stdout_sha,
     assert sha(capsys.readouterr().out.encode()) == stdout_sha
     sidecar = tmp_path / "out.json"
     assert (sha(sidecar.read_bytes()) if sidecar.exists() else None) == json_sha
+
+
+def test_lognormal_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path, capsys):
+    # Shadowing's log1p, cos and pow run in libm on Python floats, so a child
+    # process with numpy's dispatch targets above X86_V3 disabled writes the
+    # same bytes as this one: the sector-sweep digest case and a lognormal simulate.
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        pytest.skip("numpy does not report its CPU dispatch targets")
+    above = __cpu_dispatch__[__cpu_dispatch__.index("X86_V3") + 1:] \
+        if "X86_V3" in __cpu_dispatch__ else []
+    disabled = [target for target in above if __cpu_features__.get(target)]
+    if not disabled:
+        pytest.skip("no numpy dispatch target above X86_V3 runs on this CPU")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); from cpzsim import cli; "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+
+    def outputs(out, stdout):
+        sidecar = out.with_suffix(".json")
+        return out.read_bytes(), stdout, sidecar.read_bytes() if sidecar.exists() else None
+
+    simulate = (["simulate", "--trials", "300", "--seed", "3"],
+                {"shadowing": {"kind": "lognormal", "sigma_db": 8.0, "seed": 5}})
+    for i, (argv, doc) in enumerate([SEEDED_DIGESTS[1][:2], simulate]):
+        args = argv + ["--config", write_config(tmp_path, doc, f"config{i}.json")]
+        here, child = tmp_path / f"here{i}.csv", tmp_path / f"child{i}.csv"
+        assert run_cli(args + ["--out", str(here)]) == 0
+        expected = outputs(here, capsys.readouterr().out.encode())
+        proc = subprocess.run([sys.executable, "-c", code, *args, "--out", str(child)], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert outputs(child, proc.stdout) == expected
 
 
 # ---------------------------------------------------------------------------
