@@ -6,7 +6,8 @@ regime). Zero-forcing precoding inverts the channel so every user sees an
 interference-free link whose SINR is governed by the inverse Gram trace;
 for large arrays that trace concentrates around K/(M-K), which yields the
 ergodic sum-rate closed form used throughout the simulator. Seeded channels
-are the successive draws of stream (seed, CHANNEL).
+are the successive draws of stream (seed, CHANNEL); the Monte Carlo trace
+draws its Grams from their law, by Bartlett's decomposition (Goodman 1963).
 
 The Gram H H^H is Hermitian positive definite for a full-rank channel, so
 one eigvalsh gives both facts the inverse trace needs: its 2-norm condition
@@ -25,9 +26,9 @@ from .rng import CHANNEL, substream
 # of its extreme eigenvalues, is at most this. _eigenvalues states the rule.
 SINGULAR_COND_LIMIT = 1e12
 
-# Trials per stacked monte_carlo_trace block. Small for peak RSS: 256 trials at
-# K=10, M=200 added about 25 MB. Its buffers are reused; fresh ones page-fault.
-_TRACE_BLOCK = 16
+# Trials per stacked monte_carlo_trace block. At K=10 a block's arrays hold about
+# 100 kB each; 256 trials were at most 5% faster but added 1.2 MB of peak RSS.
+_TRACE_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +77,7 @@ def draw_channel(rng: np.random.Generator, k_users: int, m_antennas: int) -> Cha
 
 
 def sample_channel(k_users: int, m_antennas: int, seed: int) -> ChannelMatrix:
-    """The first channel of stream (seed, CHANNEL): monte_carlo_trace's trial 0."""
+    """The first channel of stream (seed, CHANNEL)."""
     return draw_channel(substream(seed, CHANNEL), k_users, m_antennas)
 
 
@@ -92,23 +93,6 @@ def _gram(h: np.ndarray) -> np.ndarray:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         return h @ h.conj().swapaxes(-1, -2)
-
-
-def _normals_gram(normals: np.ndarray) -> np.ndarray:
-    """Gram matrices H H^H of a (..., 2, K, M) stack of normals (A, B), H = (A + iB) / sqrt(2).
-
-    Formed from the real normals: with X = [A; B] and R = X X^T,
-    H H^H = ((R_AA + R_BB) + i (R_BA - R_AB)) / 2.
-    """
-    k_users, m_antennas = normals.shape[-2:]
-    x = normals.reshape(normals.shape[:-3] + (2 * k_users, m_antennas))
-    r = x @ x.swapaxes(-1, -2)
-    a, b = slice(None, k_users), slice(k_users, None)
-    gram = np.empty(r.shape[:-2] + (k_users, k_users), dtype=np.complex128)
-    np.add(r[..., a, a], r[..., b, b], out=gram.real)
-    np.subtract(r[..., b, a], r[..., a, b], out=gram.imag)
-    gram *= 0.5
-    return gram
 
 
 def _eigenvalues(gram: np.ndarray) -> np.ndarray:
@@ -217,27 +201,37 @@ def wishart_trace_expectation(k_users: int, m_antennas: int) -> float:
 
 def monte_carlo_trace(k_users: int, m_antennas: int, n_trials: int,
                       seed: int) -> tuple[float, float]:
-    """Sample mean and standard deviation of tr((H H^H)^-1) over seeded channel draws.
+    """Sample mean and standard deviation of tr((H H^H)^-1) over seeded Wishart Grams.
 
-    The trials are the successive channels of stream (seed, CHANNEL), drawn
-    as draw_channel draws them; trial 0 is sample_channel(K, M, seed).
-    Blocks of _TRACE_BLOCK trials share one stacked draw of normals, one Gram
-    formed from them without complex entries (_normals_gram) and one eigvalsh
-    for the singularity rule and the traces. The traces and their squares are
-    summed in trial order, so both results are the same for any block size
-    and any fixed prefix of trials is the same whatever n_trials is. The
-    standard deviation (n - 1 in the denominator) is nan for a single trial.
+    Each trial's Gram is drawn from the law of H H^H, the complex Wishart
+    CW_K(M, I), by Bartlett's decomposition G = L L^H with L lower
+    triangular. L_ii is the square root of a Gamma(M - i, 1) draw, one row
+    of K per trial from stream (seed, CHANNEL, 0); the entries below the
+    diagonal, in np.tril_indices(K, -1) order, are (re + 1j * im) / sqrt(2)
+    from one row of K(K - 1) normals per trial (all re, then all im) of
+    stream (seed, CHANNEL, 1). Blocks of _TRACE_BLOCK trials share one
+    eigvalsh for the singularity rule and the traces. Both streams are read
+    in trial order and the traces and their squares are summed in it, so
+    both results are the same for any block size and any fixed prefix of
+    trials is the same whatever n_trials is. The standard deviation (n - 1
+    in the denominator) is nan for a single trial.
     """
     if not 0 < k_users < m_antennas:
         raise ValueError(f"estimate needs 0 < K < M, got K={k_users}, M={m_antennas}")
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    rng = substream(seed, CHANNEL)
-    normals = np.empty((min(n_trials, _TRACE_BLOCK), 2, k_users, m_antennas))
+    diagonal, below = substream(seed, CHANNEL, 0), substream(seed, CHANNEL, 1)
+    diag = np.arange(k_users)
+    shapes = m_antennas - diag
+    rows, cols = np.tril_indices(k_users, -1)
+    factors = np.zeros((min(n_trials, _TRACE_BLOCK), k_users, k_users), dtype=np.complex128)
     total = total_sq = 0.0
     for start in range(0, n_trials, _TRACE_BLOCK):
-        block = rng.standard_normal(out=normals[:n_trials - start])
-        for trace in _inverse_gram_traces(_normals_gram(block)).tolist():
+        factor = factors[:n_trials - start]
+        factor[:, diag, diag] = np.sqrt(diagonal.standard_gamma(shapes, (len(factor), k_users)))
+        re, im = below.standard_normal((len(factor), 2, len(rows))).swapaxes(0, 1)
+        factor[:, rows, cols] = (re + 1j * im) / np.sqrt(2.0)
+        for trace in _inverse_gram_traces(factor @ factor.conj().swapaxes(-1, -2)).tolist():
             total += trace
             total_sq += trace * trace
     mean = total / n_trials

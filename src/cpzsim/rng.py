@@ -7,7 +7,8 @@ stream. Distinct keys give statistically independent streams, so no two
 purposes share bits, even under equal seeds. The trial index is a position
 inside a stream, not part of its key: placement and shadowing give every
 trial a fixed number of uniforms, so `uniform_rows` reaches trial i by
-advancing the generator, and a run builds each stream once.
+advancing the generator, and a run builds each stream once. Stream
+(seed, purpose, i) is child i of (seed, purpose), as Generator.spawn gives it.
 
 STREAM_LAYOUT numbers this mapping from seeds to draws; any change that
 moves a seeded output bumps it.
@@ -15,7 +16,7 @@ moves a seeded output bumps it.
 
 import numpy as np
 
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
 
 # Purpose tags: the second half of every stream key.
 PLACEMENT = 0
@@ -25,15 +26,15 @@ ZF_CHECK = 3
 SINR_CHECK = 4
 
 
-def substream(seed: int, purpose: int) -> np.random.Generator:
-    """Return the PCG64 generator of stream (seed, purpose).
+def substream(seed: int, purpose: int, *child: int) -> np.random.Generator:
+    """Return the PCG64 generator of stream (seed, purpose, *child).
 
     The seed must be a nonnegative integer; it may exceed 64 bits.
     """
-    if seed < 0 or purpose < 0:
-        raise ValueError("seed and stream purpose must be nonnegative")
+    if seed < 0 or min((purpose, *child)) < 0:
+        raise ValueError("seed and stream key must be nonnegative")
     return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(int(seed), spawn_key=(int(purpose),))))
+        np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, (purpose, *child))))))
 
 
 def uniform_rows(seed: int, purpose: int, start: int, stop: int, width: int) -> np.ndarray:

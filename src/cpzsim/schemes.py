@@ -272,14 +272,16 @@ def _row_fsums(x: np.ndarray) -> np.ndarray:
         # (2) bound < the smallest spacing of the nonzero inputs, of which d is a
         # multiple: d == 0, and r = fl(s + e) rounds ties (8% of rate sums) to even.
         # absum < 2**1023 keeps every input finite and every partial sum, here and
-        # in fsum, in range; r == 0 leaves fsum its sign.
+        # in fsum, in range; r == 0 leaves fsum its sign where a -0.0 is summed
+        # (fsum([-0.0]) is 0.0). (3) A row of +0.0 inputs sums to +0.0, as r does.
         bound = k * 2.0**-50 * a
         finite = absum < 2.0**1023
         ok = (np.abs(rr) + bound < 0.5 * np.spacing(np.abs(r) * (1.0 - 2.0**-53))) & finite
         rest = np.flatnonzero(~ok)
         mags = np.abs(x[rest])
         spacing = np.where(mags > 0, np.spacing(mags), math.inf).min(axis=1, initial=math.inf)
-        rest = rest[~((bound[rest] < spacing) & (r[rest] != 0) & finite[rest])]
+        plus_zero = (absum[rest] == 0) & ~np.signbit(x[rest]).any(axis=1)
+        rest = rest[~((bound[rest] < spacing) & (r[rest] != 0) & finite[rest] | plus_zero)]
     r[rest] = np.fromiter(map(_sum_rate, x[rest].tolist()), float, len(rest))
     return r
 

@@ -59,7 +59,7 @@ def test_verify_stdout_is_pinned(capsys):
     assert run_cli(["verify", "--trials", "300", "--seed", "3"]) == 0
     assert capsys.readouterr().out == (
         "[PASS] zf_identity: max |HW - I| = 1.332e-15 (tol 1e-09)\n"
-        "[PASS] wishart_trace: relative error = 0.0004, z = -0.28 (tol |z| < 5, 300 trials)\n"
+        "[PASS] wishart_trace: relative error = 0.0017, z = +1.21 (tol |z| < 5, 300 trials)\n"
         "[PASS] sinr_uniformity: max relative spread = 3.255e-15, "
         "max deviation from common value = 2.515e-15 (tol 1e-09)\n"
     )
@@ -70,7 +70,7 @@ def test_benchmarked_verify_stdout_is_pinned(capsys):
     assert run_cli(["verify", "--trials", "10000", "--seed", "0"]) == 0
     assert capsys.readouterr().out == (
         "[PASS] zf_identity: max |HW - I| = 1.337e-15 (tol 1e-09)\n"
-        "[PASS] wishart_trace: relative error = 0.0000, z = +0.13 (tol |z| < 5, 10000 trials)\n"
+        "[PASS] wishart_trace: relative error = 0.0005, z = -2.24 (tol |z| < 5, 10000 trials)\n"
         "[PASS] sinr_uniformity: max relative spread = 2.989e-15, "
         "max deviation from common value = 1.644e-15 (tol 1e-09)\n"
     )
@@ -90,12 +90,14 @@ def test_verify_wishart_gate_catches_a_one_percent_model_error(monkeypatch, caps
 
 
 def test_verify_checks_draw_from_their_own_streams(monkeypatch):
-    # Each check keys one stream by (seed, its own purpose) and draws all its channels from it.
+    # Each check keys its streams by (seed, its own purpose): the channel checks
+    # draw all their channels from that stream, the Wishart check its Grams from
+    # the stream's two children.
     keys = []
 
-    def recording(seed, purpose):
-        keys.append((seed, purpose))
-        return substream(seed, purpose)
+    def recording(seed, *key):
+        keys.append((seed, *key))
+        return substream(seed, *key)
 
     monkeypatch.setattr(cli, "substream", recording)
     monkeypatch.setattr(mimo, "substream", recording)
@@ -103,12 +105,16 @@ def test_verify_checks_draw_from_their_own_streams(monkeypatch):
     checks = {rng.ZF_CHECK: lambda: cli._check_zf_identity(seed, 1e-9),
               rng.CHANNEL: lambda: cli._check_wishart(seed, 100),
               rng.SINR_CHECK: lambda: cli._check_sinr_uniformity(seed)}
+    expected = {rng.ZF_CHECK: [(seed, rng.ZF_CHECK)],
+                rng.CHANNEL: [(seed, rng.CHANNEL, 0), (seed, rng.CHANNEL, 1)],
+                rng.SINR_CHECK: [(seed, rng.SINR_CHECK)]}
     assert len(set(checks)) == 3
     for purpose, check in checks.items():
         keys.clear()
         assert check()[0]
-        assert keys == [(seed, purpose)]
-    # Neither check's first channel is the Monte Carlo trial 0, nor each other's.
+        assert keys == expected[purpose]
+    # Neither check's first channel is the first channel of stream (seed, CHANNEL),
+    # nor each other's.
     firsts = [mimo.sample_channel(10, 200, seed).entries,
               mimo.draw_channel(substream(seed, rng.ZF_CHECK), 10, 200).entries,
               mimo.draw_channel(substream(seed, rng.SINR_CHECK), 10, 200).entries]

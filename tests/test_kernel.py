@@ -392,3 +392,17 @@ def test_kernel_sums_rates_without_a_fsum_call_per_trial(monkeypatch):
     assert counts["fallback"] <= 0.05 * counts["rows"]
     assert counts["fsum"] == counts["fallback"]
     assert counts["totals"] == 0
+
+
+def test_empty_cell_sums_without_a_fsum_call(monkeypatch):
+    # An empty cell's edge sums and cpz totals are rows of +0.0, which _row_fsums
+    # certifies as +0.0 itself instead of asking math.fsum for the sign of zero.
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(schemes.math, "fsum", lambda values: calls.append(1) or fsum(values))
+    columns = run_comparison(ScenarioConfig(placement=FixedPlacement(()), n_trials=10_000))
+    assert calls == []
+    for column in columns:
+        assert not np.signbit(column.sum_rate).any() and not column.sum_rate.any()
+    for column in columns[1:]:  # zooming and cpz radiate +0.0
+        assert not np.signbit(column.total_power).any() and not column.total_power.any()

@@ -5,11 +5,14 @@ pseudo-inverse for zero forcing, explicit per-user signal/interference
 sums for the SINR, explicit Gram inversion plus Monte Carlo averaging for
 the ergodic rate, and elementwise summation for norms. The eigenvalue
 trace and singularity rule are checked against trace(solve(G, I)) and
-np.linalg.cond.
+np.linalg.cond. The Monte Carlo trace is checked bit for bit against a
+per-trial Bartlett oracle and, in mean and variance, against the traces of
+drawn channels.
 """
 
 import math
 import statistics
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -284,8 +287,11 @@ def test_wishart_expectation_rejects_m_not_greater():
 
 
 def test_monte_carlo_trace_small_case_converges():
-    est, _ = mimo.monte_carlo_trace(1, 2, n_trials=10_000, seed=0)
-    assert abs(est - 1.0) < 0.05
+    # K = 1, M = 3: the trace is 1 / Gamma(3, 1), of mean 1 / 2 and variance
+    # 1 / ((M - 1)(M - 2)) - 1 / 4 = 1 / 4. (At M = 2 the variance is infinite.)
+    n = 10_000
+    est, _ = mimo.monte_carlo_trace(1, 3, n_trials=n, seed=0)
+    assert abs(est - 0.5) < 5 * math.sqrt(0.25 / n)
 
 
 def test_monte_carlo_trace_single_trial_reproducible():
@@ -317,27 +323,30 @@ def test_monte_carlo_trace_validation():
 BLOCK = mimo._TRACE_BLOCK
 
 
-def oracle_draw(k, m, rng):
-    """One trial's normals (A, B) as two separate K x M draws, real then imaginary."""
-    return rng.standard_normal((k, m)), rng.standard_normal((k, m))
+def oracle_factor(k, gammas, normals):
+    """Bartlett's L from one trial's K gammas and its (re, im) rows of K(K - 1) / 2 normals."""
+    below = iter((normals[0] + 1j * normals[1]) / np.sqrt(2.0))
+    low = np.zeros((k, k), dtype=complex)
+    for i in range(k):
+        low[i, i] = math.sqrt(gammas[i])
+        for j in range(i):
+            low[i, j] = next(below)
+    return low
 
 
-def oracle_channel(a, b):
-    return (a + 1j * b) / np.sqrt(2.0)
-
-
-def oracle_gram(a, b):
-    """H H^H of H = (A + iB) / sqrt(2) from the normals: R = X X^T with X = [A; B]."""
-    k = len(a)
-    x = np.vstack([a, b])
-    r = x @ x.T
-    return ((r[:k, :k] + r[k:, k:]) + 1j * (r[k:, :k] - r[:k, k:])) / 2
+def oracle_factors(k, m, n_trials, seed):
+    """Per-trial Bartlett factors: one gamma row of child 0 and one normal row of child 1."""
+    diagonal, below = substream(seed, CHANNEL, 0), substream(seed, CHANNEL, 1)
+    shapes = [m - i for i in range(k)]
+    return [oracle_factor(k, diagonal.standard_gamma(shapes),
+                          below.standard_normal((2, k * (k - 1) // 2)))
+            for _ in range(n_trials)]
 
 
 def oracle_eigenvalues(k, m, n_trials, seed):
-    """Per-trial Gram eigenvalues of the successive channels of stream (seed, CHANNEL)."""
-    rng = substream(seed, CHANNEL)
-    return [np.linalg.eigvalsh(oracle_gram(*oracle_draw(k, m, rng))) for _ in range(n_trials)]
+    """Per-trial eigenvalues of the Wishart Grams L L^H."""
+    return [np.linalg.eigvalsh(low @ low.conj().T)
+            for low in oracle_factors(k, m, n_trials, seed)]
 
 
 def oracle_traces(k, m, n_trials, seed):
@@ -358,7 +367,9 @@ def oracle_conds(k, m, n_trials, seed):
     return [float(eig[-1] / eig[0]) for eig in oracle_eigenvalues(k, m, n_trials, seed)]
 
 
-@pytest.mark.parametrize("n_trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+# One trial, partial first blocks, and the sizes around one and two full blocks.
+@pytest.mark.parametrize("n_trials", [1, 15, 16, 17, 35, BLOCK - 1, BLOCK, BLOCK + 1,
+                                      2 * BLOCK + 3])
 @pytest.mark.parametrize("m, seed", [(6, 11), (12, 2**40)])
 def test_monte_carlo_trace_equals_per_trial_oracle(n_trials, m, seed):
     for k in range(1, m):
@@ -379,37 +390,34 @@ def test_monte_carlo_trace_is_independent_of_block_size(monkeypatch, block):
     assert mimo.monte_carlo_trace(4, 9, 40, 3) == expected
 
 
-def test_block_draw_is_sample_channel(monkeypatch):
-    # Trial 0 is sample_channel's channel; every trial is the next draw_channel
-    # draw of stream (seed, CHANNEL).
-    blocks = []
-    normals_gram = mimo._normals_gram
-
-    def spy(normals):
-        blocks.append(normals.copy())
-        return normals_gram(normals)
-
-    monkeypatch.setattr(mimo, "_normals_gram", spy)
-    k, m, seed = 3, 7, 40
-    mimo.monte_carlo_trace(k, m, BLOCK + 2, seed)
-    assert [len(block) for block in blocks] == [BLOCK, 2]
-    trials = np.concatenate(blocks)
-    assert oracle_channel(*trials[0]).tobytes() == \
-        mimo.sample_channel(k, m, seed).entries.tobytes()
-    rng, oracle_rng = substream(seed, CHANNEL), substream(seed, CHANNEL)
-    for a, b in trials:
-        assert oracle_channel(a, b).tobytes() == mimo.draw_channel(rng, k, m).entries.tobytes()
-        expected_a, expected_b = oracle_draw(k, m, oracle_rng)
-        assert a.tobytes() == expected_a.tobytes() and b.tobytes() == expected_b.tobytes()
+def test_child_streams_are_the_spawned_children():
+    # substream builds the children without Generator.spawn (numpy >= 1.25).
+    if not hasattr(np.random.Generator, "spawn"):
+        pytest.skip("numpy has no Generator.spawn")
+    for i, spawned in enumerate(substream(9, CHANNEL).spawn(2)):
+        assert spawned.random(4).tolist() == substream(9, CHANNEL, i).random(4).tolist()
 
 
-@pytest.mark.parametrize("k, m", [(1, 1), (3, 7), (10, 200)])
-def test_normals_gram_is_channel_gram(k, m):
-    # The real-arithmetic Gram is H H^H of the channel the normals make.
-    normals = substream(5, CHANNEL).standard_normal((4, 2, k, m))
-    h = oracle_channel(normals[:, 0], normals[:, 1])
-    np.testing.assert_allclose(mimo._normals_gram(normals), h @ h.conj().swapaxes(-1, -2),
-                               rtol=1e-13, atol=1e-13 * m)
+def test_trial_i_factor_is_row_i_of_each_child_stream(monkeypatch):
+    # The blocks read both children of (seed, CHANNEL) in trial order: trial i's
+    # Gram is L L^H of the gammas in row i of one draw of child 0 and the normals
+    # in row i of one draw of child 1, whatever block the trial falls in.
+    grams = []
+    traces = mimo._inverse_gram_traces
+
+    def spy(gram):
+        grams.append(gram.copy())
+        return traces(gram)
+
+    monkeypatch.setattr(mimo, "_inverse_gram_traces", spy)
+    k, m, seed, n_trials = 3, 7, 40, BLOCK + 2
+    mimo.monte_carlo_trace(k, m, n_trials, seed)
+    assert [len(gram) for gram in grams] == [BLOCK, 2]
+    gammas = substream(seed, CHANNEL, 0).standard_gamma([m, m - 1, m - 2], size=(n_trials, k))
+    normals = substream(seed, CHANNEL, 1).standard_normal((n_trials, 2, 3))
+    for gram, g, n in zip(np.concatenate(grams), gammas, normals):
+        low = oracle_factor(k, g, n)
+        assert gram.tobytes() == (low @ low.conj().T).tobytes()
 
 
 def test_monte_carlo_trace_singular_trial_in_first_block(monkeypatch):
@@ -419,11 +427,16 @@ def test_monte_carlo_trace_singular_trial_in_first_block(monkeypatch):
 
 
 def test_monte_carlo_trace_singular_trial_in_later_block(monkeypatch):
-    k, m, n_trials, seed = 5, 6, 2 * BLOCK + 3, 0
-    conds = oracle_conds(k, m, n_trials, seed)
-    first = max(conds[:BLOCK])
-    later = [cond for cond in conds[BLOCK:] if cond > first]
-    assert later  # some trial after the first block is over the limit
+    # The first seed from 0 on whose worst condition number falls after the first
+    # block (about every other seed), so some later trial is over the limit.
+    k, m, n_trials = 5, 6, 2 * BLOCK + 3
+    for seed in range(20):
+        conds = oracle_conds(k, m, n_trials, seed)
+        first = max(conds[:BLOCK])
+        later = [cond for cond in conds[BLOCK:] if cond > first]
+        if later:
+            break
+    assert later
     # Halfway between, so rounding in lambda_max <= limit * lambda_min cannot move a trial.
     limit = (first + min(later)) / 2
     monkeypatch.setattr(mimo, "SINGULAR_COND_LIMIT", limit)
@@ -431,6 +444,55 @@ def test_monte_carlo_trace_singular_trial_in_later_block(monkeypatch):
     assert mean == oracle_monte_carlo_trace(k, m, BLOCK, seed)
     with pytest.raises(ValueError, match="numerically singular"):
         mimo.monte_carlo_trace(k, m, n_trials, seed)
+
+
+# ---------------------------------------------------------------------------
+# Bartlett's Wishart Grams against Grams of drawn channels
+
+
+def bartlett_traces(monkeypatch, k, m, n_trials, seed):
+    """monte_carlo_trace's per-trial traces, in trial order."""
+    blocks = []
+    traces = mimo._inverse_gram_traces
+    monkeypatch.setattr(mimo, "_inverse_gram_traces",
+                        lambda gram: blocks.append(traces(gram)) or blocks[-1])
+    mimo.monte_carlo_trace(k, m, n_trials, seed)
+    monkeypatch.setattr(mimo, "_inverse_gram_traces", traces)
+    return np.concatenate(blocks)
+
+
+def moments(x):
+    """Mean, variance (n - 1) and fourth central moment of a sample."""
+    mean = x.mean()
+    return mean, x.var(ddof=1), np.mean((x - mean) ** 4)
+
+
+@pytest.mark.parametrize("k, m, n_trials", [(4, 32, 20_000), (10, 200, 2_000)])
+def test_bartlett_traces_match_channel_traces(monkeypatch, k, m, n_trials):
+    # Two independent samples of tr(G^-1): Bartlett's Grams, and Grams of the
+    # channels of stream (seed, CHANNEL). Means and variances agree within 5
+    # standard errors; a sample variance's is sqrt((mu_4 - sigma^4) / n).
+    seed = 1
+    rng = substream(seed, CHANNEL)
+    channel = np.array([mimo.gram_inverse_trace(mimo.draw_channel(rng, k, m))
+                        for _ in range(n_trials)])
+    (mean_b, var_b, mu4_b), (mean_c, var_c, mu4_c) = (
+        moments(bartlett_traces(monkeypatch, k, m, n_trials, seed)), moments(channel))
+    z_mean = (mean_b - mean_c) / math.sqrt((var_b + var_c) / n_trials)
+    z_var = (var_b - var_c) / math.sqrt((mu4_b - var_b**2 + mu4_c - var_c**2) / n_trials)
+    assert abs(z_mean) < 5 and abs(z_var) < 5, (z_mean, z_var)
+
+
+@pytest.mark.parametrize("n_trials", [1_000, 20_000])
+def test_monte_carlo_trace_heap_peak_is_bounded(n_trials):
+    # The blocks reuse one factor buffer, so the peak does not grow with n_trials.
+    tracemalloc.start()
+    try:
+        mimo.monte_carlo_trace(10, 200, n_trials, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 # ---------------------------------------------------------------------------
