@@ -164,9 +164,13 @@ def _env_seed() -> int:
 # |z| gate of the Wishart check: the Monte Carlo mean against K / (M - K) in
 # units of its standard error, from the traces' own sample spread.
 WISHART_Z_GATE = 5.0
+# Fewest trials the Wishart check runs (it is skipped below), and the bounds of
+# the ZF identity's max |HW - I| and of the SINRs' relative spread and deviation.
+WISHART_MIN_TRIALS = 100
+ZF_TOL = SINR_TOL = 1e-9
 
 
-def _check_zf_identity(seed: int, tol: float):
+def _check_zf_identity(seed: int):
     dims = [(k, m) for k in (2, 8, 32) for m in (16, 64, 200) if k < m]
     per_pair = max(1, math.ceil(100 / len(dims)))
     rng = substream(seed, ZF_CHECK)
@@ -177,12 +181,12 @@ def _check_zf_identity(seed: int, tol: float):
             w = mimo.zf_beamformer(h)
             dev = np.max(np.abs(h.entries @ w.entries - np.eye(k)))
             worst = max(worst, float(dev))
-    return worst < tol, f"max |HW - I| = {worst:.3e} (tol {tol:g})"
+    return worst < ZF_TOL, f"max |HW - I| = {worst:.3e} (tol {ZF_TOL:g})"
 
 
-def _check_wishart(seed: int, trials: int, min_trials: int = 100):
-    if trials < min_trials:
-        return None, f"{trials} trials below minimum {min_trials}"
+def _check_wishart(seed: int, trials: int):
+    if trials < WISHART_MIN_TRIALS:
+        return None, f"{trials} trials below minimum {WISHART_MIN_TRIALS}"
     expected = mimo.wishart_trace_expectation(10, 200)
     mean, std = mimo.monte_carlo_trace(10, 200, trials, seed)
     rel = abs(mean - expected) / expected
@@ -191,7 +195,7 @@ def _check_wishart(seed: int, trials: int, min_trials: int = 100):
                                      f"(tol |z| < {WISHART_Z_GATE:g}, {trials} trials)")
 
 
-def _check_sinr_uniformity(seed: int, tol: float = 1e-9):
+def _check_sinr_uniformity(seed: int):
     worst_spread = 0.0
     worst_dev = 0.0
     rng = substream(seed, SINR_CHECK)
@@ -201,14 +205,14 @@ def _check_sinr_uniformity(seed: int, tol: float = 1e-9):
         common = mimo.sinr_zf(1.0, h)
         worst_spread = max(worst_spread, float(np.ptp(per_ue) / per_ue.mean()))
         worst_dev = max(worst_dev, float(np.max(np.abs(per_ue - common)) / common))
-    ok = worst_spread < tol and worst_dev < tol
+    ok = worst_spread < SINR_TOL and worst_dev < SINR_TOL
     return ok, (f"max relative spread = {worst_spread:.3e}, "
-                f"max deviation from common value = {worst_dev:.3e} (tol {tol:g})")
+                f"max deviation from common value = {worst_dev:.3e} (tol {SINR_TOL:g})")
 
 
-def run_verification(seed: int, trials: int, zf_tol: float) -> list[tuple[str, bool | None, str]]:
+def run_verification(seed: int, trials: int) -> list[tuple[str, bool | None, str]]:
     return [
-        ("zf_identity", *_check_zf_identity(seed, zf_tol)),
+        ("zf_identity", *_check_zf_identity(seed)),
         ("wishart_trace", *_check_wishart(seed, trials)),
         ("sinr_uniformity", *_check_sinr_uniformity(seed)),
     ]
@@ -216,7 +220,7 @@ def run_verification(seed: int, trials: int, zf_tol: float) -> list[tuple[str, b
 
 def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
-    results = run_verification(seed, args.trials, args.zf_tol)
+    results = run_verification(seed, args.trials)
     failed = False
     for name, ok, detail in results:
         if ok is None:
@@ -291,17 +295,15 @@ def _json_sidecar(out_path: str) -> str:
     return (root if ext else out_path) + ".json"
 
 
-def _positive(kind):
-    """argparse type: a finite `kind` number above zero."""
-    def parse(raw: str):
-        try:
-            value = kind(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {raw!r}") from None
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw}")
-        return value
-    return parse
+def _positive_int(raw: str) -> int:
+    """argparse type: an int above zero."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected int, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {raw}")
+    return value
 
 
 WORKERS_HELP = ("accepted for compatibility (at least 1); trials run in one thread "
@@ -322,18 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the core-model invariant checks")
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--trials", type=_positive(int), default=10_000,
+    p_verify.add_argument("--trials", type=_positive_int, default=10_000,
                           help="Monte Carlo trials for the trace-convergence check")
-    p_verify.add_argument("--zf-tol", type=_positive(float), default=1e-9, dest="zf_tol")
     p_verify.set_defaults(func=_cmd_verify)
 
     # The options simulate and sweep share.
     scenario = argparse.ArgumentParser(add_help=False)
     scenario.add_argument("--config", default=None, help="JSON scenario config")
     scenario.add_argument("--seed", type=int, default=None)
-    scenario.add_argument("--trials", type=_positive(int), default=None)
+    scenario.add_argument("--trials", type=_positive_int, default=None)
     scenario.add_argument("--out", default=None, help="per-trial CSV output path")
-    scenario.add_argument("--workers", type=_positive(int), default=1, help=WORKERS_HELP)
+    scenario.add_argument("--workers", type=_positive_int, default=1, help=WORKERS_HELP)
 
     p_sim = sub.add_parser("simulate", parents=[scenario], help="run per-trial scheme comparisons")
     p_sim.set_defaults(func=_cmd_simulate)

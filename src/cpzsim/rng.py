@@ -16,7 +16,7 @@ moves a seeded output bumps it.
 
 import numpy as np
 
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 
 # Purpose tags: the second half of every stream key.
 PLACEMENT = 0

@@ -13,14 +13,14 @@ the user's own distance; the region edge gets exactly the target rate and
 everyone closer gets more.
 
 Two forms compute the same reports, float for float, under one rule: `pow`
-and `log2` run in libm on Python floats, and each trial's sum rate and cpz's
-sum of power fractions are `math.fsum`'s correctly rounded values (the batch
-form takes both from `_row_fsums`). `powered_regions`, `per_ue_rates` and
-`evaluate_scheme` work on one `CpzState` snapshot: the public scalar API, and
-the batch form's oracle. `_evaluate_trials` runs (trials, users) arrays of
-Monte Carlo runs and sweeps, on one or more grids that differ in sector
-count, and returns per grid one `SchemeColumns` per scheme: an array per
-report field and a `sleeping` mask.
+and `log2` run in libm on Python floats, and every sum adds left to right from
++0.0 in a fixed order, a trial's rates in user (join) order and cpz's power
+fractions in sector order (`_sum` in the scalar form, `_row_sums` in the batch
+form). `powered_regions`, `per_ue_rates` and `evaluate_scheme` work on one
+`CpzState` snapshot: the public scalar API, and the batch form's oracle.
+`_evaluate_trials` runs (trials, users) arrays of Monte Carlo runs and sweeps,
+on one or more grids that differ in sector count, and returns per grid one
+`SchemeColumns` per scheme: an array per report field and a `sleeping` mask.
 """
 
 import functools
@@ -145,18 +145,22 @@ def _total_power(sized: list[tuple[int, float]], n_sectors: int) -> float:
     """Radiated power of regions given as (wedges, full-circle power P(zoom)) pairs."""
     if not sized:
         return 0.0
-    # Accumulate fractions of the largest region power (each <= 1) and
-    # divide once: rounding then cannot lift the total above that power,
-    # keeping the scheme ordering exact without tolerances.
+    # Accumulate fractions of the largest region power (each <= 1) and divide
+    # once: each left-to-right partial sum of n of them stays <= n, an exact
+    # float, so rounding cannot lift the total above that power, keeping the
+    # scheme ordering exact without tolerances.
     full = max(power for _, power in sized)
-    return full * (math.fsum(wedges * (power / full) for wedges, power in sized) / n_sectors)
+    return full * (_sum(wedges * (power / full) for wedges, power in sized) / n_sectors)
 
 
 def _total_powers(sized: np.ndarray, n_sectors: int) -> np.ndarray:
-    """_total_power of each row's one-sector regions, a region's P(zoom) at a column, else 0.0."""
-    sized = sized[:, sized.any(axis=0)]  # all-zero columns add nothing to an exact sum
+    """_total_power of each row's one-sector regions, a region's P(zoom) at a column, else 0.0.
+
+    Regions in sector order along a row; the 0.0 between them leave each partial
+    sum as it is.
+    """
     full = np.where(sized.any(axis=1), sized.max(axis=1, initial=0.0), 1.0)  # 1.0: no region
-    return full * (_row_fsums(sized / full[:, None]) / n_sectors)
+    return full * (_row_sums(sized / full[:, None]) / n_sectors)
 
 
 def _check_budget(kind: SchemeKind, total: float, p_max: float) -> None:
@@ -165,12 +169,29 @@ def _check_budget(kind: SchemeKind, total: float, p_max: float) -> None:
         raise RuntimeError(f"{kind.value} power {total} exceeds the always-max budget {p_max}")
 
 
-def _sum_rate(rates) -> float:
-    """math.fsum of a trial's rates, raising ValueError if the sum leaves the float range."""
-    try:
-        return math.fsum(rates)
-    except OverflowError:
-        raise ValueError("sum rate overflows the float range") from None
+def _sum(values) -> float:
+    """values added left to right from +0.0, raising ValueError if the sum is infinite.
+
+    An explicit loop: builtin sum compensates float sums from Python 3.12 on, so
+    it gives this sum only on 3.10 and 3.11.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    if math.isinf(total):
+        raise ValueError("sum rate overflows the float range")
+    return total
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """_sum of each row of a (rows, k) float64 array, bit for bit, raising as it raises."""
+    total = np.zeros(len(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column in x.T:
+            total += column
+    if np.isinf(total).any():
+        raise ValueError("sum rate overflows the float range")
+    return total
 
 
 def evaluate_scheme(kind: SchemeKind, state: CpzState, budget: LinkBudget,
@@ -188,7 +209,8 @@ def evaluate_scheme(kind: SchemeKind, state: CpzState, budget: LinkBudget,
                          state.grid.n_sectors)
     p_max = required_bs_power(budget.cell_radius_r, rate_target, k_users, m_antennas, budget)
     _check_budget(kind, total, p_max)
-    sum_rate = _sum_rate(_region_rates(sized, state, budget, k_users, m_antennas, psi).values())
+    rates = _region_rates(sized, state, budget, k_users, m_antennas, psi)
+    sum_rate = _sum(rates[ue_id] for ue_id in state.ue_positions())
     return SchemeReport(kind, total, sum_rate, energy_efficiency(sum_rate, total),
                         sum(region.wedges for region, _ in sized))
 
@@ -220,7 +242,7 @@ def _link_gains(budget: LinkBudget, cell_radius: float, r: np.ndarray,
     if outside.any():
         raise ValueError(f"user distance {r[outside][0]} m outside "
                          f"[{budget.r0}, {cell_radius}] m")
-    # Products round alike in numpy and Python, and sums are fsum's.
+    # Products round alike in numpy and Python, and sums follow _sum's order.
     loss = libm(pow, r / budget.r0, -budget.alpha)
     if psi is not None and not ((0 < psi) & (psi < math.inf)).all():
         raise ValueError("shadowing factor must be positive and finite")
@@ -241,51 +263,6 @@ def _rates(budget: LinkBudget, k_users: int, m_antennas: int, faded: np.ndarray,
         return budget.bandwidth * libm(math.log2, 1.0 + sinr)
 
 
-def _row_fsums(x: np.ndarray) -> np.ndarray:
-    """_sum_rate of each row of a (rows, k) float64 array, bit for bit, raising as it raises.
-
-    A TwoSum cascade (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26(6), 2005) runs
-    down the columns; a row keeps its result where that is certified to be the
-    exact sum rounded to nearest (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
-    31(2), 2008), and the other rows go to _sum_rate in row order.
-    """
-    n, k = x.shape
-    cols = np.ascontiguousarray(x.T) if k else np.zeros((1, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        absum = np.abs(cols).sum(axis=0)
-        s, e, a = cols[0], np.zeros(n), np.zeros(n)
-        for b in cols[1:]:
-            # Knuth's TwoSum, one ufunc per operation: s + b == t + q exactly.
-            t = s + b
-            z = t - s
-            q = (s - (t - z)) + (b - z)
-            s, e, a = t, e + q, a + np.abs(q)
-        r = s + e
-        z = r - s
-        rr = (s - (r - z)) + (e - z)
-        # A kept r is fsum's. With u = 2**-53 and no overflow, sum(row) == r + rr + d
-        # with d = sum(q) - e, |d| < 4 k u a for k < 2**50 (Higham, eq. 4.4), and
-        # bound >= |d| (twice that, and d is 0 or >= 2**-1074 where it underflows).
-        # (1) fl(|rr| + bound) < half: with g the smaller gap around r, the spacing of
-        # |r| (1 - u), half is g / 2, or 0 where g is 2**-1074 (r == 0 too), and
-        # rounding is monotone, so |sum(row) - r| < g / 2.
-        # (2) bound < the smallest spacing of the nonzero inputs, of which d is a
-        # multiple: d == 0, and r = fl(s + e) rounds ties (8% of rate sums) to even.
-        # absum < 2**1023 keeps every input finite and every partial sum, here and
-        # in fsum, in range; r == 0 leaves fsum its sign where a -0.0 is summed
-        # (fsum([-0.0]) is 0.0). (3) A row of +0.0 inputs sums to +0.0, as r does.
-        bound = k * 2.0**-50 * a
-        finite = absum < 2.0**1023
-        ok = (np.abs(rr) + bound < 0.5 * np.spacing(np.abs(r) * (1.0 - 2.0**-53))) & finite
-        rest = np.flatnonzero(~ok)
-        mags = np.abs(x[rest])
-        spacing = np.where(mags > 0, np.spacing(mags), math.inf).min(axis=1, initial=math.inf)
-        plus_zero = (absum[rest] == 0) & ~np.signbit(x[rest]).any(axis=1)
-        rest = rest[~((bound[rest] < spacing) & (r[rest] != 0) & finite[rest] | plus_zero)]
-    r[rest] = np.fromiter(map(_sum_rate, x[rest].tolist()), float, len(rest))
-    return r
-
-
 def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_target: float,
                      k_users: int, m_antennas: int, r: np.ndarray, phi: np.ndarray,
                      psi: np.ndarray | None = None) -> list[tuple[SchemeColumns, ...]]:
@@ -295,16 +272,16 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
     arrays of user distances, angles (normalized as UePosition holds them) and
     slow-fading factors, psi None for unit shadowing. A block of trials runs
     the link stage once for all grids (faded gains, then rates and sums at the
-    edge ring) and, after the faded gains, sorts each trial's users by angle:
-    sectors then ascend along a row on every grid, and rates and fsums do not
-    depend on the order. always_max and zooming power a full-circle region out
-    to the edge and to the trial's top annulus on any grid: sized and rated once
-    per block, their arrays are shared by all grids' columns but n_active_sectors.
-    Per grid, cpz powers each sector at its first user's column, out to the
-    sector's top annulus, and serves user u out to ring[t, u]; its totals are
-    _total_powers' exact sums of power fractions (the kernel never calls the
-    oracle's _total_power). Trial t of a grid's columns holds the reports of
-    evaluate_scheme on row t's users on that grid, float for float. The error
+    edge ring). After the faded gains it finds each grid's sector regions with
+    each trial's users in angle order, in which sectors ascend along a row on
+    every grid; rates and sums run in user order. always_max and zooming power
+    a full-circle region out to the edge and to the trial's top annulus on any
+    grid: sized and rated once per block, their arrays are shared by all grids'
+    columns but n_active_sectors. Per grid, cpz powers each sector out to the
+    sector's top annulus and serves user u out to ring[t, u]; its totals are
+    _total_powers' sums of power fractions in sector order (the kernel never
+    calls the oracle's _sum or _total_power). Trial t of a grid's columns holds
+    the reports of evaluate_scheme on row t's users on that grid, float for float. The error
     raised is the one a call per grid would raise first; on one grid, errors
     come block by block and, within a block, stage by stage: link (ValueError
     for a distance outside [r0, R] or a factor that is not positive and
@@ -348,16 +325,18 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         distinct, index = np.unique(rings, return_inverse=True)
         return np.array([ring_power(a) if a >= 0 else 0.0 for a in distinct.tolist()])[index]
 
-    def plan(n_sectors: int, annulus: np.ndarray, sector: np.ndarray):
-        # cpz's (power, ring, n_regions) on a grid. Users are in angle order, so
-        # each row's sectors ascend and a sector's region sits at its first user.
+    def plan(n_sectors: int, annulus: np.ndarray, sector: np.ndarray, order: np.ndarray):
+        # cpz's (power, ring, n_regions) on a grid. annulus and sector are in the
+        # angle order of users `order`, so each row's sectors ascend and a
+        # sector's region sits at its first user; ring goes back to user order.
         first = np.ones(sector.shape, dtype=bool)
         first[:, 1:] = sector[:, 1:] != sector[:, :-1]
         starts = np.flatnonzero(first)
         tops = np.maximum.reduceat(annulus.ravel(), starts)
         sized = np.zeros(sector.shape)
         sized.flat[starts] = ring_powers(tops)
-        ring = tops[np.cumsum(first) - 1].reshape(sector.shape)
+        ring = np.empty(sector.shape, dtype=np.int64)
+        np.put_along_axis(ring, order, tops[np.cumsum(first) - 1].reshape(sector.shape), axis=1)
         return _total_powers(sized, n_sectors), ring, first.sum(axis=1)
 
     n = len(r)
@@ -370,24 +349,25 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         block = slice(start, start + _BLOCK)
         rb, phib = r[block], phi[block]
         faded = _link_gains(budget, grid.cell_radius, rb, None if psi is None else psi[block])
-        # Users in angle order from here on, so every grid's sectors ascend along a row.
+        # Users in angle order for the sector regions, where every grid's sectors
+        # ascend along a row; faded, rates and sums stay in user order.
         order = np.argsort(phib, axis=1)
-        rb, phib, faded = (np.take_along_axis(x, order, axis=1) for x in (rb, phib, faded))
+        rb, phib = (np.take_along_axis(x, order, axis=1) for x in (rb, phib))
         annulus, sector = cell_indices(grid, rb, phib)
         annulus = annulus.astype(np.int64)
         # Plans in column order; _total_power([(n, P)], n) == P: always-max's and
         # zooming's totals are ring powers.
         tops = (np.full(len(rb), edge), annulus.max(axis=1, initial=-1))
         plans = [(ring_powers(top), top[:, None], top >= 0) for top in tops]
-        plans += [plan(each.n_sectors, annulus, cell_indices(each, rb, phib)[1] if g else sector)
-                  for g, each in enumerate(grids)]
+        plans += [plan(each.n_sectors, annulus, cell_indices(each, rb, phib)[1] if g else sector,
+                       order) for g, each in enumerate(grids)]
         powers = np.stack([power for power, _, _ in plans])
         over = ~(powers <= p_max)
         if over.any():
             t, k = np.argwhere(over.T)[0]
             _check_budget(columns[k].scheme, powers[k, t].item(), p_max)
         edge_rates = _rates(budget, k_users, m_antennas, faded, ring_power(edge))
-        edge_sums = _row_fsums(edge_rates)
+        edge_sums = _row_sums(edge_rates)
         for cols, (power, ring, n_regions) in zip(columns, plans):
             # A user served out to the edge ring has its edge rate: only the
             # others are rated again, and their trials (mixed) summed again.
@@ -399,7 +379,7 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
                 inner, scheme_rates = ring != edge, edge_rates[mixed]
                 scheme_rates[inner] = _rates(budget, k_users, m_antennas, faded[mixed][inner],
                                              ring_powers(ring[inner]))
-                sum_rate[mixed] = _row_fsums(scheme_rates)
+                sum_rate[mixed] = _row_sums(scheme_rates)
             sleeping = power == 0
             with np.errstate(over="ignore"):
                 ee = np.divide(sum_rate, power, out=cols.ee[block], where=~sleeping)

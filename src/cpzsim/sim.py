@@ -6,7 +6,9 @@ schemes on them. Trial i places its users from row i of stream
 (shadowing.seed, SHADOWING); the purpose tags keep the two independent even
 though both seeds default to 0, and a trial's draws do not depend on how many
 trials run. Results are the same bit for bit on any host with the same libm
-(`propagation.libm`). `_evaluate` is the one way into the batch kernel
+(`propagation.libm`): each trial's sums add left to right in a fixed order
+(`schemes._row_sums`), and each mean is one `math.fsum` over the trials.
+`_evaluate` is the one way into the batch kernel
 `schemes._evaluate_trials`: it draws the config's users and shadowing as
 (trials, users) arrays and evaluates them on a list of grids.
 A distance sweep is run_comparison on one user pinned at each distance; a

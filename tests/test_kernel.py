@@ -361,47 +361,38 @@ def test_overflow_example_trips_the_sinr_guard():
         run_comparison(config)
 
 
-def test_kernel_sums_rates_without_a_fsum_call_per_trial(monkeypatch):
-    # Every trial's sum rate and cpz total comes from _row_fsums, and at most 5%
-    # of the rows it sums reach math.fsum (none do here: its certificate keeps
-    # exact ties too). No other fsum call is made: the kernel never calls the
-    # scalar _total_power, so the oracle test checks cpz's totals independently.
-    counts = collections.Counter()
-    fsum, row_fsums, total_power = math.fsum, schemes._row_fsums, schemes._total_power
-
-    def fsum_spy(values):
-        counts["fsum"] += 1
-        return fsum(values)
-
-    def row_fsums_spy(x):
-        counts["rows"] += len(x)
-        before = counts["fsum"]
-        sums = row_fsums(x)
-        counts["fallback"] += counts["fsum"] - before
-        return sums
-
-    def total_power_spy(sized, n_sectors):
-        counts["totals"] += 1
-        return total_power(sized, n_sectors)
-
-    monkeypatch.setattr(schemes.math, "fsum", fsum_spy)
-    monkeypatch.setattr(schemes, "_row_fsums", row_fsums_spy)
-    monkeypatch.setattr(schemes, "_total_power", total_power_spy)
+def test_kernel_never_calls_the_scalar_sums(monkeypatch):
+    # Every trial's sum rate and cpz total comes from _row_sums: the kernel
+    # calls neither the oracle's _sum nor its _total_power, so the oracle test
+    # checks both independently.
+    calls = collections.Counter()
+    for name in ("_sum", "_total_power"):
+        monkeypatch.setattr(schemes, name, lambda *args, name=name: calls.update([name]))
     run_comparison(ScenarioConfig(n_trials=2048))
-    assert counts["rows"] >= 2048
-    assert counts["fallback"] <= 0.05 * counts["rows"]
-    assert counts["fsum"] == counts["fallback"]
-    assert counts["totals"] == 0
+    sweep_sectors(ScenarioConfig(n_trials=64), [1, 6, 18])
+    assert calls == {}
 
 
-def test_empty_cell_sums_without_a_fsum_call(monkeypatch):
-    # An empty cell's edge sums and cpz totals are rows of +0.0, which _row_fsums
-    # certifies as +0.0 itself instead of asking math.fsum for the sign of zero.
-    calls = []
-    fsum = math.fsum
-    monkeypatch.setattr(schemes.math, "fsum", lambda values: calls.append(1) or fsum(values))
+def test_cpz_powering_every_sector_to_the_edge_matches_zooming_exactly():
+    # Each of cpz's n fractions is 1.0 here, and every left-to-right partial sum
+    # of them is an integer up to n, an exact float: full * (n / n) == full.
+    # Users join in a shuffled order, one per 1/37 of the circle, in the top annulus.
+    rng = np.random.default_rng(5)
+    grid, counts = PartitionGrid(), (1, 2, 5, 18, 37)
+    u = rng.random((64, 2 * 37))
+    r = grid.cell_radius * (1.0 - u[:, :37] / grid.n_annuli)
+    phi = rng.permuted((np.arange(37) + u[:, 37:]) * (TWO_PI / 37), axis=1)
+    config = ScenarioConfig(k_users=37)
+    grids = [replace(grid, n_sectors=n) for n in counts]
+    for n, (_, zooming, cpz) in zip(counts, schemes._evaluate_trials(
+            grids, config.budget, config.rate_target, 37, config.m_antennas, r, phi)):
+        assert (cpz.n_active_sectors == n).all()
+        assert (cpz.total_power == zooming.total_power).all()
+
+
+def test_empty_cell_sums_without_a_fsum_call():
+    # An empty cell's edge sums and cpz totals are empty rows, which sum to +0.0.
     columns = run_comparison(ScenarioConfig(placement=FixedPlacement(()), n_trials=10_000))
-    assert calls == []
     for column in columns:
         assert not np.signbit(column.sum_rate).any() and not column.sum_rate.any()
     for column in columns[1:]:  # zooming and cpz radiate +0.0
