@@ -10,9 +10,10 @@ are the successive draws of stream (seed, CHANNEL); the Monte Carlo trace
 draws its Grams from their law, by Bartlett's decomposition (Goodman 1963).
 
 The Gram H H^H is Hermitian positive definite for a full-rank channel, so
-one eigvalsh gives both facts the inverse trace needs: its 2-norm condition
-number lambda_max / lambda_min, which decides whether the channel is
-numerically singular, and tr((H H^H)^-1) = sum of 1 / lambda.
+one eigvalsh gives both facts a channel's inverse trace needs: its 2-norm
+condition number lambda_max / lambda_min, which decides whether the channel
+is numerically singular, and tr((H H^H)^-1) = sum of 1 / lambda. The Monte
+Carlo trace is ||L^-1||_F^2 for G = L L^H, and cond(G) <= tr(G) tr(G^-1).
 """
 
 import math
@@ -26,9 +27,10 @@ from .rng import CHANNEL, substream
 # of its extreme eigenvalues, is at most this. _eigenvalues states the rule.
 SINGULAR_COND_LIMIT = 1e12
 
-# Trials per stacked monte_carlo_trace block. At K=10 a block's arrays hold about
-# 100 kB each; 256 trials were at most 5% faster but added 1.2 MB of peak RSS.
-_TRACE_BLOCK = 64
+# Trials per monte_carlo_trace block. At K = 10, 1e4 trials took 76, 63 and 54 ms
+# in blocks of 64, 96 and 128 (one core of a shared 2-vCPU Xeon), with heap peaks
+# of 217, 322 and 430 KiB: 128 leaves too little room under the tests' 512 KiB bound.
+_TRACE_BLOCK = 96
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +117,6 @@ def _eigenvalues(gram: np.ndarray) -> np.ndarray:
     raise ValueError("channel Gram matrix is numerically singular")
 
 
-def _inverse_gram_traces(gram: np.ndarray) -> np.ndarray:
-    """tr(G^-1) = sum of 1 / lambda of each Gram in a (..., K, K) stack."""
-    return np.reciprocal(_eigenvalues(gram)).sum(axis=-1)
-
-
 def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
     """Zero-forcing precoder: the conjugate-transpose pseudo-inverse of the channel.
 
@@ -136,7 +133,7 @@ def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
 
 def gram_inverse_trace(h: ChannelMatrix) -> float:
     """tr((H H^H)^-1), the quantity controlling the common ZF SINR."""
-    return float(_inverse_gram_traces(_gram(h.entries)))
+    return float(np.reciprocal(_eigenvalues(_gram(h.entries))).sum())
 
 
 def sinr_zf(rho: float, h: ChannelMatrix) -> float:
@@ -199,6 +196,60 @@ def wishart_trace_expectation(k_users: int, m_antennas: int) -> float:
     return k_users / (m_antennas - k_users)
 
 
+def _factor_traces(gammas: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """tr(G^-1) of each Bartlett Gram G = L L^H of a block; raises if one is numerically singular.
+
+    Rows of gammas (n, K) and normals (n, 2, K(K - 1) / 2) are trials, laid out
+    as monte_carlo_trace states. tr(G^-1) = ||X||_F^2 for X = L^-1, which
+    forward substitution (backward stable: Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 8) gives a column of L at a time, in
+    re and im arrays with the trials last and one + - * / or sqrt per ufunc,
+    so a trace is the same on any CPU: X_ii = 1 / L_ii, X_ij = -(sum over
+    k = j, ..., i - 1 of L_ik X_kj) / L_ii, k ascending; then re^2 + im^2 of
+    each X_ij summed along each row, and the row sums top to bottom. A block
+    whose products tr(G) tr(G^-1) >= cond(G) are all at most
+    SINGULAR_COND_LIMIT / 2 passes _eigenvalues' rule; the Grams of any other
+    block go to _eigenvalues, which raises or lets the traces stand.
+    """
+    n, k_users = gammas.shape
+    rows = [i for i in range(k_users) for _ in range(i)]  # np.tril_indices(K, -1)
+    cols = [j for i in range(k_users) for j in range(i)]
+    trace_g = gammas.sum(axis=1) + np.square(normals).sum(axis=(1, 2)) / 2
+    diagonal = np.sqrt(gammas.T)
+    x = np.zeros((2, k_users, k_users, n))
+    x[0, range(k_users), range(k_users)] = 1.0 / diagonal
+    # L_ij waits above the diagonal, at x[:, j, i], until step j uses column j.
+    x[:, cols, rows] = normals.transpose(1, 2, 0) / np.sqrt(2.0)
+    for j in range(k_users):
+        row = x[:, j, :j]
+        row /= diagonal[j]  # X_j0 .. X_j,j-1 from their finished, negated sums
+        l_re, l_im = x[:, j, j + 1:, None]
+        x_re, x_im = x[:, j, None, :j + 1]
+        sum_re, sum_im = x[:, j + 1:, :j + 1]
+        sum_re -= l_re * x_re - l_im * x_im
+        sum_im -= l_re * x_im + l_im * x_re
+    x[:, cols, rows] = 0.0
+    x *= x
+    squares, squares_im = x
+    squares += squares_im
+    row_sums = squares[:, 0]
+    for j in range(1, k_users):
+        row_sums += squares[:, j]
+    traces = row_sums[0].copy()  # not a view, which would keep x alive
+    for row_sum in row_sums[1:]:
+        traces += row_sum
+    # Why / 2: rounding L L^H and eigvalsh's backward error move lambda_min by
+    # at most about c K u tr(G) (Weyl; u = 2^-53, c small), relative to it by
+    # c K u tr(G) tr(G^-1) <= c K u LIMIT / 2, so a certified Gram's computed
+    # ratio stays below LIMIT while c K u LIMIT < 1: c K < 9000 at 1e12.
+    if not (trace_g * traces <= SINGULAR_COND_LIMIT / 2).all():
+        factor = np.zeros((n, k_users, k_users), dtype=np.complex128)
+        factor[:, range(k_users), range(k_users)] = np.sqrt(gammas)
+        factor[:, rows, cols] = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
+        _eigenvalues(_gram(factor))
+    return traces
+
+
 def monte_carlo_trace(k_users: int, m_antennas: int, n_trials: int,
                       seed: int) -> tuple[float, float]:
     """Sample mean and standard deviation of tr((H H^H)^-1) over seeded Wishart Grams.
@@ -209,8 +260,8 @@ def monte_carlo_trace(k_users: int, m_antennas: int, n_trials: int,
     of K per trial from stream (seed, CHANNEL, 0); the entries below the
     diagonal, in np.tril_indices(K, -1) order, are (re + 1j * im) / sqrt(2)
     from one row of K(K - 1) normals per trial (all re, then all im) of
-    stream (seed, CHANNEL, 1). Blocks of _TRACE_BLOCK trials share one
-    eigvalsh for the singularity rule and the traces. Both streams are read
+    stream (seed, CHANNEL, 1). Blocks of _TRACE_BLOCK trials go through
+    _factor_traces, which finds each trace as ||L^-1||_F^2. Both streams are read
     in trial order and the traces and their squares are summed in it, so
     both results are the same for any block size and any fixed prefix of
     trials is the same whatever n_trials is. The standard deviation (n - 1
@@ -221,17 +272,14 @@ def monte_carlo_trace(k_users: int, m_antennas: int, n_trials: int,
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     diagonal, below = substream(seed, CHANNEL, 0), substream(seed, CHANNEL, 1)
-    diag = np.arange(k_users)
-    shapes = m_antennas - diag
-    rows, cols = np.tril_indices(k_users, -1)
-    factors = np.zeros((min(n_trials, _TRACE_BLOCK), k_users, k_users), dtype=np.complex128)
+    shapes = m_antennas - np.arange(k_users)
+    n_below = k_users * (k_users - 1) // 2
     total = total_sq = 0.0
     for start in range(0, n_trials, _TRACE_BLOCK):
-        factor = factors[:n_trials - start]
-        factor[:, diag, diag] = np.sqrt(diagonal.standard_gamma(shapes, (len(factor), k_users)))
-        re, im = below.standard_normal((len(factor), 2, len(rows))).swapaxes(0, 1)
-        factor[:, rows, cols] = (re + 1j * im) / np.sqrt(2.0)
-        for trace in _inverse_gram_traces(factor @ factor.conj().swapaxes(-1, -2)).tolist():
+        n = min(_TRACE_BLOCK, n_trials - start)
+        traces = _factor_traces(diagonal.standard_gamma(shapes, (n, k_users)),
+                                below.standard_normal((n, 2, n_below)))
+        for trace in traces.tolist():
             total += trace
             total_sq += trace * trace
     mean = total / n_trials

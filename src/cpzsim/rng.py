@@ -16,7 +16,7 @@ moves a seeded output bumps it.
 
 import numpy as np
 
-STREAM_LAYOUT = 5
+STREAM_LAYOUT = 6
 
 # Purpose tags: the second half of every stream key.
 PLACEMENT = 0

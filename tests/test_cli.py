@@ -751,10 +751,8 @@ def test_seeded_output_digests(tmp_path, capsys, argv, doc, csv_sha, stdout_sha,
     assert (sha(sidecar.read_bytes()) if sidecar.exists() else None) == json_sha
 
 
-def test_lognormal_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path, capsys):
-    # Shadowing's log1p, cos and pow run in libm on Python floats, so a child
-    # process with numpy's dispatch targets above X86_V3 disabled writes the
-    # same bytes as this one: the sector-sweep digest case and a lognormal simulate.
+def without_simd_above_x86_v3():
+    """Environment for a child process that has numpy's dispatch targets above X86_V3 disabled."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:
@@ -764,10 +762,21 @@ def test_lognormal_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path, capsys):
     disabled = [target for target in above if __cpu_features__.get(target)]
     if not disabled:
         pytest.skip("no numpy dispatch target above X86_V3 runs on this CPU")
+    return dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+
+
+def child_code(body):
+    """python -c code that imports cpzsim from this checkout, then runs body."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = (f"import sys; sys.path.insert(0, {src!r}); from cpzsim import cli; "
-            "sys.exit(cli.main(sys.argv[1:]))")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    return f"import sys; sys.path.insert(0, {src!r}); {body}"
+
+
+def test_lognormal_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path, capsys):
+    # Shadowing's log1p, cos and pow run in libm on Python floats, so a child
+    # process with numpy's dispatch targets above X86_V3 disabled writes the
+    # same bytes as this one: the sector-sweep digest case and a lognormal simulate.
+    env = without_simd_above_x86_v3()
+    code = child_code("from cpzsim import cli; sys.exit(cli.main(sys.argv[1:]))")
 
     def outputs(out, stdout):
         sidecar = out.with_suffix(".json")
@@ -784,6 +793,21 @@ def test_lognormal_bytes_do_not_depend_on_numpy_simd_dispatch(tmp_path, capsys):
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert outputs(child, proc.stdout) == expected
+
+
+def test_monte_carlo_trace_does_not_depend_on_simd_dispatch_or_blas_kernels():
+    # The traces are forward substitutions in + - * / and sqrt, no LAPACK or
+    # BLAS call, so a child with numpy's dispatch targets above X86_V3 disabled
+    # and OpenBLAS on its Sandybridge kernels (which move eigvalsh's last bits)
+    # returns the same mean and standard deviation as this process.
+    env = dict(without_simd_above_x86_v3(), OPENBLAS_CORETYPE="Sandybridge")
+    cases = [(10, 200, 2000, 0), (5, 6, 500, 1)]
+    code = child_code("from cpzsim import mimo; "
+                      f"print([[x.hex() for x in mimo.monte_carlo_trace(*c)] for c in {cases!r}])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[[x.hex() for x in mimo.monte_carlo_trace(*c)] for c in cases]}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ sums for the SINR, explicit Gram inversion plus Monte Carlo averaging for
 the ergodic rate, and elementwise summation for norms. The eigenvalue
 trace and singularity rule are checked against trace(solve(G, I)) and
 np.linalg.cond. The Monte Carlo trace is checked bit for bit against a
-per-trial Bartlett oracle and, in mean and variance, against the traces of
-drawn channels.
+per-trial forward substitution on Python floats, within a cond(G) K u bound
+against trace(solve(G, I)), and, in mean and variance, against the traces
+of drawn channels; its certificate against the blocks it sends to eigvalsh.
 """
 
+import itertools
 import math
 import statistics
 import tracemalloc
@@ -334,13 +336,18 @@ def oracle_factor(k, gammas, normals):
     return low
 
 
-def oracle_factors(k, m, n_trials, seed):
-    """Per-trial Bartlett factors: one gamma row of child 0 and one normal row of child 1."""
+def oracle_draws(k, m, n_trials, seed):
+    """Per trial, one gamma row of child 0 and one (re, im) pair of normal rows of child 1."""
     diagonal, below = substream(seed, CHANNEL, 0), substream(seed, CHANNEL, 1)
     shapes = [m - i for i in range(k)]
-    return [oracle_factor(k, diagonal.standard_gamma(shapes),
-                          below.standard_normal((2, k * (k - 1) // 2)))
+    return [(diagonal.standard_gamma(shapes), below.standard_normal((2, k * (k - 1) // 2)))
             for _ in range(n_trials)]
+
+
+def oracle_factors(k, m, n_trials, seed):
+    """Per-trial Bartlett factors."""
+    return [oracle_factor(k, gammas, normals)
+            for gammas, normals in oracle_draws(k, m, n_trials, seed)]
 
 
 def oracle_eigenvalues(k, m, n_trials, seed):
@@ -349,9 +356,43 @@ def oracle_eigenvalues(k, m, n_trials, seed):
             for low in oracle_factors(k, m, n_trials, seed)]
 
 
+def oracle_trace(k, gammas, normals):
+    """||L^-1||_F^2 of one trial's factor by forward substitution on Python floats.
+
+    X_ii = 1 / L_ii and X_ij = -(sum of L_im X_mj over m = j, ..., i - 1) / L_ii,
+    each sum added left to right from 0.0, a complex product as (ac - bd, ad + bc);
+    then re^2 + im^2 of each row's entries left to right, and the row sums top
+    to bottom. Python floats round every operation alone (no fused multiply-add).
+    """
+    root2 = math.sqrt(2.0)
+    below = iter(zip(normals[0].tolist(), normals[1].tolist()))
+    low = [[(re / root2, im / root2) for re, im in itertools.islice(below, i)]
+           for i in range(k)]
+    x = []
+    trace = 0.0
+    for i in range(k):
+        diagonal = math.sqrt(float(gammas[i]))
+        row = []
+        for j in range(i):
+            s_re = s_im = 0.0
+            for m in range(j, i):
+                (a, b), (c, d) = low[i][m], x[m][j]
+                s_re += a * c - b * d
+                s_im += a * d + b * c
+            row.append((-s_re / diagonal, -s_im / diagonal))
+        row.append((1.0 / diagonal, 0.0))
+        x.append(row)
+        row_sum = 0.0
+        for re, im in row:
+            row_sum += re * re + im * im
+        trace += row_sum
+    return trace
+
+
 def oracle_traces(k, m, n_trials, seed):
-    """tr((H H^H)^-1) = sum of 1 / lambda, one trial at a time."""
-    return [float(np.sum(1.0 / eig)) for eig in oracle_eigenvalues(k, m, n_trials, seed)]
+    """tr((L L^H)^-1) = ||L^-1||_F^2, one trial at a time."""
+    return [oracle_trace(k, gammas, normals)
+            for gammas, normals in oracle_draws(k, m, n_trials, seed)]
 
 
 def oracle_monte_carlo_trace(k, m, n_trials, seed):
@@ -367,9 +408,10 @@ def oracle_conds(k, m, n_trials, seed):
     return [float(eig[-1] / eig[0]) for eig in oracle_eigenvalues(k, m, n_trials, seed)]
 
 
-# One trial, partial first blocks, and the sizes around one and two full blocks.
-@pytest.mark.parametrize("n_trials", [1, 15, 16, 17, 35, BLOCK - 1, BLOCK, BLOCK + 1,
-                                      2 * BLOCK + 3])
+# One trial, partial first blocks, the sizes around one and two full blocks,
+# and those around blocks of 64.
+@pytest.mark.parametrize("n_trials", sorted({1, 15, 16, 17, 35, 63, 64, 65, 131, BLOCK - 1,
+                                             BLOCK, BLOCK + 1, 2 * BLOCK + 3}))
 @pytest.mark.parametrize("m, seed", [(6, 11), (12, 2**40)])
 def test_monte_carlo_trace_equals_per_trial_oracle(n_trials, m, seed):
     for k in range(1, m):
@@ -400,24 +442,25 @@ def test_child_streams_are_the_spawned_children():
 
 def test_trial_i_factor_is_row_i_of_each_child_stream(monkeypatch):
     # The blocks read both children of (seed, CHANNEL) in trial order: trial i's
-    # Gram is L L^H of the gammas in row i of one draw of child 0 and the normals
-    # in row i of one draw of child 1, whatever block the trial falls in.
-    grams = []
-    traces = mimo._inverse_gram_traces
+    # trace is that of the factor from the gammas in row i of one draw of child 0
+    # and the normals in row i of one draw of child 1, whatever block it falls in.
+    blocks = []
+    factor_traces = mimo._factor_traces
 
-    def spy(gram):
-        grams.append(gram.copy())
-        return traces(gram)
+    def spy(gammas, normals):
+        blocks.append((gammas.copy(), normals.copy(), factor_traces(gammas, normals)))
+        return blocks[-1][2]
 
-    monkeypatch.setattr(mimo, "_inverse_gram_traces", spy)
+    monkeypatch.setattr(mimo, "_factor_traces", spy)
     k, m, seed, n_trials = 3, 7, 40, BLOCK + 2
     mimo.monte_carlo_trace(k, m, n_trials, seed)
-    assert [len(gram) for gram in grams] == [BLOCK, 2]
+    assert [len(gammas) for gammas, _, _ in blocks] == [BLOCK, 2]
     gammas = substream(seed, CHANNEL, 0).standard_gamma([m, m - 1, m - 2], size=(n_trials, k))
     normals = substream(seed, CHANNEL, 1).standard_normal((n_trials, 2, 3))
-    for gram, g, n in zip(np.concatenate(grams), gammas, normals):
-        low = oracle_factor(k, g, n)
-        assert gram.tobytes() == (low @ low.conj().T).tobytes()
+    assert np.concatenate([block[0] for block in blocks]).tobytes() == gammas.tobytes()
+    assert np.concatenate([block[1] for block in blocks]).tobytes() == normals.tobytes()
+    assert np.concatenate([block[2] for block in blocks]).tolist() == [
+        oracle_trace(k, g, n) for g, n in zip(gammas, normals)]
 
 
 def test_monte_carlo_trace_singular_trial_in_first_block(monkeypatch):
@@ -446,6 +489,52 @@ def test_monte_carlo_trace_singular_trial_in_later_block(monkeypatch):
         mimo.monte_carlo_trace(k, m, n_trials, seed)
 
 
+def eigenvalue_calls(monkeypatch):
+    """The sizes of the Gram stacks that reach _eigenvalues from now on."""
+    calls = []
+    eigenvalues = mimo._eigenvalues
+    monkeypatch.setattr(mimo, "_eigenvalues",
+                        lambda gram: calls.append(len(gram)) or eigenvalues(gram))
+    return calls
+
+
+def test_verify_trace_certifies_every_block_without_eigvalsh(monkeypatch):
+    calls = eigenvalue_calls(monkeypatch)
+    mimo.monte_carlo_trace(10, 200, 10_000, 0)
+    assert calls == []
+
+
+def test_blocks_sent_to_eigvalsh_keep_their_traces(monkeypatch):
+    # tr(G) tr(G^-1) >= K^2 (Cauchy-Schwarz on the eigenvalues), while these
+    # Grams' condition numbers are about 3: at a limit of K^2 every block
+    # fails the certificate and passes eigvalsh.
+    k, m, n_trials, seed = 10, 200, 2 * BLOCK + 3, 0
+    assert max(oracle_conds(k, m, n_trials, seed)) < k * k / 2
+    certified = [x.hex() for x in mimo.monte_carlo_trace(k, m, n_trials, seed)]
+    calls = eigenvalue_calls(monkeypatch)
+    monkeypatch.setattr(mimo, "SINGULAR_COND_LIMIT", k * k)
+    assert [x.hex() for x in mimo.monte_carlo_trace(k, m, n_trials, seed)] == certified
+    assert calls == [BLOCK, BLOCK, 3]
+
+
+def test_certificate_sends_exactly_the_blocks_over_half_the_limit(monkeypatch):
+    # Each limit is the sum of two neighbouring block maxima of tr(G) tr(G^-1),
+    # so half of it lies between them, far from any product's rounding. The spy
+    # records the blocks that reach _eigenvalues without deciding them.
+    k, m, n_blocks, seed = 5, 8, 12, 3
+    draws = oracle_draws(k, m, n_blocks * BLOCK, seed)
+    products = [(math.fsum(g) + math.fsum(n.ravel() ** 2) / 2) * oracle_trace(k, g, n)
+                for g, n in draws]
+    maxima = sorted(max(products[b * BLOCK:(b + 1) * BLOCK]) for b in range(n_blocks))
+    calls = []
+    monkeypatch.setattr(mimo, "_eigenvalues", calls.append)
+    for i, (low, high) in enumerate(zip(maxima, maxima[1:])):
+        calls.clear()
+        monkeypatch.setattr(mimo, "SINGULAR_COND_LIMIT", low + high)
+        mimo.monte_carlo_trace(k, m, n_blocks * BLOCK, seed)
+        assert len(calls) == n_blocks - 1 - i
+
+
 # ---------------------------------------------------------------------------
 # Bartlett's Wishart Grams against Grams of drawn channels
 
@@ -453,11 +542,12 @@ def test_monte_carlo_trace_singular_trial_in_later_block(monkeypatch):
 def bartlett_traces(monkeypatch, k, m, n_trials, seed):
     """monte_carlo_trace's per-trial traces, in trial order."""
     blocks = []
-    traces = mimo._inverse_gram_traces
-    monkeypatch.setattr(mimo, "_inverse_gram_traces",
-                        lambda gram: blocks.append(traces(gram)) or blocks[-1])
+    factor_traces = mimo._factor_traces
+    monkeypatch.setattr(mimo, "_factor_traces",
+                        lambda gammas, normals: blocks.append(factor_traces(gammas, normals))
+                        or blocks[-1])
     mimo.monte_carlo_trace(k, m, n_trials, seed)
-    monkeypatch.setattr(mimo, "_inverse_gram_traces", traces)
+    monkeypatch.setattr(mimo, "_factor_traces", factor_traces)
     return np.concatenate(blocks)
 
 
@@ -532,6 +622,38 @@ def test_gram_inverse_trace_matches_solve_on_ill_conditioned_grams(k, m, seed, c
     bound = 64 * EPS * np.linalg.cond(h.entries @ h.entries.conj().T)
     expected = solve_trace(h)
     assert abs(mimo.gram_inverse_trace(h) - expected) <= bound * expected
+
+
+U = EPS / 2  # unit roundoff
+
+
+def assert_within_cond_bound_of_solve(trace, low):
+    # Solving with G errs by a few K u cond(G) relative; substitution on L by
+    # about K u sqrt(cond(G)); each trace's sums add a few u more. 8 K u cond(G)
+    # bounds the gap.
+    gram = low @ low.conj().T
+    expected = float(np.trace(np.linalg.solve(gram, np.eye(len(low)))).real)
+    assert abs(trace - expected) <= 8 * len(low) * U * np.linalg.cond(gram) * expected
+
+
+@pytest.mark.parametrize("k, m", [(1, 2), (3, 4), (10, 200), (12, 13)])
+def test_factor_traces_match_solve_on_wishart_grams(k, m):
+    draws = oracle_draws(k, m, 200, 5)
+    gammas, normals = (np.array(rows) for rows in zip(*draws))
+    for trace, (g, n) in zip(mimo._factor_traces(gammas, normals).tolist(), draws):
+        assert_within_cond_bound_of_solve(trace, oracle_factor(k, g, n))
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e6, 1e8, 1e10])
+@pytest.mark.parametrize("k, m, seed", [(2, 4, 1), (10, 200, 2), (16, 16, 3)])
+def test_factor_traces_match_solve_on_ill_conditioned_grams(k, m, seed, cond):
+    # The draws that make a Gram's Cholesky factor Bartlett's L.
+    h = channel_with_gram_cond(k, m, cond, seed)
+    low = np.linalg.cholesky(h.entries @ h.entries.conj().T)
+    below = low[np.tril_indices(k, -1)] * np.sqrt(2.0)
+    gammas, normals = np.diag(low).real ** 2, np.array([below.real, below.imag])
+    [trace] = mimo._factor_traces(gammas[None], normals[None]).tolist()
+    assert_within_cond_bound_of_solve(trace, oracle_factor(k, gammas, normals))
 
 
 @pytest.mark.parametrize("cond", [None, 1e3, 1e6])
