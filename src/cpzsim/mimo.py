@@ -12,10 +12,14 @@ draws its Grams from their law, by Bartlett's decomposition (Goodman 1963).
 The Gram H H^H is Hermitian positive definite for a full-rank channel, so
 one eigvalsh gives both facts a channel's inverse trace needs: its 2-norm
 condition number lambda_max / lambda_min, which decides whether the channel
-is numerically singular, and tr((H H^H)^-1) = sum of 1 / lambda. The Monte
-Carlo trace is ||L^-1||_F^2 for G = L L^H, and cond(G) <= tr(G) tr(G^-1).
+is numerically singular, and tr((H H^H)^-1) = sum of 1 / lambda. Since
+cond(G) <= tr(G) tr(G^-1), the inverse trace also certifies most Grams without
+it: the Monte Carlo trace is ||L^-1||_F^2 for G = L L^H, and the ZF precoder's
+||W||_F^2 is tr(G^-1) too. Only the Grams those bounds leave undecided go to
+eigvalsh.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,10 +31,16 @@ from .rng import CHANNEL, substream
 # of its extreme eigenvalues, is at most this. _eigenvalues states the rule.
 SINGULAR_COND_LIMIT = 1e12
 
-# Trials per monte_carlo_trace block. At K = 10, 1e4 trials took 76, 63 and 54 ms
-# in blocks of 64, 96 and 128 (one core of a shared 2-vCPU Xeon), with heap peaks
-# of 217, 322 and 430 KiB: 128 leaves too little room under the tests' 512 KiB bound.
-_TRACE_BLOCK = 96
+# The smallest tr(G) whose certificate zf_beamformer trusts: tr(G) u (u = 2^-53)
+# is then a normal float, so rounding G's entries errs relatively, and a
+# certified lambda_min >= 2 tr(G) / LIMIT > 2^-1009 keeps every 1 / lambda finite.
+_MIN_CERTIFIED_TRACE = 2.0**-969
+
+# Trials per monte_carlo_trace block. At K = 10, 1e4 trials took 71, 57, 55, 52 and
+# 52 ms in blocks of 96, 144, 160, 176 and 192 (one core of a shared 2-vCPU Xeon,
+# numpy 2.4), with heap peaks of 291, 425, 470, 515 and 560 KiB: 160 is the largest
+# of them under the tests' 512 KiB bound.
+_TRACE_BLOCK = 160
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,13 +132,32 @@ def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
 
     Solves the K x K Hermitian system instead of forming an explicit inverse.
     The product of the channel with the result is the identity up to rounding.
+    That system is consistent even for a singular Gram, so W certifies the
+    singularity rule only together with its ZF residual: ||HW - I||_F <= 1/2
+    gives sigma_min(H) >= 1 / (2 ||W||_F), hence cond(G) <= 4 tr(G) ||W||_F^2,
+    and a channel with tr(G) ||W||_F^2 <= SINGULAR_COND_LIMIT / 8 and tr(G) >=
+    _MIN_CERTIFIED_TRACE passes the rule with _factor_traces' factor 2 to
+    spare. Any other channel, and one whose solve fails, goes to _eigenvalues,
+    which raises or lets W stand.
     """
     gram = _gram(h.entries)
-    _eigenvalues(gram)  # raises if the Gram is numerically singular
-    # gram is Hermitian, so solve(gram, H) equals W^H and W = H^H gram^{-1}.
-    w = np.linalg.solve(gram, h.entries).conj().T
-    gamma = float(np.vdot(w, w).real) / h.k_users
-    return BeamformingMatrix(entries=w, gamma=gamma)
+    try:
+        # gram is Hermitian, so solve(gram, H) equals W^H and W = H^H gram^{-1}.
+        w = np.linalg.solve(gram, h.entries).conj().T
+    except np.linalg.LinAlgError:
+        _eigenvalues(gram)  # raises: LAPACK met an exactly singular pivot
+        raise
+    frobenius = float(np.vdot(w, w).real)
+    trace_g = float(np.trace(gram).real)
+    certified = (trace_g >= _MIN_CERTIFIED_TRACE
+                 and trace_g * frobenius <= SINGULAR_COND_LIMIT / 8)
+    if certified:
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = h.entries @ w - np.eye(h.k_users)
+        certified = float(np.vdot(residual, residual).real) <= 0.25
+    if not certified:
+        _eigenvalues(gram)
+    return BeamformingMatrix(entries=w, gamma=frobenius / h.k_users)
 
 
 def gram_inverse_trace(h: ChannelMatrix) -> float:
@@ -196,46 +225,76 @@ def wishart_trace_expectation(k_users: int, m_antennas: int) -> float:
     return k_users / (m_antennas - k_users)
 
 
+@functools.cache
+def _below_diagonal(k_users: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the K(K - 1) / 2 entries below the diagonal, read-only."""
+    rows, cols = np.tril_indices(k_users, -1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _factor_traces(gammas: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """tr(G^-1) of each Bartlett Gram G = L L^H of a block; raises if one is numerically singular.
 
     Rows of gammas (n, K) and normals (n, 2, K(K - 1) / 2) are trials, laid out
-    as monte_carlo_trace states. tr(G^-1) = ||X||_F^2 for X = L^-1, which
-    forward substitution (backward stable: Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 8) gives a column of L at a time, in
-    re and im arrays with the trials last and one + - * / or sqrt per ufunc,
-    so a trace is the same on any CPU: X_ii = 1 / L_ii, X_ij = -(sum over
-    k = j, ..., i - 1 of L_ik X_kj) / L_ii, k ascending; then re^2 + im^2 of
-    each X_ij summed along each row, and the row sums top to bottom. A block
-    whose products tr(G) tr(G^-1) >= cond(G) are all at most
-    SINGULAR_COND_LIMIT / 2 passes _eigenvalues' rule; the Grams of any other
-    block go to _eigenvalues, which raises or lets the traces stand.
+    as monte_carlo_trace states; neither is modified. tr(G^-1) = ||X||_F^2 for
+    X = L^-1, which forward substitution (backward stable: Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 8) gives a column of L
+    at a time, in re and im arrays with the trials last and one + - * / or
+    sqrt per ufunc, so a trace is the same on any CPU: X_ii = 1 / L_ii, X_ij =
+    -(sum over k = j, ..., i - 1 of L_ik X_kj) / L_ii, k ascending; then re^2 +
+    im^2 of each X_ij summed along each row, and the row sums top to bottom.
+    One buffer holds X with L waiting in its empty entries, and one more the
+    products of the largest step. A block whose products tr(G) tr(G^-1) >=
+    cond(G) are all at most SINGULAR_COND_LIMIT / 2 passes _eigenvalues' rule;
+    the Grams of any other block, formed from gammas and normals, go to
+    _eigenvalues, which raises or lets the traces stand.
     """
     n, k_users = gammas.shape
-    rows = [i for i in range(k_users) for _ in range(i)]  # np.tril_indices(K, -1)
-    cols = [j for i in range(k_users) for j in range(i)]
+    rows, cols = _below_diagonal(k_users)
     trace_g = gammas.sum(axis=1) + np.square(normals).sum(axis=(1, 2)) / 2
-    diagonal = np.sqrt(gammas.T)
     x = np.zeros((2, k_users, k_users, n))
-    x[0, range(k_users), range(k_users)] = 1.0 / diagonal
-    # L_ij waits above the diagonal, at x[:, j, i], until step j uses column j.
-    x[:, cols, rows] = normals.transpose(1, 2, 0) / np.sqrt(2.0)
-    for j in range(k_users):
-        row = x[:, j, :j]
-        row /= diagonal[j]  # X_j0 .. X_j,j-1 from their finished, negated sums
-        l_re, l_im = x[:, j, j + 1:, None]
-        x_re, x_im = x[:, j, None, :j + 1]
-        sum_re, sum_im = x[:, j + 1:, :j + 1]
-        sum_re -= l_re * x_re - l_im * x_im
-        sum_im -= l_re * x_im + l_im * x_re
-    x[:, cols, rows] = 0.0
-    x *= x
-    squares, squares_im = x
-    squares += squares_im
-    row_sums = squares[:, 0]
-    for j in range(1, k_users):
-        row_sums += squares[:, j]
-    traces = row_sums[0].copy()  # not a view, which would keep x alive
+    # L_ij waits above the diagonal, at x[:, j, i], until step j uses column j,
+    # and L_ii in X_ii's imaginary part until step i.
+    x.transpose(3, 0, 2, 1)[:, :, rows, cols] = normals
+    x /= np.sqrt(2.0)
+    x_diagonal = x.reshape(2, k_users * k_users, n)[:, ::k_users + 1]
+    diagonal = x_diagonal[1]
+    np.sqrt(gammas.T, out=diagonal)
+    np.divide(1.0, diagonal, out=x_diagonal[0])
+    products = np.empty((2, (k_users // 2) * ((k_users + 1) // 2), n))
+    # A ufunc buffer of one row of trials, rounded up to the multiple of 16 that
+    # numpy 1.x requires: by default numpy 2.4 copies each strided or broadcast
+    # operand below through a buffer of up to 8192 elements.
+    bufsize = np.setbufsize(-(-n // 16) * 16)
+    try:
+        for j in range(k_users):
+            row = x[:, j, :j]
+            row /= diagonal[j]  # X_j0 .. X_j,j-1 from their finished, negated sums
+            diagonal[j] = 0.0
+            l_re, l_im = x[:, j, j + 1:, None]
+            x_re, x_im = x[:, j, None, :j + 1]
+            sum_re, sum_im = x[:, j + 1:, :j + 1]
+            first, second = products[:, :(k_users - j - 1) * (j + 1)].reshape(
+                (2,) + sum_re.shape)
+            np.multiply(l_re, x_re, out=first)
+            np.multiply(l_im, x_im, out=second)
+            first -= second
+            sum_re -= first
+            np.multiply(l_re, x_im, out=first)
+            np.multiply(l_im, x_re, out=second)
+            first += second
+            sum_im -= first
+        x *= x
+        squares, squares_im = x
+        squares += squares_im
+        row_sums = squares[:, 0].copy()
+        for j in range(1, k_users):
+            row_sums[j:] += squares[j:, j]  # X_ij is zero where j > i
+    finally:
+        np.setbufsize(bufsize)
+    del x, products
+    traces = row_sums[0].copy()
     for row_sum in row_sums[1:]:
         traces += row_sum
     # Why / 2: rounding L L^H and eigvalsh's backward error move lambda_min by
@@ -279,9 +338,12 @@ def monte_carlo_trace(k_users: int, m_antennas: int, n_trials: int,
         n = min(_TRACE_BLOCK, n_trials - start)
         traces = _factor_traces(diagonal.standard_gamma(shapes, (n, k_users)),
                                 below.standard_normal((n, 2, n_below)))
-        for trace in traces.tolist():
-            total += trace
-            total_sq += trace * trace
+        # The carried totals, then each trace and its square, added left to right.
+        terms = np.empty((2, n + 1))
+        terms[:, 0] = total, total_sq
+        terms[0, 1:] = traces
+        np.square(traces, out=terms[1, 1:])
+        total, total_sq = np.add.accumulate(terms, axis=1)[:, -1].tolist()
     mean = total / n_trials
     if n_trials == 1:
         return mean, math.nan

@@ -334,33 +334,42 @@ def _csv_chunks(reports: ReportsByValue) -> Iterator[bytes]:
     from ._float_text import _float_texts, _int_texts
 
     yield (CSV_HEADER + "\n").encode("ascii")
-    # The previous chunk's sorted bit patterns and their cells, reused: a sector
-    # sweep's counts share always-max's and zooming's floats.
+    # The previous chunk's trial range, float arrays, sorted bit patterns and
+    # their cells. A chunk over the same trials as the previous one and with a
+    # float array in common reuses those cells: a sector sweep's counts share
+    # always-max's and zooming's arrays. Other chunks share few patterns.
+    last_chunk, last_fields = None, set()
     last_patterns, last_cells = np.empty(0, np.int64), np.empty((0, 1), np.uint8)
     for value, columns in reports.items():
         label = b"" if value is None else repr(value).encode("ascii")
         prefix = np.array([b"%s,%s," % (label, col.scheme.value.encode("ascii"))
                            for col in columns])[:, None].view(np.uint8)
         n_trials = len(columns[0].total_power)
+        fields = [field for col in columns for field in (col.total_power, col.sum_rate, col.ee)]
         for start in range(0, n_trials, _CSV_CHUNK):
             chunk = slice(start, min(start + _CSV_CHUNK, n_trials))
             shape = (chunk.stop - start, len(columns))
-            floats = np.stack([field[chunk] for col in columns
-                               for field in (col.total_power, col.sum_rate, col.ee)], axis=1)
+            floats = np.stack([field[chunk] for field in fields], axis=1)
             # One text per distinct bit pattern, so -0.0 keeps its sign, each
             # after its comma; a last, empty text is a sleeping trial's EE.
             patterns, index = np.unique(floats.view(np.int64), return_inverse=True)
-            at = np.searchsorted(last_patterns, patterns)
-            kept = at < len(last_patterns)
-            kept[kept] = last_patterns[at[kept]] == patterns[kept]
-            old, new = np.flatnonzero(kept), np.flatnonzero(~kept)
-            texts = (_float_texts(patterns[new].view(np.float64)) if len(new)
-                     else np.zeros((0, 0), np.uint8))
-            cells = np.zeros((len(patterns) + 1, max(texts.shape[1] + 1, last_cells.shape[1])),
-                             np.uint8)
+            if chunk == last_chunk and not last_fields.isdisjoint(map(id, fields)):
+                at = np.searchsorted(last_patterns, patterns)
+                kept = at < len(last_patterns)
+                kept[kept] = last_patterns[at[kept]] == patterns[kept]
+                old, new = np.flatnonzero(kept), np.flatnonzero(~kept)
+                texts = (_float_texts(patterns[new].view(np.float64)) if len(new)
+                         else np.zeros((0, 0), np.uint8))
+                cells = np.zeros((len(patterns) + 1,
+                                  max(texts.shape[1] + 1, last_cells.shape[1])), np.uint8)
+                cells[old, :last_cells.shape[1]] = last_cells[at[old]]
+                cells[new, 1:texts.shape[1] + 1] = texts
+            else:
+                texts = _float_texts(patterns.view(np.float64))
+                cells = np.zeros((len(patterns) + 1, texts.shape[1] + 1), np.uint8)
+                cells[:-1, 1:] = texts
             cells[:, 0] = ord(",")
-            cells[old, :last_cells.shape[1]] = last_cells[at[old]]
-            cells[new, 1:texts.shape[1] + 1] = texts
+            last_chunk, last_fields = chunk, set(map(id, fields))
             last_patterns, last_cells = patterns, cells[:-1]
             index = index.reshape(shape + (3,))
             index[np.stack([col.sleeping[chunk] for col in columns], axis=1), 2] = len(cells) - 1

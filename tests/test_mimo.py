@@ -120,6 +120,72 @@ def test_zf_rejects_singular_channel():
         mimo.zf_beamformer(h)
 
 
+def certificate_product(h):
+    """tr(G) ||W||_F^2, the product zf_beamformer's certificate bounds."""
+    w = mimo.zf_beamformer(h).entries
+    return float(np.trace(mimo._gram(h.entries)).real) * float(np.vdot(w, w).real)
+
+
+@pytest.mark.parametrize("k, m", [(1, 2), (2, 16), (10, 200), (32, 64)])
+def test_zf_beamformer_certifies_a_well_conditioned_channel_without_eigvalsh(monkeypatch, k, m):
+    calls = []
+    monkeypatch.setattr(mimo, "_eigenvalues", calls.append)
+    for seed in range(5):
+        mimo.zf_beamformer(mimo.sample_channel(k, m, seed))
+    assert calls == []
+
+
+def test_zf_certificate_sends_exactly_the_channels_over_an_eighth_of_the_limit(monkeypatch):
+    # Each limit is 4 times the sum of two neighbouring products tr(G) ||W||_F^2,
+    # so an eighth of it lies halfway between them. The spy records the Grams
+    # that reach _eigenvalues without deciding them.
+    channels = [channel_with_gram_cond(4, 16, cond, 1) for cond in np.geomspace(1e1, 1e9, 9)]
+    products = sorted(certificate_product(h) for h in channels)
+    calls = []
+    monkeypatch.setattr(mimo, "_eigenvalues", calls.append)
+    for i, (low, high) in enumerate(zip(products, products[1:])):
+        calls.clear()
+        monkeypatch.setattr(mimo, "SINGULAR_COND_LIMIT", 4 * (low + high))
+        for h in channels:
+            mimo.zf_beamformer(h)
+        assert len(calls) == len(channels) - 1 - i
+
+
+def test_zf_certificate_leaves_a_tiny_trace_to_eigvalsh(monkeypatch):
+    # tr(G) near 1e-295 is below _MIN_CERTIFIED_TRACE, though the Gram is well
+    # conditioned and its 1 / lambda finite: eigvalsh decides it, and passes it.
+    h = mimo.ChannelMatrix(mimo.sample_channel(2, 8, 3).entries * 1e-148)
+    assert 0 < np.trace(mimo._gram(h.entries)).real < mimo._MIN_CERTIFIED_TRACE
+    assert certificate_product(h) < mimo.SINGULAR_COND_LIMIT / 8
+    calls = []
+    eigenvalues = mimo._eigenvalues
+    monkeypatch.setattr(mimo, "_eigenvalues", lambda gram: calls.append(eigenvalues(gram)))
+    w = mimo.zf_beamformer(h)
+    assert len(calls) == 1
+    assert np.max(np.abs(h.entries @ w.entries - np.eye(2))) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["lapack", "repeated_row"])
+def test_zf_beamformer_rejects_singular_grams_without_warning(name):
+    # test_overflowing_or_zero_gram_is_singular_without_warning has the
+    # subnormal and overflowing Grams.
+    row = mimo.sample_channel(1, 8, seed=11).entries
+    entries = {"lapack": np.ones((2, 3), dtype=complex),
+               "repeated_row": np.vstack([row, row])}[name]
+    gram = mimo._gram(entries)
+    if name == "lapack":
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(gram, entries)
+    if name == "repeated_row":
+        # solve(G, H) is consistent: its W alone would pass the certificate.
+        w = np.linalg.solve(gram, entries).conj().T
+        assert np.trace(gram).real * np.vdot(w, w).real < mimo.SINGULAR_COND_LIMIT / 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="numerically singular"):
+            mimo.zf_beamformer(mimo.ChannelMatrix(entries))
+
+
 def test_normalization_factor_identity():
     w = mimo.zf_beamformer(mimo.ChannelMatrix(np.eye(2, dtype=complex)))
     assert w.gamma == pytest.approx(1.0)
@@ -409,9 +475,9 @@ def oracle_conds(k, m, n_trials, seed):
 
 
 # One trial, partial first blocks, the sizes around one and two full blocks,
-# and those around blocks of 64.
-@pytest.mark.parametrize("n_trials", sorted({1, 15, 16, 17, 35, 63, 64, 65, 131, BLOCK - 1,
-                                             BLOCK, BLOCK + 1, 2 * BLOCK + 3}))
+# and those around blocks of 64 and of 96.
+@pytest.mark.parametrize("n_trials", sorted({1, 15, 16, 17, 35, 63, 64, 65, 131, 95, 96, 97, 195,
+                                             BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3}))
 @pytest.mark.parametrize("m, seed", [(6, 11), (12, 2**40)])
 def test_monte_carlo_trace_equals_per_trial_oracle(n_trials, m, seed):
     for k in range(1, m):
@@ -425,11 +491,13 @@ def test_monte_carlo_trace_equals_per_trial_oracle(n_trials, m, seed):
                                         rel=1e-9)
 
 
-@pytest.mark.parametrize("block", [1, 16, 17])
+@pytest.mark.parametrize("block", [1, 16, 17, 96])
 def test_monte_carlo_trace_is_independent_of_block_size(monkeypatch, block):
-    expected = mimo.monte_carlo_trace(4, 9, 40, 3)
+    # A small shape, and verify's K = 10, M = 200 over two blocks and a part.
+    shapes = [(4, 9, 40), (10, 200, 2 * BLOCK + 3)]
+    expected = [mimo.monte_carlo_trace(k, m, n_trials, 3) for k, m, n_trials in shapes]
     monkeypatch.setattr(mimo, "_TRACE_BLOCK", block)
-    assert mimo.monte_carlo_trace(4, 9, 40, 3) == expected
+    assert [mimo.monte_carlo_trace(k, m, n_trials, 3) for k, m, n_trials in shapes] == expected
 
 
 def test_child_streams_are_the_spawned_children():
@@ -582,7 +650,7 @@ def test_monte_carlo_trace_heap_peak_is_bounded(n_trials):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 512 * 1024
+    assert peak < 512 * 1024, f"heap peak {peak / 1024:.0f} KiB at _TRACE_BLOCK = {BLOCK}"
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +720,22 @@ def test_factor_traces_match_solve_on_ill_conditioned_grams(k, m, seed, cond):
     low = np.linalg.cholesky(h.entries @ h.entries.conj().T)
     below = low[np.tril_indices(k, -1)] * np.sqrt(2.0)
     gammas, normals = np.diag(low).real ** 2, np.array([below.real, below.imag])
+    # The oracle reads the arrays after the call, so they must be unchanged.
     [trace] = mimo._factor_traces(gammas[None], normals[None]).tolist()
     assert_within_cond_bound_of_solve(trace, oracle_factor(k, gammas, normals))
+
+
+@pytest.mark.parametrize("limit", [mimo.SINGULAR_COND_LIMIT, 100.0])
+@pytest.mark.parametrize("k, m, n", [(1, 2, 3), (4, 9, 17), (10, 200, 33)])
+def test_factor_traces_leave_their_arguments_unchanged(monkeypatch, k, m, n, limit):
+    # Certified blocks, and at a limit of 100 a K = 10 block whose Grams go to
+    # _eigenvalues (tr(G) tr(G^-1) >= K^2) and pass it (their cond is about 3).
+    monkeypatch.setattr(mimo, "SINGULAR_COND_LIMIT", limit)
+    gammas, normals = (np.array(rows) for rows in zip(*oracle_draws(k, m, n, 7)))
+    before = gammas.tobytes(), normals.tobytes()
+    traces = mimo._factor_traces(gammas, normals)
+    assert (gammas.tobytes(), normals.tobytes()) == before
+    assert traces.tolist() == [oracle_trace(k, g, x) for g, x in zip(gammas, normals)]
 
 
 @pytest.mark.parametrize("cond", [None, 1e3, 1e6])

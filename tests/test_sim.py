@@ -466,19 +466,30 @@ def chunk_bit_patterns(reports):
             for start in range(0, len(columns[0].total_power), sim._CSV_CHUNK)]
 
 
-def test_csv_formats_each_distinct_bit_pattern_once_per_chunk(tmp_path, monkeypatch):
-    inputs, float_reprs = [], []
+def formatted_patterns(monkeypatch):
+    """The bit patterns of each _float_texts call from now on, one set per call."""
+    inputs = []
 
     def counted_texts(x):
         inputs.append({struct.pack("<d", v) for v in x.tolist()})
         return float_texts(x)
+
+    monkeypatch.setattr(_float_text, "_float_texts", counted_texts)
+    return inputs
+
+
+def test_csv_formats_each_distinct_bit_pattern_once_per_chunk(tmp_path, monkeypatch):
+    # No chunk here repeats the previous chunk's trials: each formats exactly
+    # its own distinct patterns, once for format_records_csv and once for
+    # write_records_csv.
+    float_reprs = []
 
     def counted_repr(x):
         if isinstance(x, float):
             float_reprs.append(x)
         return repr(x)
 
-    monkeypatch.setattr(_float_text, "_float_texts", counted_texts)
+    inputs = formatted_patterns(monkeypatch)
     for module in (sim, _float_text):
         monkeypatch.setattr(module, "repr", counted_repr, raising=False)
     n_trials = 2 * sim._CSV_CHUNK + 3
@@ -488,13 +499,22 @@ def test_csv_formats_each_distinct_bit_pattern_once_per_chunk(tmp_path, monkeypa
         inputs.clear()
         float_reprs.clear()
         check_csv(tmp_path, reports)
-        # Only the patterns the previous chunk lacks, once for format_records_csv
-        # and once for write_records_csv.
-        patterns = chunk_bit_patterns(reports)
-        missing = [now - before for before, now in zip([set()] + patterns, patterns)]
-        assert inputs == 2 * [new for new in missing if new]
+        assert inputs == 2 * chunk_bit_patterns(reports)
     # Only NaN and infinities go through repr, and default runs have neither.
     assert float_reprs == []
+
+
+def test_sweep_chunk_over_the_previous_trials_formats_only_new_patterns(tmp_path, monkeypatch):
+    # One chunk per count: each count after the first shares always-max's and
+    # zooming's arrays with the one before, so it formats only the patterns
+    # the previous count's chunk lacks.
+    inputs = formatted_patterns(monkeypatch)
+    reports = sweep_sectors(make_config(n_trials=300, seed=5), [1, 6, 18]).reports
+    check_csv(tmp_path, reports)
+    patterns = chunk_bit_patterns(reports)
+    missing = [now - before for before, now in zip([set()] + patterns, patterns)]
+    assert inputs == 2 * [new for new in missing if new]
+    assert all(len(new) < len(now) for new, now in zip(missing[1:], patterns[1:]))
 
 
 def test_cli_import_leaves_the_csv_formatter_unloaded():
