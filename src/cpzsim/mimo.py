@@ -12,11 +12,9 @@ draws its Grams from their law, by Bartlett's decomposition (Goodman 1963).
 The Gram H H^H is Hermitian positive definite for a full-rank channel, so
 one eigvalsh gives both facts a channel's inverse trace needs: its 2-norm
 condition number lambda_max / lambda_min, which decides whether the channel
-is numerically singular, and tr((H H^H)^-1) = sum of 1 / lambda. Since
-cond(G) <= tr(G) tr(G^-1), the inverse trace also certifies most Grams without
-it: the Monte Carlo trace is ||L^-1||_F^2 for G = L L^H, and the ZF precoder's
-||W||_F^2 is tr(G^-1) too. Only the Grams those bounds leave undecided go to
-eigvalsh.
+is numerically singular, and tr((H H^H)^-1) = sum of 1 / lambda. Most Grams
+need no eigvalsh: the Monte Carlo trace is ||L^-1||_F^2 for G = L L^H, the ZF
+precoder's ||W||_F^2 is tr(G^-1) too, and _certified decides the rule from them.
 """
 
 import functools
@@ -28,12 +26,9 @@ import numpy as np
 from .rng import CHANNEL, substream
 
 # A Gram is numerically singular unless its 2-norm condition number, the ratio
-# of its extreme eigenvalues, is at most this. _eigenvalues states the rule.
+# of its extreme eigenvalues, is at most this. _eigenvalues states the rule, and
+# _certified when traces prove it, for no tr(G) below _MIN_CERTIFIED_TRACE.
 SINGULAR_COND_LIMIT = 1e12
-
-# The smallest tr(G) whose certificate zf_beamformer trusts: tr(G) u (u = 2^-53)
-# is then a normal float, so rounding G's entries errs relatively, and a
-# certified lambda_min >= 2 tr(G) / LIMIT > 2^-1009 keeps every 1 / lambda finite.
 _MIN_CERTIFIED_TRACE = 2.0**-969
 
 # Trials per monte_carlo_trace block. At K = 10, 1e4 trials took 71, 57, 55, 52 and
@@ -70,7 +65,7 @@ class ChannelMatrix:
 
 @dataclass(frozen=True, eq=False)
 class BeamformingMatrix:
-    """M x K zero-forcing precoder W with its power normalization factor.
+    """M x K zero-forcing precoder W, its power normalization factor and its residual H W - I.
 
     gamma is the squared Frobenius norm of W divided by the user count; the
     transmitted precoder is W / sqrt(gamma) so radiated power stays fixed.
@@ -78,6 +73,7 @@ class BeamformingMatrix:
 
     entries: np.ndarray
     gamma: float
+    residual: np.ndarray
 
 
 def draw_channel(rng: np.random.Generator, k_users: int, m_antennas: int) -> ChannelMatrix:
@@ -127,18 +123,34 @@ def _eigenvalues(gram: np.ndarray) -> np.ndarray:
     raise ValueError("channel Gram matrix is numerically singular")
 
 
+def _certified(trace_g, inverse_trace, residual_sq=None) -> bool:
+    """Whether tr(G) and tr(G^-1), floats or a block's arrays, prove _eigenvalues' rule.
+
+    cond(G) <= tr(G) tr(G^-1). Rounding G and eigvalsh's backward error move
+    lambda_min by c K u tr(G) at most (Weyl; u = 2^-53, c small): by less than
+    half of it, so the computed ratio stays within the limit, when tr(G) tr(G^-1)
+    <= SINGULAR_COND_LIMIT / 2 and c K < 9000. A ZF precoder's ||W||_F^2 =
+    tr(G^-1) needs its residual too, as solve(G, H) is consistent for a singular
+    G: residual_sq = ||HW - I||_F^2 <= 1/4 gives sigma_min(H) >= 1 / (2 ||W||_F),
+    so cond(G) <= 4 tr(G) ||W||_F^2. Then lambda_min >= 2 tr(G) / LIMIT, and
+    tr(G) >= _MIN_CERTIFIED_TRACE (tr(G) u normal, so G's rounding errs
+    relatively) keeps each 1 / lambda finite.
+    """
+    bound = SINGULAR_COND_LIMIT / 2
+    certified = trace_g >= _MIN_CERTIFIED_TRACE
+    if residual_sq is not None:
+        bound /= 4
+        certified = certified & (residual_sq <= 0.25)
+    return bool(np.all(certified & (trace_g * inverse_trace <= bound)))
+
+
 def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
     """Zero-forcing precoder: the conjugate-transpose pseudo-inverse of the channel.
 
     Solves the K x K Hermitian system instead of forming an explicit inverse.
-    The product of the channel with the result is the identity up to rounding.
-    That system is consistent even for a singular Gram, so W certifies the
-    singularity rule only together with its ZF residual: ||HW - I||_F <= 1/2
-    gives sigma_min(H) >= 1 / (2 ||W||_F), hence cond(G) <= 4 tr(G) ||W||_F^2,
-    and a channel with tr(G) ||W||_F^2 <= SINGULAR_COND_LIMIT / 8 and tr(G) >=
-    _MIN_CERTIFIED_TRACE passes the rule with _factor_traces' factor 2 to
-    spare. Any other channel, and one whose solve fails, goes to _eigenvalues,
-    which raises or lets W stand.
+    The residual H W - I, zero up to rounding, is formed once: _certified reads
+    it and the precoder keeps it. A channel _certified leaves undecided, or
+    whose solve fails, goes to _eigenvalues, which raises or lets W stand.
     """
     gram = _gram(h.entries)
     try:
@@ -148,16 +160,12 @@ def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
         _eigenvalues(gram)  # raises: LAPACK met an exactly singular pivot
         raise
     frobenius = float(np.vdot(w, w).real)
-    trace_g = float(np.trace(gram).real)
-    certified = (trace_g >= _MIN_CERTIFIED_TRACE
-                 and trace_g * frobenius <= SINGULAR_COND_LIMIT / 8)
-    if certified:
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = h.entries @ w - np.eye(h.k_users)
-        certified = float(np.vdot(residual, residual).real) <= 0.25
-    if not certified:
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = h.entries @ w - np.eye(h.k_users)
+    if not _certified(float(np.trace(gram).real), frobenius,
+                      float(np.vdot(residual, residual).real)):
         _eigenvalues(gram)
-    return BeamformingMatrix(entries=w, gamma=frobenius / h.k_users)
+    return BeamformingMatrix(entries=w, gamma=frobenius / h.k_users, residual=residual)
 
 
 def gram_inverse_trace(h: ChannelMatrix) -> float:
@@ -245,10 +253,8 @@ def _factor_traces(gammas: np.ndarray, normals: np.ndarray) -> np.ndarray:
     -(sum over k = j, ..., i - 1 of L_ik X_kj) / L_ii, k ascending; then re^2 +
     im^2 of each X_ij summed along each row, and the row sums top to bottom.
     One buffer holds X with L waiting in its empty entries, and one more the
-    products of the largest step. A block whose products tr(G) tr(G^-1) >=
-    cond(G) are all at most SINGULAR_COND_LIMIT / 2 passes _eigenvalues' rule;
-    the Grams of any other block, formed from gammas and normals, go to
-    _eigenvalues, which raises or lets the traces stand.
+    products of the largest step. A block that _certified leaves undecided sends
+    its Grams to _eigenvalues, which raises or lets the traces stand.
     """
     n, k_users = gammas.shape
     rows, cols = _below_diagonal(k_users)
@@ -297,11 +303,7 @@ def _factor_traces(gammas: np.ndarray, normals: np.ndarray) -> np.ndarray:
     traces = row_sums[0].copy()
     for row_sum in row_sums[1:]:
         traces += row_sum
-    # Why / 2: rounding L L^H and eigvalsh's backward error move lambda_min by
-    # at most about c K u tr(G) (Weyl; u = 2^-53, c small), relative to it by
-    # c K u tr(G) tr(G^-1) <= c K u LIMIT / 2, so a certified Gram's computed
-    # ratio stays below LIMIT while c K u LIMIT < 1: c K < 9000 at 1e12.
-    if not (trace_g * traces <= SINGULAR_COND_LIMIT / 2).all():
+    if not _certified(trace_g, traces):
         factor = np.zeros((n, k_users, k_users), dtype=np.complex128)
         factor[:, range(k_users), range(k_users)] = np.sqrt(gammas)
         factor[:, rows, cols] = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)

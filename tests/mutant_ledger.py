@@ -88,26 +88,43 @@ MUTANTS = [
                 "trace_g = gammas.sum(axis=1)")],
      "killed_by": ["tests/test_mimo.py::"
                    "test_certificate_sends_exactly_the_blocks_over_half_the_limit"]},
+    # _certified: the Weyl margin / 2, the residual branch's factor 4 and its
+    # residual bound, the trace floor, and all of a block's Grams.
     {"id": "trace_certificate_without_half", "file": MIMO,
-     "edits": [("trace_g * traces <= SINGULAR_COND_LIMIT / 2",
-                "trace_g * traces <= SINGULAR_COND_LIMIT")],
+     "edits": [("bound = SINGULAR_COND_LIMIT / 2", "bound = SINGULAR_COND_LIMIT")],
      "killed_by": ["tests/test_mimo.py::"
-                   "test_certificate_sends_exactly_the_blocks_over_half_the_limit"]},
+                   "test_certificate_sends_exactly_the_blocks_over_half_the_limit",
+                   "tests/test_mimo.py::"
+                   "test_zf_certificate_sends_exactly_the_channels_over_an_eighth_of_the_limit"]},
+    # The residual branch without its factor 4.
     {"id": "zf_certificate_half_instead_of_eighth", "file": MIMO,
-     "edits": [("trace_g * frobenius <= SINGULAR_COND_LIMIT / 8",
-                "trace_g * frobenius <= SINGULAR_COND_LIMIT / 2")],
+     "edits": [("        bound /= 4\n", "")],
      "killed_by": ["tests/test_mimo.py::"
                    "test_zf_certificate_sends_exactly_the_channels_over_an_eighth_of_the_limit"]},
     {"id": "zf_certificate_without_trace_guard", "file": MIMO,
-     "edits": [("certified = (trace_g >= _MIN_CERTIFIED_TRACE\n                 and ",
-                "certified = (")],
-     "killed_by": ["tests/test_mimo.py::test_zf_certificate_leaves_a_tiny_trace_to_eigvalsh"]},
+     "edits": [("certified = trace_g >= _MIN_CERTIFIED_TRACE", "certified = True")],
+     "killed_by": ["tests/test_mimo.py::test_zf_certificate_leaves_a_tiny_trace_to_eigvalsh",
+                   "tests/test_mimo.py::test_factor_traces_leave_a_tiny_trace_to_eigvalsh"]},
     {"id": "zf_certificate_without_residual", "file": MIMO,
-     "edits": [("certified = float(np.vdot(residual, residual).real) <= 0.25",
-                "certified = True")],
+     "edits": [("certified = certified & (residual_sq <= 0.25)", "certified = certified")],
      "killed_by": ["tests/test_mimo.py::test_zf_rejects_singular_channel",
                    "tests/test_mimo.py::test_zf_beamformer_rejects_singular_grams_without_warning"
-                   "[repeated_row]"]},
+                   "[repeated_row]",
+                   "tests/test_mimo.py::test_certificate_needs_a_residual_within_a_half[0.01]"]},
+    {"id": "residual_bound_one", "file": MIMO,
+     "edits": [("residual_sq <= 0.25", "residual_sq <= 1.0")],
+     "killed_by": ["tests/test_mimo.py::test_certificate_needs_a_residual_within_a_half[0.01]",
+                   "tests/test_mimo.py::test_certificate_needs_a_residual_within_a_half[0.03]"]},
+    {"id": "residual_or_instead_of_and", "file": MIMO,
+     "edits": [("certified & (residual_sq", "certified | (residual_sq")],
+     "killed_by": ["tests/test_mimo.py::test_zf_rejects_singular_channel",
+                   "tests/test_mimo.py::test_zf_certificate_leaves_a_tiny_trace_to_eigvalsh",
+                   "tests/test_mimo.py::test_certificate_needs_a_residual_within_a_half[0.01]"]},
+    {"id": "block_certified_by_any_gram", "file": MIMO,
+     "edits": [("np.all(certified", "np.any(certified")],
+     "killed_by": ["tests/test_mimo.py::"
+                   "test_certificate_sends_exactly_the_blocks_over_half_the_limit",
+                   "tests/test_mimo.py::test_monte_carlo_trace_singular_trial_in_later_block"]},
 ]
 
 EQUIVALENT = [
@@ -122,8 +139,7 @@ EQUIVALENT = [
                  " left to right; from 3.12 on it compensates, and"
                  " test_sums_are_strict_left_folds kills it"},
     {"id": "trace_certificate_strict", "file": MIMO,
-     "edits": [("trace_g * traces <= SINGULAR_COND_LIMIT / 2",
-                "trace_g * traces < SINGULAR_COND_LIMIT / 2")],
-     "argument": "differs only where a product tr(G) tr(G^-1) equals SINGULAR_COND_LIMIT / 2"
-                 " exactly, and such a Gram passes eigvalsh's rule either way"},
+     "edits": [("trace_g * inverse_trace <= bound", "trace_g * inverse_trace < bound")],
+     "argument": "differs only where a product tr(G) tr(G^-1), or tr(G) ||W||_F^2, equals"
+                 " its bound exactly, and such a Gram passes eigvalsh's rule either way"},
 ]

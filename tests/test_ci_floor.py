@@ -1,0 +1,38 @@
+"""The CI workflow runs tier-1 on the floors that pyproject.toml declares.
+
+Both files are read as text, with no YAML or TOML parser, so the check runs on
+the oldest supported Python. The workflow itself has never been seen to run.
+"""
+
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def read(*parts):
+    with open(os.path.join(ROOT, *parts), encoding="utf-8") as fh:
+        return fh.read()
+
+
+PROJECT = read("pyproject.toml")
+WORKFLOW = read(".github", "workflows", "tier1.yml")
+
+
+def test_workflow_matrix_pins_the_declared_floors():
+    # requires-python = ">=3.10" and "numpy>=1.24" give one matrix entry with
+    # python: "3.10" and numpy: "numpy==1.24.*".
+    python_floor = re.search(r'^requires-python = ">=(\d+\.\d+)"$', PROJECT, re.M).group(1)
+    numpy_floor = re.search(r'"numpy>=(\d+\.\d+)"', PROJECT).group(1)
+    entry = re.search(rf'^\s+- python: "{re.escape(python_floor)}"\n\s+numpy: "([^"]*)"$',
+                      WORKFLOW, re.M)
+    assert entry, f"no matrix entry for Python {python_floor}"
+    assert entry.group(1) == f"numpy=={numpy_floor}.*"
+
+
+def test_workflow_installs_the_test_extras():
+    extras = re.search(r"^test = \[(.*)\]$", PROJECT, re.M).group(1)
+    packages = re.findall(r'"([A-Za-z0-9_.-]+?)\s*(?:[<>=!~][^"]*)?"', extras)
+    installed = re.search(r"^\s+run: python -m pip install (.*)$", WORKFLOW, re.M).group(1).split()
+    assert packages == ["pytest", "hypothesis"]
+    assert set(packages) <= set(installed)

@@ -165,6 +165,35 @@ def test_zf_certificate_leaves_a_tiny_trace_to_eigvalsh(monkeypatch):
     assert np.max(np.abs(h.entries @ w.entries - np.eye(2))) < 1e-12
 
 
+# cli._check_zf_identity's eight shapes, and the tiny-trace channel above.
+@pytest.mark.parametrize("k, m, scale", [
+    *[(k, m, 1.0) for k in (2, 8, 32) for m in (16, 64, 200) if k < m],
+    pytest.param(2, 8, 1e-148, id="tiny_trace")])
+def test_zf_residual_is_the_product_it_hands_over(k, m, scale):
+    # cli._check_zf_identity prints max |residual|, so it has to be H W - I itself,
+    # also where the certificate forms it but leaves the channel to eigvalsh.
+    h = mimo.ChannelMatrix(mimo.sample_channel(k, m, 3).entries * scale)
+    w = mimo.zf_beamformer(h)
+    assert np.array_equal(w.residual, h.entries @ w.entries - np.eye(k))
+
+
+@pytest.mark.parametrize("c", [0.01, 0.03, 0.5, 1.0])
+def test_certificate_needs_a_residual_within_a_half(c):
+    # H = diag(1, 1e-7) (M = 3) has cond(G) = 1e14, over the limit. This W inverts
+    # the strong user and a fraction c of the weak one: ||HW - I||_F^2 = (1 - c)^2
+    # and tr(G) ||W||_F^2 = 1 + (1e7 c)^2, under an eighth of the limit for
+    # c <= 0.03. Any c > 0 makes HW invertible, but only a residual within 1/2
+    # (c >= 1/2) bounds sigma_min(H), and then the product is over it.
+    h = np.array([[1, 0, 0], [0, 1e-7, 0]], dtype=complex)
+    w = np.array([[1, 0], [0, c / 1e-7], [0, 0]], dtype=complex)
+    gram = mimo._gram(h)
+    residual = h @ w - np.eye(2)
+    with pytest.raises(ValueError, match="numerically singular"):
+        mimo._eigenvalues(gram)
+    assert not mimo._certified(float(np.trace(gram).real), float(np.vdot(w, w).real),
+                               float(np.vdot(residual, residual).real))
+
+
 @pytest.mark.parametrize("name", ["lapack", "repeated_row"])
 def test_zf_beamformer_rejects_singular_grams_without_warning(name):
     # test_overflowing_or_zero_gram_is_singular_without_warning has the
@@ -474,10 +503,12 @@ def oracle_conds(k, m, n_trials, seed):
     return [float(eig[-1] / eig[0]) for eig in oracle_eigenvalues(k, m, n_trials, seed)]
 
 
-# One trial, partial first blocks, the sizes around one and two full blocks,
-# and those around blocks of 64 and of 96.
-@pytest.mark.parametrize("n_trials", sorted({1, 15, 16, 17, 35, 63, 64, 65, 131, 95, 96, 97, 195,
-                                             BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3}))
+# One trial, partial first blocks, and the sizes around one and two full blocks,
+# named by their offsets so that a change of block renames no case.
+@pytest.mark.parametrize("n_trials", [
+    1, 15, 16, 17, 35,
+    pytest.param(BLOCK - 1, id="block-1"), pytest.param(BLOCK, id="block"),
+    pytest.param(BLOCK + 1, id="block+1"), pytest.param(2 * BLOCK + 3, id="2block+3")])
 @pytest.mark.parametrize("m, seed", [(6, 11), (12, 2**40)])
 def test_monte_carlo_trace_equals_per_trial_oracle(n_trials, m, seed):
     for k in range(1, m):
@@ -601,6 +632,23 @@ def test_certificate_sends_exactly_the_blocks_over_half_the_limit(monkeypatch):
         monkeypatch.setattr(mimo, "SINGULAR_COND_LIMIT", low + high)
         mimo.monte_carlo_trace(k, m, n_blocks * BLOCK, seed)
         assert len(calls) == n_blocks - 1 - i
+
+
+def test_factor_traces_leave_a_tiny_trace_to_eigvalsh(monkeypatch):
+    # Bartlett's tr(G) is a sum of K Gamma(>= 2) draws; scaled by 1e-300 it is
+    # below _MIN_CERTIFIED_TRACE, and eigvalsh decides the block (and passes it).
+    k, m, n = 4, 9, 5
+    rng = np.random.default_rng(0)
+    gammas = rng.standard_gamma(m - np.arange(k), (n, k))
+    normals = rng.standard_normal((n, 2, k * (k - 1) // 2))
+    calls = eigenvalue_calls(monkeypatch)
+    traces = mimo._factor_traces(gammas, normals)
+    assert calls == []
+    tiny = mimo._factor_traces(gammas * 1e-300, normals * 1e-150)
+    trace_g = gammas.sum(axis=1) + np.square(normals).sum(axis=(1, 2)) / 2
+    assert (trace_g * 1e-300 < mimo._MIN_CERTIFIED_TRACE).all()
+    assert calls == [n]
+    np.testing.assert_allclose(tiny, traces * 1e300, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
