@@ -16,10 +16,11 @@ sector sweep evaluates one clustered user set on every count's grid at once.
 Results are the kernel's per-scheme columns (`schemes.SchemeColumns`, an
 array per report field and a `sleeping` mask) keyed by sweep value (None for
 a plain comparison): the CSV writer streams them a chunk of trials at a time,
-assembled in numpy from Ryu digits (`_float_text`) with repr's bytes and
-formatting only the floats the previous chunk lacks (a sector sweep's counts
-share always-max's and zooming's floats), and `_aggregate` reduces them to
-mean power and mean EE per value and scheme, each shared array set once.
+assembled in numpy from Ryu digits (`_float_text`) with repr's bytes, where
+consecutive chunks over the same trials (each value of a one-chunk sweep)
+share one text pass that formats each of their distinct floats once, and
+`_aggregate` reduces them to mean power and mean EE per value and scheme,
+each shared array set once.
 """
 
 import json
@@ -324,7 +325,34 @@ def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> Sweep
 
 # Trials per CSV chunk; bounds the texts held at once.
 _CSV_CHUNK = 1024
+# Floats per text pass, at most; bounds a pass's patterns whatever the number
+# of sweep values. Seven sector counts over 1000 trials (27 arrays) are one pass.
+_CSV_PASS = 32 * 1024
 _COMMA, _NEWLINE = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
+
+
+def _text_passes(reports: ReportsByValue) -> Iterator[tuple[list, dict]]:
+    """The (value, columns, trials) chunks of each text pass and its float arrays by id.
+
+    A pass is consecutive chunks over the same trials whose distinct arrays
+    hold at most _CSV_PASS floats: a sector sweep's counts share always-max's
+    and zooming's arrays, which a pass then reads once.
+    """
+    chunks, arrays = [], {}
+    for value, columns in reports.items():
+        n_trials = len(columns[0].total_power)
+        fields = {id(field): field for col in columns
+                  for field in (col.total_power, col.sum_rate, col.ee)}
+        for start in range(0, n_trials, _CSV_CHUNK):
+            chunk = slice(start, min(start + _CSV_CHUNK, n_trials))
+            if chunks and (chunk != chunks[0][2]
+                           or len(arrays | fields) * (chunk.stop - start) > _CSV_PASS):
+                yield chunks, arrays
+                chunks, arrays = [], {}
+            chunks.append((value, columns, chunk))
+            arrays |= fields
+    if chunks:
+        yield chunks, arrays
 
 
 def _csv_chunks(reports: ReportsByValue) -> Iterator[bytes]:
@@ -334,50 +362,34 @@ def _csv_chunks(reports: ReportsByValue) -> Iterator[bytes]:
     from ._float_text import _float_texts, _int_texts
 
     yield (CSV_HEADER + "\n").encode("ascii")
-    # The previous chunk's trial range, float arrays, sorted bit patterns and
-    # their cells. A chunk over the same trials as the previous one and with a
-    # float array in common reuses those cells: a sector sweep's counts share
-    # always-max's and zooming's arrays. Other chunks share few patterns.
-    last_chunk, last_fields = None, set()
-    last_patterns, last_cells = np.empty(0, np.int64), np.empty((0, 1), np.uint8)
-    for value, columns in reports.items():
-        label = b"" if value is None else repr(value).encode("ascii")
-        prefix = np.array([b"%s,%s," % (label, col.scheme.value.encode("ascii"))
-                           for col in columns])[:, None].view(np.uint8)
-        n_trials = len(columns[0].total_power)
-        fields = [field for col in columns for field in (col.total_power, col.sum_rate, col.ee)]
-        for start in range(0, n_trials, _CSV_CHUNK):
-            chunk = slice(start, min(start + _CSV_CHUNK, n_trials))
-            shape = (chunk.stop - start, len(columns))
-            floats = np.stack([field[chunk] for field in fields], axis=1)
-            # One text per distinct bit pattern, so -0.0 keeps its sign, each
-            # after its comma; a last, empty text is a sleeping trial's EE.
-            patterns, index = np.unique(floats.view(np.int64), return_inverse=True)
-            if chunk == last_chunk and not last_fields.isdisjoint(map(id, fields)):
-                at = np.searchsorted(last_patterns, patterns)
-                kept = at < len(last_patterns)
-                kept[kept] = last_patterns[at[kept]] == patterns[kept]
-                old, new = np.flatnonzero(kept), np.flatnonzero(~kept)
-                texts = (_float_texts(patterns[new].view(np.float64)) if len(new)
-                         else np.zeros((0, 0), np.uint8))
-                cells = np.zeros((len(patterns) + 1,
-                                  max(texts.shape[1] + 1, last_cells.shape[1])), np.uint8)
-                cells[old, :last_cells.shape[1]] = last_cells[at[old]]
-                cells[new, 1:texts.shape[1] + 1] = texts
-            else:
-                texts = _float_texts(patterns.view(np.float64))
-                cells = np.zeros((len(patterns) + 1, texts.shape[1] + 1), np.uint8)
-                cells[:-1, 1:] = texts
-            cells[:, 0] = ord(",")
-            last_chunk, last_fields = chunk, set(map(id, fields))
-            last_patterns, last_cells = patterns, cells[:-1]
-            index = index.reshape(shape + (3,))
-            index[np.stack([col.sleeping[chunk] for col in columns], axis=1), 2] = len(cells) - 1
+    batch = 9 * _CSV_CHUNK  # a comparison's chunk is one _float_texts call
+    for chunks, arrays in _text_passes(reports):
+        span = chunks[0][2]
+        # One text per distinct bit pattern, so -0.0 keeps its sign, each
+        # after its comma; a last, empty text is a sleeping trial's EE.
+        patterns, index = np.unique(np.concatenate([array[span] for array in arrays.values()])
+                                    .view(np.int64), return_inverse=True)
+        index, row = index.reshape(len(arrays), -1), {key: i for i, key in enumerate(arrays)}
+        texts = [_float_texts(patterns[i:i + batch].view(np.float64))
+                 for i in range(0, len(patterns), batch)]
+        cells = np.zeros((len(patterns) + 1, 1 + max(t.shape[1] for t in texts)), np.uint8)
+        cells[:, 0] = ord(",")
+        for i, t in zip(range(0, len(patterns), batch), texts):
+            cells[i:i + len(t), 1:1 + t.shape[1]] = t
+        for value, columns, chunk in chunks:
+            label = b"" if value is None else repr(value).encode("ascii")
+            prefix = np.array([b"%s,%s," % (label, col.scheme.value.encode("ascii"))
+                               for col in columns])[:, None].view(np.uint8)
+            shape = (chunk.stop - chunk.start, len(columns))
+            at = index[[row[id(field)] for col in columns
+                        for field in (col.total_power, col.sum_rate, col.ee)]]
+            at = at.T.reshape(shape + (3,))
+            at[np.stack([col.sleeping[chunk] for col in columns], axis=1), 2] = len(cells) - 1
             counts = np.stack([col.n_active_sectors[chunk] for col in columns], axis=1)
-            trials = _int_texts(np.arange(start, chunk.stop))[:, None]
+            trials = _int_texts(np.arange(chunk.start, chunk.stop))[:, None]
             # Fixed-width blocks side by side; the row bytes are the non-NUL ones.
             rows = np.concatenate([np.broadcast_to(block, shape + block.shape[-1:]) for block in (
-                prefix, trials, cells[index].reshape(shape + (-1,)), _COMMA,
+                prefix, trials, cells[at].reshape(shape + (-1,)), _COMMA,
                 _int_texts(counts.ravel()).reshape(shape + (-1,)), _NEWLINE)], axis=2)
             rows = rows[rows != 0].tobytes()  # frees the blocks before the yield
             yield rows
@@ -409,5 +421,4 @@ def write_sweep_json(path, run: SweepRun) -> None:
         ],
     }
     with open(path, "w", encoding="ascii", newline="") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")  # one write; json.dump makes many small ones

@@ -11,6 +11,7 @@ refactor that moves mutated code or drops a killing test updates this file.
 """
 
 MIMO, SCHEMES, SIM, FLOAT_TEXT = "mimo.py", "schemes.py", "sim.py", "_float_text.py"
+PARTITION, PROPAGATION = "partition.py", "propagation.py"
 
 MUTANTS = [
     # Placement.
@@ -22,6 +23,31 @@ MUTANTS = [
                 "    radii += r_lo\n")],
      "killed_by": ["tests/test_expectation.py::test_scheme_means_match_closed_forms[3-18]",
                    "tests/test_expectation.py::test_scheme_means_match_closed_forms[10-18]"]},
+    # The paper's model: zoom radii, cpz's angular fraction and lognormal shadowing.
+    {"id": "zoom_radius_half_an_annulus_out", "file": PARTITION,
+     "edits": [("(annulus + 1) * self.cell_radius / self.n_annuli",
+                "(annulus + 1.5) * self.cell_radius / self.n_annuli")],
+     "killed_by": ["tests/test_partition.py::test_annulus_boundaries",
+                   "tests/test_schemes.py::test_zooming_middle_annulus",
+                   "tests/test_expectation.py::test_scheme_means_match_closed_forms[10-18]"]},
+    {"id": "cpz_fraction_over_one_sector_more", "file": SCHEMES,
+     "edits": [("for wedges, power in sized) / n_sectors)",
+                "for wedges, power in sized) / (n_sectors + 1))"),
+               ("_row_sums(sized / full[:, None]) / n_sectors)",
+                "_row_sums(sized / full[:, None]) / (n_sectors + 1))")],
+     "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
+                   "tests/test_schemes.py::test_always_max_analytic_value",
+                   "tests/test_expectation.py::test_scheme_means_match_closed_forms[10-18]"]},
+    {"id": "lognormal_sigma_over_20", "file": PROPAGATION,
+     "edits": [("self.sigma_db / 10.0 * gauss", "self.sigma_db / 20.0 * gauss")],
+     "killed_by": ["tests/test_propagation.py::test_lognormal_shadowing_statistics",
+                   "tests/test_sim.py::"
+                   "test_placement_and_shadowing_independent_under_default_seeds"]},
+    {"id": "box_muller_minus_one", "file": PROPAGATION,
+     "edits": [("np.sqrt(-2.0 * libm(math.log1p", "np.sqrt(-1.0 * libm(math.log1p")],
+     "killed_by": ["tests/test_propagation.py::test_lognormal_shadowing_statistics",
+                   "tests/test_sim.py::"
+                   "test_placement_and_shadowing_independent_under_default_seeds"]},
     # Rates: M - K + 1 degrees of freedom in the scalar and the batch rate paths.
     {"id": "rates_m_minus_k_plus_1", "file": SCHEMES,
      "edits": [("per_ue_rate(budget.bandwidth, rho * (m_antennas - k_users))",
@@ -45,6 +71,17 @@ MUTANTS = [
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
                    "tests/test_sums.py::test_sums_are_strict_left_folds",
                    "tests/test_sums.py::test_row_sums_match_sum_row_by_row"]},
+    # CSV text passes: chunks over the same trials only, and at most _CSV_PASS floats.
+    {"id": "text_pass_over_different_trials", "file": SIM,
+     "edits": [("(chunk != chunks[0][2]\n                           or len(arrays | fields)",
+                "(len(arrays | fields)")],
+     "killed_by": ["tests/test_sim.py::test_csv_formats_each_distinct_bit_pattern_once_per_chunk",
+                   "tests/test_sim.py::test_sweep_csv_bytes_do_not_depend_on_chunk_or_pass_size",
+                   "tests/test_sim.py::test_csv_matches_row_formula_at_chunk_boundaries[1]"]},
+    {"id": "text_pass_uncapped", "file": SIM,
+     "edits": [("_CSV_PASS = 32 * 1024", "_CSV_PASS = 1 << 60")],
+     "killed_by": ["tests/test_sim.py::"
+                   "test_csv_writer_memory_does_not_grow_with_the_sweep_values"]},
     # CSV floats: Ryu's shortest digits.
     {"id": "ryu_no_vm_trailing_zeros", "file": FLOAT_TEXT,
      "edits": [("m_zero = vm_tz & (m * scale == vm)", "m_zero = vm_tz")],

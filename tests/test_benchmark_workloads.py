@@ -49,10 +49,10 @@ def test_benchmark_workload_runs_and_passes_its_checks(tmp_path, capsys, monkeyp
 
 
 def test_benchmark_sweep_formats_count_invariant_floats_once(tmp_path, monkeypatch, bench):
-    # Each count's 1000 trials are one CSV chunk, and always-max's and zooming's
-    # floats and cpz's sum rates are the same on every count: the formatter sees
-    # them on the first count only (8 007 values; 20 013 when every chunk
-    # formatted all of its distinct floats).
+    # Each count's 1000 trials are one CSV chunk, so all seven chunks are one
+    # text pass, and always-max's and zooming's floats and cpz's sum rates are
+    # the same on every count: the formatter sees each of them once (8 007
+    # values; 20 013 when every chunk formatted all of its distinct floats).
     run, _ = bench
     sizes = []
     float_texts = _float_text._float_texts
@@ -66,4 +66,4 @@ def test_benchmark_sweep_formats_count_invariant_floats_once(tmp_path, monkeypat
     inputs = run.WORKLOADS["sweep_sectors_lognormal"](1, str(tmp_path))
     (tmp_path / "config.json").write_text(json.dumps(inputs.config), encoding="utf-8")
     assert cli.main(inputs.argv) == 0
-    assert sum(sizes) == 8007
+    assert sizes == [8007]

@@ -36,3 +36,11 @@ def test_workflow_installs_the_test_extras():
     installed = re.search(r"^\s+run: python -m pip install (.*)$", WORKFLOW, re.M).group(1).split()
     assert packages == ["pytest", "hypothesis"]
     assert set(packages) <= set(installed)
+
+
+def test_tier1_job_has_a_timeout():
+    # A job with no timeout-minutes runs for GitHub's default of six hours if a test hangs.
+    job = re.search(r"^  tier1:\n((?:    .*\n|\n)*)", WORKFLOW, re.M).group(1)
+    minutes = re.search(r"^    timeout-minutes: (\d+)$", job, re.M)
+    assert minutes, "the tier1 job sets no timeout-minutes"
+    assert 0 < int(minutes.group(1)) <= 60

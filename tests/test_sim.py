@@ -9,9 +9,12 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpzsim import _float_text, rng, sim
 from cpzsim._float_text import _float_texts as float_texts
@@ -467,11 +470,13 @@ def chunk_bit_patterns(reports):
 
 
 def formatted_patterns(monkeypatch):
-    """The bit patterns of each _float_texts call from now on, one set per call."""
+    """The bit patterns of each _float_texts call from now on, one set per call;
+    a call that repeats a pattern fails."""
     inputs = []
 
     def counted_texts(x):
         inputs.append({struct.pack("<d", v) for v in x.tolist()})
+        assert len(inputs[-1]) == len(x)
         return float_texts(x)
 
     monkeypatch.setattr(_float_text, "_float_texts", counted_texts)
@@ -479,9 +484,9 @@ def formatted_patterns(monkeypatch):
 
 
 def test_csv_formats_each_distinct_bit_pattern_once_per_chunk(tmp_path, monkeypatch):
-    # No chunk here repeats the previous chunk's trials: each formats exactly
-    # its own distinct patterns, once for format_records_csv and once for
-    # write_records_csv.
+    # No two consecutive chunks here cover the same trials, so each chunk is a
+    # text pass of its own and formats exactly its own distinct patterns, once
+    # for format_records_csv and once for write_records_csv.
     float_reprs = []
 
     def counted_repr(x):
@@ -504,17 +509,38 @@ def test_csv_formats_each_distinct_bit_pattern_once_per_chunk(tmp_path, monkeypa
     assert float_reprs == []
 
 
-def test_sweep_chunk_over_the_previous_trials_formats_only_new_patterns(tmp_path, monkeypatch):
-    # One chunk per count: each count after the first shares always-max's and
-    # zooming's arrays with the one before, so it formats only the patterns
-    # the previous count's chunk lacks.
+def test_one_chunk_sweep_formats_the_union_of_its_counts_patterns_once(tmp_path, monkeypatch):
+    # Every count's one chunk covers the same trials: one text pass formats
+    # each distinct pattern of all counts in one call, though always-max's and
+    # zooming's arrays appear in every count.
     inputs = formatted_patterns(monkeypatch)
     reports = sweep_sectors(make_config(n_trials=300, seed=5), [1, 6, 18]).reports
     check_csv(tmp_path, reports)
-    patterns = chunk_bit_patterns(reports)
-    missing = [now - before for before, now in zip([set()] + patterns, patterns)]
-    assert inputs == 2 * [new for new in missing if new]
-    assert all(len(new) < len(now) for new, now in zip(missing[1:], patterns[1:]))
+    union = set().union(*chunk_bit_patterns(reports))
+    assert inputs == 2 * [union]
+    assert len(union) < sum(map(len, chunk_bit_patterns(reports)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_trials=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       counts=st.sets(st.integers(1, 40), min_size=1, max_size=4),
+       distances=st.sets(st.floats(100.0, 1000.0), min_size=1, max_size=3),
+       sigma_db=st.sampled_from([0.0, 8.0]), cap=st.integers(1, 120))
+def test_sweep_csv_bytes_do_not_depend_on_chunk_or_pass_size(n_trials, seed, counts, distances,
+                                                             sigma_db, cap):
+    config = make_config(n_trials=n_trials, seed=seed,
+                         shadowing=LognormalShadowing(sigma_db=sigma_db, seed=seed))
+    for run in (sweep_sectors(config, counts), sweep_distance(config, distances)):
+        expected = oracle_csv(run.reports)
+        for chunk, pass_cap in ((1, sim._CSV_PASS), (3, sim._CSV_PASS),
+                                (1024, sim._CSV_PASS), (1024, cap)):
+            with mock.patch.object(sim, "_CSV_CHUNK", chunk), \
+                    mock.patch.object(sim, "_CSV_PASS", pass_cap):
+                assert format_records_csv(run.reports) == expected
+
+
+def test_csv_of_no_reports_is_the_header_line():
+    assert format_records_csv({}) == CSV_HEADER + "\n"
 
 
 def test_cli_import_leaves_the_csv_formatter_unloaded():
@@ -543,6 +569,29 @@ def test_csv_writer_memory_does_not_grow_with_n_trials(tmp_path):
             tracemalloc.stop()
 
     assert peak(16 * sim._CSV_CHUNK) < 1.25 * peak(4 * sim._CSV_CHUNK)
+
+
+def test_csv_writer_memory_does_not_grow_with_the_sweep_values(tmp_path):
+    # One chunk per value, so every value's chunk covers the same trials; the
+    # pass cap, not the number of values, bounds the arrays read at once.
+    def peak(n_values):
+        n_trials = sim._CSV_CHUNK
+        gen = np.random.default_rng(n_values)
+
+        def columns(kind):
+            return SchemeColumns(kind, *gen.integers(0, 4096, (3, n_trials)) / 7,
+                                 np.arange(n_trials), np.zeros(n_trials, dtype=bool))
+
+        shared = [columns(kind) for kind in SCHEME_ORDER[:2]]  # always-max's and zooming's
+        reports = {value: (*shared, columns(SCHEME_ORDER[2])) for value in range(n_values)}
+        tracemalloc.start()
+        try:
+            write_records_csv(tmp_path / "records.csv", reports)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) < 1.25 * peak(16)
 
 
 @pytest.mark.parametrize("values", [[1, 6, 18], [250.5, 1000.0]], ids=["int", "float"])
