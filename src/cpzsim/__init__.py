@@ -23,7 +23,6 @@ from .propagation import (
     LinkBudget,
     LognormalShadowing,
     ShadowingMode,
-    received_power,
     required_bs_power,
     required_snr,
     snr_rho,

@@ -101,34 +101,18 @@ class CpzState:
 
     Holds each user's position and partition cell in join order. A
     sector's zoom distance, the outer radius of its highest occupied
-    annulus, is derived from those cells on every read, so a departure
-    shrinks coverage again and an emptied sector drops out. Single writer
-    per scenario; reads are safe to share.
+    annulus, is derived from those cells on every read.
     """
 
     def __init__(self, grid: PartitionGrid):
         self.grid = grid
         self._ues: dict[Hashable, tuple[UePosition, CellIndex]] = {}
 
-    def __len__(self) -> int:
-        return len(self._ues)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CpzState):
-            return NotImplemented
-        return self.grid == other.grid and self._ues == other._ues
-
     def join(self, pos: UePosition) -> None:
         """Insert a user; rejects a repeated ue_id and a position outside the cell."""
         if pos.ue_id in self._ues:
             raise ValueError(f"ue_id {pos.ue_id!r} already present")
         self._ues[pos.ue_id] = (pos, locate(pos, self.grid))
-
-    def leave(self, ue_id: Hashable) -> None:
-        """Remove a user; its sector's zoom shrinks to the remaining occupants."""
-        if ue_id not in self._ues:
-            raise KeyError(f"ue_id {ue_id!r} not present")
-        del self._ues[ue_id]
 
     @property
     def per_sector_zoom(self) -> dict[int, float]:

@@ -55,9 +55,6 @@ class LinkBudget:
 class DeterministicUnitShadowing:
     """No shadowing: the slow-fading factor is identically 1."""
 
-    def psi(self, n_draws: int, trial_index: int = 0) -> np.ndarray:
-        return np.ones(n_draws)
-
 
 @dataclass(frozen=True)
 class LognormalShadowing:
@@ -82,7 +79,7 @@ class LognormalShadowing:
         u = uniform_rows(self.seed, SHADOWING, start, stop, 2 * n_draws)
         gauss = (np.sqrt(-2.0 * libm(math.log1p, -u[:, :n_draws]))
                  * libm(math.cos, 2.0 * math.pi * u[:, n_draws:]))
-        # An overflow gives inf, which received_power and the batch kernel reject.
+        # An overflow gives inf, which snr_rho and the batch kernel reject.
         return libm(pow, 10.0, self.sigma_db / 10.0 * gauss)
 
 
@@ -111,9 +108,9 @@ def _or_inf(fn, *xs) -> float:
         return math.inf
 
 
-def received_power(p_bs: float, k_users: int, r: float, budget: LinkBudget,
-                   psi: float = 1.0) -> float:
-    """Per-user received power in watts at distance r from the base station.
+def snr_rho(p_bs: float, k_users: int, r: float, budget: LinkBudget,
+            psi: float = 1.0) -> float:
+    """Linear per-user SNR at distance r: received power over the noise power.
 
     The radiated power is split equally over k_users and attenuated by
     G * (r / r0)^-alpha * psi. Only valid outside the reference distance.
@@ -127,13 +124,7 @@ def received_power(p_bs: float, k_users: int, r: float, budget: LinkBudget,
     if r < budget.r0:
         raise ValueError(f"distance {r} m is inside the reference distance {budget.r0} m")
     attenuation = budget.path_gain_g * (r / budget.r0) ** (-budget.alpha)
-    return attenuation * psi * p_bs / k_users
-
-
-def snr_rho(p_bs: float, k_users: int, r: float, budget: LinkBudget,
-            psi: float = 1.0) -> float:
-    """Linear per-user SNR: received power over the noise power."""
-    return received_power(p_bs, k_users, r, budget, psi) / budget.noise_n0
+    return attenuation * psi * p_bs / k_users / budget.noise_n0
 
 
 def required_snr(target_rate_per_ue: float, bandwidth: float, k_users: int,
@@ -159,7 +150,7 @@ def required_bs_power(d: float, target_rate_per_ue: float, k_users: int,
     """Radiated power in watts so a user at distance d reaches the target rate.
 
     Inverts the SNR budget with the deterministic unit shadowing factor;
-    monotonically increasing in both d and the target; raises on 0 or inf.
+    monotonically increasing in both d and the target; raises on 0, inf or NaN.
     """
     if not budget.r0 <= d <= budget.cell_radius_r:
         raise ValueError(
@@ -171,6 +162,6 @@ def required_bs_power(d: float, target_rate_per_ue: float, k_users: int,
     except OverflowError:
         path_loss = math.inf
     power = rho_req * k_users * budget.noise_n0 * path_loss / budget.path_gain_g
-    if power in (0.0, math.inf):  # a NaN budget is left to the schemes' budget guard
+    if not 0.0 < power < math.inf:
         raise ValueError(f"target rate {target_rate_per_ue} b/s at {d} m needs a power of {power} W")
     return power

@@ -314,11 +314,8 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
     def ring_power(a: int) -> float:
         # P(zoom) of an annulus, sized when a region first reaches it: only
         # those, as in the scalar path, since rings inside r0 cannot be sized.
-        power = required_bs_power(grid.annulus_outer_radius(a), rate_target, k_users,
-                                  m_antennas, budget)
-        if power < 0:
-            raise ValueError("radiated power must be nonnegative")
-        return power
+        return required_bs_power(grid.annulus_outer_radius(a), rate_target, k_users,
+                                 m_antennas, budget)
 
     def ring_powers(rings: np.ndarray) -> np.ndarray:
         # ring_power of each annulus in a 1-d array, sized in ascending order; 0.0 for -1.

@@ -365,6 +365,7 @@ def _csv_chunks(reports: ReportsByValue) -> Iterator[bytes]:
     batch = 9 * _CSV_CHUNK  # a comparison's chunk is one _float_texts call
     for chunks, arrays in _text_passes(reports):
         span = chunks[0][2]
+        trials = _int_texts(np.arange(span.start, span.stop))[:, None]
         # One text per distinct bit pattern, so -0.0 keeps its sign, each
         # after its comma; a last, empty text is a sleeping trial's EE.
         patterns, index = np.unique(np.concatenate([array[span] for array in arrays.values()])
@@ -386,7 +387,6 @@ def _csv_chunks(reports: ReportsByValue) -> Iterator[bytes]:
             at = at.T.reshape(shape + (3,))
             at[np.stack([col.sleeping[chunk] for col in columns], axis=1), 2] = len(cells) - 1
             counts = np.stack([col.n_active_sectors[chunk] for col in columns], axis=1)
-            trials = _int_texts(np.arange(chunk.start, chunk.stop))[:, None]
             # Fixed-width blocks side by side; the row bytes are the non-NUL ones.
             rows = np.concatenate([np.broadcast_to(block, shape + block.shape[-1:]) for block in (
                 prefix, trials, cells[at].reshape(shape + (-1,)), _COMMA,

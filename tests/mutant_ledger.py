@@ -48,6 +48,16 @@ MUTANTS = [
      "killed_by": ["tests/test_propagation.py::test_lognormal_shadowing_statistics",
                    "tests/test_sim.py::"
                    "test_placement_and_shadowing_independent_under_default_seeds"]},
+    # The link budget: the near-field bound and the sizing's rejection of NaN.
+    {"id": "snr_rho_near_field_inclusive", "file": PROPAGATION,
+     "edits": [("if r < budget.r0:", "if r <= budget.r0:")],
+     "killed_by": ["tests/test_propagation.py::test_received_power_at_reference_distance",
+                   "tests/test_propagation.py::test_snr_unit_point"]},
+    {"id": "sizing_lets_nan_through", "file": PROPAGATION,
+     "edits": [("if not 0.0 < power < math.inf:", "if power in (0.0, math.inf):")],
+     "killed_by": ["tests/test_propagation.py::test_required_power_rejects_nan_power",
+                   "tests/test_cli.py::"
+                   "test_simulate_unsizable_target_or_infinite_ee_exits_2[doc6-power of nan W]"]},
     # Rates: M - K + 1 degrees of freedom in the scalar and the batch rate paths.
     {"id": "rates_m_minus_k_plus_1", "file": SCHEMES,
      "edits": [("per_ue_rate(budget.bandwidth, rho * (m_antennas - k_users))",

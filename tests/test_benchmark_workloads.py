@@ -53,17 +53,25 @@ def test_benchmark_sweep_formats_count_invariant_floats_once(tmp_path, monkeypat
     # text pass, and always-max's and zooming's floats and cpz's sum rates are
     # the same on every count: the formatter sees each of them once (8 007
     # values; 20 013 when every chunk formatted all of its distinct floats).
+    # The pass formats its 1000 trial numbers once and each count's active
+    # sectors once: 8 integer calls, not 14.
     run, _ = bench
-    sizes = []
-    float_texts = _float_text._float_texts
+    sizes, int_calls = [], []
+    float_texts, int_texts = _float_text._float_texts, _float_text._int_texts
 
     def spy(x):
         sizes.append(len(x))
         return float_texts(x)
 
+    def int_spy(x):
+        int_calls.append(len(x))
+        return int_texts(x)
+
     monkeypatch.setattr(_float_text, "_float_texts", spy)
+    monkeypatch.setattr(_float_text, "_int_texts", int_spy)
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
     inputs = run.WORKLOADS["sweep_sectors_lognormal"](1, str(tmp_path))
     (tmp_path / "config.json").write_text(json.dumps(inputs.config), encoding="utf-8")
     assert cli.main(inputs.argv) == 0
     assert sizes == [8007]
+    assert len(int_calls) == 8

@@ -326,11 +326,14 @@ def test_simulate_overflowing_sinr_exits_2(tmp_path, capsys, budget):
     ({"rate_target": 1e-9, "budget": {"path_gain_g": 1e300}}, "power of 0.0 W"),
     ({"rate_target": 1e9, "budget": {"path_gain_g": 1e-300}}, "power of inf W"),
     ({"budget": {"alpha": 400}}, "power of inf W"),
+    ({"grid": {"n_annuli": 1}, "budget": {"noise_n0": 5e-324, "alpha": 400.0},
+      "rate_target": 1.0}, "power of nan W"),
 ])
 def test_simulate_unsizable_target_or_infinite_ee_exits_2(tmp_path, capsys, doc, message):
     # The SNR a target needs overflows or rounds to zero, the sized power
     # underflows to 0 or overflows to inf (also through a path loss (d/r0)**400
-    # beyond a float), or about 7.9e-311 W serves the cell and the EE
+    # beyond a float), is NaN (rho_req * K * N0 underflows to 0 times that
+    # infinite path loss), or about 7.9e-311 W serves the cell and the EE
     # overflows: exit 2, not a traceback or inf.
     config = write_config(tmp_path, doc)
     out = tmp_path / "out.csv"

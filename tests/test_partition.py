@@ -1,9 +1,9 @@
 """Polar-grid location and occupancy-state tests.
 
-locate is checked against a boundary-comparison oracle. After every
-join/leave, CpzState must hold exactly the live users, and the zooms it
-derives from their cells must equal a from-scratch recomputation over the
-oracle's cells, including random interleavings and shuffled join orders.
+locate is checked against a boundary-comparison oracle. After every join,
+CpzState must hold exactly the joined users, and the zooms it derives from
+their cells must equal a from-scratch recomputation over the oracle's cells,
+whatever the join order.
 """
 
 import math
@@ -45,9 +45,9 @@ def recompute_zooms(grid, positions):
     return zooms
 
 
-def random_positions(rng, n, grid, start_id=0):
+def random_positions(rng, n, grid):
     return [
-        UePosition(start_id + i, float(rng.uniform(0, grid.cell_radius)),
+        UePosition(i, float(rng.uniform(0, grid.cell_radius)),
                    float(rng.uniform(0, TWO_PI)))
         for i in range(n)
     ]
@@ -129,7 +129,7 @@ def test_locate_total_and_in_bounds(r, phi, n_annuli, n_sectors):
 
 
 # ---------------------------------------------------------------------------
-# CpzState joins and leaves
+# CpzState joins
 
 
 def test_join_single_ue_zooms_to_annulus_boundary():
@@ -176,48 +176,6 @@ def test_join_prefixes_match_recomputation():
         assert state.per_sector_zoom == recompute_zooms(GRID, positions[: i + 1])
 
 
-def test_leave_restores_empty_state():
-    state = CpzState(GRID)
-    state.join(UePosition("a", 550.0, 0.1))
-    state.leave("a")
-    assert state == CpzState(GRID)
-    assert len(state) == 0
-
-
-def test_leave_shrinks_zoom_to_remaining_occupant():
-    state = CpzState(GRID)
-    state.join(UePosition("near", 150.0, 0.1))
-    state.join(UePosition("far", 900.0, 0.2))
-    state.leave("far")
-    assert state.per_sector_zoom == {0: 1000.0 / 3}
-
-
-def test_leave_unknown_ue():
-    state = CpzState(GRID)
-    with pytest.raises(KeyError):
-        state.leave("ghost")
-
-
-def test_random_interleavings_match_recomputation():
-    rng = np.random.default_rng(13)
-    random.seed(13)
-    state = CpzState(GRID)
-    alive = []
-    next_id = 0
-    for _ in range(600):
-        if alive and random.random() < 0.4:
-            victim = random.choice(alive)
-            alive.remove(victim)
-            state.leave(victim.ue_id)
-        else:
-            pos = random_positions(rng, 1, GRID, start_id=next_id)[0]
-            next_id += 1
-            alive.append(pos)
-            state.join(pos)
-        assert state.ue_positions() == {pos.ue_id: pos for pos in alive}
-        assert state.per_sector_zoom == recompute_zooms(GRID, alive)
-
-
 def test_join_order_does_not_matter():
     rng = np.random.default_rng(17)
     positions = random_positions(rng, 40, GRID)
@@ -229,7 +187,8 @@ def test_join_order_does_not_matter():
         state = CpzState(GRID)
         for pos in positions:
             state.join(pos)
-        assert state == reference
+        assert state.per_sector_zoom == reference.per_sector_zoom
+        assert state.ue_positions() == reference.ue_positions()
 
 
 def test_zoom_dominates_every_occupant():
