@@ -19,10 +19,10 @@ precoder's ||W||_F^2 is tr(G^-1) too, and _certified decides the rule from them.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .rng import CHANNEL, substream
 
 # A Gram is numerically singular unless its 2-norm condition number, the ratio
@@ -38,8 +38,7 @@ _MIN_CERTIFIED_TRACE = 2.0**-969
 _TRACE_BLOCK = 160
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelMatrix:
+class ChannelMatrix(Record, eq=False):
     """K x M downlink channel; row k is user k's gain vector."""
 
     entries: np.ndarray
@@ -63,8 +62,7 @@ class ChannelMatrix:
         return self.entries.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class BeamformingMatrix:
+class BeamformingMatrix(Record, eq=False):
     """M x K zero-forcing precoder W, its power normalization factor and its residual H W - I.
 
     gamma is the squared Frobenius norm of W divided by the user count; the

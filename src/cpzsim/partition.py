@@ -7,10 +7,11 @@ off those cells. Sectors with no users need no power at all.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Hashable, NamedTuple
 
 import numpy as np
+
+from ._record import Record, require_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -18,8 +19,7 @@ TWO_PI = 2.0 * math.pi
 MAX_COUNT = 2**53
 
 
-@dataclass(frozen=True)
-class PartitionGrid:
+class PartitionGrid(Record):
     """Annulus-by-sector decomposition of a disk of radius cell_radius."""
 
     n_annuli: int = 3
@@ -31,6 +31,7 @@ class PartitionGrid:
             raise ValueError("n_annuli must be in [1, 2**53]")
         if not 1 <= self.n_sectors <= MAX_COUNT:
             raise ValueError("n_sectors must be in [1, 2**53]")
+        require_finite(self, "cell_radius")
         if self.cell_radius <= 0:
             raise ValueError("cell_radius must be positive")
 
@@ -46,8 +47,7 @@ class PartitionGrid:
         return TWO_PI / self.n_sectors
 
 
-@dataclass(frozen=True)
-class UePosition:
+class UePosition(Record):
     """Polar position of one user; the angle is normalized into [0, 2*pi)."""
 
     ue_id: Hashable

@@ -8,15 +8,14 @@ power-allocation schemes spend.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, require_finite
 from .rng import SHADOWING, uniform_rows
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(Record):
     """Propagation and noise parameters of the cell (SI units).
 
     Defaults are the outdoor-macro values used across the simulator: 1 km
@@ -35,6 +34,7 @@ class LinkBudget:
     cell_radius_r: float = 1000.0
 
     def __post_init__(self):
+        require_finite(self, *self.__match_args__)
         if self.path_gain_g <= 0:
             raise ValueError("path_gain_g must be positive")
         if self.r0 <= 0:
@@ -51,19 +51,18 @@ class LinkBudget:
             raise ValueError("cell radius must not be smaller than the reference distance")
 
 
-@dataclass(frozen=True)
-class DeterministicUnitShadowing:
+class DeterministicUnitShadowing(Record):
     """No shadowing: the slow-fading factor is identically 1."""
 
 
-@dataclass(frozen=True)
-class LognormalShadowing:
+class LognormalShadowing(Record):
     """Lognormal slow fading: 10*log10(psi) is zero-mean Gaussian with std sigma_db."""
 
     sigma_db: float = 8.0
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self, "sigma_db")
         if self.sigma_db < 0:
             raise ValueError("sigma_db must be nonnegative")
 

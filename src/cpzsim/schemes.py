@@ -25,12 +25,12 @@ on one or more grids that differ in sector count, and returns per grid one
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .mimo import per_ue_rate
 from .partition import CpzState, PartitionGrid, cell_indices
 from .propagation import LinkBudget, libm, required_bs_power, snr_rho
@@ -49,8 +49,7 @@ SCHEME_ORDER = (SchemeKind.ALWAYS_MAX, SchemeKind.ZOOMING, SchemeKind.CPZ)
 _BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class SchemeReport:
+class SchemeReport(Record):
     """Outcome of one scheme on one scenario; ee is None when nothing is radiated."""
 
     scheme: SchemeKind

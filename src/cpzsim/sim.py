@@ -25,11 +25,12 @@ each shared array set once.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from ._record import Record, require_finite
 from .partition import MAX_COUNT, TWO_PI, CpzState, PartitionGrid, UePosition
 from .propagation import DeterministicUnitShadowing, LinkBudget, ShadowingMode
 from .rng import PLACEMENT, uniform_rows
@@ -38,21 +39,18 @@ from .schemes import SchemeColumns, SchemeKind, _evaluate_trials
 CSV_HEADER = "sweep_var,scheme,trial,total_power_w,sum_rate_bps,ee_bit_per_joule,n_active_sectors"
 
 
-@dataclass(frozen=True)
-class UniformDisk:
+class UniformDisk(Record):
     """Area-uniform placement over the serviceable ring [r0, R]."""
 
 
-@dataclass(frozen=True)
-class ArcCluster:
+class ArcCluster(Record):
     """Placement confined to the first `sector_count_occupied` sectors of one annulus."""
 
     sector_count_occupied: int
     annulus: int
 
 
-@dataclass(frozen=True)
-class FixedPlacement:
+class FixedPlacement(Record):
     """Placement that returns the given positions verbatim on every trial."""
 
     positions: tuple[UePosition, ...] = ()
@@ -61,8 +59,7 @@ class FixedPlacement:
 Placement = UniformDisk | ArcCluster | FixedPlacement
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """One simulation scenario; defaults follow the outdoor-macro setup."""
 
     grid: PartitionGrid = field(default_factory=PartitionGrid)
@@ -84,6 +81,7 @@ class ScenarioConfig:
             )
         if self.m_antennas > MAX_COUNT:
             raise ValueError("m_antennas must be at most 2**53")
+        require_finite(self, "rate_target")
         if self.rate_target <= 0:
             raise ValueError("rate_target must be positive")
         if self.seed < 0:
@@ -226,8 +224,7 @@ def run_comparison(config: ScenarioConfig) -> tuple[SchemeColumns, ...]:
 ReportsByValue = Mapping[float | int | None, tuple[SchemeColumns, ...]]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     sweep_var: float | int | None
     scheme: SchemeKind
     mean_total_power: float
@@ -235,8 +232,7 @@ class SweepRow:
     n_trials_defined: int
 
 
-@dataclass(frozen=True)
-class SweepRun:
+class SweepRun(Record):
     """A sweep's aggregated rows and the per-trial results behind them.
 
     reports maps each sweep value, in sorted order, to its scheme columns,

@@ -11,7 +11,7 @@ refactor that moves mutated code or drops a killing test updates this file.
 """
 
 MIMO, SCHEMES, SIM, FLOAT_TEXT = "mimo.py", "schemes.py", "sim.py", "_float_text.py"
-PARTITION, PROPAGATION = "partition.py", "propagation.py"
+PARTITION, PROPAGATION, RECORD = "partition.py", "propagation.py", "_record.py"
 
 MUTANTS = [
     # Placement.
@@ -172,6 +172,17 @@ MUTANTS = [
      "killed_by": ["tests/test_mimo.py::"
                    "test_certificate_sends_exactly_the_blocks_over_half_the_limit",
                    "tests/test_mimo.py::test_monte_carlo_trace_singular_trial_in_later_block"]},
+    # Record: equality within one class only, and no assignment after __init__.
+    {"id": "record_eq_across_classes", "file": RECORD,
+     "edits": [("        if other.__class__ is not self.__class__:\n"
+                "            return NotImplemented\n", "")],
+     "killed_by": ["tests/test_sim.py::test_records_with_equal_fields_of_different_classes_differ",
+                   "tests/test_partition.py::test_grid_repr_equality_and_hash_are_by_value"]},
+    {"id": "record_setattr_assigns", "file": RECORD,
+     "edits": [('raise FrozenInstanceError(f"cannot assign to field {name!r}")',
+                "object.__setattr__(self, name, value)")],
+     "killed_by": ["tests/test_partition.py::test_grid_is_frozen[cell_radius-assign to]",
+                   "tests/test_partition.py::test_grid_is_frozen[extra-assign to]"]},
 ]
 
 EQUIVALENT = [

@@ -46,6 +46,13 @@ def oracle_per_ue_sinr(rho, h_entries):
 # sample_channel
 
 
+def test_channel_and_precoder_compare_by_identity():
+    h = mimo.ChannelMatrix(np.eye(2))
+    assert h == h and h != mimo.ChannelMatrix(np.eye(2)) and hash(h) == object.__hash__(h)
+    w = mimo.zf_beamformer(h)
+    assert w == w and len({w, mimo.zf_beamformer(h)}) == 2
+
+
 def test_sample_channel_is_deterministic():
     a = mimo.sample_channel(4, 16, seed=7)
     b = mimo.sample_channel(4, 16, seed=7)

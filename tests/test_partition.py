@@ -6,6 +6,7 @@ their cells must equal a from-scratch recomputation over the oracle's cells,
 whatever the join order.
 """
 
+import dataclasses
 import math
 import random
 
@@ -72,8 +73,39 @@ def test_annulus_boundaries():
     assert GRID.annulus_outer_radius(2) == 1000.0  # exact at the cell edge
 
 
+def test_grid_repr_equality_and_hash_are_by_value():
+    assert repr(PartitionGrid()) == "PartitionGrid(n_annuli=3, n_sectors=18, cell_radius=1000.0)"
+    assert repr(UePosition("a", 10, 0)) == "UePosition(ue_id='a', r=10.0, phi=0.0)"
+    assert PartitionGrid() == GRID and hash(PartitionGrid()) == hash(GRID)
+    assert PartitionGrid(3, 9) != GRID and GRID != (3, 18, 1000.0)
+    assert GRID.__eq__((3, 18, 1000.0)) is NotImplemented
+
+
+@pytest.mark.parametrize("action", ["assign to", "delete"])
+@pytest.mark.parametrize("name", ["cell_radius", "extra"])
+def test_grid_is_frozen(action, name):
+    with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot {action} field '{name}'"):
+        if action == "assign to":
+            setattr(GRID, name, 1.0)
+        else:
+            delattr(GRID, name)
+    assert GRID.cell_radius == 1000.0 and not hasattr(GRID, "extra")
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((0, 10.0), {}, "missing .*'phi'"),
+    ((0, 10.0, 0.0), {"theta": 0.0}, "argument 'theta'"),
+    ((0, 10.0), {"r": 10.0, "phi": 0.0}, "argument 'r'"),
+    ((0, 10.0, 0.0, 1.0), {}, "takes"),
+], ids=["missing", "unknown", "repeated", "too_many"])
+def test_position_rejects_missing_unknown_or_repeated_arguments(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        UePosition(*args, **kwargs)
+
+
 def test_position_normalizes_angle():
     assert UePosition(0, 10.0, TWO_PI + 0.5).phi == pytest.approx(0.5)
+    assert UePosition(phi=-0.5, r=10, ue_id=0) == UePosition(0, 10.0, TWO_PI - 0.5)
     assert UePosition(0, 10.0, -0.5).phi == pytest.approx(TWO_PI - 0.5)
     with pytest.raises(ValueError):
         UePosition(0, -1.0, 0.0)

@@ -1,5 +1,6 @@
 """Scenario, sweep, and emission tests."""
 
+import dataclasses
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from cpzsim import _float_text, rng, sim
 from cpzsim._float_text import _float_texts as float_texts
 from cpzsim.partition import MAX_COUNT, PartitionGrid, UePosition, locate
-from cpzsim.propagation import LognormalShadowing
+from cpzsim.propagation import DeterministicUnitShadowing, LinkBudget, LognormalShadowing
 from cpzsim.schemes import SCHEME_ORDER, SchemeColumns, SchemeKind
 from cpzsim.sim import (
     ArcCluster,
@@ -84,6 +85,39 @@ def test_config_rejects_bad_fixed_positions():
     with pytest.raises(ValueError):
         make_config(placement=FixedPlacement(
             (UePosition(0, 500.0, 0.0), UePosition(0, 600.0, 1.0))))  # duplicate id
+
+
+FLOAT_FIELDS = [(LinkBudget, name) for name in ("path_gain_g", "r0", "alpha", "shadow_sigma_db",
+                                                "noise_n0", "bandwidth", "cell_radius_r")]
+FLOAT_FIELDS += [(PartitionGrid, "cell_radius"), (LognormalShadowing, "sigma_db"),
+                 (ScenarioConfig, "rate_target")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_records_reject_non_finite_numbers(cls, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        cls(**{name: value})
+
+
+def test_config_replace_and_fields_work_as_on_a_dataclass():
+    config = make_config()
+    assert dataclasses.is_dataclass(config)
+    assert [f.name for f in dataclasses.fields(ScenarioConfig)] == [
+        "grid", "budget", "k_users", "m_antennas", "rate_target", "placement", "shadowing",
+        "seed", "n_trials"]
+    assert config.grid == PartitionGrid() and config.placement == UniformDisk()
+    changed = replace(config, seed=5)
+    assert changed.seed == 5 and changed != config and replace(changed, seed=0) == config
+    with pytest.raises(ValueError, match="need more antennas than users"):
+        replace(config, k_users=200)
+
+
+def test_records_with_equal_fields_of_different_classes_differ():
+    assert UniformDisk() == UniformDisk() and hash(UniformDisk()) == hash(UniformDisk())
+    assert UniformDisk() != DeterministicUnitShadowing()
+    assert len({UniformDisk(), DeterministicUnitShadowing(), UniformDisk()}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +585,34 @@ def test_cli_import_leaves_the_csv_formatter_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_compiles_generated_source_only_for_named_tuples():
+    # A frozen dataclass compiled its methods from generated source on every start;
+    # Record's subclasses share one set, so only NamedTuple's generated __new__ is left.
+    # Each compile counts for the module whose body ran it, so numpy's are not cpzsim's.
+    src = os.path.dirname(os.path.dirname(sim.__file__))
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+compiled = []
+def hook(event, args):
+    if event == "compile" and args[1] == "<string>":
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "<module>":
+            frame = frame.f_back
+        compiled.append("" if frame is None else frame.f_globals["__name__"])
+sys.addaudithook(hook)
+import cpzsim.cli
+own = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "cpzsim"]
+named = {{c for m in own for c in vars(m).values() if isinstance(c, type)
+         and issubclass(c, tuple) and hasattr(c, "_fields") and c.__module__ == m.__name__}}
+print(sum(name.split(".")[0] == "cpzsim" for name in compiled), len(named))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    compiles, named_tuples = map(int, proc.stdout.split())
+    assert compiles <= named_tuples
 
 
 def test_csv_writer_memory_does_not_grow_with_n_trials(tmp_path):
