@@ -11,11 +11,9 @@ CPZ_SIM_SEED environment variable is the fallback seed.
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
-from typing import Hashable
 
 import numpy as np
 
@@ -53,7 +51,7 @@ class ConfigError(ValueError):
 # Config file parsing
 
 # JSON types accepted for each scalar field type; bool is never a number.
-_SCALARS = {int: int, float: (int, float), str: str, Hashable: (str, int)}
+_SCALARS = {int: int, float: (int, float), str: str}
 
 # Each config union by its "kind" tag; the first kind is the default.
 _KINDS = {
@@ -85,8 +83,7 @@ def _value(tp, value, path: str):
     if tp == tuple[UePosition, ...]:
         if not isinstance(value, list):
             raise ConfigError(f"config key '{path}' must be a list")
-        return tuple(_build(UePosition, entry, f"{path}[{i}]", ue_id=i)
-                     for i, entry in enumerate(value))
+        return tuple(_build(UePosition, entry, f"{path}[{i}]") for i, entry in enumerate(value))
     if tp in _KINDS:
         kinds = _KINDS[tp]
         if not isinstance(value, dict):
@@ -132,6 +129,8 @@ def build_config(doc: dict, default_seed: int = 0) -> ScenarioConfig:
 def load_config(path: str | None, default_seed: int = 0) -> ScenarioConfig:
     if path is None:
         return build_config({}, default_seed)
+    import json  # here, not at the top: verify, which reads no config, need not load it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

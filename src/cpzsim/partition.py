@@ -7,7 +7,7 @@ off those cells. Sectors with no users need no power at all.
 """
 
 import math
-from typing import Hashable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +48,12 @@ class PartitionGrid(Record):
 
 
 class UePosition(Record):
-    """Polar position of one user; the angle is normalized into [0, 2*pi)."""
+    """Polar position of one user; the angle is normalized into [0, 2*pi].
 
-    ue_id: Hashable
+    2*pi itself comes only from rounding a tiny negative angle, and lies in the
+    last sector.
+    """
+
     r: float
     phi: float
 
@@ -99,26 +102,24 @@ def cell_indices(grid: PartitionGrid, r, phi):
 class CpzState:
     """Occupancy bookkeeping for partition zooming.
 
-    Holds each user's position and partition cell in join order. A
-    sector's zoom distance, the outer radius of its highest occupied
-    annulus, is derived from those cells on every read.
+    Holds each user's position and partition cell in join order; a user is
+    its index in that order. A sector's zoom distance, the outer radius of
+    its highest occupied annulus, is derived from those cells on every read.
     """
 
     def __init__(self, grid: PartitionGrid):
         self.grid = grid
-        self._ues: dict[Hashable, tuple[UePosition, CellIndex]] = {}
+        self._ues: list[tuple[UePosition, CellIndex]] = []
 
     def join(self, pos: UePosition) -> None:
-        """Insert a user; rejects a repeated ue_id and a position outside the cell."""
-        if pos.ue_id in self._ues:
-            raise ValueError(f"ue_id {pos.ue_id!r} already present")
-        self._ues[pos.ue_id] = (pos, locate(pos, self.grid))
+        """Append a user; rejects a position outside the cell."""
+        self._ues.append((pos, locate(pos, self.grid)))
 
     @property
     def per_sector_zoom(self) -> dict[int, float]:
         """Zoom distance of each occupied sector, in sector order."""
         top: dict[int, int] = {}
-        for _, (annulus, sector) in self._ues.values():
+        for _, (annulus, sector) in self._ues:
             if annulus >= top.get(sector, 0):
                 top[sector] = annulus
         outer = self.grid.annulus_outer_radius
@@ -138,9 +139,9 @@ class CpzState:
         """Largest per-sector zoom distance, or None when the cell is empty."""
         return max(self.per_sector_zoom.values(), default=None)
 
-    def sector_of(self, ue_id: Hashable) -> int:
-        return self._ues[ue_id][1].sector
+    def sector_of(self, i: int) -> int:
+        return self._ues[i][1].sector
 
-    def ue_positions(self) -> dict[Hashable, UePosition]:
-        """Snapshot of all tracked users keyed by ue_id (join order preserved)."""
-        return {ue_id: pos for ue_id, (pos, _) in self._ues.items()}
+    def ue_positions(self) -> list[UePosition]:
+        """The users' positions in join order."""
+        return [pos for pos, _ in self._ues]

@@ -26,7 +26,7 @@ on one or more grids that differ in sector count, and returns per grid one
 import functools
 import math
 from enum import Enum
-from typing import Hashable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,7 +74,7 @@ def energy_efficiency(sum_rate: float, total_power: float) -> float | None:
 
 
 class Region(NamedTuple):
-    """A powered region: `wedges` adjacent sectors zoomed to `zoom`, serving `members`.
+    """A powered region: `wedges` adjacent sectors zoomed to `zoom`, serving users `members`.
 
     Its angular fraction is wedges / grid.n_sectors, and it is charged that
     fraction of the full-circle power P(zoom).
@@ -82,7 +82,7 @@ class Region(NamedTuple):
 
     wedges: int
     zoom: float
-    members: tuple[Hashable, ...]
+    members: tuple[int, ...]
 
 
 def powered_regions(kind: SchemeKind, state: CpzState) -> list[Region]:
@@ -90,19 +90,19 @@ def powered_regions(kind: SchemeKind, state: CpzState) -> list[Region]:
 
     always_max powers the full circle out to the cell edge, zooming the full
     circle out to the farthest occupied annulus, and cpz one region per
-    occupied sector at that sector's zoom. Members keep join order.
+    occupied sector at that sector's zoom. Members are user indices in join order.
     """
     grid = state.grid
-    members = tuple(state.ue_positions())
+    members = tuple(range(len(state.ue_positions())))
     if kind is SchemeKind.ALWAYS_MAX:
         return [Region(grid.n_sectors, grid.cell_radius, members)]
     if kind is SchemeKind.ZOOMING:
         zoom = state.max_zoom()
         return [] if zoom is None else [Region(grid.n_sectors, zoom, members)]
     if kind is SchemeKind.CPZ:
-        by_sector: dict[int, list[Hashable]] = {}
-        for ue_id in members:
-            by_sector.setdefault(state.sector_of(ue_id), []).append(ue_id)
+        by_sector: dict[int, list[int]] = {}
+        for i in members:
+            by_sector.setdefault(state.sector_of(i), []).append(i)
         return [Region(1, c.zoom_distance, tuple(by_sector[c.sector]))
                 for c in state.coverage_requirements()]
     raise ValueError(f"unknown scheme {kind!r}")
@@ -117,23 +117,23 @@ def _sized_regions(kind: SchemeKind, state: CpzState, budget: LinkBudget, rate_t
 
 def _region_rates(sized: list[tuple[Region, float]], state: CpzState, budget: LinkBudget,
                   k_users: int, m_antennas: int,
-                  psi: Mapping[Hashable, float] | None) -> dict[Hashable, float]:
+                  psi: Sequence[float] | None) -> dict[int, float]:
     positions = state.ue_positions()
-    rates: dict[Hashable, float] = {}
+    rates: dict[int, float] = {}
     for region, power in sized:
-        for ue_id in region.members:
-            fading = 1.0 if psi is None else psi[ue_id]
-            rho = snr_rho(power, k_users, positions[ue_id].r, budget, fading)
-            rates[ue_id] = per_ue_rate(budget.bandwidth, rho * (m_antennas - k_users))
+        for i in region.members:
+            fading = 1.0 if psi is None else psi[i]
+            rho = snr_rho(power, k_users, positions[i].r, budget, fading)
+            rates[i] = per_ue_rate(budget.bandwidth, rho * (m_antennas - k_users))
     return rates
 
 
 def per_ue_rates(kind: SchemeKind, state: CpzState, budget: LinkBudget,
                  rate_target: float, k_users: int, m_antennas: int,
-                 psi: Mapping[Hashable, float] | None = None) -> dict[Hashable, float]:
-    """Modeled rate of every served user at the scheme's granted power.
+                 psi: Sequence[float] | None = None) -> dict[int, float]:
+    """Modeled rate of every served user, by index, at the scheme's granted power.
 
-    psi maps ue_id to a slow-fading factor; omit it for the deterministic
+    psi[i] is user i's slow-fading factor; omit it for the deterministic
     unit-shadowing mode in which every rate is at least the target.
     """
     sized = _sized_regions(kind, state, budget, rate_target, k_users, m_antennas)
@@ -195,7 +195,7 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 def evaluate_scheme(kind: SchemeKind, state: CpzState, budget: LinkBudget,
                     rate_target: float, k_users: int, m_antennas: int,
-                    psi: Mapping[Hashable, float] | None = None) -> SchemeReport:
+                    psi: Sequence[float] | None = None) -> SchemeReport:
     """Evaluate one scheme on a scenario snapshot.
 
     The report carries the scheme's total radiated power, the sum of the
@@ -209,7 +209,7 @@ def evaluate_scheme(kind: SchemeKind, state: CpzState, budget: LinkBudget,
     p_max = required_bs_power(budget.cell_radius_r, rate_target, k_users, m_antennas, budget)
     _check_budget(kind, total, p_max)
     rates = _region_rates(sized, state, budget, k_users, m_antennas, psi)
-    sum_rate = _sum(rates[ue_id] for ue_id in state.ue_positions())
+    sum_rate = _sum(rates[i] for i in range(len(state.ue_positions())))
     return SchemeReport(kind, total, sum_rate, energy_efficiency(sum_rate, total),
                         sum(region.wedges for region, _ in sized))
 

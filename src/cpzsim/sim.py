@@ -23,7 +23,6 @@ share one text pass that formats each of their distinct floats once, and
 each shared array set once.
 """
 
-import json
 import math
 from dataclasses import field, replace
 from typing import Iterable, Iterator, Mapping
@@ -119,16 +118,10 @@ def _check_fixed_placement(placement: FixedPlacement, k_users: int, grid: Partit
     if len(placement.positions) > k_users:
         raise ValueError(f"fixed placement lists {len(placement.positions)} positions, "
                          f"more than k_users = {k_users}")
-    seen = set()
-    for pos in placement.positions:
-        if pos.ue_id in seen:
-            raise ValueError(f"fixed placement repeats ue_id {pos.ue_id!r}")
-        seen.add(pos.ue_id)
+    for i, pos in enumerate(placement.positions):
         if not budget.r0 <= pos.r <= grid.cell_radius:
-            raise ValueError(
-                f"fixed position for ue_id {pos.ue_id!r} at r={pos.r} m outside "
-                f"[{budget.r0}, {grid.cell_radius}] m"
-            )
+            raise ValueError(f"fixed position {i} at r={pos.r} m outside "
+                             f"[{budget.r0}, {grid.cell_radius}] m")
 
 
 def _draw_users(config: ScenarioConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +162,7 @@ def place_ues(config: ScenarioConfig, trial_index: int) -> list[UePosition]:
     if isinstance(config.placement, FixedPlacement):
         return list(config.placement.positions)
     radii, angles = _draw_users(config, trial_index, trial_index + 1)
-    return [UePosition(i, r, phi)
-            for i, (r, phi) in enumerate(zip(radii[0].tolist(), angles[0].tolist()))]
+    return [UePosition(r, phi) for r, phi in zip(radii[0].tolist(), angles[0].tolist())]
 
 
 def build_state(grid: PartitionGrid, positions: Iterable[UePosition]) -> CpzState:
@@ -289,7 +281,7 @@ def sweep_distance(config: ScenarioConfig, d_values: Iterable[float]) -> SweepRu
             raise ValueError(f"sweep distance {d} m outside [{r0}, {radius}] m")
     _check_distinct("distance", values)
     return _sweep("distance", values, [
-        run_comparison(replace(config, placement=FixedPlacement((UePosition(0, d, 0.0),))))
+        run_comparison(replace(config, placement=FixedPlacement((UePosition(d, 0.0),))))
         for d in values])
 
 
@@ -416,5 +408,7 @@ def write_sweep_json(path, run: SweepRun) -> None:
             for row in run.rows
         ],
     }
+    import json  # here, not at the top: verify, which writes no sidecar, need not load it
+
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")  # one write; json.dump makes many small ones

@@ -66,6 +66,18 @@ MUTANTS = [
                 "/ budget.noise_n0 * (m_antennas - k_users + 1)")],
      "killed_by": ["tests/test_cli.py::test_seeded_output_digests[simulate]",
                    "tests/test_cli.py::test_emitted_bytes_on_fixed_placement[distance]"]},
+    # The scalar oracle: a user is its index, in cpz's regions and in psi.
+    {"id": "cpz_region_serves_every_user", "file": SCHEMES,
+     "edits": [("Region(1, c.zoom_distance, tuple(by_sector[c.sector]))",
+                "Region(1, c.zoom_distance, members)")],
+     "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
+                   "tests/test_schemes.py::test_region_rule_properties",
+                   "tests/test_schemes.py::test_effective_power_is_sector_zoom_power"]},
+    {"id": "oracle_psi_of_first_user", "file": SCHEMES,
+     "edits": [("fading = 1.0 if psi is None else psi[i]",
+                "fading = 1.0 if psi is None else psi[0]")],
+     "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
+                   "tests/test_schemes.py::test_shadowing_factor_moves_rates"]},
     # Sums: the kernel's rows in angle order, and a compensated scalar sum.
     {"id": "row_sums_in_angle_order", "file": SCHEMES,
      "edits": [("edge_sums = _row_sums(edge_rates)",

@@ -112,8 +112,8 @@ def test_c5_angular_fraction_and_ee_ratio():
         rng = np.random.default_rng(55)
         width = TWO_PI / 18
         positions = [
-            UePosition(i, float(rng.uniform(150.0, 1000.0)), float(rng.uniform(0, width)))
-            for i in range(10)
+            UePosition(float(rng.uniform(150.0, 1000.0)), float(rng.uniform(0, width)))
+            for _ in range(10)
         ]
         state = build_state(GRID, positions)
         zoom = evaluate_scheme(SchemeKind.ZOOMING, state, BUDGET, TARGET, K, M)
@@ -148,7 +148,7 @@ def test_c7_edge_rate_guarantee_across_sweeps():
 
         # Distance sweep states: one user pinned at each distance.
         for d in np.linspace(BUDGET.r0, BUDGET.cell_radius_r, 19):
-            check_state(build_state(GRID, [UePosition(0, float(d), 0.0)]))
+            check_state(build_state(GRID, [UePosition(float(d), 0.0)]))
 
         # Sector sweep states: a clustered user set under each granularity.
         counts = (1, 2, 6, 9, 18)

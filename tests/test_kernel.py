@@ -48,8 +48,7 @@ def oracle_trial(config, grid, positions, trial):
     state = build_state(grid, positions)
     psi = None
     if isinstance(config.shadowing, LognormalShadowing):
-        draws = config.shadowing.psi(len(positions), trial)
-        psi = {pos.ue_id: float(d) for pos, d in zip(positions, draws)}
+        psi = config.shadowing.psi(len(positions), trial).tolist()
     return tuple(evaluate_scheme(kind, state, config.budget, config.rate_target,
                                  config.k_users, config.m_antennas, psi)
                  for kind in SCHEME_ORDER)
@@ -103,7 +102,7 @@ def scenarios(draw):
     placements = [st.just(UniformDisk()),
                   st.lists(st.tuples(radii, angles), max_size=min(k_users, 8)).map(
                       lambda points: FixedPlacement(tuple(
-                          UePosition(i, r, phi) for i, (r, phi) in enumerate(points))))]
+                          UePosition(r, phi) for r, phi in points)))]
     if reaches:
         placements.append(st.builds(ArcCluster, st.integers(1, grid.n_sectors),
                                     st.sampled_from(reaches)))
@@ -121,21 +120,21 @@ def scenarios(draw):
 
 EDGES = PartitionGrid(20, 40, 1000.0)
 ON_BOUNDARIES = FixedPlacement(tuple(
-    UePosition(i, r, phi) for i, (r, phi) in enumerate(
-        [(100.0, 0.0), (1000.0, TWO_PI), (150.0, TWO_PI / 40), (950.0, 39 * TWO_PI / 40),
-         (500.0, math.pi), (100.0, -TWO_PI / 40)])))
+    UePosition(r, phi) for r, phi in [
+        (100.0, 0.0), (1000.0, TWO_PI), (150.0, TWO_PI / 40), (950.0, 39 * TWO_PI / 40),
+        (500.0, math.pi), (100.0, -TWO_PI / 40)]))
 
 # Users at one angle in different annuli, so a sort by angle has ties to break.
 SAME_ANGLES = FixedPlacement(tuple(
-    UePosition(i, r, phi) for i, (r, phi) in enumerate(
-        [(950.0, 1.0), (150.0, 1.0), (500.0, 1.0), (120.0, 4.0), (990.0, 4.0), (400.0, 0.5)])))
+    UePosition(r, phi) for r, phi in [
+        (950.0, 1.0), (150.0, 1.0), (500.0, 1.0), (120.0, 4.0), (990.0, 4.0), (400.0, 0.5)]))
 # Users on sector boundaries of counts 7, 25 and 40 (0 is one of every count).
 SHARED_BOUNDARIES = FixedPlacement(tuple(
-    UePosition(i, r, phi) for i, (r, phi) in enumerate(
-        [(120.0, TWO_PI / 7), (480.0, TWO_PI / 7), (900.0, 3 * TWO_PI / 7),
-         (400.0, 6 * TWO_PI / 7), (300.0, TWO_PI / 25), (560.0, 13 * TWO_PI / 25),
-         (700.0, 24 * TWO_PI / 25), (200.0, 5 * TWO_PI / 40), (1000.0, 7 * TWO_PI / 40),
-         (850.0, 20 * TWO_PI / 40), (999.0, 39 * TWO_PI / 40), (650.0, 0.0)])))
+    UePosition(r, phi) for r, phi in [
+        (120.0, TWO_PI / 7), (480.0, TWO_PI / 7), (900.0, 3 * TWO_PI / 7),
+        (400.0, 6 * TWO_PI / 7), (300.0, TWO_PI / 25), (560.0, 13 * TWO_PI / 25),
+        (700.0, 24 * TWO_PI / 25), (200.0, 5 * TWO_PI / 40), (1000.0, 7 * TWO_PI / 40),
+        (850.0, 20 * TWO_PI / 40), (999.0, 39 * TWO_PI / 40), (650.0, 0.0)]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -170,7 +169,7 @@ def test_kernel_matches_scalar_oracle(case, block):
     expected_run = outcome(lambda: [oracle_trial(config, config.grid, place_ues(config, t), t)
                                     for t in range(config.n_trials)])
     expected_distance = outcome(lambda: oracle_records(
-        config, distances, lambda d, t: (config.grid, [UePosition(0, d, 0.0)])))
+        config, distances, lambda d, t: (config.grid, [UePosition(d, 0.0)])))
 
     def sector_oracle():
         placement = config.placement

@@ -9,6 +9,7 @@ whatever the join order.
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -48,9 +49,8 @@ def recompute_zooms(grid, positions):
 
 def random_positions(rng, n, grid):
     return [
-        UePosition(i, float(rng.uniform(0, grid.cell_radius)),
-                   float(rng.uniform(0, TWO_PI)))
-        for i in range(n)
+        UePosition(float(rng.uniform(0, grid.cell_radius)), float(rng.uniform(0, TWO_PI)))
+        for _ in range(n)
     ]
 
 
@@ -75,7 +75,7 @@ def test_annulus_boundaries():
 
 def test_grid_repr_equality_and_hash_are_by_value():
     assert repr(PartitionGrid()) == "PartitionGrid(n_annuli=3, n_sectors=18, cell_radius=1000.0)"
-    assert repr(UePosition("a", 10, 0)) == "UePosition(ue_id='a', r=10.0, phi=0.0)"
+    assert repr(UePosition(10, 0)) == "UePosition(r=10.0, phi=0.0)"
     assert PartitionGrid() == GRID and hash(PartitionGrid()) == hash(GRID)
     assert PartitionGrid(3, 9) != GRID and GRID != (3, 18, 1000.0)
     assert GRID.__eq__((3, 18, 1000.0)) is NotImplemented
@@ -93,10 +93,10 @@ def test_grid_is_frozen(action, name):
 
 
 @pytest.mark.parametrize("args, kwargs, message", [
-    ((0, 10.0), {}, "missing .*'phi'"),
-    ((0, 10.0, 0.0), {"theta": 0.0}, "argument 'theta'"),
-    ((0, 10.0), {"r": 10.0, "phi": 0.0}, "argument 'r'"),
-    ((0, 10.0, 0.0, 1.0), {}, "takes"),
+    ((10.0,), {}, "missing .*'phi'"),
+    ((10.0, 0.0), {"theta": 0.0}, "argument 'theta'"),
+    ((10.0,), {"r": 10.0, "phi": 0.0}, "argument 'r'"),
+    ((10.0, 0.0, 1.0), {}, "takes"),
 ], ids=["missing", "unknown", "repeated", "too_many"])
 def test_position_rejects_missing_unknown_or_repeated_arguments(args, kwargs, message):
     with pytest.raises(TypeError, match=message):
@@ -104,18 +104,21 @@ def test_position_rejects_missing_unknown_or_repeated_arguments(args, kwargs, me
 
 
 def test_position_normalizes_angle():
-    assert UePosition(0, 10.0, TWO_PI + 0.5).phi == pytest.approx(0.5)
-    assert UePosition(phi=-0.5, r=10, ue_id=0) == UePosition(0, 10.0, TWO_PI - 0.5)
-    assert UePosition(0, 10.0, -0.5).phi == pytest.approx(TWO_PI - 0.5)
+    assert UePosition(10.0, TWO_PI + 0.5).phi == pytest.approx(0.5)
+    assert UePosition(phi=-0.5, r=10) == UePosition(10.0, TWO_PI - 0.5)
+    assert UePosition(10.0, -0.5).phi == pytest.approx(TWO_PI - 0.5)
+    # A tiny negative angle rounds up to 2 pi itself, which lies in the last sector.
+    tiny = UePosition(500.0, -1e-20)
+    assert tiny.phi == TWO_PI and locate(tiny, GRID) == CellIndex(1, 17)
     with pytest.raises(ValueError):
-        UePosition(0, -1.0, 0.0)
+        UePosition(-1.0, 0.0)
 
 
 def test_position_rejects_non_finite_coordinates():
     with pytest.raises(ValueError):
-        UePosition(0, math.nan, 0.0)
+        UePosition(math.nan, 0.0)
     with pytest.raises(ValueError):
-        UePosition(0, 10.0, math.inf)
+        UePosition(10.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -123,25 +126,25 @@ def test_position_rejects_non_finite_coordinates():
 
 
 def test_locate_origin():
-    assert locate(UePosition(0, 0.0, 0.0), GRID) == CellIndex(0, 0)
+    assert locate(UePosition(0.0, 0.0), GRID) == CellIndex(0, 0)
 
 
 def test_locate_outer_corner():
     phi = math.nextafter(TWO_PI, 0.0)
-    assert locate(UePosition(0, 1000.0, phi), GRID) == CellIndex(2, 17)
+    assert locate(UePosition(1000.0, phi), GRID) == CellIndex(2, 17)
 
 
 def test_locate_boundary_goes_to_higher_index():
     # On an interior boundary the point belongs to the outer/next interval.
     r_boundary = 1000.0 / 3
-    assert locate(UePosition(0, r_boundary, 0.0), GRID).annulus == 1
+    assert locate(UePosition(r_boundary, 0.0), GRID).annulus == 1
     phi_boundary = TWO_PI / 18
-    assert locate(UePosition(0, 10.0, phi_boundary), GRID).sector == 1
+    assert locate(UePosition(10.0, phi_boundary), GRID).sector == 1
 
 
 def test_locate_out_of_cell():
     with pytest.raises(ValueError):
-        locate(UePosition(0, 1000.1, 0.0), GRID)
+        locate(UePosition(1000.1, 0.0), GRID)
 
 
 def test_locate_matches_boundary_oracle():
@@ -155,7 +158,7 @@ def test_locate_matches_boundary_oracle():
 @settings(max_examples=200, deadline=None)
 def test_locate_total_and_in_bounds(r, phi, n_annuli, n_sectors):
     grid = PartitionGrid(n_annuli=n_annuli, n_sectors=n_sectors, cell_radius=1000.0)
-    cell = locate(UePosition(0, r, phi), grid)
+    cell = locate(UePosition(r, phi), grid)
     assert 0 <= cell.annulus < n_annuli
     assert 0 <= cell.sector < n_sectors
 
@@ -166,22 +169,22 @@ def test_locate_total_and_in_bounds(r, phi, n_annuli, n_sectors):
 
 def test_join_single_ue_zooms_to_annulus_boundary():
     state = CpzState(GRID)
-    state.join(UePosition("a", 550.0, 0.1))
+    state.join(UePosition(550.0, 0.1))
     assert state.per_sector_zoom == {0: 2 * 1000.0 / 3}
 
 
 def test_join_same_cell_leaves_zoom_unchanged():
     state = CpzState(GRID)
-    state.join(UePosition("a", 550.0, 0.1))
+    state.join(UePosition(550.0, 0.1))
     before = dict(state.per_sector_zoom)
-    state.join(UePosition("b", 500.0, 0.12))
+    state.join(UePosition(500.0, 0.12))
     assert state.per_sector_zoom == before
 
 
 def test_join_closer_ue_keeps_sector_zoom():
     state = CpzState(GRID)
-    state.join(UePosition("far", 900.0, 0.1))
-    state.join(UePosition("near", 150.0, 0.1))
+    state.join(UePosition(900.0, 0.1))
+    state.join(UePosition(150.0, 0.1))
     assert state.per_sector_zoom == {0: 1000.0}
 
 
@@ -191,11 +194,12 @@ def test_per_sector_zoom_is_read_only():
         state.per_sector_zoom = {0: 1000.0}
 
 
-def test_join_duplicate_rejected():
+def test_join_same_position_twice_is_two_users():
     state = CpzState(GRID)
-    state.join(UePosition("a", 550.0, 0.1))
-    with pytest.raises(ValueError):
-        state.join(UePosition("a", 600.0, 0.2))
+    state.join(UePosition(550.0, 0.1))
+    state.join(UePosition(550.0, 0.1))
+    assert state.ue_positions() == [UePosition(550.0, 0.1)] * 2
+    assert [state.sector_of(i) for i in range(2)] == [0, 0]
 
 
 def test_join_prefixes_match_recomputation():
@@ -204,7 +208,7 @@ def test_join_prefixes_match_recomputation():
     state = CpzState(GRID)
     for i, pos in enumerate(positions):
         state.join(pos)
-        assert state.ue_positions() == {pos.ue_id: pos for pos in positions[: i + 1]}
+        assert state.ue_positions() == positions[: i + 1]
         assert state.per_sector_zoom == recompute_zooms(GRID, positions[: i + 1])
 
 
@@ -220,7 +224,7 @@ def test_join_order_does_not_matter():
         for pos in positions:
             state.join(pos)
         assert state.per_sector_zoom == reference.per_sector_zoom
-        assert state.ue_positions() == reference.ue_positions()
+        assert Counter(state.ue_positions()) == Counter(reference.ue_positions())
 
 
 def test_zoom_dominates_every_occupant():
@@ -244,7 +248,7 @@ def test_coverage_empty_state():
 
 def test_coverage_single_ue():
     state = CpzState(GRID)
-    state.join(UePosition(0, 420.0, 2.0))
+    state.join(UePosition(420.0, 2.0))
     entries = state.coverage_requirements()
     assert len(entries) == 1
     assert entries[0].theta == pytest.approx(TWO_PI / 18)
@@ -255,7 +259,7 @@ def test_coverage_all_sectors_outer_annulus():
     state = CpzState(GRID)
     width = TWO_PI / 18
     for s in range(18):
-        state.join(UePosition(s, 950.0, (s + 0.5) * width))
+        state.join(UePosition(950.0, (s + 0.5) * width))
     entries = state.coverage_requirements()
     # Enumerate expectations sector by sector.
     assert [e.sector for e in entries] == list(range(18))
@@ -266,7 +270,7 @@ def test_coverage_all_sectors_outer_annulus():
 def test_max_zoom_tracks_farthest_sector():
     state = CpzState(GRID)
     assert state.max_zoom() is None
-    state.join(UePosition(0, 150.0, 0.1))
+    state.join(UePosition(150.0, 0.1))
     assert state.max_zoom() == pytest.approx(1000.0 / 3)
-    state.join(UePosition(1, 900.0, 3.0))
+    state.join(UePosition(900.0, 3.0))
     assert state.max_zoom() == 1000.0

@@ -51,9 +51,9 @@ def total_power(kind, state):
 
 def random_state(rng, n_ues, grid=GRID):
     state = CpzState(grid)
-    for i in range(n_ues):
+    for _ in range(n_ues):
         r = math.sqrt(BUDGET.r0**2 + rng.random() * (grid.cell_radius**2 - BUDGET.r0**2))
-        state.join(UePosition(i, r, rng.random() * TWO_PI))
+        state.join(UePosition(r, rng.random() * TWO_PI))
     return state
 
 
@@ -79,13 +79,13 @@ def test_zooming_empty_cell_sleeps():
 
 
 def test_zooming_middle_annulus():
-    state = state_with([UePosition(0, 550.0, 0.1)])
+    state = state_with([UePosition(550.0, 0.1)])
     p = total_power(SchemeKind.ZOOMING, state)
     assert p == pytest.approx(analytic_power(2000.0 / 3), rel=1e-12)
 
 
 def test_zooming_attains_always_max_with_outer_ue():
-    state = state_with([UePosition(0, 980.0, 0.1)])
+    state = state_with([UePosition(980.0, 0.1)])
     assert total_power(SchemeKind.ZOOMING, state) == total_power(SchemeKind.ALWAYS_MAX, state)
 
 
@@ -102,7 +102,7 @@ def test_cpz_empty_cell_sleeps():
 
 
 def test_cpz_single_ue_is_one_sector_fraction():
-    state = state_with([UePosition(0, 550.0, 0.1)])
+    state = state_with([UePosition(550.0, 0.1)])
     p_zoom = total_power(SchemeKind.ZOOMING, state)
     p_cpz = total_power(SchemeKind.CPZ, state)
     assert p_cpz == pytest.approx(p_zoom / 18, rel=1e-12)
@@ -110,7 +110,7 @@ def test_cpz_single_ue_is_one_sector_fraction():
 
 def test_cpz_full_outer_ring_degenerates_to_zooming():
     width = TWO_PI / 18
-    state = state_with([UePosition(s, 900.0, (s + 0.5) * width) for s in range(18)])
+    state = state_with([UePosition(900.0, (s + 0.5) * width) for s in range(18)])
     p_cpz = total_power(SchemeKind.CPZ, state)
     # Full coverage: bit-for-bit equal to the zooming and always-max powers.
     assert p_cpz == total_power(SchemeKind.ZOOMING, state)
@@ -130,8 +130,8 @@ def test_scheme_ordering_exact_on_random_scenarios():
 def test_cpz_additive_over_sectors():
     # Two occupied sectors with known zooms: sum of the two fractions.
     state = state_with([
-        UePosition(0, 550.0, 0.1),                # sector 0, zoom 2000/3
-        UePosition(1, 900.0, 1.5 * TWO_PI / 18),  # sector 1, zoom 1000
+        UePosition(550.0, 0.1),                # sector 0, zoom 2000/3
+        UePosition(900.0, 1.5 * TWO_PI / 18),  # sector 1, zoom 1000
     ])
     expected = (analytic_power(2000.0 / 3) + analytic_power(1000.0)) / 18
     assert total_power(SchemeKind.CPZ, state) == pytest.approx(expected, rel=1e-12)
@@ -142,9 +142,9 @@ def test_cpz_sector_refinement_never_costs_more():
     for trial in range(50):
         n_ues = rng.randint(1, 20)
         positions = []
-        for i in range(n_ues):
+        for _ in range(n_ues):
             r = math.sqrt(BUDGET.r0**2 + rng.random() * (1000.0**2 - BUDGET.r0**2))
-            positions.append(UePosition(i, r, rng.random() * TWO_PI))
+            positions.append(UePosition(r, rng.random() * TWO_PI))
         coarse = CpzState(PartitionGrid(3, 18, 1000.0))
         fine = CpzState(PartitionGrid(3, 36, 1000.0))
         for pos in positions:
@@ -223,8 +223,8 @@ def test_single_sector_cluster_ee_ratio():
     # angular fraction, so the EE ratio is exactly the sector count.
     rng = random.Random(37)
     width = TWO_PI / 18
-    positions = [UePosition(i, rng.uniform(700.0, 1000.0), rng.uniform(0, width * 0.99))
-                 for i in range(8)]
+    positions = [UePosition(rng.uniform(700.0, 1000.0), rng.uniform(0, width * 0.99))
+                 for _ in range(8)]
     state = state_with(positions)
     zoom = evaluate_scheme(SchemeKind.ZOOMING, state, BUDGET, TARGET, K, M)
     cpz = evaluate_scheme(SchemeKind.CPZ, state, BUDGET, TARGET, K, M)
@@ -238,8 +238,8 @@ def test_ee_ordering_when_rates_are_equal():
     # the edge-dimensioned power, so rates match and EE orders by power alone.
     rng = random.Random(43)
     width = TWO_PI / 18
-    positions = [UePosition(i, rng.uniform(700.0, 1000.0), rng.uniform(0, 3 * width))
-                 for i in range(9)]
+    positions = [UePosition(rng.uniform(700.0, 1000.0), rng.uniform(0, 3 * width))
+                 for _ in range(9)]
     state = state_with(positions)
     reports = {kind: evaluate_scheme(kind, state, BUDGET, TARGET, K, M)
                for kind in SCHEME_ORDER}
@@ -262,28 +262,28 @@ def test_every_served_ue_meets_target_rate():
 
 def test_effective_power_is_sector_zoom_power():
     state = state_with([
-        UePosition("inner", 200.0, 0.05),         # sector 0, zoom 1000/3
-        UePosition("outer", 900.0, 1.5 * TWO_PI / 18),  # sector 1, zoom 1000
+        UePosition(200.0, 0.05),               # user 0: sector 0, zoom 1000/3
+        UePosition(900.0, 1.5 * TWO_PI / 18),  # user 1: sector 1, zoom 1000
     ])
     regions = powered_regions(SchemeKind.CPZ, state)
-    assert regions == [Region(1, 1000.0 / 3, ("inner",)), Region(1, 1000.0, ("outer",))]
-    eff = {ue_id: required_bs_power(region.zoom, TARGET, K, M, BUDGET)
-           for region in regions for ue_id in region.members}
-    assert eff["inner"] == pytest.approx(analytic_power(1000.0 / 3), rel=1e-12)
-    assert eff["outer"] == pytest.approx(analytic_power(1000.0), rel=1e-12)
+    assert regions == [Region(1, 1000.0 / 3, (0,)), Region(1, 1000.0, (1,))]
+    eff = {i: required_bs_power(region.zoom, TARGET, K, M, BUDGET)
+           for region in regions for i in region.members}
+    assert eff[0] == pytest.approx(analytic_power(1000.0 / 3), rel=1e-12)
+    assert eff[1] == pytest.approx(analytic_power(1000.0), rel=1e-12)
     # Zooming backs everyone with the global zoom power.
     (zoom_region,) = powered_regions(SchemeKind.ZOOMING, state)
-    assert zoom_region == Region(18, 1000.0, ("inner", "outer"))
+    assert zoom_region == Region(18, 1000.0, (0, 1))
     assert required_bs_power(zoom_region.zoom, TARGET, K, M, BUDGET) == \
         pytest.approx(analytic_power(1000.0), rel=1e-12)
 
 
 def test_shadowing_factor_moves_rates():
-    state = state_with([UePosition(0, 550.0, 0.1)])
+    # psi[i] fades user i alone.
+    state = state_with([UePosition(550.0, 0.1), UePosition(550.0, 3.0)])
     base = per_ue_rates(SchemeKind.ZOOMING, state, BUDGET, TARGET, K, M)
-    faded = per_ue_rates(SchemeKind.ZOOMING, state, BUDGET, TARGET, K, M, psi={0: 0.1})
-    boosted = per_ue_rates(SchemeKind.ZOOMING, state, BUDGET, TARGET, K, M, psi={0: 10.0})
-    assert faded[0] < base[0] < boosted[0]
+    faded = per_ue_rates(SchemeKind.ZOOMING, state, BUDGET, TARGET, K, M, psi=[0.1, 10.0])
+    assert faded[0] < base[0] == base[1] < faded[1]
 
 
 def test_guard_rejects_nan_power(monkeypatch):
@@ -291,7 +291,7 @@ def test_guard_rejects_nan_power(monkeypatch):
     # required_bs_power itself raises on NaN, so only a stand-in can hand one over.
     monkeypatch.setattr(schemes, "required_bs_power", lambda *args: float("nan"))
     with pytest.raises(RuntimeError, match="exceeds the always-max budget"):
-        evaluate_scheme(SchemeKind.CPZ, state_with([UePosition(0, 550.0, 0.1)]),
+        evaluate_scheme(SchemeKind.CPZ, state_with([UePosition(550.0, 0.1)]),
                         BUDGET, TARGET, K, M)
 
 
@@ -307,8 +307,8 @@ def scenarios(draw):
     points = draw(st.lists(st.tuples(st.floats(budget.r0, radius), st.floats(0.0, TWO_PI)),
                            max_size=25))
     state = CpzState(grid)
-    for i, (r, phi) in enumerate(points):
-        state.join(UePosition(i, r, phi))
+    for r, phi in points:
+        state.join(UePosition(r, phi))
     return state, budget
 
 
@@ -321,12 +321,12 @@ def test_region_rule_properties(scenario):
     totals = {}
     for kind in SCHEME_ORDER:
         regions = powered_regions(kind, state)
-        members = [ue_id for region in regions for ue_id in region.members]
+        members = [i for region in regions for i in region.members]
         # Disjoint, and every user is served (the sleeping cell has no users).
-        assert sorted(members) == sorted(positions)
+        assert sorted(members) == list(range(len(positions)))
         for region in regions:
-            for ue_id in region.members:
-                annulus = locate(positions[ue_id], grid).annulus
+            for i in region.members:
+                annulus = locate(positions[i], grid).annulus
                 assert grid.annulus_outer_radius(annulus) <= region.zoom
         report = evaluate_scheme(kind, state, budget, TARGET, K, M)
         assert sum(region.wedges for region in regions) == report.n_active_sectors
@@ -334,7 +334,7 @@ def test_region_rule_properties(scenario):
         if kind is SchemeKind.CPZ:
             sectors = []
             for region in regions:
-                (sector,) = {state.sector_of(ue_id) for ue_id in region.members}
+                (sector,) = {state.sector_of(i) for i in region.members}
                 assert region.wedges == 1
                 assert region.zoom == state.per_sector_zoom[sector]
                 sectors.append(sector)

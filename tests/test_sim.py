@@ -71,7 +71,7 @@ def test_config_rejects_arc_cluster_outside_grid():
 
 
 def test_config_rejects_more_fixed_positions_than_k_users():
-    positions = tuple(UePosition(i, 500.0, 0.1 * i) for i in range(4))
+    positions = tuple(UePosition(500.0, 0.1 * i) for i in range(4))
     with pytest.raises(ValueError, match="4 positions, more than k_users = 3"):
         make_config(k_users=3, placement=FixedPlacement(positions))
     assert make_config(k_users=4, placement=FixedPlacement(positions)).k_users == 4
@@ -79,12 +79,10 @@ def test_config_rejects_more_fixed_positions_than_k_users():
 
 def test_config_rejects_bad_fixed_positions():
     with pytest.raises(ValueError):
-        make_config(placement=FixedPlacement((UePosition(0, 50.0, 0.0),)))  # inside r0
-    with pytest.raises(ValueError):
-        make_config(placement=FixedPlacement((UePosition(0, 1200.0, 0.0),)))  # outside cell
-    with pytest.raises(ValueError):
+        make_config(placement=FixedPlacement((UePosition(50.0, 0.0),)))  # inside r0
+    with pytest.raises(ValueError, match=r"^fixed position 1 at r=1200.0 m outside"):
         make_config(placement=FixedPlacement(
-            (UePosition(0, 500.0, 0.0), UePosition(0, 600.0, 1.0))))  # duplicate id
+            (UePosition(500.0, 0.0), UePosition(1200.0, 0.0))))  # outside cell
 
 
 FLOAT_FIELDS = [(LinkBudget, name) for name in ("path_gain_g", "r0", "alpha", "shadow_sigma_db",
@@ -125,7 +123,7 @@ def test_records_with_equal_fields_of_different_classes_differ():
 
 
 def test_fixed_placement_returned_verbatim():
-    positions = (UePosition(0, 500.0, 1.0), UePosition(1, 700.0, 2.0))
+    positions = (UePosition(500.0, 1.0), UePosition(700.0, 2.0))
     config = make_config(placement=FixedPlacement(positions))
     assert place_ues(config, 0) == list(positions)
     assert place_ues(config, 5) == list(positions)
@@ -244,9 +242,18 @@ def test_arc_cluster_multiple_sectors():
 # run_comparison
 
 
+def test_fixed_placement_may_list_one_position_twice():
+    one = make_config(placement=FixedPlacement((UePosition(550.0, 0.1),)), n_trials=1)
+    two = replace(one, placement=FixedPlacement((UePosition(550.0, 0.1),) * 2))
+    (single,), (double,) = (trial_reports(run_comparison(config)) for config in (one, two))
+    for alone, twice in zip(single, double):
+        assert twice.total_power == alone.total_power
+        assert twice.sum_rate == 2 * alone.sum_rate
+
+
 def test_run_comparison_single_fixed_ue():
     config = make_config(
-        placement=FixedPlacement((UePosition(0, 550.0, 0.1),)), n_trials=1)
+        placement=FixedPlacement((UePosition(550.0, 0.1),)), n_trials=1)
     (reports,) = trial_reports(run_comparison(config))
     assert [r.scheme for r in reports] == [SchemeKind.ALWAYS_MAX, SchemeKind.ZOOMING,
                                            SchemeKind.CPZ]
@@ -358,7 +365,7 @@ def test_sweep_sectors_ee_nondecreasing():
 
 
 def test_sweep_sectors_uses_fixed_placement_verbatim():
-    positions = (UePosition(0, 980.0, 0.05), UePosition(1, 960.0, 0.08))
+    positions = (UePosition(980.0, 0.05), UePosition(960.0, 0.08))
     config = make_config(placement=FixedPlacement(positions), n_trials=1)
     run = sweep_sectors(config, [1, 18])
     cpz = {row.sweep_var: row.mean_total_power for row in run.rows
@@ -577,14 +584,24 @@ def test_csv_of_no_reports_is_the_header_line():
     assert format_records_csv({}) == CSV_HEADER + "\n"
 
 
-def test_cli_import_leaves_the_csv_formatter_unloaded():
-    # Loaded where the CSV is written, so no command compiles it at start-up.
+def loaded_by_cli_import(module):
+    """'True' or 'False': whether `import cpzsim.cli` in a new interpreter loads `module`."""
     src = os.path.dirname(os.path.dirname(sim.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); import cpzsim.cli; "
-            "print('cpzsim._float_text' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_the_csv_formatter_unloaded():
+    # Loaded where the CSV is written, so no command compiles it at start-up.
+    assert loaded_by_cli_import("cpzsim._float_text") == "False"
+
+
+def test_cli_import_leaves_json_unloaded():
+    # Loaded where a config is read or a sidecar written; verify does neither.
+    assert loaded_by_cli_import("json") == "False"
 
 
 def test_cli_import_compiles_generated_source_only_for_named_tuples():
