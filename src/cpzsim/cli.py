@@ -11,6 +11,7 @@ CPZ_SIM_SEED environment variable is the fallback seed.
 
 import argparse
 import dataclasses
+import gc
 import math
 import os
 import sys
@@ -345,6 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Once per process, so no collection, in the run or at exit, walks the import-time heap.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,7 +5,8 @@ Gaussian entries (K users, M base-station antennas, K << M in the massive
 regime). Zero-forcing precoding inverts the channel so every user sees an
 interference-free link whose SINR is governed by the inverse Gram trace;
 for large arrays that trace concentrates around K/(M-K), which yields the
-ergodic sum-rate closed form used throughout the simulator. Seeded channels
+sum-rate closed form used throughout the simulator: the lower bound on the
+ergodic ZF rate of Ngo, Larsson & Marzetta (IEEE TCOM 2013). Seeded channels
 are the successive draws of stream (seed, CHANNEL); the Monte Carlo trace
 draws its Grams from their law, by Bartlett's decomposition (Goodman 1963).
 
@@ -205,7 +206,7 @@ def per_ue_rate(bandwidth: float, sinr: float) -> float:
 
 
 def sum_rate_closed_form(k_users: int, m_antennas: int, rho: float, bandwidth: float) -> float:
-    """Ergodic ZF sum rate K * B * log2(1 + rho * (M - K)) in bit/s."""
+    """ZF sum rate K * B * log2(1 + rho * (M - K)) in bit/s, a lower bound on the ergodic one."""
     if k_users < 1:
         raise ValueError("k_users must be positive")
     if m_antennas <= k_users:

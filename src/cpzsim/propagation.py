@@ -128,7 +128,11 @@ def snr_rho(p_bs: float, k_users: int, r: float, budget: LinkBudget,
 
 def required_snr(target_rate_per_ue: float, bandwidth: float, k_users: int,
                  m_antennas: int) -> float:
-    """Per-user SNR at which the ergodic ZF rate equals the target; positive and finite."""
+    """Per-user SNR at which the ZF rate equals the target; positive and finite.
+
+    The rate B * log2(1 + rho * (M - K)) is not the ergodic ZF rate but its lower
+    bound (Ngo, Larsson & Marzetta, IEEE TCOM 2013).
+    """
     if target_rate_per_ue <= 0:
         raise ValueError("target rate must be positive")
     if bandwidth <= 0:

@@ -53,6 +53,13 @@ MUTANTS = [
      "edits": [("if r < budget.r0:", "if r <= budget.r0:")],
      "killed_by": ["tests/test_propagation.py::test_received_power_at_reference_distance",
                    "tests/test_propagation.py::test_snr_unit_point"]},
+    {"id": "sizing_ignores_path_gain_g", "file": PROPAGATION,
+     "edits": [("power = rho_req * k_users * budget.noise_n0 * path_loss / budget.path_gain_g",
+                "power = rho_req * k_users * budget.noise_n0 * path_loss")],
+     "killed_by": ["tests/test_metamorphic.py::test_power_is_inverse_in_path_gain_g[3-unit]",
+                   "tests/test_metamorphic.py::test_power_is_inverse_in_path_gain_g[-4-lognormal]",
+                   "tests/test_propagation.py::"
+                   "test_required_power_rejects_zero_or_infinite_power[1e-09-1e+300-0.0]"]},
     {"id": "sizing_lets_nan_through", "file": PROPAGATION,
      "edits": [("if not 0.0 < power < math.inf:", "if power in (0.0, math.inf):")],
      "killed_by": ["tests/test_propagation.py::test_required_power_rejects_nan_power",

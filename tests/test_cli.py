@@ -825,6 +825,52 @@ def test_monte_carlo_trace_does_not_depend_on_simd_dispatch_or_blas_kernels():
 
 
 # ---------------------------------------------------------------------------
+# the frozen heap
+
+
+def test_main_freezes_the_heap_once_and_later_garbage_is_still_collected():
+    # A fresh interpreter: main moves the import-time heap to gc's permanent
+    # generation on its first call only, and a cycle made afterwards still dies.
+    code = child_code(
+        "import contextlib, gc, io, weakref; from cpzsim import cli\n"
+        "before = gc.get_freeze_count()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rcs = [cli.main(['verify', '--trials', '100'])]\n"
+        "    frozen = gc.get_freeze_count()\n"
+        "    rcs.append(cli.main(['verify', '--trials', '100']))\n"
+        "    again = gc.get_freeze_count()\n"
+        "class Node: pass\n"
+        "node = Node(); node.self = node; alive = weakref.ref(node); del node\n"
+        "gc.collect()\n"
+        "print(before, frozen > 0, again == frozen, rcs, alive() is None)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 True True [0, 0] True\n"
+
+
+def test_exit_through_sys_exit_gives_the_in_process_bytes_and_codes(tmp_path, capsys):
+    # Process exit after the freeze still flushes stdout and stderr and keeps
+    # main's exit code: a simulate run (0) and a bad config (2) in a child
+    # process give the bytes and codes they give in this one.
+    code = child_code("from cpzsim import cli; sys.exit(cli.main(sys.argv[1:]))")
+    bad = write_config(tmp_path, {"n_trials": 3, "no_such_key": 1}, "bad.json")
+    runs = [(["simulate", "--trials", "200", "--seed", "3"], 0),
+            (["simulate", "--config", bad], 2)]
+    for i, (argv, rc) in enumerate(runs):
+        here, child = tmp_path / f"here{i}.csv", tmp_path / f"child{i}.csv"
+        assert run_cli(argv + ["--out", str(here)]) == rc
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(child)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == rc, proc.stderr
+        assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+        assert child.exists() == here.exists() == (rc == 0)
+        if rc == 0:
+            assert child.read_bytes() == here.read_bytes()
+
+
+# ---------------------------------------------------------------------------
 # seed precedence
 
 
