@@ -262,6 +262,38 @@ def _rates(budget: LinkBudget, k_users: int, m_antennas: int, faded: np.ndarray,
         return budget.bandwidth * libm(math.log2, 1.0 + sinr)
 
 
+def _ring_powers(size, rings: np.ndarray) -> np.ndarray:
+    """The sizing stage: size(a) of each annulus a of 1-d rings, 0.0 for -1; new a ascending."""
+    distinct, index = np.unique(rings, return_inverse=True)
+    return np.array([size(a) if a >= 0 else 0.0 for a in distinct.tolist()])[index]
+
+
+def _cpz_plan(size, n_sectors: int, annulus: np.ndarray, sector: np.ndarray,
+              order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cpz's (total, ring, region count) on a grid; annulus and sector in angle order `order`.
+
+    In that order each row's sectors ascend and a sector's region sits at its
+    first user; ring, the annulus each user is served out to, is in user order.
+    """
+    first = np.ones(sector.shape, dtype=bool)
+    first[:, 1:] = sector[:, 1:] != sector[:, :-1]
+    starts = np.flatnonzero(first)
+    tops = np.maximum.reduceat(annulus.ravel(), starts)
+    sized = np.zeros(sector.shape)
+    sized.flat[starts] = _ring_powers(size, tops)
+    ring = np.empty(sector.shape, dtype=np.int64)
+    np.put_along_axis(ring, order, tops[np.cumsum(first) - 1].reshape(sector.shape), axis=1)
+    return _total_powers(sized, n_sectors), ring, first.sum(axis=1)
+
+
+def _guard(columns: Sequence[SchemeColumns], powers: np.ndarray, p_max: float) -> None:
+    """The budget guard: _check_budget on the first powers[k, t] over p_max, trial-major."""
+    over = ~(powers <= p_max)
+    if over.any():
+        t, k = np.argwhere(over.T)[0]
+        _check_budget(columns[k].scheme, powers[k, t].item(), p_max)
+
+
 def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_target: float,
                      k_users: int, m_antennas: int, r: np.ndarray, phi: np.ndarray,
                      psi: np.ndarray | None = None) -> list[tuple[SchemeColumns, ...]]:
@@ -282,12 +314,14 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
     calls the oracle's _sum or _total_power). Trial t of a grid's columns holds
     the reports of evaluate_scheme on row t's users on that grid, float for float. The error
     raised is the one a call per grid would raise first; on one grid, errors
-    come block by block and, within a block, stage by stage: link (ValueError
-    for a distance outside [r0, R] or a factor that is not positive and
-    finite), ring sizing (ValueError for a power of 0 or inf; a grid's cpz
-    rings in ascending order), the budget guard in trial-major order (RuntimeError
-    for a total above the budget), edge rates and sums, then each scheme's
-    rates, sums and EE (ValueError for an SINR that is not finite, a sum rate
+    come block by block and, within a block, stage by stage: _link_gains
+    (ValueError for a distance outside [r0, R] or a factor that is not
+    positive and finite), _ring_powers and _cpz_plan (ValueError for a power
+    of 0 or inf; a pass over the grids sizes each annulus at most once, and
+    each _ring_powers call sizes its new annuli in ascending order), _guard
+    (RuntimeError for a total above the budget, the first in trial-major
+    order), _rates and _row_sums at the edge ring, then each scheme's _rates,
+    _row_sums and EE (ValueError for an SINR that is not finite, a sum rate
     or an EE that overflows).
     """
     try:
@@ -310,30 +344,10 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
     p_max = required_bs_power(budget.cell_radius_r, rate_target, k_users, m_antennas, budget)
 
     @functools.cache
-    def ring_power(a: int) -> float:
-        # P(zoom) of an annulus, sized when a region first reaches it: only
-        # those, as in the scalar path, since rings inside r0 cannot be sized.
+    def size(a: int) -> float:
+        # P(zoom) of an annulus, sized once a region reaches it: rings inside r0 cannot be.
         return required_bs_power(grid.annulus_outer_radius(a), rate_target, k_users,
                                  m_antennas, budget)
-
-    def ring_powers(rings: np.ndarray) -> np.ndarray:
-        # ring_power of each annulus in a 1-d array, sized in ascending order; 0.0 for -1.
-        distinct, index = np.unique(rings, return_inverse=True)
-        return np.array([ring_power(a) if a >= 0 else 0.0 for a in distinct.tolist()])[index]
-
-    def plan(n_sectors: int, annulus: np.ndarray, sector: np.ndarray, order: np.ndarray):
-        # cpz's (power, ring, n_regions) on a grid. annulus and sector are in the
-        # angle order of users `order`, so each row's sectors ascend and a
-        # sector's region sits at its first user; ring goes back to user order.
-        first = np.ones(sector.shape, dtype=bool)
-        first[:, 1:] = sector[:, 1:] != sector[:, :-1]
-        starts = np.flatnonzero(first)
-        tops = np.maximum.reduceat(annulus.ravel(), starts)
-        sized = np.zeros(sector.shape)
-        sized.flat[starts] = ring_powers(tops)
-        ring = np.empty(sector.shape, dtype=np.int64)
-        np.put_along_axis(ring, order, tops[np.cumsum(first) - 1].reshape(sector.shape), axis=1)
-        return _total_powers(sized, n_sectors), ring, first.sum(axis=1)
 
     n = len(r)
     # always-max's and zooming's columns, then cpz's of each grid; n_active_sectors
@@ -354,15 +368,11 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         # Plans in column order; _total_power([(n, P)], n) == P: always-max's and
         # zooming's totals are ring powers.
         tops = (np.full(len(rb), edge), annulus.max(axis=1, initial=-1))
-        plans = [(ring_powers(top), top[:, None], top >= 0) for top in tops]
-        plans += [plan(each.n_sectors, annulus, cell_indices(each, rb, phib)[1] if g else sector,
-                       order) for g, each in enumerate(grids)]
-        powers = np.stack([power for power, _, _ in plans])
-        over = ~(powers <= p_max)
-        if over.any():
-            t, k = np.argwhere(over.T)[0]
-            _check_budget(columns[k].scheme, powers[k, t].item(), p_max)
-        edge_rates = _rates(budget, k_users, m_antennas, faded, ring_power(edge))
+        plans = [(_ring_powers(size, top), top[:, None], top >= 0) for top in tops]
+        plans += [_cpz_plan(size, each.n_sectors, annulus, cell_indices(each, rb, phib)[1]
+                            if g else sector, order) for g, each in enumerate(grids)]
+        _guard(columns, np.stack([power for power, _, _ in plans]), p_max)
+        edge_rates = _rates(budget, k_users, m_antennas, faded, size(edge))
         edge_sums = _row_sums(edge_rates)
         for cols, (power, ring, n_regions) in zip(columns, plans):
             # A user served out to the edge ring has its edge rate: only the
@@ -374,7 +384,7 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
                 ring = ring[mixed]
                 inner, scheme_rates = ring != edge, edge_rates[mixed]
                 scheme_rates[inner] = _rates(budget, k_users, m_antennas, faded[mixed][inner],
-                                             ring_powers(ring[inner]))
+                                             _ring_powers(size, ring[inner]))
                 sum_rate[mixed] = _row_sums(scheme_rates)
             sleeping = power == 0
             with np.errstate(over="ignore"):

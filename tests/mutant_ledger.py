@@ -100,6 +100,16 @@ MUTANTS = [
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
                    "tests/test_sums.py::test_sums_are_strict_left_folds",
                    "tests/test_sums.py::test_row_sums_match_sum_row_by_row"]},
+    # The kernel's sizing and budget guard: new annuli sized in ascending order,
+    # and the first total over budget reported in trial-major order.
+    {"id": "sizing_descending", "file": SCHEMES,
+     "edits": [("[size(a) if a >= 0 else 0.0 for a in distinct.tolist()]",
+                "[size(a) if a >= 0 else 0.0 for a in distinct.tolist()[::-1]][::-1]")],
+     "killed_by": ["tests/test_kernel.py::test_kernel_sizes_each_annulus_once_in_ascending_order"]},
+    {"id": "guard_scheme_major", "file": SCHEMES,
+     "edits": [("t, k = np.argwhere(over.T)[0]", "k, t = np.argwhere(over)[0]")],
+     "killed_by": ["tests/test_kernel.py::"
+                   "test_kernel_guard_reports_first_trial_in_trial_major_order"]},
     # CSV text passes: chunks over the same trials only, and at most _CSV_PASS floats.
     {"id": "text_pass_over_different_trials", "file": SIM,
      "edits": [("(chunk != chunks[0][2]\n                           or len(arrays | fields)",

@@ -44,3 +44,12 @@ def test_tier1_job_has_a_timeout():
     minutes = re.search(r"^    timeout-minutes: (\d+)$", job, re.M)
     assert minutes, "the tier1 job sets no timeout-minutes"
     assert 0 < int(minutes.group(1)) <= 60
+
+
+def test_workflow_token_can_only_read_the_repository():
+    # Least privilege: checkout needs contents: read, and nothing writes. A
+    # job-level permissions block would override the workflow's.
+    block = re.search(r"^permissions:\n((?:  .*\n)*)", WORKFLOW, re.M)
+    assert block, "the workflow sets no top-level permissions"
+    assert block.group(1) == "  contents: read\n"
+    assert WORKFLOW.count("permissions:") == 1

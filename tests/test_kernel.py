@@ -229,6 +229,42 @@ def test_kernel_guard_reports_first_trial_in_trial_major_order(monkeypatch):
     assert str(error.value) == f"cpz power {2 * p_max} exceeds the always-max budget {p_max}"
 
 
+def test_kernel_sizes_each_annulus_once_in_ascending_order(monkeypatch):
+    # The sizing contract of _evaluate_trials' docstring. Past p_max, every
+    # required_bs_power call comes from a _ring_powers call; a pass over the
+    # grids sizes each annulus at most once, and each _ring_powers call sizes
+    # the annuli new to it in ascending order.
+    budget, target, k, m = LinkBudget(), 2e7, 10, 200
+    outside, calls, current = [], [], [None]
+    ring_powers = schemes._ring_powers
+
+    def sizing(d, *args):
+        (outside if current[0] is None else current[0]).append(d)
+        return required_bs_power(d, *args)
+
+    def spy(size, rings):
+        current[0] = []
+        calls.append(current[0])
+        try:
+            return ring_powers(size, rings)
+        finally:
+            current[0] = None
+
+    monkeypatch.setattr(schemes, "required_bs_power", sizing)
+    monkeypatch.setattr(schemes, "_ring_powers", spy)
+    monkeypatch.setattr(schemes, "_BLOCK", 64)
+    u = np.random.default_rng(3).random((150, 2 * k))
+    r, phi = 100.0 + 900.0 * u[:, :k], TWO_PI * u[:, k:]
+    grids = [PartitionGrid(8, count) for count in (1, 6, 18)]
+    schemes._evaluate_trials(grids, budget, target, k, m, r, phi)
+    assert outside == [budget.cell_radius_r]
+    sized = [d for call in calls for d in call]
+    assert sorted(sized) == sorted(set(sized)) == [grids[0].annulus_outer_radius(a)
+                                                   for a in range(8)]
+    assert all(call == sorted(call) for call in calls)
+    assert max(len(call) for call in calls) > 1
+
+
 def test_kernel_reports_errors_grid_by_grid(monkeypatch):
     # Sector counts share one kernel call, yet the error raised is the one a call
     # per count would meet first: grid 1's error on trial 0 waits for grid 0's trials.
