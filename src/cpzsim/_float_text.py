@@ -5,7 +5,9 @@ Digits are Ryu's d2d (U. Adams, "Ryū: fast float-to-string conversion", PLDI
 from integer arithmetic alone (products of up to 182 bits in 28-bit limbs of
 int64). The layout is CPython's repr rule: scientific form iff the decimal
 point position decpt <= -4 or decpt > 16, exponents of at least two digits,
-and ".0" after a whole number in positional form.
+and ".0" after a whole number in positional form. Ryu's tables hold a column
+per biased exponent, filled the first time a _float_texts call meets that
+exponent and kept: module state with no lock, as every caller is single-threaded.
 """
 
 import numpy as np
@@ -17,26 +19,28 @@ _POW10 = 10 ** np.arange(19)
 _SOURCE = b"0.e+-\0"
 _ZERO, _DOT, _E, _PLUS, _MINUS = range(17, 22)
 
-
-def _ryu_tables():
-    """Per biased exponent: Ryu's multiplier in five limbs, the shift of vr
-    beyond four limbs, vr's decimal exponent, and q."""
-    pow5 = [5 ** n for n in range(342)]
-    bits5 = np.array([p.bit_length() for p in pow5])
-    # Ryu's POW5_INV_SPLIT[q] (e2 >= 0) and POW5_SPLIT[i] (e2 < 0), of 125 or 126 bits.
-    tables = [[(1 << p.bit_length() + 124) // p + 1 for p in pow5],
-              [(p << 125) >> p.bit_length() for p in pow5[:326]]]
-    inv, split = (np.array([[m >> _LIMB * j & _MASK for m in t] for j in range(5)]) for t in tables)
-    e2 = np.maximum(np.arange(2048), 1) - 1077
-    nonnegative = e2 >= 0
-    q = np.where(nonnegative, (e2 * 78913 >> 18) - (e2 > 3), (-e2 * 732923 >> 20) - (e2 < -1))
-    i = np.where(nonnegative, 0, -e2 - q)
-    limbs = np.where(nonnegative, inv[:, np.minimum(q, 341)], split[:, i])
-    shift = np.where(nonnegative, bits5[np.minimum(q, 341)] + 124 - e2 + q, q - bits5[i] + 125)
-    return limbs, shift - 4 * _LIMB, np.where(nonnegative, q, q + e2), q
+# Per biased exponent: Ryu's multiplier in five limbs, the shift of vr beyond
+# four limbs, vr's decimal exponent, q, and whether the column is filled.
+_LIMBS = np.zeros((5, 2048), np.int64)
+_SHIFT, _E10, _Q = np.zeros((3, 2048), np.int64)
+_READY = np.zeros(2048, bool)
 
 
-_LIMBS, _SHIFT, _E10, _Q = _ryu_tables()
+def _fill(biased):
+    """Fill the table columns of the biased exponents in `biased`."""
+    for b in biased.tolist():
+        e2 = max(b, 1) - 1077
+        if e2 >= 0:  # Ryu's POW5_INV_SPLIT[q], of 125 or 126 bits
+            q = (e2 * 78913 >> 18) - (e2 > 3)
+            p = 5 ** q
+            m, shift, e10 = (1 << p.bit_length() + 124) // p + 1, p.bit_length() + 124 - e2 + q, q
+        else:  # POW5_SPLIT[-e2 - q]
+            q = (-e2 * 732923 >> 20) - (e2 < -1)
+            p = 5 ** (-e2 - q)
+            m, shift, e10 = (p << 125) >> p.bit_length(), q - p.bit_length() + 125, q + e2
+        _LIMBS[:, b] = [m >> _LIMB * j & _MASK for j in range(5)]
+        _SHIFT[b], _E10[b], _Q[b] = shift - 4 * _LIMB, e10, q
+    _READY[biased] = True
 
 
 def _digit_rows(x, width):
@@ -63,6 +67,7 @@ def _bounds(bits):
     vr, vp, vm, whether vr and vm drop only zeros, even mantissa, and vr's
     decimal exponent."""
     biased, frac = bits >> 52 & 0x7FF, bits & (1 << 52) - 1
+    _fill(np.flatnonzero(np.bincount(biased, minlength=2048).astype(bool) & ~_READY))
     m2 = np.where(biased > 0, frac | 1 << 52, frac)
     mv, even, mm_shift = m2 << 2, (m2 & 1) == 0, (frac != 0) | (biased <= 1)
     # vr, vp and vm are (mv + d) * T >> shift for d = 0, 2 and -1 - mm_shift,

@@ -345,10 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Whether main has frozen the heap: gc.get_freeze_count() walks the frozen objects.
+_frozen = False
+
+
 def main(argv=None) -> int:
+    global _frozen
     # Once per process, so no collection, in the run or at exit, walks the import-time heap.
-    if not gc.get_freeze_count():
+    if not _frozen:
         gc.freeze()
+        _frozen = True
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -7,6 +7,7 @@ for a target per-user rate at a given coverage edge, which is what the
 power-allocation schemes spend.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -90,13 +91,16 @@ def libm(fn, *args) -> np.ndarray:
 
     Every transcendental on a seeded path runs in the platform libm on Python
     floats, since numpy's loops pick a SIMD code path by CPU and can move the last bit.
+    A scalar argument is passed as its one Python number, repeated, not as an array.
     """
     arrays = np.broadcast_arrays(*args)
-    columns = [memoryview(np.ravel(a)) for a in arrays]
+    columns = [itertools.repeat(np.asarray(a).item()) if np.ndim(a) == 0
+               else memoryview(np.ravel(b)) for a, b in zip(args, arrays)]
+    size = arrays[0].size
     try:
-        values = np.fromiter(map(fn, *columns), float, arrays[0].size)
+        values = np.fromiter(map(fn, *columns), float, size)
     except OverflowError:
-        values = np.array([_or_inf(fn, *xs) for xs in zip(*columns)])
+        values = np.array([_or_inf(fn, *xs) for xs in itertools.islice(zip(*columns), size)])
     return values.reshape(arrays[0].shape)
 
 

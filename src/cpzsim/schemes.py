@@ -269,11 +269,12 @@ def _ring_powers(size, rings: np.ndarray) -> np.ndarray:
 
 
 def _cpz_plan(size, n_sectors: int, annulus: np.ndarray, sector: np.ndarray,
-              order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cpz's (total, ring, region count) on a grid; annulus and sector in angle order `order`.
+              flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cpz's (total, ring, region count) on a grid; annulus and sector in angle order.
 
     In that order each row's sectors ascend and a sector's region sits at its
-    first user; ring, the annulus each user is served out to, is in user order.
+    first user; ring, the annulus each user is served out to, is in user order:
+    flat[t, j] is the flat user-order index of the j-th user of row t in angle order.
     """
     first = np.ones(sector.shape, dtype=bool)
     first[:, 1:] = sector[:, 1:] != sector[:, :-1]
@@ -282,7 +283,7 @@ def _cpz_plan(size, n_sectors: int, annulus: np.ndarray, sector: np.ndarray,
     sized = np.zeros(sector.shape)
     sized.flat[starts] = _ring_powers(size, tops)
     ring = np.empty(sector.shape, dtype=np.int64)
-    np.put_along_axis(ring, order, tops[np.cumsum(first) - 1].reshape(sector.shape), axis=1)
+    ring.put(flat, tops[np.cumsum(first) - 1])
     return _total_powers(sized, n_sectors), ring, first.sum(axis=1)
 
 
@@ -362,7 +363,8 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         # Users in angle order for the sector regions, where every grid's sectors
         # ascend along a row; faded, rates and sums stay in user order.
         order = np.argsort(phib, axis=1)
-        rb, phib = (np.take_along_axis(x, order, axis=1) for x in (rb, phib))
+        flat = order + order.shape[1] * np.arange(len(order))[:, None]
+        rb, phib = rb.take(flat), phib.take(flat)
         annulus, sector = cell_indices(grid, rb, phib)
         annulus = annulus.astype(np.int64)
         # Plans in column order; _total_power([(n, P)], n) == P: always-max's and
@@ -370,7 +372,7 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         tops = (np.full(len(rb), edge), annulus.max(axis=1, initial=-1))
         plans = [(_ring_powers(size, top), top[:, None], top >= 0) for top in tops]
         plans += [_cpz_plan(size, each.n_sectors, annulus, cell_indices(each, rb, phib)[1]
-                            if g else sector, order) for g, each in enumerate(grids)]
+                            if g else sector, flat) for g, each in enumerate(grids)]
         _guard(columns, np.stack([power for power, _, _ in plans]), p_max)
         edge_rates = _rates(budget, k_users, m_antennas, faded, size(edge))
         edge_sums = _row_sums(edge_rates)

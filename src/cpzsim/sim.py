@@ -410,5 +410,7 @@ def write_sweep_json(path, run: SweepRun) -> None:
     }
     import json  # here, not at the top: verify, which writes no sidecar, need not load it
 
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")  # one write; json.dump makes many small ones
+    # One write of bytes: json.dump makes many small writes, and a text stream
+    # would load the ascii codec. json.dumps escapes every non-ASCII character.
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(doc, indent=2) + "\n").encode("ascii"))

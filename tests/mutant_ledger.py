@@ -121,7 +121,14 @@ MUTANTS = [
      "edits": [("_CSV_PASS = 32 * 1024", "_CSV_PASS = 1 << 60")],
      "killed_by": ["tests/test_sim.py::"
                    "test_csv_writer_memory_does_not_grow_with_the_sweep_values"]},
-    # CSV floats: Ryu's shortest digits.
+    # CSV floats: Ryu's tables, filled per exponent on first use, and its shortest digits.
+    {"id": "ryu_fill_marks_without_writing", "file": FLOAT_TEXT,
+     "edits": [("        _LIMBS[:, b] = [m >> _LIMB * j & _MASK for j in range(5)]\n"
+                "        _SHIFT[b], _E10[b], _Q[b] = shift - 4 * _LIMB, e10, q\n", "")],
+     "killed_by": ["tests/test_float_text.py::test_lazy_columns_equal_an_eager_fill",
+                   "tests/test_float_text.py::"
+                   "test_every_exponent_matches_repr_in_any_batch_order[shuffled]",
+                   "tests/test_float_text.py::test_fixed_sets_match_repr"]},
     {"id": "ryu_no_vm_trailing_zeros", "file": FLOAT_TEXT,
      "edits": [("m_zero = vm_tz & (m * scale == vm)", "m_zero = vm_tz")],
      "killed_by": ["tests/test_float_text.py::test_fixed_sets_match_repr"]},

@@ -432,3 +432,21 @@ def test_empty_cell_sums_without_a_fsum_call():
         assert not np.signbit(column.sum_rate).any() and not column.sum_rate.any()
     for column in columns[1:]:  # zooming and cpz radiate +0.0
         assert not np.signbit(column.total_power).any() and not column.total_power.any()
+
+
+@pytest.mark.parametrize("rows, k", [(3, 0), (1, 1), (6, 7)])
+def test_cpz_plan_scatters_rings_back_to_user_order(rows, k):
+    # The kernel gathers a block's users into angle order, and _cpz_plan
+    # scatters ring back, through one flat index: user u of row t is served
+    # out to the top annulus of its own sector.
+    rng = np.random.default_rng(10 * rows + k)
+    annulus, sector = rng.integers(0, 4, (rows, k)), rng.integers(0, 5, (rows, k))
+    order = np.argsort(sector + rng.random((rows, k)), axis=1)
+    flat = order + k * np.arange(rows)[:, None]
+    _, ring, n_regions = schemes._cpz_plan(lambda a: a + 1.0, 5, annulus.take(flat),
+                                           sector.take(flat), flat)
+    assert ring.shape == (rows, k)
+    for t in range(rows):
+        assert n_regions[t] == len(set(sector[t].tolist()))
+        for u in range(k):
+            assert ring[t, u] == annulus[t][sector[t] == sector[t, u]].max()

@@ -16,6 +16,10 @@ move by exactly the same factor (np.array_equal, no tolerance):
   sqrt(u (R^2 - r0^2) + r0^2) and zoom radii (a + 1) R / N scale exactly
   with r0 and R, so scaling every length by a power of two changes no byte.
 
+The N0, G and bandwidth relations hold on any config: they run on the default
+config at fixed k and, through Hypothesis, on drawn K, M, n_annuli, n_sectors,
+shadowing mode and k.
+
 One relation has no exact form. A trial's users are served alike in any
 order, so permuting them moves every power, sector count and sleeping flag
 by nothing, and a sum rate only by the rounding of its left-to-right sum:
@@ -27,8 +31,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpzsim import schemes, sim
+from cpzsim.partition import PartitionGrid
 from cpzsim.propagation import DeterministicUnitShadowing, LinkBudget, LognormalShadowing
 from cpzsim.sim import (
     ArcCluster,
@@ -55,9 +62,9 @@ def base(shadowing):
     return run_comparison(config(shadowing))
 
 
-def check_scaled(shadowing, scaled, power, rate):
+def check_scaled(before, after, power, rate):
     """Every scheme's power x power, sum rate x rate and EE x rate / power, exactly."""
-    for a, b in zip(base(shadowing), run_comparison(scaled)):
+    for a, b in zip(before, after):
         assert np.array_equal(b.total_power, a.total_power * power)
         assert np.array_equal(b.sum_rate, a.sum_rate * rate)
         assert np.array_equal(b.ee, a.ee * (rate / power))
@@ -69,14 +76,14 @@ def check_scaled(shadowing, scaled, power, rate):
 @pytest.mark.parametrize("k", [2, -10])
 def test_power_is_linear_in_noise_n0(shadowing, k):
     scaled = config(shadowing, budget=replace(BUDGET, noise_n0=BUDGET.noise_n0 * 2.0 ** k))
-    check_scaled(shadowing, scaled, power=2.0 ** k, rate=1.0)
+    check_scaled(base(shadowing), run_comparison(scaled), power=2.0 ** k, rate=1.0)
 
 
 @pytest.mark.parametrize("shadowing", SHADOWING)
 @pytest.mark.parametrize("k", [3, -4])
 def test_power_is_inverse_in_path_gain_g(shadowing, k):
     scaled = config(shadowing, budget=replace(BUDGET, path_gain_g=BUDGET.path_gain_g * 2.0 ** k))
-    check_scaled(shadowing, scaled, power=2.0 ** -k, rate=1.0)
+    check_scaled(base(shadowing), run_comparison(scaled), power=2.0 ** -k, rate=1.0)
 
 
 @pytest.mark.parametrize("shadowing", SHADOWING)
@@ -84,7 +91,46 @@ def test_power_is_inverse_in_path_gain_g(shadowing, k):
 def test_rate_is_linear_in_bandwidth_at_a_fixed_spectral_efficiency(shadowing, k):
     scaled = config(shadowing, budget=replace(BUDGET, bandwidth=BUDGET.bandwidth * 2.0 ** k),
                     rate_target=TARGET * 2.0 ** k)
-    check_scaled(shadowing, scaled, power=1.0, rate=2.0 ** k)
+    check_scaled(base(shadowing), run_comparison(scaled), power=1.0, rate=2.0 ** k)
+
+
+# Hypothesis draws the configs too. In these configs every power, gain,
+# SINR factor, rate and EE lies within 2^-100 .. 2^100 (powers from about
+# 2^-50, faded gains and their products with powers from about 2^-80, EE up to
+# about 2^82), so |k| <= 600 keeps every value normal and every relation exact.
+SCALES = st.integers(-600, 600)
+
+
+@st.composite
+def configs(draw):
+    k_users = draw(st.integers(1, 16))
+    grid = PartitionGrid(n_annuli=draw(st.integers(1, 10)), n_sectors=draw(st.integers(1, 64)))
+    return ScenarioConfig(grid=grid, k_users=k_users,
+                          m_antennas=draw(st.integers(k_users + 1, 256)),
+                          shadowing=SHADOWING[draw(st.sampled_from(sorted(SHADOWING)))],
+                          seed=draw(st.integers(0, 2**32 - 1)), n_trials=400)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=configs(), k=SCALES)
+def test_power_is_linear_in_noise_n0_on_any_config(c, k):
+    scaled = replace(c, budget=replace(c.budget, noise_n0=c.budget.noise_n0 * 2.0 ** k))
+    check_scaled(run_comparison(c), run_comparison(scaled), power=2.0 ** k, rate=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=configs(), k=SCALES)
+def test_power_is_inverse_in_path_gain_g_on_any_config(c, k):
+    scaled = replace(c, budget=replace(c.budget, path_gain_g=c.budget.path_gain_g * 2.0 ** k))
+    check_scaled(run_comparison(c), run_comparison(scaled), power=2.0 ** -k, rate=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=configs(), k=SCALES)
+def test_rate_is_linear_in_bandwidth_at_a_fixed_spectral_efficiency_on_any_config(c, k):
+    scaled = replace(c, budget=replace(c.budget, bandwidth=c.budget.bandwidth * 2.0 ** k),
+                     rate_target=c.rate_target * 2.0 ** k)
+    check_scaled(run_comparison(c), run_comparison(scaled), power=1.0, rate=2.0 ** k)
 
 
 def assert_same_csv(a, b):

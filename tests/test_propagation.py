@@ -1,4 +1,6 @@
-"""Link-budget tests: path loss, SNR, shadowing statistics, and power sizing."""
+"""Link-budget tests: path loss, SNR, shadowing statistics, power sizing, and libm."""
+
+import math
 
 import numpy as np
 import pytest
@@ -201,3 +203,43 @@ def test_shadowing_factor_scales_snr():
 def test_received_power_rejects_non_positive_or_non_finite_psi(psi):
     with pytest.raises(ValueError, match="positive and finite"):
         prop.snr_rho(1.0, 10, 500.0, BUDGET, psi=psi)
+
+
+# ---------------------------------------------------------------------------
+# libm
+
+
+def broadcast_libm(fn, *args):
+    """libm as it broadcast scalars into full arrays: the reference for its argument forms."""
+    arrays = np.broadcast_arrays(*args)
+    values = [prop._or_inf(fn, *xs) for xs in zip(*(memoryview(np.ravel(a)) for a in arrays))]
+    return np.array(values, dtype=float).reshape(arrays[0].shape)
+
+
+ROWS = np.random.default_rng(3).random((4, 5)) * 9.0 + 1.0
+
+
+@pytest.mark.parametrize("fn, args", [
+    (pow, (ROWS, -3.7)),
+    (pow, (10.0, ROWS - 5.0)),
+    (pow, (2, ROWS)),
+    (pow, (ROWS[:, ::2], np.float64(-3.7))),
+    (pow, (np.array(10.0), ROWS[0])),
+    (pow, (np.array(10.0), np.array(0.3))),
+    (pow, (10.0, 0.3)),
+    (pow, (np.empty((0, 3)), -3.7)),
+    (pow, (10.0, np.empty(0))),
+    (pow, (ROWS[:, :1], ROWS[:1])),
+    (math.log2, (ROWS,)),
+    (math.log2, (2.5,)),
+    (math.log1p, (-ROWS[:, 1:] / 10.0,)),
+    (pow, (10.0, np.array([[1.0, 400.0], [-400.0, 308.0]]))),
+    (pow, (np.array([1e200, 2.0, -1e300]), 3.0)),
+    (pow, (1e200, np.array([1.0, 2.0]))),
+])
+def test_libm_argument_forms_give_the_broadcast_bits(fn, args):
+    # Scalars pass as one repeated Python number; the bits, shape and the
+    # OverflowError -> inf fallback are those of broadcasting them into arrays.
+    got, expected = prop.libm(fn, *args), broadcast_libm(fn, *args)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))

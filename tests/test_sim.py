@@ -475,12 +475,21 @@ def test_report_gives_python_scalars_and_none_exactly_where_sleeping():
                 assert report.ee is None if sleeping else type(report.ee) is float
 
 
+def assert_same_text(got, expected):
+    """got == expected, failing on the line count or the first differing line:
+    pytest's diff of two whole CSVs runs for minutes."""
+    got, expected = got.splitlines(keepends=True), expected.splitlines(keepends=True)
+    bad = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+    assert bad is None, (bad, got[bad], expected[bad])
+    assert len(got) == len(expected)
+
+
 def check_csv(tmp_path, reports):
     expected = oracle_csv(reports)
-    assert format_records_csv(reports) == expected
+    assert_same_text(format_records_csv(reports), expected)
     out = tmp_path / "records.csv"
     write_records_csv(out, reports)
-    assert out.read_bytes() == expected.encode("ascii")
+    assert_same_text(out.read_bytes().decode("ascii"), expected)
     return expected
 
 
@@ -577,7 +586,7 @@ def test_sweep_csv_bytes_do_not_depend_on_chunk_or_pass_size(n_trials, seed, cou
                                 (1024, sim._CSV_PASS), (1024, cap)):
             with mock.patch.object(sim, "_CSV_CHUNK", chunk), \
                     mock.patch.object(sim, "_CSV_PASS", pass_cap):
-                assert format_records_csv(run.reports) == expected
+                assert_same_text(format_records_csv(run.reports), expected)
 
 
 def test_csv_of_no_reports_is_the_header_line():
