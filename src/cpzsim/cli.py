@@ -174,11 +174,8 @@ def _check_zf_identity(seed: int):
     dims = [(k, m) for k in (2, 8, 32) for m in (16, 64, 200) if k < m]
     per_pair = max(1, math.ceil(100 / len(dims)))
     rng = substream(seed, ZF_CHECK)
-    worst = 0.0
-    for k, m in dims:
-        for _ in range(per_pair):
-            residual = mimo.zf_beamformer(mimo.draw_channel(rng, k, m)).residual
-            worst = max(worst, float(np.max(np.abs(residual))))
+    worst = max(float(np.max(np.abs(mimo._zero_forcing(h)[2])))
+                for k, m in dims for h in mimo._channel_stacks(rng, per_pair, k, m))
     return worst < ZF_TOL, f"max |HW - I| = {worst:.3e} (tol {ZF_TOL:g})"
 
 
@@ -194,15 +191,11 @@ def _check_wishart(seed: int, trials: int):
 
 
 def _check_sinr_uniformity(seed: int):
-    worst_spread = 0.0
-    worst_dev = 0.0
-    rng = substream(seed, SINR_CHECK)
-    for _ in range(20):
-        h = mimo.draw_channel(rng, 10, 200)
-        per_ue = mimo.sinr_per_ue(1.0, h)
-        common = mimo.sinr_zf(1.0, h)
-        worst_spread = max(worst_spread, float(np.ptp(per_ue) / per_ue.mean()))
-        worst_dev = max(worst_dev, float(np.max(np.abs(per_ue - common)) / common))
+    sinrs = [(mimo._sinrs_per_ue(1.0, h), mimo._sinrs_zf(1.0, h))
+             for h in mimo._channel_stacks(substream(seed, SINR_CHECK), 20, 10, 200)]
+    per_ue, common = (np.concatenate(stacks) for stacks in zip(*sinrs))
+    worst_spread = float(np.max(np.ptp(per_ue, axis=1) / per_ue.mean(axis=1)))
+    worst_dev = float(np.max(np.max(np.abs(per_ue - common[:, None]), axis=1) / common))
     ok = worst_spread < SINR_TOL and worst_dev < SINR_TOL
     return ok, (f"max relative spread = {worst_spread:.3e}, "
                 f"max deviation from common value = {worst_dev:.3e} (tol {SINR_TOL:g})")

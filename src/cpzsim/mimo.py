@@ -3,22 +3,22 @@
 The downlink channel is a K x M matrix of i.i.d. unit-variance complex
 Gaussian entries (K users, M base-station antennas, K << M in the massive
 regime). Zero-forcing precoding inverts the channel so every user sees an
-interference-free link whose SINR is governed by the inverse Gram trace;
-for large arrays that trace concentrates around K/(M-K), which yields the
-sum-rate closed form used throughout the simulator: the lower bound on the
-ergodic ZF rate of Ngo, Larsson & Marzetta (IEEE TCOM 2013). Seeded channels
-are the successive draws of stream (seed, CHANNEL); the Monte Carlo trace
-draws its Grams from their law, by Bartlett's decomposition (Goodman 1963).
+interference-free link whose SINR is governed by the inverse Gram trace; for
+large arrays that trace concentrates around K/(M-K), which yields the sum-rate
+closed form used throughout the simulator: the lower bound on the ergodic ZF
+rate of Ngo, Larsson & Marzetta (IEEE TCOM 2013). Seeded channels are the
+successive draws of stream (seed, CHANNEL), in (n, K, M) stacks for the ZF core
+and the SINRs, whose one-channel functions are stacks of one; the Monte Carlo
+trace draws its Grams from their law, by Bartlett's decomposition (Goodman 1963).
 
-The Gram H H^H is Hermitian positive definite for a full-rank channel, so
-one eigvalsh gives both facts a channel's inverse trace needs: its 2-norm
-condition number lambda_max / lambda_min, which decides whether the channel
-is numerically singular, and tr((H H^H)^-1) = sum of 1 / lambda. Most Grams
-need no eigvalsh: the Monte Carlo trace is ||L^-1||_F^2 for G = L L^H, the ZF
-precoder's ||W||_F^2 is tr(G^-1) too, and _certified decides the rule from them.
+The Gram H H^H is Hermitian positive definite for a full-rank channel, so one
+eigvalsh gives both facts a channel's inverse trace needs: its 2-norm condition
+number lambda_max / lambda_min, which decides whether it is numerically singular,
+and tr((H H^H)^-1) = sum of 1 / lambda. Most Grams need no eigvalsh: the Monte
+Carlo trace is ||L^-1||_F^2 for G = L L^H, the ZF precoder's ||W||_F^2 is
+tr(G^-1) too, and _certified decides the rule from them.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -32,11 +32,15 @@ from .rng import CHANNEL, substream
 SINGULAR_COND_LIMIT = 1e12
 _MIN_CERTIFIED_TRACE = 2.0**-969
 
-# Trials per monte_carlo_trace block. At K = 10, 1e4 trials took 71, 57, 55, 52 and
-# 52 ms in blocks of 96, 144, 160, 176 and 192 (one core of a shared 2-vCPU Xeon,
-# numpy 2.4), with heap peaks of 291, 425, 470, 515 and 560 KiB: 160 is the largest
-# of them under the tests' 512 KiB bound.
+# Trials per monte_carlo_trace block. At K = 10, 1e4 trials took 39, 35, 34, 34, 33 and
+# 31 ms in blocks of 96, 128, 144, 160, 176 and 192 (one core of a shared 2-vCPU Xeon,
+# numpy 2.4, Python 3.11), with heap peaks of 288, 376, 421, 465, 509 and 553 KiB: of
+# the tests' 512 KiB bound, 176 would leave 3 KiB and 160 leaves 47.
 _TRACE_BLOCK = 160
+
+# Entry bytes per channel stack of verify's checks: one 32 x 200 channel's, their largest,
+# so no stack outgrows a lone channel (13-channel stacks cost 3.2 MB more peak RSS).
+_STACK_BYTES = 102_400
 
 
 class ChannelMatrix(Record, eq=False):
@@ -75,12 +79,23 @@ class BeamformingMatrix(Record, eq=False):
     residual: np.ndarray
 
 
-def draw_channel(rng: np.random.Generator, k_users: int, m_antennas: int) -> ChannelMatrix:
-    """The next K x M channel with i.i.d. CN(0, 1) entries (re + 1j * im) / sqrt(2) from `rng`."""
+def _channel_stacks(rng: np.random.Generator, n: int, k_users: int, m_antennas: int):
+    """The next n K x M channels of `rng`, as n draw_channel calls give them, in (n_i, K, M)
+    stacks of at most _STACK_BYTES of entries each (one channel at least)."""
     if k_users < 1 or m_antennas < 1:
         raise ValueError(f"channel dimensions must be positive, got K={k_users}, M={m_antennas}")
-    re, im = rng.standard_normal((2, k_users, m_antennas))
-    return ChannelMatrix((re + 1j * im) / np.sqrt(2.0))
+    per_stack = max(1, _STACK_BYTES // (16 * k_users * m_antennas))
+    for start in range(0, n, per_stack):
+        normals = rng.standard_normal((min(per_stack, n - start), 2, k_users, m_antennas))
+        h = 1j * normals[:, 1]  # (re + 1j * im) / sqrt(2), with one temporary fewer
+        h += normals[:, 0]
+        h /= np.sqrt(2.0)
+        yield h
+
+
+def draw_channel(rng: np.random.Generator, k_users: int, m_antennas: int) -> ChannelMatrix:
+    """The next K x M channel with i.i.d. CN(0, 1) entries (re + 1j * im) / sqrt(2) from `rng`."""
+    return ChannelMatrix(next(_channel_stacks(rng, 1, k_users, m_antennas))[0])
 
 
 def sample_channel(k_users: int, m_antennas: int, seed: int) -> ChannelMatrix:
@@ -143,40 +158,66 @@ def _certified(trace_g, inverse_trace, residual_sq=None) -> bool:
     return bool(np.all(certified & (trace_g * inverse_trace <= bound)))
 
 
-def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
-    """Zero-forcing precoder: the conjugate-transpose pseudo-inverse of the channel.
+def _zero_forcing(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ZF precoders W, ||W||_F^2 and residuals H W - I of an (n, K, M) channel stack.
 
-    Solves the K x K Hermitian system instead of forming an explicit inverse.
-    The residual H W - I, zero up to rounding, is formed once: _certified reads
-    it and the precoder keeps it. A channel _certified leaves undecided, or
-    whose solve fails, goes to _eigenvalues, which raises or lets W stand.
+    W, H's conjugate-transpose pseudo-inverse, comes from Hermitian solves. The
+    residual is formed once: _certified reads it and the precoder keeps it. A
+    stack _certified leaves undecided, or whose solve fails, goes to _eigenvalues,
+    which raises or lets W stand. Each norm is its channel's own np.vdot.
     """
-    gram = _gram(h.entries)
+    gram = _gram(h)
     try:
         # gram is Hermitian, so solve(gram, H) equals W^H and W = H^H gram^{-1}.
-        w = np.linalg.solve(gram, h.entries).conj().T
+        w = np.linalg.solve(gram, h).conj().swapaxes(-1, -2)
     except np.linalg.LinAlgError:
         _eigenvalues(gram)  # raises: LAPACK met an exactly singular pivot
         raise
-    frobenius = float(np.vdot(w, w).real)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = h.entries @ w - np.eye(h.k_users)
-    if not _certified(float(np.trace(gram).real), frobenius,
-                      float(np.vdot(residual, residual).real)):
+        residual = h @ w - np.eye(h.shape[-2])
+    frobenius, residual_sq = (np.array([np.vdot(a, a).real for a in arrays])
+                              for arrays in (w, residual))
+    if not _certified(np.trace(gram, axis1=-2, axis2=-1).real, frobenius, residual_sq):
         _eigenvalues(gram)
-    return BeamformingMatrix(entries=w, gamma=frobenius / h.k_users, residual=residual)
+    return w, frobenius, residual
+
+
+def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
+    """Zero-forcing precoder of one channel: _zero_forcing on a stack of one."""
+    [w], [frobenius], [residual] = _zero_forcing(h.entries[None])
+    return BeamformingMatrix(entries=w, gamma=float(frobenius) / h.k_users, residual=residual)
+
+
+def _inverse_traces(h: np.ndarray) -> np.ndarray:
+    """tr((H H^H)^-1) of each channel of an (n, K, M) stack, from one eigvalsh call."""
+    return np.reciprocal(_eigenvalues(_gram(h))).sum(axis=-1)
 
 
 def gram_inverse_trace(h: ChannelMatrix) -> float:
     """tr((H H^H)^-1), the quantity controlling the common ZF SINR."""
-    return float(np.reciprocal(_eigenvalues(_gram(h.entries))).sum())
+    return float(_inverse_traces(h.entries[None])[0])
+
+
+def _sinrs_zf(rho: float, h: np.ndarray) -> np.ndarray:
+    """sinr_zf of each channel of an (n, K, M) stack."""
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    return rho * h.shape[-2] / _inverse_traces(h)
 
 
 def sinr_zf(rho: float, h: ChannelMatrix) -> float:
     """Post-beamforming SINR shared by all users: rho * K / tr((H H^H)^-1)."""
+    return float(_sinrs_zf(rho, h.entries[None])[0])
+
+
+def _sinrs_per_ue(rho: float, h: np.ndarray) -> np.ndarray:
+    """sinr_per_ue of each channel of an (n, K, M) stack, as (n, K)."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    return rho * h.k_users / gram_inverse_trace(h)
+    w, frobenius, _ = _zero_forcing(h)
+    gains = np.abs(h @ (w / np.sqrt(frobenius / h.shape[-2])[:, None, None])) ** 2
+    signal = np.diagonal(gains, axis1=-2, axis2=-1)
+    return rho * signal / (rho * (gains.sum(axis=-1) - signal) + 1.0)
 
 
 def sinr_per_ue(rho: float, h: ChannelMatrix) -> np.ndarray:
@@ -186,14 +227,7 @@ def sinr_per_ue(rho: float, h: ChannelMatrix) -> np.ndarray:
     than through the Gram-trace shortcut; under exact zero forcing all K
     values coincide with sinr_zf.
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    w = zf_beamformer(h)
-    w_norm = w.entries / np.sqrt(w.gamma)
-    gains = np.abs(h.entries @ w_norm) ** 2
-    signal = np.diag(gains).copy()
-    interference = gains.sum(axis=1) - signal
-    return rho * signal / (rho * interference + 1.0)
+    return _sinrs_per_ue(rho, h.entries[None])[0]
 
 
 def per_ue_rate(bandwidth: float, sinr: float) -> float:
@@ -232,15 +266,22 @@ def wishart_trace_expectation(k_users: int, m_antennas: int) -> float:
     return k_users / (m_antennas - k_users)
 
 
-@functools.cache
-def _below_diagonal(k_users: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the K(K - 1) / 2 entries below the diagonal, read-only."""
-    rows, cols = np.tril_indices(k_users, -1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+def _workspace(k_users: int, n: int) -> tuple:
+    """_factor_traces' X of n trials, (re, im) by i, j and trial, its diagonal and for each
+    step j: row j's finished sums and L_jj, L_ij for i > j, X_j0 .. X_jj, the sums of the
+    rows below and its two products, in one buffer sized for the largest step."""
+    x = np.empty((2, k_users, k_users, n))
+    x_diagonal = x.reshape(2, k_users * k_users, n)[:, ::k_users + 1]
+    products = np.empty(2 * (k_users // 2) * ((k_users + 1) // 2) * n)
+    steps = []
+    for j in range(k_users):
+        sums = x[:, j + 1:, :j + 1]
+        steps.append((x[:, j, :j], x_diagonal[1, j], *x[:, j, j + 1:, None],
+                      *x[:, j, None, :j + 1], *sums, *products[:sums.size].reshape(sums.shape)))
+    return x, x_diagonal, steps
 
 
-def _factor_traces(gammas: np.ndarray, normals: np.ndarray) -> np.ndarray:
+def _factor_traces(gammas: np.ndarray, normals: np.ndarray, workspace: tuple = ()) -> np.ndarray:
     """tr(G^-1) of each Bartlett Gram G = L L^H of a block; raises if one is numerically singular.
 
     Rows of gammas (n, K) and normals (n, 2, K(K - 1) / 2) are trials, laid out
@@ -251,37 +292,30 @@ def _factor_traces(gammas: np.ndarray, normals: np.ndarray) -> np.ndarray:
     sqrt per ufunc, so a trace is the same on any CPU: X_ii = 1 / L_ii, X_ij =
     -(sum over k = j, ..., i - 1 of L_ik X_kj) / L_ii, k ascending; then re^2 +
     im^2 of each X_ij summed along each row, and the row sums top to bottom.
-    One buffer holds X with L waiting in its empty entries, and one more the
-    products of the largest step. A block that _certified leaves undecided sends
-    its Grams to _eigenvalues, which raises or lets the traces stand.
+    X, in the _workspace of n trials passed or a new one, holds L waiting in its
+    empty entries. A block that _certified leaves undecided sends its Grams to
+    _eigenvalues, which raises or lets the traces (a new array) stand.
     """
     n, k_users = gammas.shape
-    rows, cols = _below_diagonal(k_users)
-    trace_g = gammas.sum(axis=1) + np.square(normals).sum(axis=(1, 2)) / 2
-    x = np.zeros((2, k_users, k_users, n))
-    # L_ij waits above the diagonal, at x[:, j, i], until step j uses column j,
-    # and L_ii in X_ii's imaginary part until step i.
-    x.transpose(3, 0, 2, 1)[:, :, rows, cols] = normals
-    x /= np.sqrt(2.0)
-    x_diagonal = x.reshape(2, k_users * k_users, n)[:, ::k_users + 1]
-    diagonal = x_diagonal[1]
-    np.sqrt(gammas.T, out=diagonal)
-    np.divide(1.0, diagonal, out=x_diagonal[0])
-    products = np.empty((2, (k_users // 2) * ((k_users + 1) // 2), n))
+    x, x_diagonal, steps = workspace or _workspace(k_users, n)
     # A ufunc buffer of one row of trials, rounded up to the multiple of 16 that
     # numpy 1.x requires: by default numpy 2.4 copies each strided or broadcast
     # operand below through a buffer of up to 8192 elements.
     bufsize = np.setbufsize(-(-n // 16) * 16)
     try:
-        for j in range(k_users):
-            row = x[:, j, :j]
-            row /= diagonal[j]  # X_j0 .. X_j,j-1 from their finished, negated sums
-            diagonal[j] = 0.0
-            l_re, l_im = x[:, j, j + 1:, None]
-            x_re, x_im = x[:, j, None, :j + 1]
-            sum_re, sum_im = x[:, j + 1:, :j + 1]
-            first, second = products[:, :(k_users - j - 1) * (j + 1)].reshape(
-                (2,) + sum_re.shape)
+        # einsum squares and sums the normals without a temporary of their size.
+        trace_g = gammas.sum(axis=1) + np.einsum("tcb,tcb->t", normals, normals) / 2
+        x.fill(0.0)  # each sum below the diagonal starts from zero
+        # L_ij waits above the diagonal, at x[:, j, i], until step j uses column j,
+        # and L_ii in X_ii's imaginary part until step i.
+        for i in range(1, k_users):
+            np.divide(normals[:, :, i * (i - 1) // 2:i * (i + 1) // 2].transpose(1, 2, 0),
+                      np.sqrt(2.0), out=x[:, :i, i])
+        np.sqrt(gammas.T, out=x_diagonal[1])
+        np.divide(1.0, x_diagonal[1], out=x_diagonal[0])
+        for row, pivot, l_re, l_im, x_re, x_im, sum_re, sum_im, first, second in steps:
+            row /= pivot  # X_j0 .. X_j,j-1 from their finished, negated sums
+            pivot.fill(0.0)
             np.multiply(l_re, x_re, out=first)
             np.multiply(l_im, x_im, out=second)
             first -= second
@@ -293,18 +327,16 @@ def _factor_traces(gammas: np.ndarray, normals: np.ndarray) -> np.ndarray:
         x *= x
         squares, squares_im = x
         squares += squares_im
-        row_sums = squares[:, 0].copy()
+        row_sums = squares[:, 0]  # in place: column 0 gathers each row's sum
         for j in range(1, k_users):
             row_sums[j:] += squares[j:, j]  # X_ij is zero where j > i
     finally:
         np.setbufsize(bufsize)
-    del x, products
-    traces = row_sums[0].copy()
-    for row_sum in row_sums[1:]:
-        traces += row_sum
+    traces = np.add.accumulate(row_sums, axis=0, out=row_sums)[-1].copy()
     if not _certified(trace_g, traces):
         factor = np.zeros((n, k_users, k_users), dtype=np.complex128)
         factor[:, range(k_users), range(k_users)] = np.sqrt(gammas)
+        rows, cols = np.tril_indices(k_users, -1)
         factor[:, rows, cols] = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
         _eigenvalues(_gram(factor))
     return traces
@@ -333,12 +365,17 @@ def monte_carlo_trace(k_users: int, m_antennas: int, n_trials: int,
         raise ValueError("n_trials must be positive")
     diagonal, below = substream(seed, CHANNEL, 0), substream(seed, CHANNEL, 1)
     shapes = m_antennas - np.arange(k_users)
-    n_below = k_users * (k_users - 1) // 2
+    block = min(_TRACE_BLOCK, n_trials)
+    gammas = np.empty((block, k_users))
+    normals = np.empty((block, 2, k_users * (k_users - 1) // 2))
+    workspace = _workspace(k_users, block)
     total = total_sq = 0.0
-    for start in range(0, n_trials, _TRACE_BLOCK):
-        n = min(_TRACE_BLOCK, n_trials - start)
-        traces = _factor_traces(diagonal.standard_gamma(shapes, (n, k_users)),
-                                below.standard_normal((n, 2, n_below)))
+    for start in range(0, n_trials, block):
+        n = min(block, n_trials - start)
+        if n < block:
+            workspace = ()  # the full blocks' is freed before the last block's own
+        traces = _factor_traces(diagonal.standard_gamma(shapes, out=gammas[:n]),
+                                below.standard_normal(out=normals[:n]), workspace)
         # The carried totals, then each trace and its square, added left to right.
         terms = np.empty((2, n + 1))
         terms[:, 0] = total, total_sq

@@ -80,7 +80,7 @@ class LognormalShadowing(Record):
         gauss = (np.sqrt(-2.0 * libm(math.log1p, -u[:, :n_draws]))
                  * libm(math.cos, 2.0 * math.pi * u[:, n_draws:]))
         # An overflow gives inf, which snr_rho and the batch kernel reject.
-        return libm(pow, 10.0, self.sigma_db / 10.0 * gauss)
+        return libm(math.pow, 10.0, self.sigma_db / 10.0 * gauss)
 
 
 ShadowingMode = DeterministicUnitShadowing | LognormalShadowing

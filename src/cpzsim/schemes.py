@@ -242,7 +242,7 @@ def _link_gains(budget: LinkBudget, cell_radius: float, r: np.ndarray,
         raise ValueError(f"user distance {r[outside][0]} m outside "
                          f"[{budget.r0}, {cell_radius}] m")
     # Products round alike in numpy and Python, and sums follow _sum's order.
-    loss = libm(pow, r / budget.r0, -budget.alpha)
+    loss = libm(math.pow, r / budget.r0, -budget.alpha)
     if psi is not None and not ((0 < psi) & (psi < math.inf)).all():
         raise ValueError("shadowing factor must be positive and finite")
     with np.errstate(over="ignore"):

@@ -155,19 +155,32 @@ MUTANTS = [
                    "tests/test_mimo.py::test_bartlett_traces_match_channel_traces[4-32-20000]",
                    "tests/test_cli.py::test_verify_stdout_is_pinned"]},
     {"id": "bartlett_no_sqrt2", "file": MIMO,
-     "edits": [("    x /= np.sqrt(2.0)\n", "")],
+     "edits": [("np.sqrt(2.0), out=x[:, :i, i])", "1.0, out=x[:, :i, i])")],
      "killed_by": ["tests/test_acceptance.py::test_c1_wishart_trace_convergence",
                    "tests/test_mimo.py::test_bartlett_traces_match_channel_traces[10-200-2000]",
                    "tests/test_cli.py::test_verify_stdout_is_pinned"]},
+    {"id": "x_uncleared_between_blocks", "file": MIMO,
+     "edits": [("        x.fill(0.0)  # each sum below the diagonal starts from zero\n", "")],
+     "killed_by": ["tests/test_mimo.py::test_monte_carlo_trace_is_independent_of_block_size[16]",
+                   "tests/test_mimo.py::test_monte_carlo_trace_equals_per_trial_oracle"
+                   "[12-1099511627776-block+1]",
+                   "tests/test_mimo.py::test_monte_carlo_trace_equals_per_trial_oracle"
+                   "[6-11-2block+3]"]},
     {"id": "substitution_products_folded_one_at_a_time", "file": MIMO,
      "edits": [("            first -= second\n            sum_re -= first\n",
                 "            sum_re -= first\n            sum_re += second\n")],
      "killed_by": ["tests/test_mimo.py::test_monte_carlo_trace_equals_per_trial_oracle"
                    "[12-1099511627776-35]",
                    "tests/test_mimo.py::test_trial_i_factor_is_row_i_of_each_child_stream"]},
+    # verify's channel stacks: bounded in bytes, so a large shape comes a few channels at a time.
+    {"id": "channel_stacks_unbounded", "file": MIMO,
+     "edits": [("per_stack = max(1, _STACK_BYTES // (16 * k_users * m_antennas))",
+                "per_stack = max(1, n)")],
+     "killed_by": ["tests/test_mimo.py::test_channel_stacks_are_n_channel_draws[0]",
+                   "tests/test_cli.py::test_verify_runs_eigvalsh_only_for_the_common_sinr"]},
     # The certificates that spare eigvalsh.
     {"id": "trace_certificate_without_off_diagonal", "file": MIMO,
-     "edits": [("trace_g = gammas.sum(axis=1) + np.square(normals).sum(axis=(1, 2)) / 2",
+     "edits": [('trace_g = gammas.sum(axis=1) + np.einsum("tcb,tcb->t", normals, normals) / 2',
                 "trace_g = gammas.sum(axis=1)")],
      "killed_by": ["tests/test_mimo.py::"
                    "test_certificate_sends_exactly_the_blocks_over_half_the_limit"]},

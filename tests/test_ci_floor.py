@@ -53,3 +53,25 @@ def test_workflow_token_can_only_read_the_repository():
     assert block, "the workflow sets no top-level permissions"
     assert block.group(1) == "  contents: read\n"
     assert WORKFLOW.count("permissions:") == 1
+
+
+# numpy 2.x functions that numpy 1.24, the declared floor, lacks. np.astype is
+# one; the method ndarray.astype, which every numpy has, is not matched.
+NUMPY_2_ONLY = {
+    "vecdot", "matvec", "vecmat", "unstack", "cumulative_sum", "cumulative_prod", "astype",
+    "concat", "permute_dims", "matrix_transpose", "isdtype", "bitwise_count", "trapezoid",
+    "pow", "acos", "asin", "atan", "atan2", "acosh", "asinh", "atanh", "bitwise_invert",
+    "bitwise_left_shift", "bitwise_right_shift", "unique_all", "unique_counts",
+    "unique_inverse", "unique_values", "matrix_norm", "vector_norm", "svdvals",
+}
+NUMPY_NAME = re.compile(r"\b(?:np|numpy)\.(?:linalg\.)?(\w+)")
+
+
+def test_package_uses_no_numpy_name_newer_than_the_floor():
+    # Stands in for the numpy 1.24 matrix entry, which has never been seen to run.
+    assert NUMPY_NAME.findall("np.vecdot(a, b) + a.astype(int) + numpy.linalg.svdvals(a)") == [
+        "vecdot", "svdvals"]
+    package = os.path.join(ROOT, "src", "cpzsim")
+    used = {(name, attr) for name in sorted(os.listdir(package)) if name.endswith(".py")
+            for attr in NUMPY_NAME.findall(read("src", "cpzsim", name)) if attr in NUMPY_2_ONLY}
+    assert used == set()

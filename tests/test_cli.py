@@ -121,15 +121,16 @@ def test_verify_checks_draw_from_their_own_streams(monkeypatch):
 
 
 def test_verify_runs_eigvalsh_only_for_the_common_sinr(monkeypatch):
-    # zf_beamformer certifies the ZF and SINR checks' 124 channels and
-    # _factor_traces the Wishart blocks; only sinr_zf's 20 inverse traces, which
-    # the SINR check compares against, come from eigenvalues.
+    # The ZF core certifies the ZF and SINR checks' 124 channels and
+    # _factor_traces the Wishart blocks; only the 20 common SINRs' inverse traces,
+    # which the SINR check compares against, come from eigenvalues, one call per
+    # channel stack of the SINR check.
     calls = []
     eigenvalues = mimo._eigenvalues
     monkeypatch.setattr(mimo, "_eigenvalues",
                         lambda gram: calls.append(gram.shape) or eigenvalues(gram))
     assert all(ok for _, ok, _ in cli.run_verification(0, 10_000))
-    assert calls == 20 * [(10, 10)]
+    assert calls == 6 * [(3, 10, 10)] + [(2, 10, 10)]
 
 
 def test_verify_single_trial_skips_wishart(capsys):

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpzsim import mimo
-from cpzsim.rng import CHANNEL, substream
+from cpzsim.rng import CHANNEL, SINR_CHECK, ZF_CHECK, substream
 
 
 def oracle_per_ue_sinr(rho, h_entries):
@@ -299,6 +299,85 @@ def test_sinr_equals_rho_over_gamma():
 
 
 # ---------------------------------------------------------------------------
+# Channel stacks, as the verify checks run them, against one channel at a time
+
+# cli._check_zf_identity's eight shapes, 13 channels each.
+ZF_DIMS = [(k, m) for k in (2, 8, 32) for m in (16, 64, 200) if k < m]
+
+
+def check_stacks(seed):
+    """The verify checks' channel stacks: each ZF shape's, then the SINR check's 20 channels."""
+    rng = substream(seed, ZF_CHECK)
+    return ([h for k, m in ZF_DIMS for h in mimo._channel_stacks(rng, 13, k, m)]
+            + list(mimo._channel_stacks(substream(seed, SINR_CHECK), 20, 10, 200)))
+
+
+def one_channel_zf(h):
+    """W, ||W||_F^2 and H W - I of one 2-D channel, by the one-channel arithmetic."""
+    w = np.linalg.solve(h @ h.conj().T, h).conj().T
+    return w, float(np.vdot(w, w).real), h @ w - np.eye(len(h))
+
+
+def one_channel_sinrs(rho, h):
+    """Per-user and common SINR of one 2-D channel, by the one-channel arithmetic."""
+    w, frobenius, _ = one_channel_zf(h)
+    gains = np.abs(h @ (w / np.sqrt(frobenius / len(h)))) ** 2
+    signal = np.diag(gains).copy()
+    per_ue = rho * signal / (rho * (gains.sum(axis=1) - signal) + 1.0)
+    return per_ue, rho * len(h) / float(np.reciprocal(np.linalg.eigvalsh(h @ h.conj().T)).sum())
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_channel_stacks_are_n_channel_draws(seed):
+    # Stacks hold as many channels as fit in _STACK_BYTES of entries, one at least.
+    for n, k, m, sizes in [(13, 2, 16, [13]), (13, 8, 200, [4, 4, 4, 1]), (13, 32, 200, 13 * [1]),
+                           (20, 10, 200, [3, 3, 3, 3, 3, 3, 2]), (1, 1, 1, [1])]:
+        stacked, single, reference = (substream(seed, ZF_CHECK) for _ in range(3))
+        stacks = list(mimo._channel_stacks(stacked, n, k, m))
+        assert [len(h) for h in stacks] == sizes
+        assert all(h.nbytes <= mimo._STACK_BYTES for h in stacks if len(h) > 1)
+        stack = np.concatenate(stacks)
+        assert same_bits(stack, [mimo.draw_channel(single, k, m).entries for _ in range(n)])
+        normals = [reference.standard_normal((2, k, m)) for _ in range(n)]
+        assert same_bits(stack, [(re + 1j * im) / np.sqrt(2.0) for re, im in normals])
+        # All three streams are left at the same place.
+        assert len({rng.random() for rng in (stacked, single, reference)}) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_zero_forcing_stack_equals_each_channel_alone(seed):
+    for h in check_stacks(seed):
+        w, frobenius, residual = mimo._zero_forcing(h)
+        for i, one in enumerate(h):
+            precoder = mimo.zf_beamformer(mimo.ChannelMatrix(one))
+            expected_w, expected_frobenius, expected_residual = one_channel_zf(one)
+            assert same_bits(w[i], expected_w) and same_bits(precoder.entries, expected_w)
+            assert same_bits(residual[i], expected_residual)
+            assert same_bits(precoder.residual, expected_residual)
+            assert frobenius[i] == expected_frobenius
+            assert precoder.gamma.hex() == (expected_frobenius / len(one)).hex()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sinr_stacks_equal_each_channel_alone(seed):
+    for h in check_stacks(seed):
+        for rho in (1.0, 0.7):
+            per_ue, common = mimo._sinrs_per_ue(rho, h), mimo._sinrs_zf(rho, h)
+            for i, one in enumerate(h):
+                expected_per_ue, expected_common = one_channel_sinrs(rho, one)
+                channel = mimo.ChannelMatrix(one)
+                assert same_bits(per_ue[i], expected_per_ue)
+                assert same_bits(mimo.sinr_per_ue(rho, channel), expected_per_ue)
+                assert common[i].hex() == expected_common.hex()
+                assert mimo.sinr_zf(rho, channel).hex() == expected_common.hex()
+
+
+# ---------------------------------------------------------------------------
 # Rates
 
 
@@ -553,8 +632,8 @@ def test_trial_i_factor_is_row_i_of_each_child_stream(monkeypatch):
     blocks = []
     factor_traces = mimo._factor_traces
 
-    def spy(gammas, normals):
-        blocks.append((gammas.copy(), normals.copy(), factor_traces(gammas, normals)))
+    def spy(gammas, normals, workspace):
+        blocks.append((gammas.copy(), normals.copy(), factor_traces(gammas, normals, workspace)))
         return blocks[-1][2]
 
     monkeypatch.setattr(mimo, "_factor_traces", spy)
@@ -667,8 +746,7 @@ def bartlett_traces(monkeypatch, k, m, n_trials, seed):
     blocks = []
     factor_traces = mimo._factor_traces
     monkeypatch.setattr(mimo, "_factor_traces",
-                        lambda gammas, normals: blocks.append(factor_traces(gammas, normals))
-                        or blocks[-1])
+                        lambda *block: blocks.append(factor_traces(*block)) or blocks[-1])
     mimo.monte_carlo_trace(k, m, n_trials, seed)
     monkeypatch.setattr(mimo, "_factor_traces", factor_traces)
     return np.concatenate(blocks)
@@ -696,7 +774,7 @@ def test_bartlett_traces_match_channel_traces(monkeypatch, k, m, n_trials):
     assert abs(z_mean) < 5 and abs(z_var) < 5, (z_mean, z_var)
 
 
-@pytest.mark.parametrize("n_trials", [1_000, 20_000])
+@pytest.mark.parametrize("n_trials", [1_000, 20_000, pytest.param(2 * BLOCK + 3, id="2block+3")])
 def test_monte_carlo_trace_heap_peak_is_bounded(n_trials):
     # The blocks reuse one factor buffer, so the peak does not grow with n_trials.
     tracemalloc.start()

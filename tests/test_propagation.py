@@ -243,3 +243,18 @@ def test_libm_argument_forms_give_the_broadcast_bits(fn, args):
     got, expected = prop.libm(fn, *args), broadcast_libm(fn, *args)
     assert got.dtype == np.float64 and got.shape == expected.shape
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_math_pow_gives_the_bits_of_builtin_pow():
+    # The kernel's path loss (r / r0)^-alpha, r0 <= r <= the cell radius, and
+    # psi's 10^x from just past the smallest subnormal to overflow (libm's inf).
+    rng = np.random.default_rng(5)
+    ratios = np.concatenate([[1.0, 2.0, 10.0, 1e4], rng.uniform(1.0, 1e4, 2000),
+                             np.geomspace(1.0, 1e4, 2000)])
+    for alpha in (2.0, 3.0, 3.7, 4.0, 6.5, *rng.uniform(1.0, 8.0, 4)):
+        assert np.array_equal(prop.libm(math.pow, ratios, -alpha).view(np.int64),
+                              prop.libm(pow, ratios, -alpha).view(np.int64))
+    exponents = np.concatenate([rng.uniform(-8.0, 8.0, 4000), np.linspace(-323.0, 309.0, 20001)])
+    got, expected = prop.libm(math.pow, 10.0, exponents), prop.libm(pow, 10.0, exponents)
+    assert got[4000] > 0.0 and np.isinf(got[-1])
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
