@@ -174,8 +174,8 @@ def _check_zf_identity(seed: int):
     dims = [(k, m) for k in (2, 8, 32) for m in (16, 64, 200) if k < m]
     per_pair = max(1, math.ceil(100 / len(dims)))
     rng = substream(seed, ZF_CHECK)
-    worst = max(float(np.max(np.abs(mimo._zero_forcing(h)[2])))
-                for k, m in dims for h in mimo._channel_stacks(rng, per_pair, k, m))
+    worst = max(float(np.max(np.abs(mimo.zf_beamformer(h).residual)))
+                for k, m in dims for h in mimo.draw_channels(rng, per_pair, k, m))
     return worst < ZF_TOL, f"max |HW - I| = {worst:.3e} (tol {ZF_TOL:g})"
 
 
@@ -191,8 +191,8 @@ def _check_wishart(seed: int, trials: int):
 
 
 def _check_sinr_uniformity(seed: int):
-    sinrs = [(mimo._sinrs_per_ue(1.0, h), mimo._sinrs_zf(1.0, h))
-             for h in mimo._channel_stacks(substream(seed, SINR_CHECK), 20, 10, 200)]
+    sinrs = [(mimo.sinr_per_ue(1.0, h), mimo.sinr_zf(1.0, h))
+             for h in mimo.draw_channels(substream(seed, SINR_CHECK), 20, 10, 200)]
     per_ue, common = (np.concatenate(stacks) for stacks in zip(*sinrs))
     worst_spread = float(np.max(np.ptp(per_ue, axis=1) / per_ue.mean(axis=1)))
     worst_dev = float(np.max(np.max(np.abs(per_ue - common[:, None]), axis=1) / common))

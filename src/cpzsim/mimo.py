@@ -6,10 +6,11 @@ regime). Zero-forcing precoding inverts the channel so every user sees an
 interference-free link whose SINR is governed by the inverse Gram trace; for
 large arrays that trace concentrates around K/(M-K), which yields the sum-rate
 closed form used throughout the simulator: the lower bound on the ergodic ZF
-rate of Ngo, Larsson & Marzetta (IEEE TCOM 2013). Seeded channels are the
-successive draws of stream (seed, CHANNEL), in (n, K, M) stacks for the ZF core
-and the SINRs, whose one-channel functions are stacks of one; the Monte Carlo
-trace draws its Grams from their law, by Bartlett's decomposition (Goodman 1963).
+rate of Ngo, Larsson & Marzetta (IEEE TCOM 2013). A ChannelMatrix holds one
+channel or an (n, K, M) stack, and each ZF function takes either, its results
+carrying the stack's leading axis. Seeded channels are the successive draws of
+a stream, in byte-bounded stacks; the Monte Carlo trace draws its Grams from
+their law, by Bartlett's decomposition (Goodman 1963).
 
 The Gram H H^H is Hermitian positive definite for a full-rank channel, so one
 eigvalsh gives both facts a channel's inverse trace needs: its 2-norm condition
@@ -38,21 +39,21 @@ _MIN_CERTIFIED_TRACE = 2.0**-969
 # the tests' 512 KiB bound, 176 would leave 3 KiB and 160 leaves 47.
 _TRACE_BLOCK = 160
 
-# Entry bytes per channel stack of verify's checks: one 32 x 200 channel's, their largest,
-# so no stack outgrows a lone channel (13-channel stacks cost 3.2 MB more peak RSS).
+# Entry bytes per draw_channels stack: one 32 x 200 channel's, the largest of verify's
+# checks, so no stack outgrows a lone channel (13-channel stacks cost 3.2 MB more peak RSS).
 _STACK_BYTES = 102_400
 
 
 class ChannelMatrix(Record, eq=False):
-    """K x M downlink channel; row k is user k's gain vector."""
+    """K x M downlink channel, row k user k's gain vector, or an (n, K, M) stack of them."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.complex128)
-        if e.ndim != 2:
-            raise ValueError(f"channel must be a 2-D matrix, got ndim={e.ndim}")
-        if e.shape[0] < 1 or e.shape[1] < 1:
+        if e.ndim not in (2, 3):
+            raise ValueError(f"channel must be a 2-D matrix or a 3-D stack, got ndim={e.ndim}")
+        if min(e.shape) < 1:
             raise ValueError(f"channel dimensions must be positive, got {e.shape}")
         if not np.isfinite(e).all():
             raise ValueError("channel entries must be finite")
@@ -60,28 +61,29 @@ class ChannelMatrix(Record, eq=False):
 
     @property
     def k_users(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-2]
 
     @property
     def m_antennas(self) -> int:
-        return self.entries.shape[1]
+        return self.entries.shape[-1]
 
 
 class BeamformingMatrix(Record, eq=False):
     """M x K zero-forcing precoder W, its power normalization factor and its residual H W - I.
 
     gamma is the squared Frobenius norm of W divided by the user count; the
-    transmitted precoder is W / sqrt(gamma) so radiated power stays fixed.
+    transmitted precoder is W / sqrt(gamma) so radiated power stays fixed. Of
+    an (n, K, M) channel stack, W is (n, M, K), gamma (n,) and the residual (n, K, K).
     """
 
     entries: np.ndarray
-    gamma: float
+    gamma: float | np.ndarray
     residual: np.ndarray
 
 
-def _channel_stacks(rng: np.random.Generator, n: int, k_users: int, m_antennas: int):
-    """The next n K x M channels of `rng`, as n draw_channel calls give them, in (n_i, K, M)
-    stacks of at most _STACK_BYTES of entries each (one channel at least)."""
+def draw_channels(rng: np.random.Generator, n: int, k_users: int, m_antennas: int):
+    """The next n K x M channels of `rng`, i.i.d. CN(0, 1) entries (re + 1j * im) / sqrt(2),
+    in (n_i, K, M) stacks of at most _STACK_BYTES of entries each (one channel at least)."""
     if k_users < 1 or m_antennas < 1:
         raise ValueError(f"channel dimensions must be positive, got K={k_users}, M={m_antennas}")
     per_stack = max(1, _STACK_BYTES // (16 * k_users * m_antennas))
@@ -90,17 +92,13 @@ def _channel_stacks(rng: np.random.Generator, n: int, k_users: int, m_antennas: 
         h = 1j * normals[:, 1]  # (re + 1j * im) / sqrt(2), with one temporary fewer
         h += normals[:, 0]
         h /= np.sqrt(2.0)
-        yield h
-
-
-def draw_channel(rng: np.random.Generator, k_users: int, m_antennas: int) -> ChannelMatrix:
-    """The next K x M channel with i.i.d. CN(0, 1) entries (re + 1j * im) / sqrt(2) from `rng`."""
-    return ChannelMatrix(next(_channel_stacks(rng, 1, k_users, m_antennas))[0])
+        yield ChannelMatrix(h)
 
 
 def sample_channel(k_users: int, m_antennas: int, seed: int) -> ChannelMatrix:
     """The first channel of stream (seed, CHANNEL)."""
-    return draw_channel(substream(seed, CHANNEL), k_users, m_antennas)
+    return ChannelMatrix(next(draw_channels(substream(seed, CHANNEL), 1, k_users, m_antennas))
+                         .entries[0])
 
 
 def _gram(h: np.ndarray) -> np.ndarray:
@@ -158,14 +156,15 @@ def _certified(trace_g, inverse_trace, residual_sq=None) -> bool:
     return bool(np.all(certified & (trace_g * inverse_trace <= bound)))
 
 
-def _zero_forcing(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ZF precoders W, ||W||_F^2 and residuals H W - I of an (n, K, M) channel stack.
+def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
+    """Zero-forcing precoder of a channel, or of each channel of a stack.
 
     W, H's conjugate-transpose pseudo-inverse, comes from Hermitian solves. The
     residual is formed once: _certified reads it and the precoder keeps it. A
-    stack _certified leaves undecided, or whose solve fails, goes to _eigenvalues,
-    which raises or lets W stand. Each norm is its channel's own np.vdot.
+    channel _certified leaves undecided, or whose solve fails, sends its Grams to
+    _eigenvalues, which raises or lets W stand. Each norm is its channel's own np.vdot.
     """
+    h = h.entries
     gram = _gram(h)
     try:
         # gram is Hermitian, so solve(gram, H) equals W^H and W = H^H gram^{-1}.
@@ -175,59 +174,39 @@ def _zero_forcing(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise
     with np.errstate(over="ignore", invalid="ignore"):
         residual = h @ w - np.eye(h.shape[-2])
-    frobenius, residual_sq = (np.array([np.vdot(a, a).real for a in arrays])
-                              for arrays in (w, residual))
+    frobenius, residual_sq = (
+        np.array([np.vdot(a, a).real for a in x.reshape(-1, *x.shape[-2:])]).reshape(x.shape[:-2])
+        for x in (w, residual))
     if not _certified(np.trace(gram, axis1=-2, axis2=-1).real, frobenius, residual_sq):
         _eigenvalues(gram)
-    return w, frobenius, residual
+    return BeamformingMatrix(entries=w, gamma=frobenius / h.shape[-2], residual=residual)
 
 
-def zf_beamformer(h: ChannelMatrix) -> BeamformingMatrix:
-    """Zero-forcing precoder of one channel: _zero_forcing on a stack of one."""
-    [w], [frobenius], [residual] = _zero_forcing(h.entries[None])
-    return BeamformingMatrix(entries=w, gamma=float(frobenius) / h.k_users, residual=residual)
+def gram_inverse_trace(h: ChannelMatrix) -> float | np.ndarray:
+    """tr((H H^H)^-1), the quantity controlling the common ZF SINR, from one eigvalsh call."""
+    return np.reciprocal(_eigenvalues(_gram(h.entries))).sum(axis=-1)
 
 
-def _inverse_traces(h: np.ndarray) -> np.ndarray:
-    """tr((H H^H)^-1) of each channel of an (n, K, M) stack, from one eigvalsh call."""
-    return np.reciprocal(_eigenvalues(_gram(h))).sum(axis=-1)
-
-
-def gram_inverse_trace(h: ChannelMatrix) -> float:
-    """tr((H H^H)^-1), the quantity controlling the common ZF SINR."""
-    return float(_inverse_traces(h.entries[None])[0])
-
-
-def _sinrs_zf(rho: float, h: np.ndarray) -> np.ndarray:
-    """sinr_zf of each channel of an (n, K, M) stack."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    return rho * h.shape[-2] / _inverse_traces(h)
-
-
-def sinr_zf(rho: float, h: ChannelMatrix) -> float:
+def sinr_zf(rho: float, h: ChannelMatrix) -> float | np.ndarray:
     """Post-beamforming SINR shared by all users: rho * K / tr((H H^H)^-1)."""
-    return float(_sinrs_zf(rho, h.entries[None])[0])
-
-
-def _sinrs_per_ue(rho: float, h: np.ndarray) -> np.ndarray:
-    """sinr_per_ue of each channel of an (n, K, M) stack, as (n, K)."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    w, frobenius, _ = _zero_forcing(h)
-    gains = np.abs(h @ (w / np.sqrt(frobenius / h.shape[-2])[:, None, None])) ** 2
-    signal = np.diagonal(gains, axis1=-2, axis2=-1)
-    return rho * signal / (rho * (gains.sum(axis=-1) - signal) + 1.0)
+    return rho * h.k_users / gram_inverse_trace(h)
 
 
 def sinr_per_ue(rho: float, h: ChannelMatrix) -> np.ndarray:
-    """Per-user SINR evaluated from the normalized precoder itself.
+    """Per-user SINR evaluated from the normalized precoder itself, (K,) or (n, K).
 
     Computes signal and residual-interference powers entry by entry rather
     than through the Gram-trace shortcut; under exact zero forcing all K
     values coincide with sinr_zf.
     """
-    return _sinrs_per_ue(rho, h.entries[None])[0]
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    precoder = zf_beamformer(h)
+    gains = np.abs(h.entries @ (precoder.entries / np.sqrt(precoder.gamma)[..., None, None])) ** 2
+    signal = np.diagonal(gains, axis1=-2, axis2=-1)
+    return rho * signal / (rho * (gains.sum(axis=-1) - signal) + 1.0)
 
 
 def per_ue_rate(bandwidth: float, sinr: float) -> float:

@@ -178,6 +178,12 @@ MUTANTS = [
                 "per_stack = max(1, n)")],
      "killed_by": ["tests/test_mimo.py::test_channel_stacks_are_n_channel_draws[0]",
                    "tests/test_cli.py::test_verify_runs_eigvalsh_only_for_the_common_sinr"]},
+    # The ZF core on a stack: each channel's ||W||_F^2 and residual are its own.
+    {"id": "zf_norm_pooled_over_stack", "file": MIMO,
+     "edits": [("np.array([np.vdot(a, a).real for a in x.reshape(-1, *x.shape[-2:])])",
+                "np.array([np.vdot(x, x).real for a in x.reshape(-1, *x.shape[-2:])])")],
+     "killed_by": ["tests/test_mimo.py::test_zero_forcing_stack_equals_each_channel_alone[0]",
+                   "tests/test_cli.py::test_verify_stdout_is_pinned"]},
     # The certificates that spare eigvalsh.
     {"id": "trace_certificate_without_off_diagonal", "file": MIMO,
      "edits": [('trace_g = gammas.sum(axis=1) + np.einsum("tcb,tcb->t", normals, normals) / 2',

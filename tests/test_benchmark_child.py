@@ -4,7 +4,8 @@ benchmarks/child.py wraps the functions it lists by name and stamps the
 first call into the CLI's trial entry points. A refactor that renames a
 traced function, or a CLI that stops calling its entry points through its
 module globals, breaks `--trace 1` or the set-up time; each run here must
-exit 0 and record when its first trial was ready.
+exit 0 and record when its first trial was ready, and verify must record
+its zero-forcing calls.
 """
 
 import json
@@ -12,6 +13,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CHILD = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -32,3 +34,7 @@ def test_traced_child_runs_and_stamps_first_trial(tmp_path, argv):
     report = json.loads(result.read_text())
     assert report["ready_ns"] is not None
     assert spans.exists()
+    if argv[0] == "verify":
+        # verify's ZF and SINR checks reach the ZF core through the traced name.
+        zf = report["span_names"].index("mimo.zf_beamformer")
+        assert (np.load(spans)[:, 2] == zf).sum() >= 1

@@ -115,8 +115,8 @@ def test_verify_checks_draw_from_their_own_streams(monkeypatch):
     # Neither check's first channel is the first channel of stream (seed, CHANNEL),
     # nor each other's.
     firsts = [mimo.sample_channel(10, 200, seed).entries,
-              mimo.draw_channel(substream(seed, rng.ZF_CHECK), 10, 200).entries,
-              mimo.draw_channel(substream(seed, rng.SINR_CHECK), 10, 200).entries]
+              next(mimo.draw_channels(substream(seed, rng.ZF_CHECK), 1, 10, 200)).entries[0],
+              next(mimo.draw_channels(substream(seed, rng.SINR_CHECK), 1, 10, 200)).entries[0]]
     assert not any(np.array_equal(a, b) for i, a in enumerate(firsts) for b in firsts[i + 1:])
 
 

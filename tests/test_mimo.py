@@ -72,6 +72,24 @@ def test_sample_channel_minimal_shape():
     assert h.k_users == 1 and h.m_antennas == 1
 
 
+@pytest.mark.parametrize("shape", [(4,), (1, 2, 3, 4)])
+def test_channel_matrix_rejects_ndim_other_than_2_or_3(shape):
+    with pytest.raises(ValueError, match="ndim"):
+        mimo.ChannelMatrix(np.ones(shape, dtype=complex))
+
+
+def test_channel_matrix_rejects_nan_in_the_last_channel_of_a_stack():
+    entries = np.ones((3, 2, 4), dtype=complex)
+    entries[-1, -1, -1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        mimo.ChannelMatrix(entries)
+
+
+def test_channel_matrix_stack_reads_users_and_antennas_from_the_last_axes():
+    h = mimo.ChannelMatrix(np.ones((5, 2, 7), dtype=complex))
+    assert (h.k_users, h.m_antennas) == (2, 7)
+
+
 @pytest.mark.parametrize("k,m", [(0, 4), (4, 0), (-1, 4), (4, -2)])
 def test_sample_channel_rejects_bad_dims(k, m):
     with pytest.raises(ValueError):
@@ -308,8 +326,8 @@ ZF_DIMS = [(k, m) for k in (2, 8, 32) for m in (16, 64, 200) if k < m]
 def check_stacks(seed):
     """The verify checks' channel stacks: each ZF shape's, then the SINR check's 20 channels."""
     rng = substream(seed, ZF_CHECK)
-    return ([h for k, m in ZF_DIMS for h in mimo._channel_stacks(rng, 13, k, m)]
-            + list(mimo._channel_stacks(substream(seed, SINR_CHECK), 20, 10, 200)))
+    return ([h for k, m in ZF_DIMS for h in mimo.draw_channels(rng, 13, k, m)]
+            + list(mimo.draw_channels(substream(seed, SINR_CHECK), 20, 10, 200)))
 
 
 def one_channel_zf(h):
@@ -338,11 +356,12 @@ def test_channel_stacks_are_n_channel_draws(seed):
     for n, k, m, sizes in [(13, 2, 16, [13]), (13, 8, 200, [4, 4, 4, 1]), (13, 32, 200, 13 * [1]),
                            (20, 10, 200, [3, 3, 3, 3, 3, 3, 2]), (1, 1, 1, [1])]:
         stacked, single, reference = (substream(seed, ZF_CHECK) for _ in range(3))
-        stacks = list(mimo._channel_stacks(stacked, n, k, m))
+        stacks = [h.entries for h in mimo.draw_channels(stacked, n, k, m)]
         assert [len(h) for h in stacks] == sizes
         assert all(h.nbytes <= mimo._STACK_BYTES for h in stacks if len(h) > 1)
         stack = np.concatenate(stacks)
-        assert same_bits(stack, [mimo.draw_channel(single, k, m).entries for _ in range(n)])
+        assert same_bits(stack, [next(mimo.draw_channels(single, 1, k, m)).entries[0]
+                                 for _ in range(n)])
         normals = [reference.standard_normal((2, k, m)) for _ in range(n)]
         assert same_bits(stack, [(re + 1j * im) / np.sqrt(2.0) for re, im in normals])
         # All three streams are left at the same place.
@@ -352,23 +371,24 @@ def test_channel_stacks_are_n_channel_draws(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_zero_forcing_stack_equals_each_channel_alone(seed):
     for h in check_stacks(seed):
-        w, frobenius, residual = mimo._zero_forcing(h)
-        for i, one in enumerate(h):
+        stacked = mimo.zf_beamformer(h)
+        for i, one in enumerate(h.entries):
             precoder = mimo.zf_beamformer(mimo.ChannelMatrix(one))
             expected_w, expected_frobenius, expected_residual = one_channel_zf(one)
-            assert same_bits(w[i], expected_w) and same_bits(precoder.entries, expected_w)
-            assert same_bits(residual[i], expected_residual)
+            expected_gamma = (expected_frobenius / len(one)).hex()
+            assert same_bits(stacked.entries[i], expected_w)
+            assert same_bits(precoder.entries, expected_w)
+            assert same_bits(stacked.residual[i], expected_residual)
             assert same_bits(precoder.residual, expected_residual)
-            assert frobenius[i] == expected_frobenius
-            assert precoder.gamma.hex() == (expected_frobenius / len(one)).hex()
+            assert stacked.gamma[i].hex() == precoder.gamma.hex() == expected_gamma
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sinr_stacks_equal_each_channel_alone(seed):
     for h in check_stacks(seed):
         for rho in (1.0, 0.7):
-            per_ue, common = mimo._sinrs_per_ue(rho, h), mimo._sinrs_zf(rho, h)
-            for i, one in enumerate(h):
+            per_ue, common = mimo.sinr_per_ue(rho, h), mimo.sinr_zf(rho, h)
+            for i, one in enumerate(h.entries):
                 expected_per_ue, expected_common = one_channel_sinrs(rho, one)
                 channel = mimo.ChannelMatrix(one)
                 assert same_bits(per_ue[i], expected_per_ue)
@@ -765,8 +785,8 @@ def test_bartlett_traces_match_channel_traces(monkeypatch, k, m, n_trials):
     # standard errors; a sample variance's is sqrt((mu_4 - sigma^4) / n).
     seed = 1
     rng = substream(seed, CHANNEL)
-    channel = np.array([mimo.gram_inverse_trace(mimo.draw_channel(rng, k, m))
-                        for _ in range(n_trials)])
+    channel = np.concatenate([mimo.gram_inverse_trace(h)
+                              for h in mimo.draw_channels(rng, n_trials, k, m)])
     (mean_b, var_b, mu4_b), (mean_c, var_c, mu4_c) = (
         moments(bartlett_traces(monkeypatch, k, m, n_trials, seed)), moments(channel))
     z_mean = (mean_b - mean_c) / math.sqrt((var_b + var_c) / n_trials)
