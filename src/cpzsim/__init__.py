@@ -27,16 +27,7 @@ from .propagation import (
     required_snr,
     snr_rho,
 )
-from .schemes import (
-    Region,
-    SchemeColumns,
-    SchemeKind,
-    SchemeReport,
-    energy_efficiency,
-    evaluate_scheme,
-    per_ue_rates,
-    powered_regions,
-)
+from .schemes import SchemeColumns, SchemeKind, SchemeReport, energy_efficiency, evaluate_scheme
 from .sim import (
     ArcCluster,
     FixedPlacement,

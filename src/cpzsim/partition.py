@@ -135,13 +135,6 @@ class CpzState:
         return [SectorCoverage(sector, theta, zoom)
                 for sector, zoom in self.per_sector_zoom.items()]
 
-    def max_zoom(self) -> float | None:
-        """Largest per-sector zoom distance, or None when the cell is empty."""
-        return max(self.per_sector_zoom.values(), default=None)
-
-    def sector_of(self, i: int) -> int:
-        return self._ues[i][1].sector
-
     def ue_positions(self) -> list[UePosition]:
         """The users' positions in join order."""
         return [pos for pos, _ in self._ues]

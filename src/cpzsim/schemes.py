@@ -12,15 +12,16 @@ that region's dimensioning power, so per-user rates follow from the SNR at
 the user's own distance; the region edge gets exactly the target rate and
 everyone closer gets more.
 
-Two forms compute the same reports, float for float, under one rule: `pow`
-and `log2` run in libm on Python floats, and every sum adds left to right from
-+0.0 in a fixed order, a trial's rates in user (join) order and cpz's power
-fractions in sector order (`_sum` in the scalar form, `_row_sums` in the batch
-form). `powered_regions`, `per_ue_rates` and `evaluate_scheme` work on one
-`CpzState` snapshot: the public scalar API, and the batch form's oracle.
-`_evaluate_trials` runs (trials, users) arrays of Monte Carlo runs and sweeps,
-on one or more grids that differ in sector count, and returns per grid one
-`SchemeColumns` per scheme: an array per report field and a `sleeping` mask.
+One model computes the reports. `_evaluate_trials`, the batch kernel, runs
+(trials, users) arrays of Monte Carlo runs and sweeps, on one or more grids
+that differ in sector count, and returns per grid one `SchemeColumns` per
+scheme: an array per report field and a `sleeping` mask. `evaluate_scheme` is
+the kernel on one `CpzState` snapshot. `pow` and `log2` run in libm on Python
+floats, and every sum adds left to right from +0.0 in a fixed order
+(`_row_sums`): a trial's rates in user (join) order and cpz's power fractions
+in sector order. The tests keep a scalar oracle of the same rule,
+`tests/oracle.py`, which sizes and rates one region at a time; the kernel's
+reports equal its reports float for float.
 """
 
 import functools
@@ -31,9 +32,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._record import Record
-from .mimo import per_ue_rate
 from .partition import CpzState, PartitionGrid, cell_indices
-from .propagation import LinkBudget, libm, required_bs_power, snr_rho
+from .propagation import LinkBudget, libm, required_bs_power
 
 
 class SchemeKind(Enum):
@@ -73,90 +73,14 @@ def energy_efficiency(sum_rate: float, total_power: float) -> float | None:
     return ee
 
 
-class Region(NamedTuple):
-    """A powered region: `wedges` adjacent sectors zoomed to `zoom`, serving users `members`.
-
-    Its angular fraction is wedges / grid.n_sectors, and it is charged that
-    fraction of the full-circle power P(zoom).
-    """
-
-    wedges: int
-    zoom: float
-    members: tuple[int, ...]
-
-
-def powered_regions(kind: SchemeKind, state: CpzState) -> list[Region]:
-    """The regions a scheme powers on a scenario snapshot; empty means the cell sleeps.
-
-    always_max powers the full circle out to the cell edge, zooming the full
-    circle out to the farthest occupied annulus, and cpz one region per
-    occupied sector at that sector's zoom. Members are user indices in join order.
-    """
-    grid = state.grid
-    members = tuple(range(len(state.ue_positions())))
-    if kind is SchemeKind.ALWAYS_MAX:
-        return [Region(grid.n_sectors, grid.cell_radius, members)]
-    if kind is SchemeKind.ZOOMING:
-        zoom = state.max_zoom()
-        return [] if zoom is None else [Region(grid.n_sectors, zoom, members)]
-    if kind is SchemeKind.CPZ:
-        by_sector: dict[int, list[int]] = {}
-        for i in members:
-            by_sector.setdefault(state.sector_of(i), []).append(i)
-        return [Region(1, c.zoom_distance, tuple(by_sector[c.sector]))
-                for c in state.coverage_requirements()]
-    raise ValueError(f"unknown scheme {kind!r}")
-
-
-def _sized_regions(kind: SchemeKind, state: CpzState, budget: LinkBudget, rate_target: float,
-                   k_users: int, m_antennas: int) -> list[tuple[Region, float]]:
-    """Each powered region with the full-circle power P(zoom) that dimensions it."""
-    return [(region, required_bs_power(region.zoom, rate_target, k_users, m_antennas, budget))
-            for region in powered_regions(kind, state)]
-
-
-def _region_rates(sized: list[tuple[Region, float]], state: CpzState, budget: LinkBudget,
-                  k_users: int, m_antennas: int,
-                  psi: Sequence[float] | None) -> dict[int, float]:
-    positions = state.ue_positions()
-    rates: dict[int, float] = {}
-    for region, power in sized:
-        for i in region.members:
-            fading = 1.0 if psi is None else psi[i]
-            rho = snr_rho(power, k_users, positions[i].r, budget, fading)
-            rates[i] = per_ue_rate(budget.bandwidth, rho * (m_antennas - k_users))
-    return rates
-
-
-def per_ue_rates(kind: SchemeKind, state: CpzState, budget: LinkBudget,
-                 rate_target: float, k_users: int, m_antennas: int,
-                 psi: Sequence[float] | None = None) -> dict[int, float]:
-    """Modeled rate of every served user, by index, at the scheme's granted power.
-
-    psi[i] is user i's slow-fading factor; omit it for the deterministic
-    unit-shadowing mode in which every rate is at least the target.
-    """
-    sized = _sized_regions(kind, state, budget, rate_target, k_users, m_antennas)
-    return _region_rates(sized, state, budget, k_users, m_antennas, psi)
-
-
-def _total_power(sized: list[tuple[int, float]], n_sectors: int) -> float:
-    """Radiated power of regions given as (wedges, full-circle power P(zoom)) pairs."""
-    if not sized:
-        return 0.0
-    # Accumulate fractions of the largest region power (each <= 1) and divide
-    # once: each left-to-right partial sum of n of them stays <= n, an exact
-    # float, so rounding cannot lift the total above that power, keeping the
-    # scheme ordering exact without tolerances.
-    full = max(power for _, power in sized)
-    return full * (_sum(wedges * (power / full) for wedges, power in sized) / n_sectors)
-
-
 def _total_powers(sized: np.ndarray, n_sectors: int) -> np.ndarray:
-    """_total_power of each row's one-sector regions, a region's P(zoom) at a column, else 0.0.
+    """Radiated power of each row's one-sector regions, a region's P(zoom) at a column, else 0.0.
 
     Regions in sector order along a row; the 0.0 between them leave each partial
-    sum as it is.
+    sum as it is. Fractions of the row's largest region power (each <= 1) are
+    summed and divided once: every left-to-right partial sum of n of them stays
+    <= n, an exact float, so rounding cannot lift a total above that power, and
+    the scheme ordering holds exactly, without tolerances.
     """
     full = np.where(sized.any(axis=1), sized.max(axis=1, initial=0.0), 1.0)  # 1.0: no region
     return full * (_row_sums(sized / full[:, None]) / n_sectors)
@@ -168,22 +92,12 @@ def _check_budget(kind: SchemeKind, total: float, p_max: float) -> None:
         raise RuntimeError(f"{kind.value} power {total} exceeds the always-max budget {p_max}")
 
 
-def _sum(values) -> float:
-    """values added left to right from +0.0, raising ValueError if the sum is infinite.
-
-    An explicit loop: builtin sum compensates float sums from Python 3.12 on, so
-    it gives this sum only on 3.10 and 3.11.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    if math.isinf(total):
-        raise ValueError("sum rate overflows the float range")
-    return total
-
-
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    """_sum of each row of a (rows, k) float64 array, bit for bit, raising as it raises."""
+    """Each row of a (rows, k) float64 array added left to right from +0.0.
+
+    Raises ValueError if a sum is infinite. An explicit loop over the columns,
+    so the sums are those of the oracle's scalar loop bit for bit.
+    """
     total = np.zeros(len(x))
     with np.errstate(over="ignore", invalid="ignore"):
         for column in x.T:
@@ -196,22 +110,20 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 def evaluate_scheme(kind: SchemeKind, state: CpzState, budget: LinkBudget,
                     rate_target: float, k_users: int, m_antennas: int,
                     psi: Sequence[float] | None = None) -> SchemeReport:
-    """Evaluate one scheme on a scenario snapshot.
+    """Evaluate one scheme on a scenario snapshot: the batch kernel on one trial.
 
     The report carries the scheme's total radiated power, the sum of the
-    served users' modeled rates, and the resulting energy efficiency. The
-    total can never exceed the always-max budget; that bound is re-checked
-    here as a guard against regressions in the power construction.
+    served users' modeled rates, and the resulting energy efficiency. psi[i]
+    is user i's slow-fading factor, None for unit shadowing. All three schemes
+    run, so the error raised is the first of theirs (always-max's first).
     """
-    sized = _sized_regions(kind, state, budget, rate_target, k_users, m_antennas)
-    total = _total_power([(region.wedges, power) for region, power in sized],
-                         state.grid.n_sectors)
-    p_max = required_bs_power(budget.cell_radius_r, rate_target, k_users, m_antennas, budget)
-    _check_budget(kind, total, p_max)
-    rates = _region_rates(sized, state, budget, k_users, m_antennas, psi)
-    sum_rate = _sum(rates[i] for i in range(len(state.ue_positions())))
-    return SchemeReport(kind, total, sum_rate, energy_efficiency(sum_rate, total),
-                        sum(region.wedges for region, _ in sized))
+    positions = state.ue_positions()
+    r = np.array([[pos.r for pos in positions]])
+    phi = np.array([[pos.phi for pos in positions]])
+    fading = None if psi is None else np.array([psi], dtype=float)
+    (columns,) = _evaluate_trials([state.grid], budget, rate_target, k_users, m_antennas,
+                                  r, phi, fading)
+    return columns[SCHEME_ORDER.index(kind)].report(0)
 
 
 class SchemeColumns(NamedTuple):
@@ -228,7 +140,7 @@ class SchemeColumns(NamedTuple):
     sleeping: np.ndarray
 
     def report(self, t: int) -> SchemeReport:
-        """Trial t, in Python scalars, as the SchemeReport evaluate_scheme gives for it."""
+        """Trial t, in Python scalars, as a SchemeReport."""
         return SchemeReport(self.scheme, float(self.total_power[t]), float(self.sum_rate[t]),
                             None if self.sleeping[t] else float(self.ee[t]),
                             int(self.n_active_sectors[t]))
@@ -241,7 +153,7 @@ def _link_gains(budget: LinkBudget, cell_radius: float, r: np.ndarray,
     if outside.any():
         raise ValueError(f"user distance {r[outside][0]} m outside "
                          f"[{budget.r0}, {cell_radius}] m")
-    # Products round alike in numpy and Python, and sums follow _sum's order.
+    # Products round alike in numpy and Python, and sums follow _row_sums' order.
     loss = libm(math.pow, r / budget.r0, -budget.alpha)
     if psi is not None and not ((0 < psi) & (psi < math.inf)).all():
         raise ValueError("shadowing factor must be positive and finite")
@@ -311,9 +223,10 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
     grid: sized and rated once per block, their arrays are shared by all grids'
     columns but n_active_sectors. Per grid, cpz powers each sector out to the
     sector's top annulus and serves user u out to ring[t, u]; its totals are
-    _total_powers' sums of power fractions in sector order (the kernel never
-    calls the oracle's _sum or _total_power). Trial t of a grid's columns holds
-    the reports of evaluate_scheme on row t's users on that grid, float for float. The error
+    _total_powers' sums of power fractions in sector order. This is the one
+    model of the schemes; trial t of a grid's columns equals, float for float,
+    the reports of the tests' scalar oracle (tests/oracle.py) on row t's users
+    on that grid, and evaluate_scheme is this function on one trial. The error
     raised is the one a call per grid would raise first; on one grid, errors
     come block by block and, within a block, stage by stage: _link_gains
     (ValueError for a distance outside [r0, R] or a factor that is not
@@ -367,8 +280,8 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         rb, phib = rb.take(flat), phib.take(flat)
         annulus, sector = cell_indices(grid, rb, phib)
         annulus = annulus.astype(np.int64)
-        # Plans in column order; _total_power([(n, P)], n) == P: always-max's and
-        # zooming's totals are ring powers.
+        # Plans in column order. A full circle is charged all of P(zoom), so
+        # always-max's and zooming's totals are ring powers.
         tops = (np.full(len(rb), edge), annulus.max(axis=1, initial=-1))
         plans = [(_ring_powers(size, top), top[:, None], top >= 0) for top in tops]
         plans += [_cpz_plan(size, each.n_sectors, annulus, cell_indices(each, rb, phib)[1]

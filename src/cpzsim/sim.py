@@ -9,8 +9,10 @@ trials run. Results are the same bit for bit on any host with the same libm
 (`propagation.libm`): each trial's sums add left to right in a fixed order
 (`schemes._row_sums`), and each mean is one `math.fsum` over the trials.
 `_evaluate` is the one way into the batch kernel
-`schemes._evaluate_trials`: it draws the config's users and shadowing as
-(trials, users) arrays and evaluates them on a list of grids.
+`schemes._evaluate_trials`, the package's one model of the schemes (the
+tests check it against a scalar oracle, tests/oracle.py): it draws the
+config's users and shadowing as (trials, users) arrays and evaluates them on
+a list of grids.
 A distance sweep is run_comparison on one user pinned at each distance; a
 sector sweep evaluates one clustered user set on every count's grid at once.
 Results are the kernel's per-scheme columns (`schemes.SchemeColumns`, an

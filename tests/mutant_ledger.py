@@ -8,6 +8,7 @@ result the tests can see, for the reason its `argument` gives; it is listed,
 not run. tests/test_mutant_ledger.py checks that every old text is still in
 its file exactly once and that every killing test is still collected, so a
 refactor that moves mutated code or drops a killing test updates this file.
+A mutant moved to the code that now does its work keeps its id.
 """
 
 MIMO, SCHEMES, SIM, FLOAT_TEXT = "mimo.py", "schemes.py", "sim.py", "_float_text.py"
@@ -31,12 +32,9 @@ MUTANTS = [
                    "tests/test_schemes.py::test_zooming_middle_annulus",
                    "tests/test_expectation.py::test_scheme_means_match_closed_forms[10-18]"]},
     {"id": "cpz_fraction_over_one_sector_more", "file": SCHEMES,
-     "edits": [("for wedges, power in sized) / n_sectors)",
-                "for wedges, power in sized) / (n_sectors + 1))"),
-               ("_row_sums(sized / full[:, None]) / n_sectors)",
+     "edits": [("_row_sums(sized / full[:, None]) / n_sectors)",
                 "_row_sums(sized / full[:, None]) / (n_sectors + 1))")],
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
-                   "tests/test_schemes.py::test_always_max_analytic_value",
                    "tests/test_expectation.py::test_scheme_means_match_closed_forms[10-18]"]},
     {"id": "lognormal_sigma_over_20", "file": PROPAGATION,
      "edits": [("self.sigma_db / 10.0 * gauss", "self.sigma_db / 20.0 * gauss")],
@@ -65,27 +63,30 @@ MUTANTS = [
      "killed_by": ["tests/test_propagation.py::test_required_power_rejects_nan_power",
                    "tests/test_cli.py::"
                    "test_simulate_unsizable_target_or_infinite_ee_exits_2[doc6-power of nan W]"]},
-    # Rates: M - K + 1 degrees of freedom in the scalar and the batch rate paths.
+    # Rates: M - K + 1 degrees of freedom in the kernel's rate stage.
     {"id": "rates_m_minus_k_plus_1", "file": SCHEMES,
-     "edits": [("per_ue_rate(budget.bandwidth, rho * (m_antennas - k_users))",
-                "per_ue_rate(budget.bandwidth, rho * (m_antennas - k_users + 1))"),
-               ("/ budget.noise_n0 * (m_antennas - k_users)",
+     "edits": [("/ budget.noise_n0 * (m_antennas - k_users)",
                 "/ budget.noise_n0 * (m_antennas - k_users + 1)")],
-     "killed_by": ["tests/test_cli.py::test_seeded_output_digests[simulate]",
+     "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
+                   "tests/test_cli.py::test_seeded_output_digests[simulate]",
                    "tests/test_cli.py::test_emitted_bytes_on_fixed_placement[distance]"]},
-    # The scalar oracle: a user is its index, in cpz's regions and in psi.
+    # A user keeps its own place: cpz serves it out to its own sector's ring, not
+    # the trial's farthest, and it is faded by its own psi, not the first user's.
     {"id": "cpz_region_serves_every_user", "file": SCHEMES,
-     "edits": [("Region(1, c.zoom_distance, tuple(by_sector[c.sector]))",
-                "Region(1, c.zoom_distance, members)")],
+     "edits": [("ring.put(flat, tops[np.cumsum(first) - 1])",
+                "ring[:] = annulus.max(axis=1, initial=-1)[:, None]")],
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
-                   "tests/test_schemes.py::test_region_rule_properties",
-                   "tests/test_schemes.py::test_effective_power_is_sector_zoom_power"]},
+                   "tests/test_kernel.py::test_cpz_plan_scatters_rings_back_to_user_order[6-7]",
+                   "tests/test_cli.py::test_seeded_output_digests[simulate]"]},
     {"id": "oracle_psi_of_first_user", "file": SCHEMES,
-     "edits": [("fading = 1.0 if psi is None else psi[i]",
-                "fading = 1.0 if psi is None else psi[0]")],
+     "edits": [("return faded if psi is None else faded * psi",
+                "return faded if psi is None else faded * psi[:, :1]")],
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
-                   "tests/test_schemes.py::test_shadowing_factor_moves_rates"]},
-    # Sums: the kernel's rows in angle order, and a compensated scalar sum.
+                   "tests/test_metamorphic.py::"
+                   "test_permuting_the_users_of_a_trial_moves_only_sum_rate_rounding"
+                   "[counts0-lognormal]",
+                   "tests/test_cli.py::test_seeded_output_digests[sweep_sectors]"]},
+    # Sums: the kernel's rows in angle order, and a correctly rounded row sum.
     {"id": "row_sums_in_angle_order", "file": SCHEMES,
      "edits": [("edge_sums = _row_sums(edge_rates)",
                 "edge_sums = _row_sums(np.take_along_axis(edge_rates, order, axis=1))"),
@@ -95,8 +96,8 @@ MUTANTS = [
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
                    "tests/test_cli.py::test_seeded_output_digests[simulate]"]},
     {"id": "fsum_in_scalar_sum", "file": SCHEMES,
-     "edits": [("    total = 0.0\n    for value in values:\n        total += value\n",
-                "    total = math.fsum(values)\n")],
+     "edits": [("        for column in x.T:\n            total += column\n",
+                "        total = np.array([math.fsum(row) for row in x.tolist()])\n")],
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
                    "tests/test_sums.py::test_sums_are_strict_left_folds",
                    "tests/test_sums.py::test_row_sums_match_sum_row_by_row"]},
@@ -246,11 +247,11 @@ EQUIVALENT = [
      "argument": "changed none of 4 million random odd-mantissa doubles in the four"
                  " binades it touches (e2 < 0, q <= 1) when it was run"},
     {"id": "builtin_sum_in_scalar_sum", "file": SCHEMES,
-     "edits": [("    total = 0.0\n    for value in values:\n        total += value\n",
-                "    total = sum(values, 0.0)\n")],
-     "argument": "equivalent only on Python 3.11 and earlier, where builtin sum adds floats"
-                 " left to right; from 3.12 on it compensates, and"
-                 " test_sums_are_strict_left_folds kills it"},
+     "edits": [("        for column in x.T:\n            total += column\n",
+                "        total = sum(x.T, total)\n")],
+     "argument": "builtin sum adds the columns left to right with ndarray addition on every"
+                 " Python version: its compensated float path, from 3.12 on, takes only"
+                 " a Python float as the running total"},
     {"id": "trace_certificate_strict", "file": MIMO,
      "edits": [("trace_g * inverse_trace <= bound", "trace_g * inverse_trace < bound")],
      "argument": "differs only where a product tr(G) tr(G^-1), or tr(G) ||W||_F^2, equals"

@@ -12,12 +12,7 @@ import numpy as np
 from cpzsim import cli, mimo
 from cpzsim.partition import PartitionGrid, UePosition
 from cpzsim.propagation import LinkBudget
-from cpzsim.schemes import (
-    SCHEME_ORDER,
-    SchemeKind,
-    evaluate_scheme,
-    per_ue_rates,
-)
+from cpzsim.schemes import SCHEME_ORDER, SchemeKind, evaluate_scheme
 from cpzsim.sim import (
     ArcCluster,
     FixedPlacement,
@@ -29,6 +24,8 @@ from cpzsim.sim import (
     sweep_distance,
     sweep_sectors,
 )
+
+from oracle import per_ue_rates
 
 GRID = PartitionGrid(3, 18, 1000.0)
 BUDGET = LinkBudget()

@@ -2,10 +2,16 @@
 
 Both files are read as text, with no YAML or TOML parser, so the check runs on
 the oldest supported Python. The workflow itself has never been seen to run.
+Record, the one module that reaches into dataclasses' internals, is also loaded
+and exercised under each other CPython that pyenv has installed.
 """
 
+import glob
 import os
 import re
+import subprocess
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -75,3 +81,59 @@ def test_package_uses_no_numpy_name_newer_than_the_floor():
     used = {(name, attr) for name in sorted(os.listdir(package)) if name.endswith(".py")
             for attr in NUMPY_NAME.findall(read("src", "cpzsim", name)) if attr in NUMPY_2_ONLY}
     assert used == set()
+
+
+# Record on interpreters other than the one running the tests. _record.py imports
+# only the standard library, so a bare CPython with no numpy can load it by path.
+RECORD_CHECK = """
+import dataclasses, importlib.util, sys
+spec = importlib.util.spec_from_file_location("_record", sys.argv[1])
+record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(record)
+
+class Point(record.Record):
+    x: float
+    y: float = 2.0
+    tags: tuple = dataclasses.field(default_factory=tuple)
+
+class Other(record.Record):  # Point's fields, another class
+    x: float
+    y: float = 2.0
+    tags: tuple = dataclasses.field(default_factory=tuple)
+
+p = Point(1.0)
+assert (p.x, p.y, p.tags) == (1.0, 2.0, ()) and Point(1.0, tags=(3,)).tags == (3,)
+for bad in (lambda: Point(), lambda: Point(1.0, z=0.0), lambda: Point(1.0, 2.0, (), 4)):
+    try:
+        bad()
+    except TypeError:
+        continue
+    raise AssertionError("a bad argument list was accepted")
+assert [f.name for f in dataclasses.fields(p)] == ["x", "y", "tags"]
+q = dataclasses.replace(p, y=5.0)
+assert (q.x, q.y, p.y) == (1.0, 5.0, 2.0)
+assert p == Point(1.0) and hash(p) == hash(Point(1.0)) and p != q and p != Other(1.0)
+for change in (lambda: setattr(p, "x", 0.0), lambda: delattr(p, "x")):
+    try:
+        change()
+    except dataclasses.FrozenInstanceError:
+        continue
+    raise AssertionError("a frozen record changed")
+assert (p.x, p.y) == (1.0, 2.0)
+print(sys.version_info[:2])
+"""
+
+
+@pytest.mark.parametrize("minor", ["3.10", "3.12", "3.13"])
+def test_record_works_on_other_pythons(minor):
+    # Record sets the private dataclasses._FIELD that replace and fields read.
+    # pyenv's interpreters stand in for the matrix entries; absent ones skip.
+    pyenv = os.environ.get("PYENV_ROOT", os.path.expanduser("~/.pyenv"))
+    found = sorted(glob.glob(os.path.join(pyenv, "versions", f"{minor}.*", "bin", "python3")))
+    if not found:
+        pytest.skip(f"no pyenv Python {minor}")
+    proc = subprocess.run([found[-1], "-I", "-c", RECORD_CHECK,
+                           os.path.join(ROOT, "src", "cpzsim", "_record.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"({minor.replace('.', ', ')})\n"

@@ -1,16 +1,20 @@
-"""The batch scheme kernel against the scalar oracle.
+"""The batch scheme kernel, the package's one scheme model, against the scalar oracle.
 
 `run_comparison`, `sweep_distance` and `sweep_sectors` evaluate whole
-batches of trials with `schemes._evaluate_trials`. The oracle here rebuilds
-every trial from the public scalar API (`place_ues` or fixed positions,
-`LognormalShadowing.psi`, `build_state`, `evaluate_scheme`) and each trial's
-reports, read from the scheme columns with `report(t)`, must match it with
-`==` on every field, no tolerance, or both must raise the same exception
-type.
+batches of trials with `schemes._evaluate_trials`. The scalar oracle,
+tests/oracle.py, states the same rule region by region in Python floats and
+reaches the package only through public names. Each trial is rebuilt from
+`place_ues` or fixed positions, `LognormalShadowing.psi` and `build_state`
+and evaluated by the oracle's `evaluate_scheme`; each trial's reports, read
+from the scheme columns with `report(t)`, must match it with `==` on every
+field, no tolerance, or both must raise the same exception type.
 """
 
-import collections
+import ast
+import importlib
+import inspect
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -28,7 +32,7 @@ from cpzsim.propagation import (
     LognormalShadowing,
     required_bs_power,
 )
-from cpzsim.schemes import SCHEME_ORDER, evaluate_scheme
+from cpzsim.schemes import SCHEME_ORDER
 from cpzsim.sim import (
     ArcCluster,
     FixedPlacement,
@@ -41,6 +45,8 @@ from cpzsim.sim import (
     sweep_sectors,
 )
 
+import oracle
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -49,8 +55,8 @@ def oracle_trial(config, grid, positions, trial):
     psi = None
     if isinstance(config.shadowing, LognormalShadowing):
         psi = config.shadowing.psi(len(positions), trial).tolist()
-    return tuple(evaluate_scheme(kind, state, config.budget, config.rate_target,
-                                 config.k_users, config.m_antennas, psi)
+    return tuple(oracle.evaluate_scheme(kind, state, config.budget, config.rate_target,
+                                        config.k_users, config.m_antennas, psi)
                  for kind in SCHEME_ORDER)
 
 
@@ -396,16 +402,26 @@ def test_overflow_example_trips_the_sinr_guard():
         run_comparison(config)
 
 
-def test_kernel_never_calls_the_scalar_sums(monkeypatch):
-    # Every trial's sum rate and cpz total comes from _row_sums: the kernel
-    # calls neither the oracle's _sum nor its _total_power, so the oracle test
-    # checks both independently.
-    calls = collections.Counter()
-    for name in ("_sum", "_total_power"):
-        monkeypatch.setattr(schemes, name, lambda *args, name=name: calls.update([name]))
-    run_comparison(ScenarioConfig(n_trials=2048))
-    sweep_sectors(ScenarioConfig(n_trials=64), [1, 6, 18])
-    assert calls == {}
+def test_oracle_imports_only_public_cpzsim_names():
+    # The oracle shares no kernel stage: it takes from cpzsim, by name and at the
+    # top of its file, public names only, no module through which a private name
+    # could be reached, and none of the calls that run the kernel.
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(node in tree.body for node in imports)
+    assert not [alias.name for node in imports if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.split(".")[0] == "cpzsim"]
+    taken = [(node.module, alias.name) for node in imports if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "cpzsim" for alias in node.names]
+    assert taken
+    for module, name in taken:
+        assert not [part for part in [*module.split("."), name] if part.startswith("_")], name
+        assert not inspect.ismodule(getattr(importlib.import_module(module), name)), name
+        assert name not in {"evaluate_scheme", "run_comparison", "sweep_distance",
+                            "sweep_sectors"}, name
+    assert not [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
 
 
 def test_cpz_powering_every_sector_to_the_edge_matches_zooming_exactly():

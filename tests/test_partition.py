@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from cpzsim.partition import CellIndex, CpzState, PartitionGrid, UePosition, locate
 
+from oracle import max_zoom, sector_of
+
 GRID = PartitionGrid(n_annuli=3, n_sectors=18, cell_radius=1000.0)
 TWO_PI = 2.0 * math.pi
 
@@ -199,7 +201,7 @@ def test_join_same_position_twice_is_two_users():
     state.join(UePosition(550.0, 0.1))
     state.join(UePosition(550.0, 0.1))
     assert state.ue_positions() == [UePosition(550.0, 0.1)] * 2
-    assert [state.sector_of(i) for i in range(2)] == [0, 0]
+    assert [sector_of(state, i) for i in range(2)] == [0, 0]
 
 
 def test_join_prefixes_match_recomputation():
@@ -269,8 +271,8 @@ def test_coverage_all_sectors_outer_annulus():
 
 def test_max_zoom_tracks_farthest_sector():
     state = CpzState(GRID)
-    assert state.max_zoom() is None
+    assert max_zoom(state) is None
     state.join(UePosition(150.0, 0.1))
-    assert state.max_zoom() == pytest.approx(1000.0 / 3)
+    assert max_zoom(state) == pytest.approx(1000.0 / 3)
     state.join(UePosition(900.0, 3.0))
-    assert state.max_zoom() == 1000.0
+    assert max_zoom(state) == 1000.0

@@ -4,6 +4,8 @@ The analytic reference is the budget inversion evaluated by hand:
 rho_req = (2^(target/B) - 1)/(M - K) and P(d) = rho_req*K*N0*(d/r0)^alpha.
 Scheme ordering and refinement monotonicity are asserted without
 tolerance; the power construction is supposed to guarantee them exactly.
+evaluate_scheme is the batch kernel on one trial; the powered regions and
+per-user rates come from the scalar oracle, tests/oracle.py.
 """
 
 import math
@@ -16,15 +18,9 @@ from hypothesis import strategies as st
 from cpzsim import schemes
 from cpzsim.partition import CpzState, PartitionGrid, UePosition, locate
 from cpzsim.propagation import LinkBudget, required_bs_power
-from cpzsim.schemes import (
-    SCHEME_ORDER,
-    Region,
-    SchemeKind,
-    energy_efficiency,
-    evaluate_scheme,
-    per_ue_rates,
-    powered_regions,
-)
+from cpzsim.schemes import SCHEME_ORDER, SchemeKind, energy_efficiency, evaluate_scheme
+
+from oracle import Region, per_ue_rates, powered_regions, sector_of
 
 GRID = PartitionGrid(3, 18, 1000.0)
 BUDGET = LinkBudget()
@@ -334,7 +330,7 @@ def test_region_rule_properties(scenario):
         if kind is SchemeKind.CPZ:
             sectors = []
             for region in regions:
-                (sector,) = {state.sector_of(i) for i in region.members}
+                (sector,) = {sector_of(state, i) for i in region.members}
                 assert region.wedges == 1
                 assert region.zoom == state.per_sector_zoom[sector]
                 sectors.append(sector)

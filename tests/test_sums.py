@@ -1,4 +1,5 @@
-"""The one summation rule of the scheme reports: `schemes._sum` and `schemes._row_sums`.
+"""The one summation rule of the scheme reports: the kernel's `schemes._row_sums`
+and the scalar oracle's `_sum` (tests/oracle.py).
 
 Both add left to right from +0.0, so the batch kernel's row sums have the
 scalar oracle's bits on any IEEE host. Results are compared as int64, so the
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpzsim.schemes import _row_sums, _sum
+from cpzsim.schemes import _row_sums
+
+from oracle import _sum
 
 MAX = sys.float_info.max
 TINY = 2.0**-1074
