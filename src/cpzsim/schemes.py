@@ -14,14 +14,15 @@ everyone closer gets more.
 
 One model computes the reports. `_evaluate_trials`, the batch kernel, runs
 (trials, users) arrays of Monte Carlo runs and sweeps, on one or more grids
-that differ in sector count, and returns per grid one `SchemeColumns` per
-scheme: an array per report field and a `sleeping` mask. `evaluate_scheme` is
-the kernel on one `CpzState` snapshot. `pow` and `log2` run in libm on Python
-floats, and every sum adds left to right from +0.0 in a fixed order
-(`_row_sums`): a trial's rates in user (join) order and cpz's power fractions
-in sector order. The tests keep a scalar oracle of the same rule,
-`tests/oracle.py`, which sizes and rates one region at a time; the kernel's
-reports equal its reports float for float.
+that differ in sector count (cpz planned once per distinct partition of the
+users), and returns per grid one `SchemeColumns` per scheme: an array per
+report field and a `sleeping` mask. `evaluate_scheme` is the kernel on one
+`CpzState` snapshot. `pow` and `log2` run in libm on Python floats, and every
+sum adds left to right from +0.0 in a fixed order (`_row_sums`): a trial's
+rates in user (join) order and cpz's power fractions in sector order. The
+tests keep a scalar oracle of the same rule, `tests/oracle.py`, which sizes
+and rates one region at a time; the kernel's reports equal its reports float
+for float.
 """
 
 import functools
@@ -82,7 +83,9 @@ def _total_powers(sized: np.ndarray, n_sectors: int) -> np.ndarray:
     <= n, an exact float, so rounding cannot lift a total above that power, and
     the scheme ordering holds exactly, without tolerances.
     """
-    full = np.where(sized.any(axis=1), sized.max(axis=1, initial=0.0), 1.0)  # 1.0: no region
+    # numpy reduces a short row faster from a column-major copy than in place.
+    full = np.asfortranarray(sized).max(axis=1, initial=0.0)
+    full[full == 0.0] = 1.0  # no region
     return full * (_row_sums(sized / full[:, None]) / n_sectors)
 
 
@@ -180,23 +183,21 @@ def _ring_powers(size, rings: np.ndarray) -> np.ndarray:
     return np.array([size(a) if a >= 0 else 0.0 for a in distinct.tolist()])[index]
 
 
-def _cpz_plan(size, n_sectors: int, annulus: np.ndarray, sector: np.ndarray,
+def _cpz_plan(size, annulus: np.ndarray, first: np.ndarray,
               flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cpz's (total, ring, region count) on a grid; annulus and sector in angle order.
+    """cpz's (sized, ring, region count) on a partition; annulus and first in angle order.
 
-    In that order each row's sectors ascend and a sector's region sits at its
-    first user; ring, the annulus each user is served out to, is in user order:
-    flat[t, j] is the flat user-order index of the j-th user of row t in angle order.
+    In that order each row's sectors ascend and first marks each sector's first user,
+    where its region sits; ring, the annulus each user is served out to, is in user
+    order: flat[t, j] is the flat user-order index of the j-th user of row t in angle order.
     """
-    first = np.ones(sector.shape, dtype=bool)
-    first[:, 1:] = sector[:, 1:] != sector[:, :-1]
     starts = np.flatnonzero(first)
     tops = np.maximum.reduceat(annulus.ravel(), starts)
-    sized = np.zeros(sector.shape)
+    sized = np.zeros(first.shape)
     sized.flat[starts] = _ring_powers(size, tops)
-    ring = np.empty(sector.shape, dtype=np.int64)
+    ring = np.empty(first.shape, dtype=np.int64)
     ring.put(flat, tops[np.cumsum(first) - 1])
-    return _total_powers(sized, n_sectors), ring, first.sum(axis=1)
+    return sized, ring, first.sum(axis=1)
 
 
 def _guard(columns: Sequence[SchemeColumns], powers: np.ndarray, p_max: float) -> None:
@@ -222,7 +223,8 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
     a full-circle region out to the edge and to the trial's top annulus on any
     grid: sized and rated once per block, their arrays are shared by all grids'
     columns but n_active_sectors. Per grid, cpz powers each sector out to the
-    sector's top annulus and serves user u out to ring[t, u]; its totals are
+    sector's top annulus and serves user u out to ring[t, u], planned once
+    per distinct partition of a block's users; its totals are per grid,
     _total_powers' sums of power fractions in sector order. This is the one
     model of the schemes; trial t of a grid's columns equals, float for float,
     the reports of the tests' scalar oracle (tests/oracle.py) on row t's users
@@ -284,8 +286,17 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         # always-max's and zooming's totals are ring powers.
         tops = (np.full(len(rb), edge), annulus.max(axis=1, initial=-1))
         plans = [(_ring_powers(size, top), top[:, None], top >= 0) for top in tops]
-        plans += [_cpz_plan(size, each.n_sectors, annulus, cell_indices(each, rb, phib)[1]
-                            if g else sector, flat) for g, each in enumerate(grids)]
+        # cpz's plans by partition (each row's run starts): grids that split the
+        # users alike share one sized, ring and region count; totals are per grid.
+        partitions = {}
+        for g, each in enumerate(grids):
+            sectors = cell_indices(each, rb, phib)[1] if g else sector
+            first = np.ones(sectors.shape, dtype=bool)
+            first[:, 1:] = sectors[:, 1:] != sectors[:, :-1]
+            if (key := first.tobytes()) not in partitions:
+                partitions[key] = _cpz_plan(size, annulus, first, flat)
+            sized, ring, n_regions = partitions[key]
+            plans.append((_total_powers(sized, each.n_sectors), ring, n_regions))
         _guard(columns, np.stack([power for power, _, _ in plans]), p_max)
         edge_rates = _rates(budget, k_users, m_antennas, faded, size(edge))
         edge_sums = _row_sums(edge_rates)

@@ -35,6 +35,8 @@ MUTANTS = [
      "edits": [("_row_sums(sized / full[:, None]) / n_sectors)",
                 "_row_sums(sized / full[:, None]) / (n_sectors + 1))")],
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
+                   "tests/test_schemes.py::test_cpz_single_ue_is_one_sector_fraction",
+                   "tests/test_schemes.py::test_cpz_additive_over_sectors",
                    "tests/test_expectation.py::test_scheme_means_match_closed_forms[10-18]"]},
     {"id": "lognormal_sigma_over_20", "file": PROPAGATION,
      "edits": [("self.sigma_db / 10.0 * gauss", "self.sigma_db / 20.0 * gauss")],
@@ -86,6 +88,13 @@ MUTANTS = [
                    "test_permuting_the_users_of_a_trial_moves_only_sum_rate_rounding"
                    "[counts0-lognormal]",
                    "tests/test_cli.py::test_seeded_output_digests[sweep_sectors]"]},
+    # Grids share a cpz plan only where their sectors split the users alike.
+    {"id": "cpz_plan_shared_by_unlike_partitions", "file": SCHEMES,
+     "edits": [("if (key := first.tobytes()) not in partitions:",
+                'if (key := b"") not in partitions:')],
+     "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
+                   "tests/test_kernel.py::test_shared_cpz_plan_equals_each_grid_alone[blocks]",
+                   "tests/test_kernel.py::test_shared_cpz_plan_equals_each_grid_alone[apart]"]},
     # Sums: the kernel's rows in angle order, and a correctly rounded row sum.
     {"id": "row_sums_in_angle_order", "file": SCHEMES,
      "edits": [("edge_sums = _row_sums(edge_rates)",

@@ -14,6 +14,7 @@ import os
 import pytest
 
 from cpzsim import _float_text, cli
+from test_kernel import spy_on_cpz_plans
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "benchmarks")
@@ -54,8 +55,11 @@ def test_benchmark_sweep_formats_count_invariant_floats_once(tmp_path, monkeypat
     # the same on every count: the formatter sees each of them once (8 007
     # values; 20 013 when every chunk formatted all of its distinct floats).
     # The pass formats its 1000 trial numbers once and each count's active
-    # sectors once: 8 integer calls, not 14.
+    # sectors once: 8 integer calls, not 14. The users sit in sector 0 of the
+    # finest count, so all seven counts split them alike and the kernel's one
+    # block plans cpz once, not once per count.
     run, _ = bench
+    plans = spy_on_cpz_plans(monkeypatch)
     sizes, int_calls = [], []
     float_texts, int_texts = _float_text._float_texts, _float_text._int_texts
 
@@ -75,3 +79,5 @@ def test_benchmark_sweep_formats_count_invariant_floats_once(tmp_path, monkeypat
     assert cli.main(inputs.argv) == 0
     assert sizes == [8007]
     assert len(int_calls) == 8
+    assert len(run.SWEEP_VALUES) == 7
+    assert plans == [inputs.config["n_trials"]] == [1000]

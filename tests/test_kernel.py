@@ -376,6 +376,68 @@ def test_sector_sweep_rates_zooming_once_per_block(monkeypatch):
     assert calls == [users for block in (64, 64, 22) for users in [block * 12] * (2 + len(counts))]
 
 
+def spy_on_cpz_plans(monkeypatch):
+    """The number of rows of each _cpz_plan call, in call order."""
+    calls = []
+    cpz_plan = schemes._cpz_plan
+
+    def spy(size, annulus, first, flat):
+        calls.append(len(first))
+        return cpz_plan(size, annulus, first, flat)
+
+    monkeypatch.setattr(schemes, "_cpz_plan", spy)
+    return calls
+
+
+def test_sector_sweep_plans_cpz_once_per_block(monkeypatch):
+    # The default sweep clusters every trial's users in sector 0 of the finest
+    # grid, so all seven counts split them into one region: one plan per block.
+    calls = spy_on_cpz_plans(monkeypatch)
+    monkeypatch.setattr(schemes, "_BLOCK", 64)
+    sweep_sectors(ScenarioConfig(shadowing=LognormalShadowing(), n_trials=150),
+                  [1, 2, 3, 6, 9, 18, 36])
+    assert calls == [64, 64, 22]
+
+
+def arcs(rng, n_trials, k, spans):
+    """(r, phi) of k users per trial, each at a random angle in one of the (low, high) spans."""
+    low, high = np.moveaxis(np.array(spans)[rng.integers(0, len(spans), (n_trials, k))], -1, 0)
+    u = rng.random((2, n_trials, k))
+    return 100.0 + 900.0 * u[0], low + (high - low) * u[1]
+
+
+def shared_plan_cases():
+    """(counts, r, phi, rows of each _cpz_plan call) of counts that share plans, _BLOCK = 64."""
+    rng = np.random.default_rng(37)
+    # Counts 1 and 2 split block 0's users, all in [0, pi), alike, and block 1's
+    # not; count 1 splits both blocks alike, yet each block plans its own users.
+    r0, phi0 = arcs(rng, 64, 5, [(0.0, math.pi)])
+    r1, phi1 = arcs(rng, 64, 5, [(0.0, TWO_PI)])
+    yield [1, 2], np.vstack([r0, r1]), np.vstack([phi0, phi1]), [64, 64, 64]
+    # Counts 2 and 4 split users in [0, pi/2) and [pi, 3 pi/2) alike, count 3 not.
+    r, phi = arcs(rng, 100, 6, [(0.0, math.pi / 2), (math.pi, 1.5 * math.pi)])
+    yield [2, 3, 4], r, phi, [64, 64, 36, 36]
+
+
+@pytest.mark.parametrize("counts, r, phi, plan_rows", shared_plan_cases(),
+                         ids=["blocks", "apart"])
+def test_shared_cpz_plan_equals_each_grid_alone(monkeypatch, counts, r, phi, plan_rows):
+    # Grids that share a plan share its regions and rings, never their totals:
+    # every grid's columns equal its own one-grid call, float for float.
+    monkeypatch.setattr(schemes, "_BLOCK", 64)
+    grids = [PartitionGrid(3, count) for count in counts]
+    args = LinkBudget(), 2e7, 10, 200, r, phi
+    calls = spy_on_cpz_plans(monkeypatch)
+    shared = schemes._evaluate_trials(grids, *args)
+    assert calls == plan_rows
+    for grid, columns in zip(grids, shared):
+        (alone,) = schemes._evaluate_trials([grid], *args)
+        for col, expected in zip(columns, alone):
+            assert col.scheme == expected.scheme
+            for field, want in zip(col[1:], expected[1:]):
+                assert field.tobytes() == want.tobytes()
+
+
 def test_kernel_memory_does_not_grow_with_the_sector_count():
     # Sectors are ranked within each trial, so a block's temporaries are
     # (trials, users) arrays on any grid. Measured: a 1.35 MiB peak for one
@@ -459,8 +521,8 @@ def test_cpz_plan_scatters_rings_back_to_user_order(rows, k):
     annulus, sector = rng.integers(0, 4, (rows, k)), rng.integers(0, 5, (rows, k))
     order = np.argsort(sector + rng.random((rows, k)), axis=1)
     flat = order + k * np.arange(rows)[:, None]
-    _, ring, n_regions = schemes._cpz_plan(lambda a: a + 1.0, 5, annulus.take(flat),
-                                           sector.take(flat), flat)
+    first = np.diff(sector.take(flat), axis=1, prepend=-1) != 0
+    _, ring, n_regions = schemes._cpz_plan(lambda a: a + 1.0, annulus.take(flat), first, flat)
     assert ring.shape == (rows, k)
     for t in range(rows):
         assert n_regions[t] == len(set(sector[t].tolist()))

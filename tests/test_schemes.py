@@ -59,7 +59,7 @@ def random_state(rng, n_ues, grid=GRID):
 
 def test_always_max_analytic_value():
     p = total_power(SchemeKind.ALWAYS_MAX, state_with([]))
-    assert p == pytest.approx(analytic_power(1000.0), rel=1e-12)
+    assert p == pytest.approx(analytic_power(1000.0), rel=1e-12, abs=0)
     assert p == pytest.approx(7.91e-11, rel=1e-3)
 
 
@@ -77,7 +77,7 @@ def test_zooming_empty_cell_sleeps():
 def test_zooming_middle_annulus():
     state = state_with([UePosition(550.0, 0.1)])
     p = total_power(SchemeKind.ZOOMING, state)
-    assert p == pytest.approx(analytic_power(2000.0 / 3), rel=1e-12)
+    assert p == pytest.approx(analytic_power(2000.0 / 3), rel=1e-12, abs=0)
 
 
 def test_zooming_attains_always_max_with_outer_ue():
@@ -101,7 +101,7 @@ def test_cpz_single_ue_is_one_sector_fraction():
     state = state_with([UePosition(550.0, 0.1)])
     p_zoom = total_power(SchemeKind.ZOOMING, state)
     p_cpz = total_power(SchemeKind.CPZ, state)
-    assert p_cpz == pytest.approx(p_zoom / 18, rel=1e-12)
+    assert p_cpz == pytest.approx(p_zoom / 18, rel=1e-12, abs=0)
 
 
 def test_cpz_full_outer_ring_degenerates_to_zooming():
@@ -130,7 +130,7 @@ def test_cpz_additive_over_sectors():
         UePosition(900.0, 1.5 * TWO_PI / 18),  # sector 1, zoom 1000
     ])
     expected = (analytic_power(2000.0 / 3) + analytic_power(1000.0)) / 18
-    assert total_power(SchemeKind.CPZ, state) == pytest.approx(expected, rel=1e-12)
+    assert total_power(SchemeKind.CPZ, state) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_cpz_sector_refinement_never_costs_more():
@@ -225,7 +225,7 @@ def test_single_sector_cluster_ee_ratio():
     zoom = evaluate_scheme(SchemeKind.ZOOMING, state, BUDGET, TARGET, K, M)
     cpz = evaluate_scheme(SchemeKind.CPZ, state, BUDGET, TARGET, K, M)
     assert cpz.sum_rate == zoom.sum_rate
-    assert cpz.total_power == pytest.approx(zoom.total_power / 18, rel=1e-12)
+    assert cpz.total_power == pytest.approx(zoom.total_power / 18, rel=1e-12, abs=0)
     assert cpz.ee == pytest.approx(18 * zoom.ee, rel=1e-9)
 
 
@@ -265,13 +265,13 @@ def test_effective_power_is_sector_zoom_power():
     assert regions == [Region(1, 1000.0 / 3, (0,)), Region(1, 1000.0, (1,))]
     eff = {i: required_bs_power(region.zoom, TARGET, K, M, BUDGET)
            for region in regions for i in region.members}
-    assert eff[0] == pytest.approx(analytic_power(1000.0 / 3), rel=1e-12)
-    assert eff[1] == pytest.approx(analytic_power(1000.0), rel=1e-12)
+    assert eff[0] == pytest.approx(analytic_power(1000.0 / 3), rel=1e-12, abs=0)
+    assert eff[1] == pytest.approx(analytic_power(1000.0), rel=1e-12, abs=0)
     # Zooming backs everyone with the global zoom power.
     (zoom_region,) = powered_regions(SchemeKind.ZOOMING, state)
     assert zoom_region == Region(18, 1000.0, (0, 1))
     assert required_bs_power(zoom_region.zoom, TARGET, K, M, BUDGET) == \
-        pytest.approx(analytic_power(1000.0), rel=1e-12)
+        pytest.approx(analytic_power(1000.0), rel=1e-12, abs=0)
 
 
 def test_shadowing_factor_moves_rates():
