@@ -19,7 +19,8 @@ users), and returns per grid one `SchemeColumns` per scheme: an array per
 report field and a `sleeping` mask. `evaluate_scheme` is the kernel on one
 `CpzState` snapshot. `pow` and `log2` run in libm on Python floats, and every
 sum adds left to right from +0.0 in a fixed order (`_row_sums`): a trial's
-rates in user (join) order and cpz's power fractions in sector order. The
+rates in user (join) order and cpz's power fractions in sector order, once
+per partition (a sector count only divides their sum). The
 tests keep a scalar oracle of the same rule, `tests/oracle.py`, which sizes
 and rates one region at a time; the kernel's reports equal its reports float
 for float.
@@ -72,21 +73,6 @@ def energy_efficiency(sum_rate: float, total_power: float) -> float | None:
     if ee == math.inf:
         raise ValueError(f"energy efficiency of {sum_rate} b/s over {total_power} W overflows")
     return ee
-
-
-def _total_powers(sized: np.ndarray, n_sectors: int) -> np.ndarray:
-    """Radiated power of each row's one-sector regions, a region's P(zoom) at a column, else 0.0.
-
-    Regions in sector order along a row; the 0.0 between them leave each partial
-    sum as it is. Fractions of the row's largest region power (each <= 1) are
-    summed and divided once: every left-to-right partial sum of n of them stays
-    <= n, an exact float, so rounding cannot lift a total above that power, and
-    the scheme ordering holds exactly, without tolerances.
-    """
-    # numpy reduces a short row faster from a column-major copy than in place.
-    full = np.asfortranarray(sized).max(axis=1, initial=0.0)
-    full[full == 0.0] = 1.0  # no region
-    return full * (_row_sums(sized / full[:, None]) / n_sectors)
 
 
 def _check_budget(kind: SchemeKind, total: float, p_max: float) -> None:
@@ -184,20 +170,28 @@ def _ring_powers(size, rings: np.ndarray) -> np.ndarray:
 
 
 def _cpz_plan(size, annulus: np.ndarray, first: np.ndarray,
-              flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cpz's (sized, ring, region count) on a partition; annulus and first in angle order.
+              flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """cpz's (full, fractions, ring, region count) on a partition; annulus, first in angle order.
 
     In that order each row's sectors ascend and first marks each sector's first user,
     where its region sits; ring, the annulus each user is served out to, is in user
     order: flat[t, j] is the flat user-order index of the j-th user of row t in angle order.
+    A row's total on n sectors is full * (fractions / n): full is its largest region
+    power (1.0 where it has no region), and fractions sums each region's power over
+    full in sector order, the 0.0 between regions leaving each partial sum as it is.
+    Every left-to-right partial sum of n fractions (each <= 1) stays <= n, an exact
+    float, so rounding cannot lift a total above that power, and the scheme ordering
+    holds exactly, without tolerances.
     """
     starts = np.flatnonzero(first)
     tops = np.maximum.reduceat(annulus.ravel(), starts)
     sized = np.zeros(first.shape)
     sized.flat[starts] = _ring_powers(size, tops)
+    full = sized.max(axis=1, initial=0.0)
+    full[full == 0.0] = 1.0  # no region
     ring = np.empty(first.shape, dtype=np.int64)
     ring.put(flat, tops[np.cumsum(first) - 1])
-    return sized, ring, first.sum(axis=1)
+    return full, _row_sums(sized / full[:, None]), ring, first.sum(axis=1)
 
 
 def _guard(columns: Sequence[SchemeColumns], powers: np.ndarray, p_max: float) -> None:
@@ -224,8 +218,8 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
     grid: sized and rated once per block, their arrays are shared by all grids'
     columns but n_active_sectors. Per grid, cpz powers each sector out to the
     sector's top annulus and serves user u out to ring[t, u], planned once
-    per distinct partition of a block's users; its totals are per grid,
-    _total_powers' sums of power fractions in sector order. This is the one
+    per distinct partition of a block's users, which sums its fractions in
+    sector order once; a grid's total only divides by its count. This is the one
     model of the schemes; trial t of a grid's columns equals, float for float,
     the reports of the tests' scalar oracle (tests/oracle.py) on row t's users
     on that grid, and evaluate_scheme is this function on one trial. The error
@@ -287,7 +281,7 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         tops = (np.full(len(rb), edge), annulus.max(axis=1, initial=-1))
         plans = [(_ring_powers(size, top), top[:, None], top >= 0) for top in tops]
         # cpz's plans by partition (each row's run starts): grids that split the
-        # users alike share one sized, ring and region count; totals are per grid.
+        # users alike share one plan, and a grid's total only divides by its count.
         partitions = {}
         for g, each in enumerate(grids):
             sectors = cell_indices(each, rb, phib)[1] if g else sector
@@ -295,8 +289,8 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
             first[:, 1:] = sectors[:, 1:] != sectors[:, :-1]
             if (key := first.tobytes()) not in partitions:
                 partitions[key] = _cpz_plan(size, annulus, first, flat)
-            sized, ring, n_regions = partitions[key]
-            plans.append((_total_powers(sized, each.n_sectors), ring, n_regions))
+            full, fractions, ring, n_regions = partitions[key]
+            plans.append((full * (fractions / each.n_sectors), ring, n_regions))
         _guard(columns, np.stack([power for power, _, _ in plans]), p_max)
         edge_rates = _rates(budget, k_users, m_antennas, faded, size(edge))
         edge_sums = _row_sums(edge_rates)

@@ -32,12 +32,18 @@ MUTANTS = [
                    "tests/test_schemes.py::test_zooming_middle_annulus",
                    "tests/test_expectation.py::test_scheme_means_match_closed_forms[10-18]"]},
     {"id": "cpz_fraction_over_one_sector_more", "file": SCHEMES,
-     "edits": [("_row_sums(sized / full[:, None]) / n_sectors)",
-                "_row_sums(sized / full[:, None]) / (n_sectors + 1))")],
+     "edits": [("full * (fractions / each.n_sectors)",
+                "full * (fractions / (each.n_sectors + 1))")],
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
                    "tests/test_schemes.py::test_cpz_single_ue_is_one_sector_fraction",
                    "tests/test_schemes.py::test_cpz_additive_over_sectors",
                    "tests/test_expectation.py::test_scheme_means_match_closed_forms[10-18]"]},
+    {"id": "cpz_power_one_percent_high", "file": SCHEMES,
+     "edits": [("sized.flat[starts] = _ring_powers(size, tops)",
+                "sized.flat[starts] = 1.01 * _ring_powers(size, tops)")],
+     "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
+                   "tests/test_readme_results.py::"
+                   "test_readme_results_match_a_seeded_run_and_the_closed_forms"]},
     {"id": "lognormal_sigma_over_20", "file": PROPAGATION,
      "edits": [("self.sigma_db / 10.0 * gauss", "self.sigma_db / 20.0 * gauss")],
      "killed_by": ["tests/test_propagation.py::test_lognormal_shadowing_statistics",
@@ -88,13 +94,27 @@ MUTANTS = [
                    "test_permuting_the_users_of_a_trial_moves_only_sum_rate_rounding"
                    "[counts0-lognormal]",
                    "tests/test_cli.py::test_seeded_output_digests[sweep_sectors]"]},
-    # Grids share a cpz plan only where their sectors split the users alike.
+    # Grids share a cpz plan only where their sectors split the users alike, and
+    # never share a total: each count divides the shared fraction sum itself.
     {"id": "cpz_plan_shared_by_unlike_partitions", "file": SCHEMES,
      "edits": [("if (key := first.tobytes()) not in partitions:",
                 'if (key := b"") not in partitions:')],
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
                    "tests/test_kernel.py::test_shared_cpz_plan_equals_each_grid_alone[blocks]",
                    "tests/test_kernel.py::test_shared_cpz_plan_equals_each_grid_alone[apart]"]},
+    {"id": "cpz_total_cached_per_partition", "file": SCHEMES,
+     "edits": [("                partitions[key] = _cpz_plan(size, annulus, first, flat)\n"
+                "            full, fractions, ring, n_regions = partitions[key]\n"
+                "            plans.append((full * (fractions / each.n_sectors), ring, n_regions))\n",
+                "                full, fractions, ring, n_regions = _cpz_plan(size, annulus, first,"
+                " flat)\n"
+                "                partitions[key] = full * (fractions / each.n_sectors), ring,"
+                " n_regions\n"
+                "            plans.append(partitions[key])\n")],
+     "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
+                   "tests/test_kernel.py::test_shared_cpz_plan_equals_each_grid_alone[blocks]",
+                   "tests/test_kernel.py::test_shared_cpz_plan_equals_each_grid_alone[apart]",
+                   "tests/test_cli.py::test_seeded_output_digests[sweep_sectors]"]},
     # Sums: the kernel's rows in angle order, and a correctly rounded row sum.
     {"id": "row_sums_in_angle_order", "file": SCHEMES,
      "edits": [("edge_sums = _row_sums(edge_rates)",

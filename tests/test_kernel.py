@@ -11,6 +11,7 @@ field, no tolerance, or both must raise the same exception type.
 """
 
 import ast
+import collections
 import importlib
 import inspect
 import math
@@ -202,19 +203,23 @@ def test_kernel_guard_rejects_nan_power(monkeypatch):
         run_comparison(ScenarioConfig(n_trials=3))
 
 
-def over_on_rows(monkeypatch, chosen, total):
-    """Make cpz's total `total` on the trials whose sorted region powers `chosen` picks.
+def over_on_rows(monkeypatch, chosen, total, n_sectors):
+    """Make cpz's total `total` on an n_sectors grid's trials whose region powers `chosen` picks.
 
-    chosen(regions, n_sectors) gets a trial's one-sector region powers, sorted,
-    as _total_powers gets them: the nonzero entries of its row.
+    chosen(regions) gets a trial's one-sector region powers, sorted, as _cpz_plan
+    sizes them: the power of each sector's top annulus. The fault goes into the
+    partition's plan, so a grid of n sectors that shares it gets total * n_sectors / n.
     """
-    total_powers = schemes._total_powers
+    cpz_plan = schemes._cpz_plan
 
-    def spy(sized, n_sectors):
-        picked = [chosen(sorted(row[row != 0].tolist()), n_sectors) for row in sized]
-        return np.where(picked, total, total_powers(sized, n_sectors))
+    def spy(size, annulus, first, flat):
+        full, fractions, ring, n_regions = cpz_plan(size, annulus, first, flat)
+        picked = [chosen(sorted(size(max(run)) for run in np.split(row, np.flatnonzero(at)[1:])))
+                  for row, at in zip(annulus.tolist(), first)]
+        return (np.where(picked, total, full), np.where(picked, n_sectors, fractions), ring,
+                n_regions)
 
-    monkeypatch.setattr(schemes, "_total_powers", spy)
+    monkeypatch.setattr(schemes, "_cpz_plan", spy)
 
 
 def test_kernel_guard_reports_first_trial_in_trial_major_order(monkeypatch):
@@ -227,7 +232,7 @@ def test_kernel_guard_reports_first_trial_in_trial_major_order(monkeypatch):
     # cpz's one sector of 18 there stays under it.
     monkeypatch.setattr(schemes, "required_bs_power", lambda d, *args: 3 * p_max
                         if d == grid.annulus_outer_radius(1) else required_bs_power(d, *args))
-    over_on_rows(monkeypatch, lambda regions, n: regions == [ring0], 2 * p_max)
+    over_on_rows(monkeypatch, lambda regions: regions == [ring0], 2 * p_max, 18)
     # One user per trial, in annulus 0 on trial 0 and annulus 1 on trial 1.
     r, phi = np.array([[200.0], [500.0]]), np.zeros((2, 1))
     with pytest.raises(RuntimeError) as error:
@@ -274,16 +279,20 @@ def test_kernel_sizes_each_annulus_once_in_ascending_order(monkeypatch):
 def test_kernel_reports_errors_grid_by_grid(monkeypatch):
     # Sector counts share one kernel call, yet the error raised is the one a call
     # per count would meet first: grid 1's error on trial 0 waits for grid 0's trials.
+    # Trial 0's two users are one region on grid 0 and two on grid 1, where cpz
+    # is over budget; trial 1's are one region on both grids.
     grids = [PartitionGrid(3, 1), PartitionGrid(3, 2)]
     budget, target, k, m = LinkBudget(), 2e7, 10, 200
     p_max = required_bs_power(1000.0, target, k, m, budget)
-    over_on_rows(monkeypatch, lambda regions, n: n == 2 and len(regions) > 0, 3 * p_max)
+    over_on_rows(monkeypatch, lambda regions: len(regions) == 2, 3 * p_max, 2)
     monkeypatch.setattr(schemes, "_BLOCK", 1)
-    phi = np.zeros((2, 1))
+    phi, trial0 = np.array([[0.0, 4.0], [0.0, 0.1]]), [200.0, 200.0]
     with pytest.raises(ValueError, match="user distance 50.0 m outside"):
-        schemes._evaluate_trials(grids, budget, target, k, m, np.array([[200.0], [50.0]]), phi)
+        schemes._evaluate_trials(grids, budget, target, k, m, np.array([trial0, [300.0, 50.0]]),
+                                 phi)
     with pytest.raises(RuntimeError, match="cpz power"):
-        schemes._evaluate_trials(grids, budget, target, k, m, np.array([[200.0], [300.0]]), phi)
+        schemes._evaluate_trials(grids, budget, target, k, m, np.array([trial0, [300.0, 300.0]]),
+                                 phi)
 
 
 def test_kernel_reports_errors_block_by_block_then_stage_by_stage(monkeypatch):
@@ -292,7 +301,7 @@ def test_kernel_reports_errors_block_by_block_then_stage_by_stage(monkeypatch):
     grid, budget, target, k, m = PartitionGrid(3, 18, 1000.0), LinkBudget(), 2e7, 10, 200
     p_max = required_bs_power(grid.cell_radius, target, k, m, budget)
     ring0 = required_bs_power(grid.annulus_outer_radius(0), target, k, m, budget)
-    over_on_rows(monkeypatch, lambda regions, n: regions == [ring0], 2 * p_max)
+    over_on_rows(monkeypatch, lambda regions: regions == [ring0], 2 * p_max, 18)
     r, phi = np.array([[200.0], [50.0]]), np.zeros((2, 1))
     with pytest.raises(ValueError, match="user distance 50.0 m outside"):
         schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
@@ -486,6 +495,30 @@ def test_oracle_imports_only_public_cpzsim_names():
                 if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
 
 
+def test_every_private_function_is_used_in_the_package():
+    # A private module function that only its own body or the tests refer to is
+    # dead code: each single-underscore one is read somewhere else in src/cpzsim.
+    package = os.path.dirname(schemes.__file__)
+    trees = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                trees.append(ast.parse(fh.read()))
+
+    def names(root):
+        return collections.Counter(node.id if isinstance(node, ast.Name) else node.attr
+                                   for node in ast.walk(root)
+                                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+    everywhere = sum(map(names, trees), collections.Counter())
+    private = [node for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert private
+    for function in private:
+        assert everywhere[function.name] > names(function)[function.name], function.name
+
+
 def test_cpz_powering_every_sector_to_the_edge_matches_zooming_exactly():
     # Each of cpz's n fractions is 1.0 here, and every left-to-right partial sum
     # of them is an integer up to n, an exact float: full * (n / n) == full.
@@ -522,7 +555,7 @@ def test_cpz_plan_scatters_rings_back_to_user_order(rows, k):
     order = np.argsort(sector + rng.random((rows, k)), axis=1)
     flat = order + k * np.arange(rows)[:, None]
     first = np.diff(sector.take(flat), axis=1, prepend=-1) != 0
-    _, ring, n_regions = schemes._cpz_plan(lambda a: a + 1.0, annulus.take(flat), first, flat)
+    _, _, ring, n_regions = schemes._cpz_plan(lambda a: a + 1.0, annulus.take(flat), first, flat)
     assert ring.shape == (rows, k)
     for t in range(rows):
         assert n_regions[t] == len(set(sector[t].tolist()))
