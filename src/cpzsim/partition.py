@@ -89,14 +89,18 @@ def locate(pos: UePosition, grid: PartitionGrid) -> CellIndex:
     return CellIndex(int(annulus), int(sector))
 
 
+def sector_indices(grid: PartitionGrid, phi):
+    """Sector indices, as floats, of normalized angles, scalars or arrays alike."""
+    return np.minimum(np.floor(phi * grid.n_sectors / TWO_PI), grid.n_sectors - 1)
+
+
 def cell_indices(grid: PartitionGrid, r, phi):
     """Annulus and sector indices, as floats, of in-cell radii and normalized angles.
 
     Takes scalars or arrays alike; `locate` is the checked single-position form.
     """
     annulus = np.minimum(np.floor(r * grid.n_annuli / grid.cell_radius), grid.n_annuli - 1)
-    sector = np.minimum(np.floor(phi * grid.n_sectors / TWO_PI), grid.n_sectors - 1)
-    return annulus, sector
+    return annulus, sector_indices(grid, phi)
 
 
 class CpzState:

@@ -15,15 +15,16 @@ everyone closer gets more.
 One model computes the reports. `_evaluate_trials`, the batch kernel, runs
 (trials, users) arrays of Monte Carlo runs and sweeps, on one or more grids
 that differ in sector count (cpz planned once per distinct partition of the
-users), and returns per grid one `SchemeColumns` per scheme: an array per
-report field and a `sleeping` mask. `evaluate_scheme` is the kernel on one
-`CpzState` snapshot. `pow` and `log2` run in libm on Python floats, and every
-sum adds left to right from +0.0 in a fixed order (`_row_sums`): a trial's
-rates in user (join) order and cpz's power fractions in sector order, once
-per partition (a sector count only divides their sum). The
-tests keep a scalar oracle of the same rule, `tests/oracle.py`, which sizes
-and rates one region at a time; the kernel's reports equal its reports float
-for float.
+users, from a (sectors, trials) table of top annuli on coarse grids and from
+users in angle order on finer ones), and returns per grid one `SchemeColumns`
+per scheme: an array per report field and a `sleeping` mask. `evaluate_scheme`
+is the kernel on one `CpzState` snapshot. `pow` and `log2` run in libm on
+Python floats, and every sum adds left to right from +0.0 in a fixed order
+(`_row_sums`): a trial's rates in user (join) order and cpz's power fractions
+in sector order, once per partition (a sector count only divides their sum).
+The tests keep a scalar oracle of the same rule, `tests/oracle.py`, which
+sizes and rates one region at a time; the kernel's reports equal its reports
+float for float.
 """
 
 import functools
@@ -34,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._record import Record
-from .partition import CpzState, PartitionGrid, cell_indices
+from .partition import CpzState, PartitionGrid, cell_indices, sector_indices
 from .propagation import LinkBudget, libm, required_bs_power
 
 
@@ -49,6 +50,10 @@ SCHEME_ORDER = (SchemeKind.ALWAYS_MAX, SchemeKind.ZOOMING, SchemeKind.CPZ)
 
 # Trials _evaluate_trials works on at once; bounds its temporary arrays.
 _BLOCK = 1024
+# cpz is planned from a (sectors, trials) table on grids of at most this many sectors per
+# user, so the table's arrays stay within this multiple of the block's (trials, users)
+# arrays; finer grids sort users by angle instead, and no temporary grows with the count.
+_TABLE_SECTORS_PER_USER = 4
 
 
 class SchemeReport(Record):
@@ -165,8 +170,16 @@ def _rates(budget: LinkBudget, k_users: int, m_antennas: int, faded: np.ndarray,
 
 def _ring_powers(size, rings: np.ndarray) -> np.ndarray:
     """The sizing stage: size(a) of each annulus a of 1-d rings, 0.0 for -1; new a ascending."""
-    distinct, index = np.unique(rings, return_inverse=True)
-    return np.array([size(a) if a >= 0 else 0.0 for a in distinct.tolist()])[index]
+    if (top := rings.max(initial=-1)) < len(rings):
+        present = np.zeros(top + 2, dtype=bool)
+        present[index := rings + 1] = True
+        distinct = np.flatnonzero(present) - 1
+    else:
+        distinct, index = np.unique(rings, return_inverse=True)
+        present = np.ones(len(distinct), dtype=bool)
+    powers = np.zeros(len(present))
+    powers[present] = [size(a) if a >= 0 else 0.0 for a in distinct.tolist()]
+    return powers[index]
 
 
 def _cpz_plan(size, annulus: np.ndarray, first: np.ndarray,
@@ -194,6 +207,19 @@ def _cpz_plan(size, annulus: np.ndarray, first: np.ndarray,
     return full, _row_sums(sized / full[:, None]), ring, first.sum(axis=1)
 
 
+def _table_plan(size, tops: np.ndarray, ring: np.ndarray) -> tuple[np.ndarray, ...]:
+    """cpz's (full, fractions, ring, region count) from a (sectors, trials) table of top annuli.
+
+    tops[s, t] is sector s's top annulus on row t (-1: empty). As in _cpz_plan, full is a
+    row's largest region power (every row has a user), and fractions adds a table column
+    in sector order; an empty sector adds +0.0, which leaves the partial sum as it is.
+    """
+    sized = _ring_powers(size, tops.ravel()).reshape(tops.shape)
+    full = sized.max(axis=0)
+    sized /= full
+    return full, _row_sums(sized.T), ring, np.count_nonzero(tops >= 0, axis=0)
+
+
 def _guard(columns: Sequence[SchemeColumns], powers: np.ndarray, p_max: float) -> None:
     """The budget guard: _check_budget on the first powers[k, t] over p_max, trial-major."""
     over = ~(powers <= p_max)
@@ -211,28 +237,29 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
     arrays of user distances, angles (normalized as UePosition holds them) and
     slow-fading factors, psi None for unit shadowing. A block of trials runs
     the link stage once for all grids (faded gains, then rates and sums at the
-    edge ring). After the faded gains it finds each grid's sector regions with
-    each trial's users in angle order, in which sectors ascend along a row on
-    every grid; rates and sums run in user order. always_max and zooming power
-    a full-circle region out to the edge and to the trial's top annulus on any
-    grid: sized and rated once per block, their arrays are shared by all grids'
-    columns but n_active_sectors. Per grid, cpz powers each sector out to the
-    sector's top annulus and serves user u out to ring[t, u], planned once
-    per distinct partition of a block's users, which sums its fractions in
-    sector order once; a grid's total only divides by its count. This is the one
-    model of the schemes; trial t of a grid's columns equals, float for float,
-    the reports of the tests' scalar oracle (tests/oracle.py) on row t's users
-    on that grid, and evaluate_scheme is this function on one trial. The error
-    raised is the one a call per grid would raise first; on one grid, errors
-    come block by block and, within a block, stage by stage: _link_gains
-    (ValueError for a distance outside [r0, R] or a factor that is not
-    positive and finite), _ring_powers and _cpz_plan (ValueError for a power
-    of 0 or inf; a pass over the grids sizes each annulus at most once, and
-    each _ring_powers call sizes its new annuli in ascending order), _guard
-    (RuntimeError for a total above the budget, the first in trial-major
-    order), _rates and _row_sums at the edge ring, then each scheme's _rates,
-    _row_sums and EE (ValueError for an SINR that is not finite, a sum rate
-    or an EE that overflows).
+    edge ring). After the faded gains it finds each grid's sector regions in a
+    (sectors, trials) table on grids of at most _TABLE_SECTORS_PER_USER sectors
+    per user, else with each trial's users in angle order, in which sectors
+    ascend along a row on every grid; rates and sums run in user order.
+    always_max and zooming power a full-circle region out to the edge and to the
+    trial's top annulus on any grid: sized and rated once per block, their
+    arrays are shared by all grids' columns but n_active_sectors. Per grid, cpz
+    powers each sector out to the sector's top annulus and serves user u out to
+    ring[t, u], planned once per distinct partition of a block's users, which
+    sums its fractions in sector order once; a grid's total only divides by its
+    count. This is the one model of the schemes; trial t of a grid's columns
+    equals, float for float, the reports of the tests' scalar oracle
+    (tests/oracle.py) on row t's users on that grid, and evaluate_scheme is this
+    function on one trial. The error raised is the one a call per grid would
+    raise first; on one grid, errors come block by block and, within a block,
+    stage by stage: _link_gains (ValueError for a distance outside [r0, R] or a
+    factor that is not positive and finite), _ring_powers and either cpz
+    planner (ValueError for a power of 0 or inf; a pass over the grids sizes
+    each annulus at most once, and each _ring_powers call sizes its new annuli
+    in ascending order), _guard (RuntimeError for a total above the budget, the
+    first in trial-major order), _rates and _row_sums at the edge ring, then
+    each scheme's _rates, _row_sums and EE (ValueError for an SINR that is not
+    finite, a sum rate or an EE that overflows).
     """
     try:
         return _evaluate_grids(grids, budget, rate_target, k_users, m_antennas, r, phi, psi)
@@ -259,7 +286,7 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         return required_bs_power(grid.annulus_outer_radius(a), rate_target, k_users,
                                  m_antennas, budget)
 
-    n = len(r)
+    n, users = r.shape
     # always-max's and zooming's columns, then cpz's of each grid; n_active_sectors
     # holds region counts until a grid's region width is known.
     columns = [SchemeColumns(kind, np.empty(n), np.empty(n), np.full(n, math.nan),
@@ -269,26 +296,38 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         block = slice(start, start + _BLOCK)
         rb, phib = r[block], phi[block]
         faded = _link_gains(budget, grid.cell_radius, rb, None if psi is None else psi[block])
-        # Users in angle order for the sector regions, where every grid's sectors
-        # ascend along a row; faded, rates and sums stay in user order.
-        order = np.argsort(phib, axis=1)
-        flat = order + order.shape[1] * np.arange(len(order))[:, None]
-        rb, phib = rb.take(flat), phib.take(flat)
         annulus, sector = cell_indices(grid, rb, phib)
         annulus = annulus.astype(np.int64)
         # Plans in column order. A full circle is charged all of P(zoom), so
         # always-max's and zooming's totals are ring powers.
         tops = (np.full(len(rb), edge), annulus.max(axis=1, initial=-1))
         plans = [(_ring_powers(size, top), top[:, None], top >= 0) for top in tops]
-        # cpz's plans by partition (each row's run starts): grids that split the
-        # users alike share one plan, and a grid's total only divides by its count.
+        # A cell's largest code names its top annulus and the first user there.
+        code = (annulus * users + np.arange(users - 1, -1, -1)).ravel()
+        rows, flat = np.arange(len(rb))[:, None], None
+        # cpz's plans by partition: grids that split the users alike share one
+        # plan, and a grid's total only divides by its count.
         partitions = {}
         for g, each in enumerate(grids):
-            sectors = cell_indices(each, rb, phib)[1] if g else sector
-            first = np.ones(sectors.shape, dtype=bool)
-            first[:, 1:] = sectors[:, 1:] != sectors[:, :-1]
-            if (key := first.tobytes()) not in partitions:
-                partitions[key] = _cpz_plan(size, annulus, first, flat)
+            sectors = sector_indices(each, phib) if g else sector
+            if each.n_sectors <= _TABLE_SECTORS_PER_USER * users and grid.n_annuli * users < 2**63:
+                # A (sectors, trials) table of codes, each below n_annuli * users; the
+                # users' cells' codes are the partition's key (never as long as a bool key).
+                cells = sectors.astype(np.int64) * len(rb) + rows
+                table = np.full(each.n_sectors * len(rb), -1)
+                np.maximum.at(table, cells.ravel(), code)
+                if (key := (mates := table[cells]).tobytes()) not in partitions:
+                    table //= users  # each cell's top annulus
+                    partitions[key] = _table_plan(size, table.reshape(-1, len(rb)), mates // users)
+            else:
+                # Users in angle order, sorted once per block; the key marks run starts.
+                if flat is None:
+                    flat = np.argsort(phib, axis=1) + users * rows
+                sectors = sectors.take(flat)
+                first = np.ones(sectors.shape, dtype=bool)
+                first[:, 1:] = sectors[:, 1:] != sectors[:, :-1]
+                if (key := first.tobytes()) not in partitions:
+                    partitions[key] = _cpz_plan(size, annulus.take(flat), first, flat)
             full, fractions, ring, n_regions = partitions[key]
             plans.append((full * (fractions / each.n_sectors), ring, n_regions))
         _guard(columns, np.stack([power for power, _, _ in plans]), p_max)
@@ -296,16 +335,13 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         edge_sums = _row_sums(edge_rates)
         for cols, (power, ring, n_regions) in zip(columns, plans):
             # A user served out to the edge ring has its edge rate: only the
-            # others are rated again, and their trials (mixed) summed again.
-            sum_rate = edge_sums.copy()
-            ring = np.broadcast_to(ring, faded.shape)
-            mixed = np.flatnonzero((ring != edge).any(axis=1))
-            if len(mixed):
-                ring = ring[mixed]
-                inner, scheme_rates = ring != edge, edge_rates[mixed]
-                scheme_rates[inner] = _rates(budget, k_users, m_antennas, faded[mixed][inner],
+            # others (inner) are rated again, and the block summed again.
+            sum_rate, ring = edge_sums, np.broadcast_to(ring, faded.shape)
+            if (inner := ring != edge).any():
+                scheme_rates = edge_rates.copy()
+                scheme_rates[inner] = _rates(budget, k_users, m_antennas, faded[inner],
                                              _ring_powers(size, ring[inner]))
-                sum_rate[mixed] = _row_sums(scheme_rates)
+                sum_rate = _row_sums(scheme_rates)
             sleeping = power == 0
             with np.errstate(over="ignore"):
                 ee = np.divide(sum_rate, power, out=cols.ee[block], where=~sleeping)

@@ -57,7 +57,7 @@ def test_benchmark_sweep_formats_count_invariant_floats_once(tmp_path, monkeypat
     # The pass formats its 1000 trial numbers once and each count's active
     # sectors once: 8 integer calls, not 14. The users sit in sector 0 of the
     # finest count, so all seven counts split them alike and the kernel's one
-    # block plans cpz once, not once per count.
+    # block plans cpz once, from its (sectors, trials) table, not once per count.
     run, _ = bench
     plans = spy_on_cpz_plans(monkeypatch)
     sizes, int_calls = [], []

@@ -188,12 +188,16 @@ def test_kernel_matches_scalar_oracle(case, block):
             replace(config.grid, n_sectors=count), place_ues(cluster, t)))
 
     expected_sectors = outcome(sector_oracle)
-    with mock.patch.object(schemes, "_BLOCK", block):
-        assert outcome(lambda: trial_reports(run_comparison(config))) == expected_run
-        assert outcome(lambda: by_value(sweep_distance(config, distances).reports)) == \
-            expected_distance
-        assert outcome(lambda: by_value(sweep_sectors(config, counts).reports)) == \
-            expected_sectors
+    # Both cpz planners on every case: the angle sort alone (bound 0), the
+    # default split, and the table on every grid of at most 40 sectors.
+    for bound in (0, schemes._TABLE_SECTORS_PER_USER, 40):
+        with mock.patch.object(schemes, "_BLOCK", block), \
+                mock.patch.object(schemes, "_TABLE_SECTORS_PER_USER", bound):
+            assert outcome(lambda: trial_reports(run_comparison(config))) == expected_run
+            assert outcome(lambda: by_value(sweep_distance(config, distances).reports)) == \
+                expected_distance
+            assert outcome(lambda: by_value(sweep_sectors(config, counts).reports)) == \
+                expected_sectors
 
 
 def test_kernel_guard_rejects_nan_power(monkeypatch):
@@ -206,20 +210,43 @@ def test_kernel_guard_rejects_nan_power(monkeypatch):
 def over_on_rows(monkeypatch, chosen, total, n_sectors):
     """Make cpz's total `total` on an n_sectors grid's trials whose region powers `chosen` picks.
 
-    chosen(regions) gets a trial's one-sector region powers, sorted, as _cpz_plan
-    sizes them: the power of each sector's top annulus. The fault goes into the
-    partition's plan, so a grid of n sectors that shares it gets total * n_sectors / n.
+    chosen(regions) gets a trial's one-sector region powers, sorted, as either
+    planner sizes them: the power of each sector's top annulus. The fault goes into
+    the partition's plan, so a grid of n sectors that shares it gets total * n_sectors / n.
     """
-    cpz_plan = schemes._cpz_plan
+    cpz_plan, table_plan = schemes._cpz_plan, schemes._table_plan
 
-    def spy(size, annulus, first, flat):
-        full, fractions, ring, n_regions = cpz_plan(size, annulus, first, flat)
-        picked = [chosen(sorted(size(max(run)) for run in np.split(row, np.flatnonzero(at)[1:])))
-                  for row, at in zip(annulus.tolist(), first)]
+    def faulty(plan, size, tops):
+        # tops: each row's list of its sectors' top annuli.
+        full, fractions, ring, n_regions = plan
+        picked = [chosen(sorted(map(size, row))) for row in tops]
         return (np.where(picked, total, full), np.where(picked, n_sectors, fractions), ring,
                 n_regions)
 
-    monkeypatch.setattr(schemes, "_cpz_plan", spy)
+    def sorted_spy(size, annulus, first, flat):
+        return faulty(cpz_plan(size, annulus, first, flat), size,
+                      [[max(run) for run in np.split(row, np.flatnonzero(at)[1:])]
+                       for row, at in zip(annulus.tolist(), first)])
+
+    def table_spy(size, tops, ring):
+        return faulty(table_plan(size, tops, ring), size,
+                      [[a for a in row if a >= 0] for row in tops.T.tolist()])
+
+    monkeypatch.setattr(schemes, "_cpz_plan", sorted_spy)
+    monkeypatch.setattr(schemes, "_table_plan", table_spy)
+
+
+def both_planners(monkeypatch):
+    """Run the caller's loop body on the angle sort alone, then on the table alone.
+
+    Each pass starts from the default _BLOCK; the table pass takes grids of up
+    to 40 sectors per user.
+    """
+    block = schemes._BLOCK
+    for bound in (0, 40):
+        monkeypatch.setattr(schemes, "_TABLE_SECTORS_PER_USER", bound)
+        monkeypatch.setattr(schemes, "_BLOCK", block)
+        yield
 
 
 def test_kernel_guard_reports_first_trial_in_trial_major_order(monkeypatch):
@@ -235,9 +262,10 @@ def test_kernel_guard_reports_first_trial_in_trial_major_order(monkeypatch):
     over_on_rows(monkeypatch, lambda regions: regions == [ring0], 2 * p_max, 18)
     # One user per trial, in annulus 0 on trial 0 and annulus 1 on trial 1.
     r, phi = np.array([[200.0], [500.0]]), np.zeros((2, 1))
-    with pytest.raises(RuntimeError) as error:
-        schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
-    assert str(error.value) == f"cpz power {2 * p_max} exceeds the always-max budget {p_max}"
+    for _ in both_planners(monkeypatch):
+        with pytest.raises(RuntimeError) as error:
+            schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
+        assert str(error.value) == f"cpz power {2 * p_max} exceeds the always-max budget {p_max}"
 
 
 def test_kernel_sizes_each_annulus_once_in_ascending_order(monkeypatch):
@@ -263,17 +291,20 @@ def test_kernel_sizes_each_annulus_once_in_ascending_order(monkeypatch):
 
     monkeypatch.setattr(schemes, "required_bs_power", sizing)
     monkeypatch.setattr(schemes, "_ring_powers", spy)
-    monkeypatch.setattr(schemes, "_BLOCK", 64)
     u = np.random.default_rng(3).random((150, 2 * k))
     r, phi = 100.0 + 900.0 * u[:, :k], TWO_PI * u[:, k:]
     grids = [PartitionGrid(8, count) for count in (1, 6, 18)]
-    schemes._evaluate_trials(grids, budget, target, k, m, r, phi)
-    assert outside == [budget.cell_radius_r]
-    sized = [d for call in calls for d in call]
-    assert sorted(sized) == sorted(set(sized)) == [grids[0].annulus_outer_radius(a)
-                                                   for a in range(8)]
-    assert all(call == sorted(call) for call in calls)
-    assert max(len(call) for call in calls) > 1
+    for _ in both_planners(monkeypatch):
+        outside.clear()
+        calls.clear()
+        monkeypatch.setattr(schemes, "_BLOCK", 64)
+        schemes._evaluate_trials(grids, budget, target, k, m, r, phi)
+        assert outside == [budget.cell_radius_r]
+        sized = [d for call in calls for d in call]
+        assert sorted(sized) == sorted(set(sized)) == [grids[0].annulus_outer_radius(a)
+                                                       for a in range(8)]
+        assert all(call == sorted(call) for call in calls)
+        assert max(len(call) for call in calls) > 1
 
 
 def test_kernel_reports_errors_grid_by_grid(monkeypatch):
@@ -285,14 +316,15 @@ def test_kernel_reports_errors_grid_by_grid(monkeypatch):
     budget, target, k, m = LinkBudget(), 2e7, 10, 200
     p_max = required_bs_power(1000.0, target, k, m, budget)
     over_on_rows(monkeypatch, lambda regions: len(regions) == 2, 3 * p_max, 2)
-    monkeypatch.setattr(schemes, "_BLOCK", 1)
     phi, trial0 = np.array([[0.0, 4.0], [0.0, 0.1]]), [200.0, 200.0]
-    with pytest.raises(ValueError, match="user distance 50.0 m outside"):
-        schemes._evaluate_trials(grids, budget, target, k, m, np.array([trial0, [300.0, 50.0]]),
-                                 phi)
-    with pytest.raises(RuntimeError, match="cpz power"):
-        schemes._evaluate_trials(grids, budget, target, k, m, np.array([trial0, [300.0, 300.0]]),
-                                 phi)
+    for _ in both_planners(monkeypatch):
+        monkeypatch.setattr(schemes, "_BLOCK", 1)
+        with pytest.raises(ValueError, match="user distance 50.0 m outside"):
+            schemes._evaluate_trials(grids, budget, target, k, m,
+                                     np.array([trial0, [300.0, 50.0]]), phi)
+        with pytest.raises(RuntimeError, match="cpz power"):
+            schemes._evaluate_trials(grids, budget, target, k, m,
+                                     np.array([trial0, [300.0, 300.0]]), phi)
 
 
 def test_kernel_reports_errors_block_by_block_then_stage_by_stage(monkeypatch):
@@ -303,11 +335,12 @@ def test_kernel_reports_errors_block_by_block_then_stage_by_stage(monkeypatch):
     ring0 = required_bs_power(grid.annulus_outer_radius(0), target, k, m, budget)
     over_on_rows(monkeypatch, lambda regions: regions == [ring0], 2 * p_max, 18)
     r, phi = np.array([[200.0], [50.0]]), np.zeros((2, 1))
-    with pytest.raises(ValueError, match="user distance 50.0 m outside"):
-        schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
-    monkeypatch.setattr(schemes, "_BLOCK", 1)
-    with pytest.raises(RuntimeError, match="cpz power"):
-        schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
+    for _ in both_planners(monkeypatch):
+        with pytest.raises(ValueError, match="user distance 50.0 m outside"):
+            schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
+        monkeypatch.setattr(schemes, "_BLOCK", 1)
+        with pytest.raises(RuntimeError, match="cpz power"):
+            schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
 
 
 @pytest.mark.parametrize("n_grids, blocks", [(1, [64, 64]), (3, [64, 64, 64, 64])])
@@ -350,7 +383,9 @@ def test_sector_sweep_runs_the_link_stage_once_per_trial(monkeypatch):
 
 
 def test_sector_sweep_sorts_each_block_once(monkeypatch):
-    # Users are put in angle order once per block; no sector count sorts them again.
+    # Grids of at most _TABLE_SECTORS_PER_USER sectors per user plan cpz from a
+    # table and sort nothing. Above that bound, users are put in angle order
+    # once per block, and no sector count sorts them again.
     sorts = []
     argsort = np.argsort
 
@@ -360,8 +395,11 @@ def test_sector_sweep_sorts_each_block_once(monkeypatch):
 
     monkeypatch.setattr(schemes.np, "argsort", spy)
     monkeypatch.setattr(schemes, "_BLOCK", 64)
-    sweep_sectors(ScenarioConfig(shadowing=LognormalShadowing(), n_trials=150),
-                  [1, 2, 3, 6, 9, 18, 36])
+    config = ScenarioConfig(shadowing=LognormalShadowing(), n_trials=150)
+    assert 36 <= schemes._TABLE_SECTORS_PER_USER * config.k_users < 64
+    sweep_sectors(config, [1, 2, 3, 6, 9, 18, 36])
+    assert sorts == []
+    sweep_sectors(config, [1, 2, 64, 96, 128])
     assert sorts == [(64, 10), (64, 10), (22, 10)]
 
 
@@ -386,15 +424,15 @@ def test_sector_sweep_rates_zooming_once_per_block(monkeypatch):
 
 
 def spy_on_cpz_plans(monkeypatch):
-    """The number of rows of each _cpz_plan call, in call order."""
+    """The number of rows of each _table_plan call, in call order."""
     calls = []
-    cpz_plan = schemes._cpz_plan
+    table_plan = schemes._table_plan
 
-    def spy(size, annulus, first, flat):
-        calls.append(len(first))
-        return cpz_plan(size, annulus, first, flat)
+    def spy(size, tops, ring):
+        calls.append(len(ring))
+        return table_plan(size, tops, ring)
 
-    monkeypatch.setattr(schemes, "_cpz_plan", spy)
+    monkeypatch.setattr(schemes, "_table_plan", spy)
     return calls
 
 
@@ -416,7 +454,7 @@ def arcs(rng, n_trials, k, spans):
 
 
 def shared_plan_cases():
-    """(counts, r, phi, rows of each _cpz_plan call) of counts that share plans, _BLOCK = 64."""
+    """(counts, r, phi, rows of each _table_plan call) of counts that share plans, _BLOCK = 64."""
     rng = np.random.default_rng(37)
     # Counts 1 and 2 split block 0's users, all in [0, pi), alike, and block 1's
     # not; count 1 splits both blocks alike, yet each block plans its own users.
@@ -547,9 +585,9 @@ def test_empty_cell_sums_without_a_fsum_call():
 
 @pytest.mark.parametrize("rows, k", [(3, 0), (1, 1), (6, 7)])
 def test_cpz_plan_scatters_rings_back_to_user_order(rows, k):
-    # The kernel gathers a block's users into angle order, and _cpz_plan
-    # scatters ring back, through one flat index: user u of row t is served
-    # out to the top annulus of its own sector.
+    # On grids past the table bound the kernel gathers a block's users into
+    # angle order, and _cpz_plan scatters ring back, through one flat index:
+    # user u of row t is served out to the top annulus of its own sector.
     rng = np.random.default_rng(10 * rows + k)
     annulus, sector = rng.integers(0, 4, (rows, k)), rng.integers(0, 5, (rows, k))
     order = np.argsort(sector + rng.random((rows, k)), axis=1)
@@ -561,3 +599,15 @@ def test_cpz_plan_scatters_rings_back_to_user_order(rows, k):
         assert n_regions[t] == len(set(sector[t].tolist()))
         for u in range(k):
             assert ring[t, u] == annulus[t][sector[t] == sector[t, u]].max()
+
+
+@pytest.mark.parametrize("rings", [[2, -1, 2, 0, 5, 5, 1], [2**52, -1, 7, 2**52], []],
+                         ids=["table", "unique", "empty"])
+def test_ring_powers_size_each_distinct_annulus_once_ascending(rings):
+    # Rings below their count map through a bincount table, others through
+    # np.unique: either way each distinct annulus is sized once, in ascending order.
+    sized = []
+    powers = schemes._ring_powers(lambda a: sized.append(a) or a + 0.5,
+                                  np.array(rings, dtype=np.int64))
+    assert powers.tolist() == [a + 0.5 if a >= 0 else 0.0 for a in rings]
+    assert sized == sorted(set(rings) - {-1})
