@@ -43,47 +43,53 @@ def _fill(biased):
     _READY[biased] = True
 
 
-def _digit_rows(x, width):
-    """(width, n) uint8: the last `width` ASCII digits of nonnegative int64 x,
-    zero-padded on the left."""
-    rows = np.empty((width, x.size), np.uint8)
-    for row in rows[::-1]:
-        q = x // 10  # libdivide; % on an int64 array is several times slower
-        row[...] = x - q * 10
-        x = q
-    return rows + 48
+def _digit_rows(x, rows):
+    """Fill (width, n) uint8 rows with the zero-padded ASCII digits of int64 0 <= x < 10**width."""
+    for stop in range(len(rows), 0, -9):
+        # Nine digits at a time as int32: its // 10 (libdivide) beats int64's and %.
+        high = x // 10 ** 9 if stop > 9 else 0
+        part = (x - high * 10 ** 9).astype(np.int32)
+        for row in rows[max(stop - 9, 0):stop][::-1]:
+            q = part // 10
+            row[...], part = part - q * 10, q
+        x = high
+    return np.add(rows, 48, out=rows)
 
 
 def _int_texts(x):
-    """(n, width) uint8 rows: row i is str(x[i]) for nonnegative int64 x,
-    NUL-padded on the left."""
-    rows = _digit_rows(x, len(str(x.max())))
+    """(n, width) uint8 rows: row i is str(x[i]) for int64 x >= 0, NUL-padded on the left."""
+    rows = _digit_rows(x, np.empty((len(str(x.max())), x.size), np.uint8))
     rows[:-1][np.logical_and.accumulate(rows[:-1] == 48)] = 0
     return rows.T
 
 
 def _bounds(bits):
-    """Ryu's d2d up to its digit removal, on finite, nonzero float64 bits:
-    vr, vp, vm, whether vr and vm drop only zeros, even mantissa, and vr's
-    decimal exponent."""
-    biased, frac = bits >> 52 & 0x7FF, bits & (1 << 52) - 1
+    """Ryu's d2d up to its digit removal, on finite, nonzero float64 bits (overwritten):
+    vr, vp, vm, whether vr and vm drop only zeros, even mantissa, vr's decimal exponent."""
+    biased = bits >> 52 & 0x7FF
     _fill(np.flatnonzero(np.bincount(biased, minlength=2048).astype(bool) & ~_READY))
-    m2 = np.where(biased > 0, frac | 1 << 52, frac)
-    mv, even, mm_shift = m2 << 2, (m2 & 1) == 0, (frac != 0) | (biased <= 1)
+    mv = np.bitwise_and(bits, (1 << 52) - 1, out=bits)  # then Ryu's m2, then mv = 4 * m2
+    mm_shift = (mv != 0) | (biased <= 1)
+    np.bitwise_or(mv, 1 << 52, out=mv, where=biased > 0)
+    even = (mv & 1) == 0
+    mv <<= 2
     # vr, vp and vm are (mv + d) * T >> shift for d = 0, 2 and -1 - mm_shift,
     # summed by 28-bit columns: those below 2**112 only carry into the next.
-    t, high_mv = _LIMBS[:, biased], mv >> _LIMB
-    low_mv = mv & _MASK
-    low_mv = np.stack([low_mv, low_mv + 2, low_mv - 1 - mm_shift])
-    col = t[0] * low_mv
-    for k in range(1, 5):
-        col >>= _LIMB
-        col += t[k] * low_mv
-        col += high_mv * t[k - 1]
-    s = _SHIFT[biased]
-    col >>= s
-    col += high_mv * t[4] << _LIMB - s
+    low_mv, high_mv, col = mv & _MASK, mv >> _LIMB, np.zeros((3, mv.size), np.int64)
+    t, part = np.empty_like(mv), np.empty_like(mv)
+    for k in range(5):
+        if k:
+            col >>= _LIMB
+            col += np.multiply(high_mv, t, out=part)
+        col += np.multiply(low_mv, np.take(_LIMBS[k], biased, out=t, mode="clip"), out=part)
+        col[1] += t  # d * T: 2 T on vp's row, -(1 + mm_shift) T on vm's
+        col[1] += t
+        col[2] -= t
+        np.subtract(col[2], t, out=col[2], where=mm_shift)
+    col >>= np.take(_SHIFT, biased, out=part, mode="clip")  # "clip": out is not buffered
+    col += np.left_shift(np.multiply(high_mv, t, out=t), np.subtract(_LIMB, part, out=part), out=t)
     vr, vp, vm = col
+    del low_mv, high_mv, t, part
     # Ryu's step 3: which of vr and vm drop only zeros in the removal below.
     q, e2_negative = _Q[biased], biased < 1077
     vr_tz = e2_negative & ((mv & (1 << q) - 1) == 0)  # mv % 2**q == 0; shifts past 63 give 0
@@ -114,16 +120,21 @@ def _shortest(vr, vp, vm, vr_tz, vm_tz, even, exponent):
         m_zero = vm_tz & (m * scale == vm)
         ok = (p > m) | m_zero
         if ok.any():
-            k += step * ok
-            vp, vm, vm_tz = np.where(ok, p, vp), np.where(ok, m, vm), np.where(ok, m_zero, vm_tz)
-    scale, scale_last = _POW10[k], _POW10[np.maximum(k - 1, 0)]
+            np.add(k, step, out=k, where=ok)
+            for old, new in ((vp, p), (vm, m), (vm_tz, m_zero)):
+                np.copyto(old, new, where=ok)
+    del p, m, m_zero, ok
+    scale = _POW10[k]
     r = vr // scale
-    rest = vr - r * scale
+    rest = np.subtract(vr, np.multiply(r, scale, out=scale), out=vr)  # into spent buffers
+    scale_last = np.take(_POW10, np.maximum(k - 1, 0), out=scale, mode="clip")
     last = rest // scale_last
     vr_tz = vr_tz & (rest == last * scale_last)  # every removed digit before the last was 0
+    del scale, scale_last
     # Round half to even where the removed digits are exactly 5 then zeros.
     up = (last > 5) | ((last == 5) & ~(vr_tz & (r & 1 == 0)))
-    return r + (((r == vm) & ~(even & vm_tz)) | up), exponent + k
+    r += ((r == vm) & ~(even & vm_tz)) | up
+    return r, np.add(exponent, k, out=exponent)
 
 
 def _column_map(key):
@@ -157,20 +168,24 @@ def _float_texts(x):
     exponent = decpt - 1
     form = np.where(sci, 20 + 2 * (exponent < 0) + (np.abs(exponent) >= 100), decpt + 3)
     key = ((bits < 0) * 18 + ndigits) * 24 + form
+    del ndigits, decpt, sci, form
     # One gather per text shape, over the entries sorted by shape.
     order = np.argsort(key)
     key = key[order]
-    source = np.vstack([_digit_rows(digits[order], 17),
-                        np.frombuffer(_SOURCE, np.uint8)[:, None].repeat(x.size, 1),
-                        _digit_rows(np.abs(exponent[order]), 3)])
     bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), x.size]
     maps = [(_column_map(int(key[start])), start, stop) for start, stop in zip(bounds, bounds[1:])]
-    texts = np.zeros((max(len(cols) for cols, _, _ in maps), x.size), np.uint8)
-    for cols, start, stop in maps:
-        texts[:len(cols), start:stop] = source[cols, start:stop]
+    del key
+    digits, exponent = digits[order], np.abs(exponent[order])
+    source = np.empty((26, x.size), np.uint8)
+    _digit_rows(digits, source[:17])
+    source[17:23] = np.frombuffer(_SOURCE, np.uint8)[:, None]
+    _digit_rows(exponent, source[23:])
+    del digits, exponent
     special = np.flatnonzero(~finite).tolist()
-    rows = np.zeros((x.size, max(len(texts), 4 if special else 0)), np.uint8)
-    rows[order, :len(texts)] = texts.T
+    width = max(len(cols) for cols, _, _ in maps)
+    rows = np.zeros((x.size, max(width, 4 if special else 0)), np.uint8)
+    for cols, start, stop in maps:
+        rows[order[start:stop], :len(cols)] = source[cols, start:stop].T
     for i in special:
         text = repr(float(x[i])).encode("ascii").ljust(rows.shape[1], b"\0")
         rows[i] = np.frombuffer(text, np.uint8)

@@ -19,8 +19,8 @@ Results are the kernel's per-scheme columns (`schemes.SchemeColumns`, an
 array per report field and a `sleeping` mask) keyed by sweep value (None for
 a plain comparison): the CSV writer streams them a chunk of trials at a time,
 assembled in numpy from Ryu digits (`_float_text`) with repr's bytes, where
-consecutive chunks over the same trials (each value of a one-chunk sweep)
-share one text pass that formats each of their distinct floats once, and
+consecutive chunks, over any trials, share one text pass of up to _CSV_PASS
+floats that formats each of their distinct floats in one call, and
 `_aggregate` reduces them to mean power and mean EE per value and scheme,
 each shared array set once.
 """
@@ -315,34 +315,45 @@ def sweep_sectors(config: ScenarioConfig, sector_counts: Iterable[int]) -> Sweep
 
 # Trials per CSV chunk; bounds the texts held at once.
 _CSV_CHUNK = 1024
-# Floats per text pass, at most; bounds a pass's patterns whatever the number
-# of sweep values. Seven sector counts over 1000 trials (27 arrays) are one pass.
+# Floats per text pass, at most, whatever the number of chunks or sweep values:
+# three comparison chunks, or seven counts over 1000 trials, are 27 pieces, one pass.
 _CSV_PASS = 32 * 1024
 _COMMA, _NEWLINE = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
 
 
 def _text_passes(reports: ReportsByValue) -> Iterator[tuple[list, dict]]:
-    """The (value, columns, trials) chunks of each text pass and its float arrays by id.
+    """The (value, columns, trials) chunks of each text pass and its float pieces.
 
-    A pass is consecutive chunks over the same trials whose distinct arrays
-    hold at most _CSV_PASS floats: a sector sweep's counts share always-max's
-    and zooming's arrays, which a pass then reads once.
+    A piece is one float array over one chunk's trials, keyed by (array id,
+    first trial); a pass is consecutive chunks, over any trials, whose distinct
+    pieces hold at most _CSV_PASS floats, so a sector sweep's counts read
+    always-max's and zooming's arrays once.
     """
-    chunks, arrays = [], {}
+    chunks, pieces = [], {}
     for value, columns in reports.items():
         n_trials = len(columns[0].total_power)
-        fields = {id(field): field for col in columns
-                  for field in (col.total_power, col.sum_rate, col.ee)}
         for start in range(0, n_trials, _CSV_CHUNK):
             chunk = slice(start, min(start + _CSV_CHUNK, n_trials))
-            if chunks and (chunk != chunks[0][2]
-                           or len(arrays | fields) * (chunk.stop - start) > _CSV_PASS):
-                yield chunks, arrays
-                chunks, arrays = [], {}
+            own = {(id(field), start): field[chunk] for col in columns
+                   for field in (col.total_power, col.sum_rate, col.ee)}
+            if chunks and sum(map(len, (pieces | own).values())) > _CSV_PASS:
+                yield chunks, pieces
+                chunks, pieces = [], {}
             chunks.append((value, columns, chunk))
-            arrays |= fields
+            pieces |= own
     if chunks:
-        yield chunks, arrays
+        yield chunks, pieces
+
+
+def _distinct(floats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of floats, sorted, and each float's place
+    among them counted from 1, in int32: np.unique holds about twice the memory."""
+    order = np.argsort(floats.view(np.int64))
+    floats = floats.view(np.int64)[order]
+    first = np.concatenate(([True], floats[1:] != floats[:-1]))
+    patterns, index = floats[first], np.empty(len(order), np.int32)
+    index[order] = np.cumsum(first, out=floats)
+    return patterns, index
 
 
 def _csv_chunks(reports: ReportsByValue) -> Iterator[bytes]:
@@ -352,30 +363,26 @@ def _csv_chunks(reports: ReportsByValue) -> Iterator[bytes]:
     from ._float_text import _float_texts, _int_texts
 
     yield (CSV_HEADER + "\n").encode("ascii")
-    batch = 9 * _CSV_CHUNK  # a comparison's chunk is one _float_texts call
-    for chunks, arrays in _text_passes(reports):
-        span = chunks[0][2]
-        trials = _int_texts(np.arange(span.start, span.stop))[:, None]
+    for chunks, pieces in _text_passes(reports):
         # One text per distinct bit pattern, so -0.0 keeps its sign, each
-        # after its comma; a last, empty text is a sleeping trial's EE.
-        patterns, index = np.unique(np.concatenate([array[span] for array in arrays.values()])
-                                    .view(np.int64), return_inverse=True)
-        index, row = index.reshape(len(arrays), -1), {key: i for i, key in enumerate(arrays)}
-        texts = [_float_texts(patterns[i:i + batch].view(np.float64))
-                 for i in range(0, len(patterns), batch)]
-        cells = np.zeros((len(patterns) + 1, 1 + max(t.shape[1] for t in texts)), np.uint8)
-        cells[:, 0] = ord(",")
-        for i, t in zip(range(0, len(patterns), batch), texts):
-            cells[i:i + len(t), 1:1 + t.shape[1]] = t
+        # after its comma; row 0, a comma alone, is a sleeping trial's EE. A
+        # pass is one _float_texts call: a comparison's three chunks are 27 648 floats.
+        patterns, index = _distinct(np.concatenate(list(pieces.values())))
+        texts = _float_texts(patterns.view(np.float64))
+        cells = np.zeros((len(texts) + 1, 1 + texts.shape[1]), np.uint8)
+        cells[:, 0], cells[1:, 1:] = ord(","), texts
+        del patterns, texts
+        starts, span = dict(zip(pieces, np.cumsum([0, *map(len, pieces.values())]).tolist())), None
         for value, columns, chunk in chunks:
+            if chunk != span:  # each value of a one-chunk sweep reuses its trials' texts
+                span, trials = chunk, _int_texts(np.arange(chunk.start, chunk.stop))[:, None]
             label = b"" if value is None else repr(value).encode("ascii")
             prefix = np.array([b"%s,%s," % (label, col.scheme.value.encode("ascii"))
                                for col in columns])[:, None].view(np.uint8)
             shape = (chunk.stop - chunk.start, len(columns))
-            at = index[[row[id(field)] for col in columns
-                        for field in (col.total_power, col.sum_rate, col.ee)]]
-            at = at.T.reshape(shape + (3,))
-            at[np.stack([col.sleeping[chunk] for col in columns], axis=1), 2] = len(cells) - 1
+            at = np.stack([index[starts[id(field), chunk.start]:][:shape[0]] for col in columns
+                           for field in (col.total_power, col.sum_rate, col.ee)], axis=1)
+            at[:, 2::3][np.stack([col.sleeping[chunk] for col in columns], axis=1)] = 0
             counts = np.stack([col.n_active_sectors[chunk] for col in columns], axis=1)
             # Fixed-width blocks side by side; the row bytes are the non-NUL ones.
             rows = np.concatenate([np.broadcast_to(block, shape + block.shape[-1:]) for block in (
@@ -383,6 +390,8 @@ def _csv_chunks(reports: ReportsByValue) -> Iterator[bytes]:
                 _int_texts(counts.ravel()).reshape(shape + (-1,)), _NEWLINE)], axis=2)
             rows = rows[rows != 0].tobytes()  # frees the blocks before the yield
             yield rows
+            del rows  # before the next chunk's blocks
+        del index, cells  # before the next pass's _distinct
 
 
 def format_records_csv(reports: ReportsByValue) -> str:

@@ -169,12 +169,13 @@ MUTANTS = [
      "edits": [("t, k = np.argwhere(over.T)[0]", "k, t = np.argwhere(over)[0]")],
      "killed_by": ["tests/test_kernel.py::"
                    "test_kernel_guard_reports_first_trial_in_trial_major_order"]},
-    # CSV text passes: chunks over the same trials only, and at most _CSV_PASS floats.
-    {"id": "text_pass_over_different_trials", "file": SIM,
-     "edits": [("(chunk != chunks[0][2]\n                           or len(arrays | fields)",
-                "(len(arrays | fields)")],
-     "killed_by": ["tests/test_sim.py::test_csv_formats_each_distinct_bit_pattern_once_per_chunk",
-                   "tests/test_sim.py::test_sweep_csv_bytes_do_not_depend_on_chunk_or_pass_size",
+    # CSV text passes: pieces keyed by (array, chunk), and at most _CSV_PASS floats.
+    # Keyed by array alone, a later chunk's piece replaces the first's in the
+    # pass, and every chunk of the pass reads that one piece's texts.
+    {"id": "text_pass_pieces_keyed_by_array_only", "file": SIM,
+     "edits": [("own = {(id(field), start): field[chunk]", "own = {id(field): field[chunk]"),
+               ("index[starts[id(field), chunk.start]:]", "index[starts[id(field)]:]")],
+     "killed_by": ["tests/test_sim.py::test_sweep_csv_bytes_do_not_depend_on_chunk_or_pass_size",
                    "tests/test_sim.py::test_csv_matches_row_formula_at_chunk_boundaries[1]"]},
     {"id": "text_pass_uncapped", "file": SIM,
      "edits": [("_CSV_PASS = 32 * 1024", "_CSV_PASS = 1 << 60")],
@@ -195,7 +196,7 @@ MUTANTS = [
      "edits": [("up = (last > 5) | ((last == 5) & ~(vr_tz & (r & 1 == 0)))", "up = last >= 5")],
      "killed_by": ["tests/test_float_text.py::test_fixed_sets_match_repr"]},
     {"id": "ryu_vp_from_p_plus_t", "file": FLOAT_TEXT,
-     "edits": [("low_mv + 2,", "low_mv + 1,")],
+     "edits": [("        col[1] += t\n        col[2] -= t\n", "        col[2] -= t\n")],
      "killed_by": ["tests/test_float_text.py::test_fixed_sets_match_repr"]},
     {"id": "ryu_scientific_above_1e15", "file": FLOAT_TEXT,
      "edits": [("(decpt > 16)", "(decpt > 15)")],
@@ -206,6 +207,11 @@ MUTANTS = [
     {"id": "ryu_vm_trailing_zeros_false", "file": FLOAT_TEXT,
      "edits": [("(r == vm) & ~(even & vm_tz)", "(r == vm) & ~(even & False)")],
      "killed_by": ["tests/test_float_text.py::test_fixed_sets_match_repr"]},
+    # Digits nine at a time as int32: a 19-digit value's high part is 10 digits.
+    {"id": "digit_rows_high_part_int32", "file": FLOAT_TEXT,
+     "edits": [("high = x // 10 ** 9 if", "high = (x // 10 ** 9).astype(np.int32) if")],
+     "killed_by": ["tests/test_float_text.py::"
+                   "test_int_texts_and_digit_rows_match_str_at_every_width[19]"]},
     # The Wishart trace: Bartlett's draws and the forward substitution.
     {"id": "bartlett_m_plus_1_degrees_of_freedom", "file": MIMO,
      "edits": [("shapes = m_antennas - np.arange(k_users)",

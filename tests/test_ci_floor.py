@@ -52,6 +52,19 @@ def test_tier1_job_has_a_timeout():
     assert 0 < int(minutes.group(1)) <= 60
 
 
+def test_benchmark_smoke_job_checks_every_workload_and_has_a_timeout():
+    # The benchmark reaches the package through child.py's name lookups and
+    # run.py's flags; this job fails CI when a change to src/ breaks either.
+    job = re.search(r"^  benchmark-smoke:\n((?:    .*\n|\n)*)", WORKFLOW, re.M)
+    assert job, "the workflow has no benchmark-smoke job"
+    minutes = re.search(r"^    timeout-minutes: (\d+)$", job.group(1), re.M)
+    assert minutes, "the benchmark-smoke job sets no timeout-minutes"
+    assert 0 < int(minutes.group(1)) <= 60
+    assert 'python-version: "3.11"' in job.group(1)
+    assert "python3 benchmarks/run.py --workload all --seconds 1 --trace 0" in job.group(1)
+    assert 'r["correct"] is True and r["failed"] == 0' in job.group(1)
+
+
 def test_workflow_token_can_only_read_the_repository():
     # Least privilege: checkout needs contents: read, and nothing writes. A
     # job-level permissions block would override the workflow's.

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpzsim import _float_text
-from cpzsim._float_text import _float_texts
+from cpzsim._float_text import _digit_rows, _float_texts, _int_texts
 
 EDGES = [5e-324, -5e-324, 1.7976931348623157e308, 2.2250738585072014e-308, 1e16,
          9999999999999998.0, 1e-5, 1e-4, 1e22, 1e23, 1e-300, 9.5e-5, 0.1, 0.3, 1 / 3,
@@ -87,6 +88,41 @@ def test_any_floats_match_repr(values):
     rows = _float_texts(x)
     assert [row.tobytes().rstrip(b"\0") for row in rows] == [
         repr(v).encode("ascii") for v in x.tolist()]
+
+
+def test_float_texts_heap_per_float_is_bounded():
+    # One call on a comparison chunk's 9216 floats, exponents from -300 to
+    # 299 (three-digit ones among them), its Ryu columns filled beforehand:
+    # the temporaries and the rows it returns stay within 120 bytes a float.
+    rng = np.random.default_rng(40)
+    x = rng.random(9216) * 10.0 ** rng.integers(-300, 300, 9216)
+    _float_texts(x)
+    tracemalloc.start()
+    try:
+        _float_texts(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / x.size <= 120
+
+
+@pytest.mark.parametrize("width", range(1, 20))
+def test_int_texts_and_digit_rows_match_str_at_every_width(width):
+    # Digits come out nine at a time as int32, so no part of a wide value may
+    # overflow it: each width's extremes, the int32 edges where they have this
+    # width, and up to 2**63 - 1, which has 19 digits.
+    rng = np.random.default_rng(width)
+    low, high = (10 ** (width - 1) if width > 1 else 0), min(10 ** width - 1, 2 ** 63 - 1)
+    edges = [v for v in (2 ** 31 - 1, 2 ** 31, 2 ** 32, 10 ** 9) if low <= v <= high]
+    x = np.array([low, high, *edges, *rng.integers(low, high, 200, endpoint=True).tolist()],
+                 np.int64)
+    assert [row.tobytes().lstrip(b"\0") for row in _int_texts(x)] == [
+        str(v).encode("ascii") for v in x.tolist()]
+    # Fewer digits than the rows are wide come zero-padded on the left.
+    x = x // 10 ** rng.integers(0, width, x.size)
+    rows = _digit_rows(x, np.empty((width, x.size), np.uint8))
+    assert [row.tobytes() for row in rows.T] == [
+        str(v).zfill(width).encode("ascii") for v in x.tolist()]
 
 
 def eager_tables():

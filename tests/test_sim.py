@@ -533,10 +533,29 @@ def formatted_patterns(monkeypatch):
     return inputs
 
 
-def test_csv_formats_each_distinct_bit_pattern_once_per_chunk(tmp_path, monkeypatch):
-    # No two consecutive chunks here cover the same trials, so each chunk is a
-    # text pass of its own and formats exactly its own distinct patterns, once
-    # for format_records_csv and once for write_records_csv.
+def pass_bit_patterns(reports):
+    """Distinct float bit patterns of each text pass, in CSV order. Consecutive
+    chunks share a pass while the distinct pieces it reads, one float array
+    over one chunk's trials each, hold at most _CSV_PASS floats."""
+    passes, pieces = [], {}
+    for columns in reports.values():
+        for start in range(0, len(columns[0].total_power), sim._CSV_CHUNK):
+            own = {(id(field), start): field[start:start + sim._CSV_CHUNK] for col in columns
+                   for field in (col.total_power, col.sum_rate, col.ee)}
+            if pieces and sum(map(len, (pieces | own).values())) > sim._CSV_PASS:
+                passes.append(pieces)
+                pieces = {}
+            pieces |= own
+    return [{struct.pack("<d", x) for piece in p.values() for x in piece.tolist()}
+            for p in passes + [pieces]]
+
+
+def test_csv_formats_each_distinct_bit_pattern_once_per_pass(tmp_path, monkeypatch):
+    # Five chunks per value: a comparison's first three chunks (27 648
+    # floats) are one text pass and its last two another; a sector sweep's
+    # second count also starts a pass in mid-count. Each pass formats exactly
+    # its own distinct patterns in one call, once for format_records_csv and
+    # once for write_records_csv.
     float_reprs = []
 
     def counted_repr(x):
@@ -547,14 +566,16 @@ def test_csv_formats_each_distinct_bit_pattern_once_per_chunk(tmp_path, monkeypa
     inputs = formatted_patterns(monkeypatch)
     for module in (sim, _float_text):
         monkeypatch.setattr(module, "repr", counted_repr, raising=False)
-    n_trials = 2 * sim._CSV_CHUNK + 3
-    for reports in ({None: synthetic_columns(n_trials)},
-                    {None: run_comparison(make_config(n_trials=n_trials, seed=5))},
-                    sweep_sectors(make_config(n_trials=n_trials, seed=5), [1, 6]).reports):
+    n_trials = 4 * sim._CSV_CHUNK + 3
+    for reports, n_passes in (({None: synthetic_columns(n_trials)}, 2),
+                              ({None: run_comparison(make_config(n_trials=n_trials, seed=5))}, 2),
+                              (sweep_sectors(make_config(n_trials=n_trials, seed=5), [1, 6]).reports,
+                               3)):
         inputs.clear()
         float_reprs.clear()
         check_csv(tmp_path, reports)
-        assert inputs == 2 * chunk_bit_patterns(reports)
+        assert len(pass_bit_patterns(reports)) == n_passes
+        assert inputs == 2 * pass_bit_patterns(reports)
     # Only NaN and infinities go through repr, and default runs have neither.
     assert float_reprs == []
 
