@@ -13,7 +13,6 @@ from .mimo import (
     sample_channel,
     sinr_per_ue,
     sinr_zf,
-    sum_rate_closed_form,
     wishart_trace_expectation,
     zf_beamformer,
 )

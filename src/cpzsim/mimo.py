@@ -218,19 +218,6 @@ def per_ue_rate(bandwidth: float, sinr: float) -> float:
     return bandwidth * math.log2(1.0 + sinr)
 
 
-def sum_rate_closed_form(k_users: int, m_antennas: int, rho: float, bandwidth: float) -> float:
-    """ZF sum rate K * B * log2(1 + rho * (M - K)) in bit/s, a lower bound on the ergodic one."""
-    if k_users < 1:
-        raise ValueError("k_users must be positive")
-    if m_antennas <= k_users:
-        raise ValueError(f"closed form needs M > K, got K={k_users}, M={m_antennas}")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    return k_users * bandwidth * math.log2(1.0 + rho * (m_antennas - k_users))
-
-
 def wishart_trace_expectation(k_users: int, m_antennas: int) -> float:
     """Expected inverse Gram trace E[tr((H H^H)^-1)] = K / (M - K).
 

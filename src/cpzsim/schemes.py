@@ -15,8 +15,7 @@ everyone closer gets more.
 One model computes the reports. `_evaluate_trials`, the batch kernel, runs
 (trials, users) arrays of Monte Carlo runs and sweeps, on one or more grids
 that differ in sector count (cpz planned once per distinct partition of the
-users, from a (sectors, trials) table of top annuli on coarse grids and from
-users in angle order on finer ones), and returns per grid one `SchemeColumns`
+users, which are sorted by angle once), and returns per grid one `SchemeColumns`
 per scheme: an array per report field and a `sleeping` mask. `evaluate_scheme`
 is the kernel on one `CpzState` snapshot. `pow` and `log2` run in libm on
 Python floats, and every sum adds left to right from +0.0 in a fixed order
@@ -50,10 +49,6 @@ SCHEME_ORDER = (SchemeKind.ALWAYS_MAX, SchemeKind.ZOOMING, SchemeKind.CPZ)
 
 # Trials _evaluate_trials works on at once; bounds its temporary arrays.
 _BLOCK = 1024
-# cpz is planned from a (sectors, trials) table on grids of at most this many sectors per
-# user, so the table's arrays stay within this multiple of the block's (trials, users)
-# arrays; finer grids sort users by angle instead, and no temporary grows with the count.
-_TABLE_SECTORS_PER_USER = 4
 
 
 class SchemeReport(Record):
@@ -182,40 +177,20 @@ def _ring_powers(size, rings: np.ndarray) -> np.ndarray:
     return powers[index]
 
 
-def _cpz_plan(size, annulus: np.ndarray, first: np.ndarray,
-              flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """cpz's (full, fractions, ring, region count) on a partition; annulus, first in angle order.
-
-    In that order each row's sectors ascend and first marks each sector's first user,
-    where its region sits; ring, the annulus each user is served out to, is in user
-    order: flat[t, j] is the flat user-order index of the j-th user of row t in angle order.
-    A row's total on n sectors is full * (fractions / n): full is its largest region
-    power (1.0 where it has no region), and fractions sums each region's power over
-    full in sector order, the 0.0 between regions leaving each partial sum as it is.
-    Every left-to-right partial sum of n fractions (each <= 1) stays <= n, an exact
-    float, so rounding cannot lift a total above that power, and the scheme ordering
-    holds exactly, without tolerances.
-    """
-    starts = np.flatnonzero(first)
-    tops = np.maximum.reduceat(annulus.ravel(), starts)
-    sized = np.zeros(first.shape)
-    sized.flat[starts] = _ring_powers(size, tops)
-    full = sized.max(axis=1, initial=0.0)
-    full[full == 0.0] = 1.0  # no region
-    ring = np.empty(first.shape, dtype=np.int64)
-    ring.put(flat, tops[np.cumsum(first) - 1])
-    return full, _row_sums(sized / full[:, None]), ring, first.sum(axis=1)
-
-
 def _table_plan(size, tops: np.ndarray, ring: np.ndarray) -> tuple[np.ndarray, ...]:
-    """cpz's (full, fractions, ring, region count) from a (sectors, trials) table of top annuli.
+    """cpz's (full, fractions, ring, region count) from a (users, trials) table of top annuli.
 
-    tops[s, t] is sector s's top annulus on row t (-1: empty). As in _cpz_plan, full is a
-    row's largest region power (every row has a user), and fractions adds a table column
-    in sector order; an empty sector adds +0.0, which leaves the partial sum as it is.
+    tops[j, t] is the top annulus of row t's j-th occupied sector, ascending (-1: none);
+    ring[t, u] is the annulus user u of row t is served out to. A row's total on n sectors
+    is full * (fractions / n): full is its largest region power (1.0 with no region), and
+    fractions adds a table column over full in sector order, a -1 adding +0.0, which leaves
+    the partial sum as it is. Every left-to-right partial sum of n fractions (each <= 1)
+    stays <= n, an exact float, so no total rounds above that power, and the scheme
+    ordering holds exactly, without tolerances.
     """
     sized = _ring_powers(size, tops.ravel()).reshape(tops.shape)
-    full = sized.max(axis=0)
+    full = sized.max(axis=0, initial=0.0)
+    full[full == 0.0] = 1.0  # no region
     sized /= full
     return full, _row_sums(sized.T), ring, np.count_nonzero(tops >= 0, axis=0)
 
@@ -233,33 +208,29 @@ def _evaluate_trials(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_ta
                      psi: np.ndarray | None = None) -> list[tuple[SchemeColumns, ...]]:
     """Per grid, the columns of all three schemes, in SCHEME_ORDER, on every trial of a batch.
 
-    The grids differ only in n_sectors. r, phi and psi are (trials, users)
-    arrays of user distances, angles (normalized as UePosition holds them) and
-    slow-fading factors, psi None for unit shadowing. A block of trials runs
-    the link stage once for all grids (faded gains, then rates and sums at the
-    edge ring). After the faded gains it finds each grid's sector regions in a
-    (sectors, trials) table on grids of at most _TABLE_SECTORS_PER_USER sectors
-    per user, else with each trial's users in angle order, in which sectors
-    ascend along a row on every grid; rates and sums run in user order.
-    always_max and zooming power a full-circle region out to the edge and to the
-    trial's top annulus on any grid: sized and rated once per block, their
-    arrays are shared by all grids' columns but n_active_sectors. Per grid, cpz
-    powers each sector out to the sector's top annulus and serves user u out to
-    ring[t, u], planned once per distinct partition of a block's users, which
-    sums its fractions in sector order once; a grid's total only divides by its
-    count. This is the one model of the schemes; trial t of a grid's columns
-    equals, float for float, the reports of the tests' scalar oracle
-    (tests/oracle.py) on row t's users on that grid, and evaluate_scheme is this
-    function on one trial. The error raised is the one a call per grid would
-    raise first; on one grid, errors come block by block and, within a block,
-    stage by stage: _link_gains (ValueError for a distance outside [r0, R] or a
-    factor that is not positive and finite), _ring_powers and either cpz
-    planner (ValueError for a power of 0 or inf; a pass over the grids sizes
-    each annulus at most once, and each _ring_powers call sizes its new annuli
-    in ascending order), _guard (RuntimeError for a total above the budget, the
-    first in trial-major order), _rates and _row_sums at the edge ring, then
-    each scheme's _rates, _row_sums and EE (ValueError for an SINR that is not
-    finite, a sum rate or an EE that overflows).
+    The grids differ only in n_sectors. r, phi and psi are (trials, users) arrays of user
+    distances, angles (normalized as UePosition holds them) and slow-fading factors, psi
+    None for unit shadowing. A block of trials runs the link stage once for all grids
+    (faded gains, then rates and sums at the edge ring). After the faded gains it puts
+    each trial's users in angle order once, in which sectors ascend along a row on every
+    grid, and ranks each user's sector among its trial's occupied ones; rates and sums run
+    in user order. always_max and zooming power a full-circle region out to the edge and
+    to the trial's top annulus on any grid: sized and rated once per block, their arrays
+    are shared by all grids' columns but n_active_sectors. Per grid, cpz powers each
+    sector out to the sector's top annulus and serves user u out to ring[t, u], planned
+    once per distinct partition of a block's users, which sums its fractions in sector
+    order once; a grid's total only divides by its count. This is the one model of the
+    schemes; trial t of a grid's columns equals, float for float, the reports of the
+    tests' scalar oracle (tests/oracle.py) on row t's users on that grid, and
+    evaluate_scheme is this function on one trial. The error raised is the one a call per
+    grid would raise first; on one grid, errors come block by block and, within a block,
+    stage by stage: _link_gains (ValueError for a distance outside [r0, R] or a factor
+    that is not positive and finite), _ring_powers and _table_plan (ValueError for a power
+    of 0 or inf; a pass over the grids sizes each annulus at most once, and each
+    _ring_powers call sizes its new annuli in ascending order), _guard (RuntimeError for a
+    total above the budget, the first in trial-major order), _rates and _row_sums at the
+    edge ring, then each scheme's _rates, _row_sums and EE (ValueError for an SINR that is
+    not finite, a sum rate or an EE that overflows).
     """
     try:
         return _evaluate_grids(grids, budget, rate_target, k_users, m_antennas, r, phi, psi)
@@ -302,32 +273,26 @@ def _evaluate_grids(grids: Sequence[PartitionGrid], budget: LinkBudget, rate_tar
         # always-max's and zooming's totals are ring powers.
         tops = (np.full(len(rb), edge), annulus.max(axis=1, initial=-1))
         plans = [(_ring_powers(size, top), top[:, None], top >= 0) for top in tops]
-        # A cell's largest code names its top annulus and the first user there.
-        code = (annulus * users + np.arange(users - 1, -1, -1)).ravel()
-        rows, flat = np.arange(len(rb))[:, None], None
-        # cpz's plans by partition: grids that split the users alike share one
-        # plan, and a grid's total only divides by its count.
+        # Users in angle order, sorted once per block: sectors ascend along a row on every
+        # grid. flat[t, j] is the flat user-order index of row t's j-th user in that order.
+        rows = np.arange(len(rb))[:, None]
+        flat = np.argsort(phib, axis=1) + users * rows
+        # cpz's plans by partition, keyed by its run starts in angle order: grids that
+        # split the users alike share one plan, and a grid's total only divides by its count.
         partitions = {}
         for g, each in enumerate(grids):
-            sectors = sector_indices(each, phib) if g else sector
-            if each.n_sectors <= _TABLE_SECTORS_PER_USER * users and grid.n_annuli * users < 2**63:
-                # A (sectors, trials) table of codes, each below n_annuli * users; the
-                # users' cells' codes are the partition's key (never as long as a bool key).
-                cells = sectors.astype(np.int64) * len(rb) + rows
-                table = np.full(each.n_sectors * len(rb), -1)
-                np.maximum.at(table, cells.ravel(), code)
-                if (key := (mates := table[cells]).tobytes()) not in partitions:
-                    table //= users  # each cell's top annulus
-                    partitions[key] = _table_plan(size, table.reshape(-1, len(rb)), mates // users)
-            else:
-                # Users in angle order, sorted once per block; the key marks run starts.
-                if flat is None:
-                    flat = np.argsort(phib, axis=1) + users * rows
-                sectors = sectors.take(flat)
-                first = np.ones(sectors.shape, dtype=bool)
-                first[:, 1:] = sectors[:, 1:] != sectors[:, :-1]
-                if (key := first.tobytes()) not in partitions:
-                    partitions[key] = _cpz_plan(size, annulus.take(flat), first, flat)
+            sectors = (sector_indices(each, phib) if g else sector).take(flat)
+            first = np.ones(sectors.shape, dtype=bool)
+            first[:, 1:] = sectors[:, 1:] != sectors[:, :-1]
+            if (key := first.tobytes()) not in partitions:
+                # Each user's cell of a (users, trials) table, (rank of its sector among
+                # the row's occupied ones, row), back in user order; it gets the top annulus.
+                starts = np.cumsum(first).reshape(first.shape)
+                cells = np.empty_like(starts)
+                cells.reshape(-1)[flat] = (starts - starts[:, :1]) * len(rb) + rows
+                table = np.full(users * len(rb), -1)
+                np.maximum.at(table, cells.ravel(), annulus.ravel())
+                partitions[key] = _table_plan(size, table.reshape(users, len(rb)), table[cells])
             full, fractions, ring, n_regions = partitions[key]
             plans.append((full * (fractions / each.n_sectors), ring, n_regions))
         _guard(columns, np.stack([power for power, _, _ in plans]), p_max)

@@ -8,25 +8,20 @@ result the tests can see, for the reason its `argument` gives; it is listed,
 not run. tests/test_mutant_ledger.py checks that every old text is still in
 its file exactly once and that every killing test is still collected, so a
 refactor that moves mutated code or drops a killing test updates this file.
-A mutant moved to the code that now does its work keeps its id; its twin on a
-second path doing the same work adds a suffix (`_sorted`: cpz's angle-sort planner).
+A mutant moved to the code that now does its work keeps its id, and a mutant
+of a path that is gone goes with it.
 """
 
 MIMO, SCHEMES, SIM, FLOAT_TEXT = "mimo.py", "schemes.py", "sim.py", "_float_text.py"
 PARTITION, PROPAGATION, RECORD = "partition.py", "propagation.py", "_record.py"
 
-# A partition's plan is cached, its total never: the cached-total mutant of the
-# table planner (<=) and of the angle-sort planner (>).
+# A partition's plan is cached, its total never.
 CACHED_PLAN = ("            full, fractions, ring, n_regions = partitions[key]\n"
                "            plans.append((full * (fractions / each.n_sectors), ring, n_regions))\n")
 CACHED_TOTAL = ("            if len(partitions[key]) == 4:\n"
                 "                full, fractions, ring, n_regions = partitions[key]\n"
-                "                total = full * (fractions / each.n_sectors)\n"
-                "                if each.n_sectors {} _TABLE_SECTORS_PER_USER * users:\n"
-                "                    partitions[key] = total, ring, n_regions\n"
-                "            else:\n"
-                "                total, ring, n_regions = partitions[key]\n"
-                "            plans.append((total, ring, n_regions))\n")
+                "                partitions[key] = full * (fractions / each.n_sectors), ring, n_regions\n"
+                "            plans.append(partitions[key])\n")
 
 MUTANTS = [
     # Placement.
@@ -58,10 +53,6 @@ MUTANTS = [
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
                    "tests/test_readme_results.py::"
                    "test_readme_results_match_a_seeded_run_and_the_closed_forms"]},
-    {"id": "cpz_power_one_percent_high_sorted", "file": SCHEMES,
-     "edits": [("sized.flat[starts] = _ring_powers(size, tops)",
-                "sized.flat[starts] = 1.01 * _ring_powers(size, tops)")],
-     "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle"]},
     {"id": "lognormal_sigma_over_20", "file": PROPAGATION,
      "edits": [("self.sigma_db / 10.0 * gauss", "self.sigma_db / 20.0 * gauss")],
      "killed_by": ["tests/test_propagation.py::test_lognormal_shadowing_statistics",
@@ -103,11 +94,12 @@ MUTANTS = [
                 "_row_sums(sized.T), np.broadcast_to(tops.max(axis=0)[:, None], ring.shape),")],
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
                    "tests/test_cli.py::test_seeded_output_digests[simulate]"]},
-    {"id": "cpz_region_serves_every_user_sorted", "file": SCHEMES,
-     "edits": [("ring.put(flat, tops[np.cumsum(first) - 1])",
-                "ring[:] = annulus.max(axis=1, initial=-1)[:, None]")],
+    {"id": "cpz_ranks_left_in_angle_order", "file": SCHEMES,
+     "edits": [("cells.reshape(-1)[flat] = (starts - starts[:, :1]) * len(rb) + rows",
+                "cells[:] = (starts - starts[:, :1]) * len(rb) + rows")],
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
-                   "tests/test_kernel.py::test_cpz_plan_scatters_rings_back_to_user_order[6-7]"]},
+                   "tests/test_kernel.py::test_cpz_plan_scatters_rings_back_to_user_order[6-7]",
+                   "tests/test_cli.py::test_seeded_output_digests[simulate]"]},
     {"id": "oracle_psi_of_first_user", "file": SCHEMES,
      "edits": [("return faded if psi is None else faded * psi",
                 "return faded if psi is None else faded * psi[:, :1]")],
@@ -119,24 +111,17 @@ MUTANTS = [
     # Grids share a cpz plan only where their sectors split the users alike, and
     # never share a total: each count divides the shared fraction sum itself.
     {"id": "cpz_plan_shared_by_unlike_partitions", "file": SCHEMES,
-     "edits": [("if (key := (mates := table[cells]).tobytes()) not in partitions:",
-                "if (key := (mates := table[cells]).tobytes()[:0]) not in partitions:")],
+     "edits": [("if (key := first.tobytes()) not in partitions:",
+                'if (key := b"") not in partitions:')],
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
                    "tests/test_kernel.py::test_shared_cpz_plan_equals_each_grid_alone[blocks]",
                    "tests/test_kernel.py::test_shared_cpz_plan_equals_each_grid_alone[apart]"]},
-    {"id": "cpz_plan_shared_by_unlike_partitions_sorted", "file": SCHEMES,
-     "edits": [("if (key := first.tobytes()) not in partitions:",
-                'if (key := b"") not in partitions:')],
-     "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle"]},
     {"id": "cpz_total_cached_per_partition", "file": SCHEMES,
-     "edits": [(CACHED_PLAN, CACHED_TOTAL.format("<="))],
+     "edits": [(CACHED_PLAN, CACHED_TOTAL)],
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
                    "tests/test_kernel.py::test_shared_cpz_plan_equals_each_grid_alone[blocks]",
                    "tests/test_kernel.py::test_shared_cpz_plan_equals_each_grid_alone[apart]",
                    "tests/test_cli.py::test_seeded_output_digests[sweep_sectors]"]},
-    {"id": "cpz_total_cached_per_partition_sorted", "file": SCHEMES,
-     "edits": [(CACHED_PLAN, CACHED_TOTAL.format(">"))],
-     "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle"]},
     # Sums: the kernel's rows in angle order, and a correctly rounded row sum.
     {"id": "row_sums_in_angle_order", "file": SCHEMES,
      "edits": [("edge_sums = _row_sums(edge_rates)",
@@ -147,12 +132,6 @@ MUTANTS = [
                 " axis=1))")],
      "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle",
                    "tests/test_cli.py::test_seeded_output_digests[simulate]"]},
-    {"id": "row_sums_in_angle_order_sorted", "file": SCHEMES,
-     "edits": [("edge_sums = _row_sums(edge_rates)",
-                "edge_sums = _row_sums(edge_rates if flat is None else edge_rates.take(flat))"),
-               ("sum_rate = _row_sums(scheme_rates)",
-                "sum_rate = _row_sums(scheme_rates if flat is None else scheme_rates.take(flat))")],
-     "killed_by": ["tests/test_kernel.py::test_kernel_matches_scalar_oracle"]},
     {"id": "fsum_in_scalar_sum", "file": SCHEMES,
      "edits": [("        for column in x.T:\n            total += column\n",
                 "        total = np.array([math.fsum(row) for row in x.tolist()])\n")],

@@ -15,6 +15,7 @@ order and cpz's power fractions in sector order. The kernel
 (`cpzsim.schemes._evaluate_trials`) keeps the same rule with `_row_sums`, so
 its reports equal this oracle's float for float. The oracle reaches cpzsim
 only through the public names imported below, so it shares no kernel stage.
+`sum_rate_closed_form` is the ZF sum rate the Monte Carlo tests check.
 """
 
 import math
@@ -154,3 +155,16 @@ def evaluate_scheme(kind: SchemeKind, state: CpzState, budget: LinkBudget,
     sum_rate = _sum(rates[i] for i in range(len(state.ue_positions())))
     return SchemeReport(kind, total, sum_rate, energy_efficiency(sum_rate, total),
                         sum(region.wedges for region, _ in sized))
+
+
+def sum_rate_closed_form(k_users: int, m_antennas: int, rho: float, bandwidth: float) -> float:
+    """ZF sum rate K * B * log2(1 + rho * (M - K)) in bit/s, a lower bound on the ergodic one."""
+    if k_users < 1:
+        raise ValueError("k_users must be positive")
+    if m_antennas <= k_users:
+        raise ValueError(f"closed form needs M > K, got K={k_users}, M={m_antennas}")
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    if bandwidth <= 0:
+        raise ValueError("bandwidth must be positive")
+    return k_users * bandwidth * math.log2(1.0 + rho * (m_antennas - k_users))

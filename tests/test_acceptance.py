@@ -25,7 +25,7 @@ from cpzsim.sim import (
     sweep_sectors,
 )
 
-from oracle import per_ue_rates
+from oracle import per_ue_rates, sum_rate_closed_form
 
 GRID = PartitionGrid(3, 18, 1000.0)
 BUDGET = LinkBudget()
@@ -84,7 +84,7 @@ def test_c3_closed_form_rate_vs_monte_carlo():
             c = rho * K
             rates = [K * BUDGET.bandwidth * math.log2(1.0 + c / trace) for trace in traces]
             mc = math.fsum(rates) / 2000
-            closed = mimo.sum_rate_closed_form(K, M, rho, BUDGET.bandwidth)
+            closed = sum_rate_closed_form(K, M, rho, BUDGET.bandwidth)
             curvature = K * BUDGET.bandwidth / math.log(2) * c * (2 * mu + c) / (mu * (mu + c)) ** 2
             se = np.std(rates, ddof=1) / math.sqrt(2000)
             z = (mc - closed - 0.5 * curvature * s2) / se

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from cpzsim import _float_text, cli
-from test_kernel import spy_on_cpz_plans
+from test_kernel import spy_on_table_plans
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "benchmarks")
@@ -59,7 +59,7 @@ def test_benchmark_sweep_formats_count_invariant_floats_once(tmp_path, monkeypat
     # finest count, so all seven counts split them alike and the kernel's one
     # block plans cpz once, from its (sectors, trials) table, not once per count.
     run, _ = bench
-    plans = spy_on_cpz_plans(monkeypatch)
+    plans = spy_on_table_plans(monkeypatch)
     sizes, int_calls = [], []
     float_texts, int_texts = _float_text._float_texts, _float_text._int_texts
 

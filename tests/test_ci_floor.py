@@ -53,8 +53,10 @@ def test_tier1_job_has_a_timeout():
 
 
 def test_benchmark_smoke_job_checks_every_workload_and_has_a_timeout():
-    # The benchmark reaches the package through child.py's name lookups and
-    # run.py's flags; this job fails CI when a change to src/ breaks either.
+    # This job fails CI when a change to src/ breaks run.py's flags or config,
+    # or the cli entry points child.py's mark_first_trial wraps. It runs with
+    # --trace 0, so child.py's TRACED name lookups are left to
+    # tests/test_benchmark_child.py.
     job = re.search(r"^  benchmark-smoke:\n((?:    .*\n|\n)*)", WORKFLOW, re.M)
     assert job, "the workflow has no benchmark-smoke job"
     minutes = re.search(r"^    timeout-minutes: (\d+)$", job.group(1), re.M)

@@ -166,12 +166,16 @@ SHARED_BOUNDARIES = FixedPlacement(tuple(
 @example(case=(ScenarioConfig(grid=PartitionGrid(3, 40), k_users=12, placement=SHARED_BOUNDARIES,
                               n_trials=2, shadowing=LognormalShadowing(8.0, 1)),
                [1000.0], [1, 7, 25, 40]), block=2)
+@example(case=(ScenarioConfig(grid=PartitionGrid(MAX_COUNT, 18, 1000.0), k_users=1030,
+                              m_antennas=1100, n_trials=2), [1000.0], [1, 18]), block=1024)
 def test_kernel_matches_scalar_oracle(case, block):
     # The 300-trial example is there for last-bit faults, such as numpy's
     # vector pow in place of Python's, which show in about 1% of reports. The
-    # MAX_COUNT example needs rings sized only when reached and 2**53 active
-    # sectors. In the 5e307 b/s example every rate is at least 5e307, so a sum
-    # of ten rates overflows, and a single user's can be inf: the EE overflows.
+    # MAX_COUNT examples need rings sized only when reached and 2**53 active
+    # sectors; in the 1030-user one, an annulus index times the user count
+    # exceeds int64, so no planner may pack the two into one integer. In the
+    # 5e307 b/s example every rate is at least 5e307, so a sum of ten rates
+    # overflows, and a single user's can be inf: the EE overflows.
     config, distances, counts = case
     expected_run = outcome(lambda: [oracle_trial(config, config.grid, place_ues(config, t), t)
                                     for t in range(config.n_trials)])
@@ -188,16 +192,12 @@ def test_kernel_matches_scalar_oracle(case, block):
             replace(config.grid, n_sectors=count), place_ues(cluster, t)))
 
     expected_sectors = outcome(sector_oracle)
-    # Both cpz planners on every case: the angle sort alone (bound 0), the
-    # default split, and the table on every grid of at most 40 sectors.
-    for bound in (0, schemes._TABLE_SECTORS_PER_USER, 40):
-        with mock.patch.object(schemes, "_BLOCK", block), \
-                mock.patch.object(schemes, "_TABLE_SECTORS_PER_USER", bound):
-            assert outcome(lambda: trial_reports(run_comparison(config))) == expected_run
-            assert outcome(lambda: by_value(sweep_distance(config, distances).reports)) == \
-                expected_distance
-            assert outcome(lambda: by_value(sweep_sectors(config, counts).reports)) == \
-                expected_sectors
+    with mock.patch.object(schemes, "_BLOCK", block):
+        assert outcome(lambda: trial_reports(run_comparison(config))) == expected_run
+        assert outcome(lambda: by_value(sweep_distance(config, distances).reports)) == \
+            expected_distance
+        assert outcome(lambda: by_value(sweep_sectors(config, counts).reports)) == \
+            expected_sectors
 
 
 def test_kernel_guard_rejects_nan_power(monkeypatch):
@@ -210,43 +210,19 @@ def test_kernel_guard_rejects_nan_power(monkeypatch):
 def over_on_rows(monkeypatch, chosen, total, n_sectors):
     """Make cpz's total `total` on an n_sectors grid's trials whose region powers `chosen` picks.
 
-    chosen(regions) gets a trial's one-sector region powers, sorted, as either
+    chosen(regions) gets a trial's one-sector region powers, sorted, as the
     planner sizes them: the power of each sector's top annulus. The fault goes into
     the partition's plan, so a grid of n sectors that shares it gets total * n_sectors / n.
     """
-    cpz_plan, table_plan = schemes._cpz_plan, schemes._table_plan
+    table_plan = schemes._table_plan
 
-    def faulty(plan, size, tops):
-        # tops: each row's list of its sectors' top annuli.
-        full, fractions, ring, n_regions = plan
-        picked = [chosen(sorted(map(size, row))) for row in tops]
+    def spy(size, tops, ring):
+        full, fractions, ring, n_regions = table_plan(size, tops, ring)
+        picked = [chosen(sorted(size(a) for a in row if a >= 0)) for row in tops.T.tolist()]
         return (np.where(picked, total, full), np.where(picked, n_sectors, fractions), ring,
                 n_regions)
 
-    def sorted_spy(size, annulus, first, flat):
-        return faulty(cpz_plan(size, annulus, first, flat), size,
-                      [[max(run) for run in np.split(row, np.flatnonzero(at)[1:])]
-                       for row, at in zip(annulus.tolist(), first)])
-
-    def table_spy(size, tops, ring):
-        return faulty(table_plan(size, tops, ring), size,
-                      [[a for a in row if a >= 0] for row in tops.T.tolist()])
-
-    monkeypatch.setattr(schemes, "_cpz_plan", sorted_spy)
-    monkeypatch.setattr(schemes, "_table_plan", table_spy)
-
-
-def both_planners(monkeypatch):
-    """Run the caller's loop body on the angle sort alone, then on the table alone.
-
-    Each pass starts from the default _BLOCK; the table pass takes grids of up
-    to 40 sectors per user.
-    """
-    block = schemes._BLOCK
-    for bound in (0, 40):
-        monkeypatch.setattr(schemes, "_TABLE_SECTORS_PER_USER", bound)
-        monkeypatch.setattr(schemes, "_BLOCK", block)
-        yield
+    monkeypatch.setattr(schemes, "_table_plan", spy)
 
 
 def test_kernel_guard_reports_first_trial_in_trial_major_order(monkeypatch):
@@ -262,10 +238,9 @@ def test_kernel_guard_reports_first_trial_in_trial_major_order(monkeypatch):
     over_on_rows(monkeypatch, lambda regions: regions == [ring0], 2 * p_max, 18)
     # One user per trial, in annulus 0 on trial 0 and annulus 1 on trial 1.
     r, phi = np.array([[200.0], [500.0]]), np.zeros((2, 1))
-    for _ in both_planners(monkeypatch):
-        with pytest.raises(RuntimeError) as error:
-            schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
-        assert str(error.value) == f"cpz power {2 * p_max} exceeds the always-max budget {p_max}"
+    with pytest.raises(RuntimeError) as error:
+        schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
+    assert str(error.value) == f"cpz power {2 * p_max} exceeds the always-max budget {p_max}"
 
 
 def test_kernel_sizes_each_annulus_once_in_ascending_order(monkeypatch):
@@ -294,17 +269,14 @@ def test_kernel_sizes_each_annulus_once_in_ascending_order(monkeypatch):
     u = np.random.default_rng(3).random((150, 2 * k))
     r, phi = 100.0 + 900.0 * u[:, :k], TWO_PI * u[:, k:]
     grids = [PartitionGrid(8, count) for count in (1, 6, 18)]
-    for _ in both_planners(monkeypatch):
-        outside.clear()
-        calls.clear()
-        monkeypatch.setattr(schemes, "_BLOCK", 64)
-        schemes._evaluate_trials(grids, budget, target, k, m, r, phi)
-        assert outside == [budget.cell_radius_r]
-        sized = [d for call in calls for d in call]
-        assert sorted(sized) == sorted(set(sized)) == [grids[0].annulus_outer_radius(a)
-                                                       for a in range(8)]
-        assert all(call == sorted(call) for call in calls)
-        assert max(len(call) for call in calls) > 1
+    monkeypatch.setattr(schemes, "_BLOCK", 64)
+    schemes._evaluate_trials(grids, budget, target, k, m, r, phi)
+    assert outside == [budget.cell_radius_r]
+    sized = [d for call in calls for d in call]
+    assert sorted(sized) == sorted(set(sized)) == [grids[0].annulus_outer_radius(a)
+                                                   for a in range(8)]
+    assert all(call == sorted(call) for call in calls)
+    assert max(len(call) for call in calls) > 1
 
 
 def test_kernel_reports_errors_grid_by_grid(monkeypatch):
@@ -317,14 +289,13 @@ def test_kernel_reports_errors_grid_by_grid(monkeypatch):
     p_max = required_bs_power(1000.0, target, k, m, budget)
     over_on_rows(monkeypatch, lambda regions: len(regions) == 2, 3 * p_max, 2)
     phi, trial0 = np.array([[0.0, 4.0], [0.0, 0.1]]), [200.0, 200.0]
-    for _ in both_planners(monkeypatch):
-        monkeypatch.setattr(schemes, "_BLOCK", 1)
-        with pytest.raises(ValueError, match="user distance 50.0 m outside"):
-            schemes._evaluate_trials(grids, budget, target, k, m,
-                                     np.array([trial0, [300.0, 50.0]]), phi)
-        with pytest.raises(RuntimeError, match="cpz power"):
-            schemes._evaluate_trials(grids, budget, target, k, m,
-                                     np.array([trial0, [300.0, 300.0]]), phi)
+    monkeypatch.setattr(schemes, "_BLOCK", 1)
+    with pytest.raises(ValueError, match="user distance 50.0 m outside"):
+        schemes._evaluate_trials(grids, budget, target, k, m,
+                                 np.array([trial0, [300.0, 50.0]]), phi)
+    with pytest.raises(RuntimeError, match="cpz power"):
+        schemes._evaluate_trials(grids, budget, target, k, m,
+                                 np.array([trial0, [300.0, 300.0]]), phi)
 
 
 def test_kernel_reports_errors_block_by_block_then_stage_by_stage(monkeypatch):
@@ -335,12 +306,11 @@ def test_kernel_reports_errors_block_by_block_then_stage_by_stage(monkeypatch):
     ring0 = required_bs_power(grid.annulus_outer_radius(0), target, k, m, budget)
     over_on_rows(monkeypatch, lambda regions: regions == [ring0], 2 * p_max, 18)
     r, phi = np.array([[200.0], [50.0]]), np.zeros((2, 1))
-    for _ in both_planners(monkeypatch):
-        with pytest.raises(ValueError, match="user distance 50.0 m outside"):
-            schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
-        monkeypatch.setattr(schemes, "_BLOCK", 1)
-        with pytest.raises(RuntimeError, match="cpz power"):
-            schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
+    with pytest.raises(ValueError, match="user distance 50.0 m outside"):
+        schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
+    monkeypatch.setattr(schemes, "_BLOCK", 1)
+    with pytest.raises(RuntimeError, match="cpz power"):
+        schemes._evaluate_trials([grid], budget, target, k, m, r, phi)
 
 
 @pytest.mark.parametrize("n_grids, blocks", [(1, [64, 64]), (3, [64, 64, 64, 64])])
@@ -383,9 +353,8 @@ def test_sector_sweep_runs_the_link_stage_once_per_trial(monkeypatch):
 
 
 def test_sector_sweep_sorts_each_block_once(monkeypatch):
-    # Grids of at most _TABLE_SECTORS_PER_USER sectors per user plan cpz from a
-    # table and sort nothing. Above that bound, users are put in angle order
-    # once per block, and no sector count sorts them again.
+    # Users are put in angle order once per block, on coarse and fine sector
+    # counts alike, and no sector count sorts them again.
     sorts = []
     argsort = np.argsort
 
@@ -396,11 +365,10 @@ def test_sector_sweep_sorts_each_block_once(monkeypatch):
     monkeypatch.setattr(schemes.np, "argsort", spy)
     monkeypatch.setattr(schemes, "_BLOCK", 64)
     config = ScenarioConfig(shadowing=LognormalShadowing(), n_trials=150)
-    assert 36 <= schemes._TABLE_SECTORS_PER_USER * config.k_users < 64
-    sweep_sectors(config, [1, 2, 3, 6, 9, 18, 36])
-    assert sorts == []
-    sweep_sectors(config, [1, 2, 64, 96, 128])
-    assert sorts == [(64, 10), (64, 10), (22, 10)]
+    for counts in ([1, 2, 3, 6, 9, 18, 36], [1, 2, 64, 96, 128]):
+        sorts.clear()
+        sweep_sectors(config, counts)
+        assert sorts == [(64, 10), (64, 10), (22, 10)]
 
 
 def test_sector_sweep_rates_zooming_once_per_block(monkeypatch):
@@ -423,7 +391,7 @@ def test_sector_sweep_rates_zooming_once_per_block(monkeypatch):
     assert calls == [users for block in (64, 64, 22) for users in [block * 12] * (2 + len(counts))]
 
 
-def spy_on_cpz_plans(monkeypatch):
+def spy_on_table_plans(monkeypatch):
     """The number of rows of each _table_plan call, in call order."""
     calls = []
     table_plan = schemes._table_plan
@@ -439,7 +407,7 @@ def spy_on_cpz_plans(monkeypatch):
 def test_sector_sweep_plans_cpz_once_per_block(monkeypatch):
     # The default sweep clusters every trial's users in sector 0 of the finest
     # grid, so all seven counts split them into one region: one plan per block.
-    calls = spy_on_cpz_plans(monkeypatch)
+    calls = spy_on_table_plans(monkeypatch)
     monkeypatch.setattr(schemes, "_BLOCK", 64)
     sweep_sectors(ScenarioConfig(shadowing=LognormalShadowing(), n_trials=150),
                   [1, 2, 3, 6, 9, 18, 36])
@@ -474,7 +442,7 @@ def test_shared_cpz_plan_equals_each_grid_alone(monkeypatch, counts, r, phi, pla
     monkeypatch.setattr(schemes, "_BLOCK", 64)
     grids = [PartitionGrid(3, count) for count in counts]
     args = LinkBudget(), 2e7, 10, 200, r, phi
-    calls = spy_on_cpz_plans(monkeypatch)
+    calls = spy_on_table_plans(monkeypatch)
     shared = schemes._evaluate_trials(grids, *args)
     assert calls == plan_rows
     for grid, columns in zip(grids, shared):
@@ -584,16 +552,25 @@ def test_empty_cell_sums_without_a_fsum_call():
 
 
 @pytest.mark.parametrize("rows, k", [(3, 0), (1, 1), (6, 7)])
-def test_cpz_plan_scatters_rings_back_to_user_order(rows, k):
-    # On grids past the table bound the kernel gathers a block's users into
-    # angle order, and _cpz_plan scatters ring back, through one flat index:
-    # user u of row t is served out to the top annulus of its own sector.
+def test_cpz_plan_scatters_rings_back_to_user_order(monkeypatch, rows, k):
+    # The kernel gathers a block's users into angle order, ranks their sectors
+    # there and scatters the ranks back through one flat index, so the planner
+    # serves user u of row t out to the top annulus of its own sector. Each
+    # user sits mid-ring in its annulus and at sector + noise, in fifths of
+    # the circle, so the noise breaks the ties of an angle sort.
     rng = np.random.default_rng(10 * rows + k)
     annulus, sector = rng.integers(0, 4, (rows, k)), rng.integers(0, 5, (rows, k))
-    order = np.argsort(sector + rng.random((rows, k)), axis=1)
-    flat = order + k * np.arange(rows)[:, None]
-    first = np.diff(sector.take(flat), axis=1, prepend=-1) != 0
-    _, _, ring, n_regions = schemes._cpz_plan(lambda a: a + 1.0, annulus.take(flat), first, flat)
+    phi = (sector + rng.random((rows, k))) * (TWO_PI / 5)
+    plans, table_plan = [], schemes._table_plan
+
+    def spy(size, tops, ring):
+        plans.append(table_plan(size, tops, ring))
+        return plans[-1]
+
+    monkeypatch.setattr(schemes, "_table_plan", spy)
+    schemes._evaluate_trials([PartitionGrid(4, 5, 1000.0)], LinkBudget(), 2e7, 10, 200,
+                             250.0 * (annulus + 0.5), phi)
+    ((_, _, ring, n_regions),) = plans
     assert ring.shape == (rows, k)
     for t in range(rows):
         assert n_regions[t] == len(set(sector[t].tolist()))

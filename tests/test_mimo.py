@@ -1,14 +1,15 @@
 """Channel, beamforming, and rate-model tests.
 
 Closed-form outputs are checked against independent routes: the SVD
-pseudo-inverse for zero forcing, explicit per-user signal/interference
-sums for the SINR, explicit Gram inversion plus Monte Carlo averaging for
-the ergodic rate, and elementwise summation for norms. The eigenvalue
-trace and singularity rule are checked against trace(solve(G, I)) and
-np.linalg.cond. The Monte Carlo trace is checked bit for bit against a
-per-trial forward substitution on Python floats, within a cond(G) K u bound
-against trace(solve(G, I)), and, in mean and variance, against the traces
-of drawn channels; its certificate against the blocks it sends to eigvalsh.
+pseudo-inverse for zero forcing, explicit per-user signal/interference sums
+for the SINR, explicit Gram inversion plus Monte Carlo averaging for the
+ergodic rate (its closed form is tests/oracle.py's), and elementwise
+summation for norms. The eigenvalue trace and singularity rule are checked
+against trace(solve(G, I)) and np.linalg.cond. The Monte Carlo trace is
+checked bit for bit against a per-trial forward substitution on Python
+floats, within a cond(G) K u bound against trace(solve(G, I)), and, in mean
+and variance, against the traces of drawn channels; its certificate against
+the blocks it sends to eigvalsh.
 """
 
 import itertools
@@ -24,6 +25,8 @@ from hypothesis import strategies as st
 
 from cpzsim import mimo
 from cpzsim.rng import CHANNEL, SINR_CHECK, ZF_CHECK, substream
+
+from oracle import sum_rate_closed_form
 
 
 def oracle_per_ue_sinr(rho, h_entries):
@@ -432,32 +435,32 @@ def test_per_ue_rate_rejects_non_positive_bandwidth(bandwidth):
 
 
 def test_sum_rate_zero_rho():
-    assert mimo.sum_rate_closed_form(10, 200, 0.0, 5e6) == 0.0
+    assert sum_rate_closed_form(10, 200, 0.0, 5e6) == 0.0
 
 
 def test_sum_rate_single_user_point():
-    assert mimo.sum_rate_closed_form(1, 2, 1.0, 1.0) == pytest.approx(1.0)
+    assert sum_rate_closed_form(1, 2, 1.0, 1.0) == pytest.approx(1.0)
 
 
 def test_sum_rate_table_point():
-    rate = mimo.sum_rate_closed_form(10, 200, 15.0 / 190.0, 5e6)
+    rate = sum_rate_closed_form(10, 200, 15.0 / 190.0, 5e6)
     assert rate == pytest.approx(200e6, rel=1e-12)
 
 
 def test_sum_rate_rejects_k_not_less_than_m():
     with pytest.raises(ValueError):
-        mimo.sum_rate_closed_form(10, 10, 1.0, 5e6)
+        sum_rate_closed_form(10, 10, 1.0, 5e6)
 
 
 def test_sum_rate_strictly_increasing_in_rho():
     rhos = np.geomspace(1e-3, 10.0, 20)
-    rates = [mimo.sum_rate_closed_form(10, 200, float(r), 5e6) for r in rhos]
+    rates = [sum_rate_closed_form(10, 200, float(r), 5e6) for r in rhos]
     assert all(a < b for a, b in zip(rates, rates[1:]))
 
 
 def test_sum_rate_increasing_in_m():
-    r1 = mimo.sum_rate_closed_form(10, 100, 0.5, 5e6)
-    r2 = mimo.sum_rate_closed_form(10, 200, 0.5, 5e6)
+    r1 = sum_rate_closed_form(10, 100, 0.5, 5e6)
+    r2 = sum_rate_closed_form(10, 200, 0.5, 5e6)
     assert r1 < r2
 
 
@@ -471,7 +474,7 @@ def test_sum_rate_against_monte_carlo():
         trace = float(np.trace(np.linalg.inv(h.entries @ h.entries.conj().T)).real)
         total += k * bandwidth * math.log2(1.0 + rho * k / trace)
     mc = total / draws
-    closed = mimo.sum_rate_closed_form(k, m, rho, bandwidth)
+    closed = sum_rate_closed_form(k, m, rho, bandwidth)
     assert abs(closed - mc) / mc < 0.05
 
 
